@@ -59,7 +59,7 @@ class ScenarioSpec:
 
     name: str
     policy: Policy = Policy.BBOXX_STATIC
-    archetype: str | None = "low"
+    archetype: str | None = None
     profile_csv: str | None = None
     days: int | None = None  # profile length; defaults to the horizon
     seed: int | None = None  # falls back to the shared seed

@@ -15,14 +15,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .battery import BatteryParams, hold_voltage_current, terminal_voltage, SOC_CAP
+from .battery import SOC_CAP, Battery, clamp
 
 
 class Phase(enum.Enum):
     BULK = "bulk"
     ABSORPTION = "absorption"
     FLOAT = "float"
-    DISCONNECTED = "disconnected"
 
 
 class Policy(enum.Enum):
@@ -104,7 +103,6 @@ class ControllerState:
     load_disconnected: bool = False
     days_since_full_recharge: int = 1  # start as if full-charged yesterday
     interval_days: float = 1.0  # adaptive full-recharge interval
-    corr_fraction_carry: float = 1.0  # last valid daily corrosion share
     full_set_active: bool = True
 
 
@@ -114,8 +112,9 @@ class StepEvents:
 
     float_entered: bool = False
     full_charge: bool = False
-    load_disconnected: bool = False
-    load_reconnected: bool = False
+
+
+NO_EVENTS = StepEvents()  # shared by every step that changes no phase
 
 
 def wants_full_limits(state: ControllerState, params: ControlParams) -> bool:
@@ -168,7 +167,7 @@ def tscc_step(
     load_a: float,
     v_limit: float,
     v_float: float,
-    battery: BatteryParams,
+    battery: Battery,
     taper_a: float,
 ) -> tuple[float, StepEvents]:
     """One controller step: pick the battery current and advance the phase.
@@ -177,6 +176,7 @@ def tscc_step(
         available_charge_a: Source current available for charging (>= 0).
         load_a: Load current drawn from the bus (0 when disconnected).
         v_limit / v_float: Active, already temperature-compensated limits.
+        battery: The run's battery model.
         taper_a: Absorption current below which the battery counts as full.
 
     Returns:
@@ -186,30 +186,30 @@ def tscc_step(
     if net <= 0.0:
         # deficit or nothing available: battery serves the load, re-arm
         state.phase = Phase.BULK
-        return net, StepEvents()
+        return net, NO_EVENTS
 
-    soc_v = min(max(soc, 1e-6), SOC_CAP)
+    soc_v = clamp(soc, 1e-6, SOC_CAP)
 
     if state.phase is Phase.FLOAT:
-        i_hold = hold_voltage_current(soc_v, v_float, battery, capacity_loss_ah)
-        applied = min(net, max(i_hold, 0.0))
-        return applied, StepEvents()
+        i_hold = battery.hold_voltage_current(soc_v, v_float, capacity_loss_ah)
+        applied = clamp(i_hold, 0.0, net)
+        return applied, NO_EVENTS
 
     entered_absorption = False
     if state.phase is Phase.BULK:
-        predicted = terminal_voltage(soc_v, net, battery, capacity_loss_ah)
+        predicted = battery.terminal_voltage(soc_v, net, capacity_loss_ah)
         if predicted < v_limit:
-            return net, StepEvents()
+            return net, NO_EVENTS
         state.phase = Phase.ABSORPTION
         entered_absorption = True
 
     # absorption: taper the current to hold the ceiling
-    i_hold = hold_voltage_current(soc_v, v_limit, battery, capacity_loss_ah)
-    applied = min(net, max(i_hold, 0.0))
+    i_hold = battery.hold_voltage_current(soc_v, v_limit, capacity_loss_ah)
+    applied = clamp(i_hold, 0.0, net)
     if not entered_absorption and i_hold <= taper_a and net >= i_hold:
         # taper finished and the source could actually sustain it
         state.phase = Phase.FLOAT
         return applied, StepEvents(
             float_entered=True, full_charge=state.full_set_active
         )
-    return applied, StepEvents()
+    return applied, NO_EVENTS

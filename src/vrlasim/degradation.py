@@ -15,16 +15,12 @@ float for its rated float life would grow, and the rated cycle count.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .battery import (
-    BatteryParams,
-    acid_concentration,
-    cell_ocv,
-    log_molality,
-    positive_cell_ocv,
-)
+from .battery import Battery, BatteryParams, clamp
 
 HOURS_PER_YEAR = 8760.0
 DAYS_PER_YEAR = 365.0
@@ -84,6 +80,11 @@ class DegradationParams:
         if any(k <= 0.0 for _, k in self.ks_knots):
             raise ValueError("corrosion speeds must be positive")
 
+    @functools.cached_property
+    def ks_potentials(self) -> tuple[float, ...]:
+        """The knot potentials alone, for bisection."""
+        return tuple(v for v, _ in self.ks_knots)
+
 
 @dataclass(frozen=True)
 class CalibratedLimits:
@@ -107,19 +108,19 @@ def corrosion_speed(
         (speed in layer units per hour, clamped)
     """
     knots = params.ks_knots
+    potentials = params.ks_potentials
     clamped = False
-    if v_positive <= knots[0][0]:
+    if v_positive <= potentials[0]:
         base = knots[0][1]
-        clamped = v_positive < knots[0][0]
-    elif v_positive >= knots[-1][0]:
+        clamped = v_positive < potentials[0]
+    elif v_positive < potentials[-1]:
+        # the segment ends at the first knot at or above v_positive
+        j = bisect_left(potentials, v_positive)
+        (v0, k0), (v1, k1) = knots[j - 1], knots[j]
+        base = k0 + (k1 - k0) * (v_positive - v0) / (v1 - v0)
+    else:  # at or above the last knot, or nan
         base = knots[-1][1]
-        clamped = v_positive > knots[-1][0]
-    else:
-        base = knots[-1][1]
-        for (v0, k0), (v1, k1) in zip(knots, knots[1:]):
-            if v_positive <= v1:
-                base = k0 + (k1 - k0) * (v_positive - v0) / (v1 - v0)
-                break
+        clamped = v_positive > potentials[-1]
     factor = 2.0 ** ((temp_k - params.ks_ref_temp_k) / params.temp_doubling_k)
     return base * factor, clamped
 
@@ -129,14 +130,9 @@ def positive_terminal_voltage(
 ) -> float:
     """Positive-electrode potential under load (V, per electrode).
 
-    The positive electrode carries its equilibrium potential plus half
-    of the cell-level overpotential, the other half being assigned to
-    the negative electrode.
+    See :meth:`Battery.positive_terminal_voltage`.
     """
-    s = min(max(soc, 0.0), 1.0)
-    y = log_molality(acid_concentration(s, params), params)
-    cell_v = battery_voltage / params.cells_in_series
-    return positive_cell_ocv(y) + 0.5 * (cell_v - cell_ocv(y))
+    return Battery(params).positive_terminal_voltage(soc, battery_voltage)
 
 
 def grow_corrosion_layer(
@@ -173,7 +169,8 @@ def corrosion_capacity_loss(w: float, limits: CalibratedLimits) -> float:
 
 def current_weight(discharge_current_a: float, params: DegradationParams) -> float:
     """Discharge-current weighting, larger for smaller currents."""
-    i = max(discharge_current_a, params.i_floor_a)
+    floor = params.i_floor_a
+    i = floor if floor > discharge_current_a else discharge_current_a
     return math.sqrt(params.i_ref_a / i)
 
 
@@ -191,7 +188,7 @@ def soc_factor(
     """
     if time_since_full_h < 0.0:
         raise ValueError("time_since_full_h cannot be negative")
-    depth = 1.0 - min(max(min_soc_since_full, 0.0), 1.0)
+    depth = 1.0 - clamp(min_soc_since_full, 0.0, 1.0)
     rate = params.c_soc0_per_h + params.c_soc_min_per_h * depth
     return 1.0 + rate * current_weight(discharge_current_a, params) * time_since_full_h
 
@@ -306,16 +303,20 @@ class DegradationModel:
     def step(
         self,
         state: DegradationState,
+        battery: Battery,
         soc: float,
         battery_voltage: float,
         temp_k: float,
         discharge_current_a: float,
         dt_h: float,
     ) -> None:
-        """Advance both channels one step, in place."""
+        """Advance both channels one step, in place.
+
+        `battery` is the run's :class:`Battery`, built from self.battery.
+        """
         if self.limits is None:
             raise CalibrationError("model is not calibrated; call calibrated()")
-        v_p = positive_terminal_voltage(soc, battery_voltage, self.battery)
+        v_p = battery.positive_terminal_voltage(soc, battery_voltage)
         speed, clamped = corrosion_speed(v_p, temp_k, self.params)
         if clamped:
             state.ks_clamp_events += 1

@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 from .battery import (
     SOC_CAP,
     SOC_FLOOR,
+    Battery,
     BatteryParams,
-    battery_ocv,
+    clamp,
     gassing_current,
-    hold_voltage_current,
-    invert_battery_ocv,
     step_soc,
-    terminal_voltage,
 )
 from .control import (
     ControllerState,
@@ -183,10 +181,11 @@ class SimResult:
 def run_scenario(scenario: Scenario) -> SimResult:
     """Simulate one scenario to end of life or the horizon."""
     started = time.perf_counter()
-    battery = scenario.battery
+    params = scenario.battery
+    battery = Battery(params)
     profile = scenario.profile
     model = DegradationModel(
-        battery=battery,
+        battery=params,
         params=scenario.degradation,
         datasheet=scenario.datasheet,
     ).calibrated()
@@ -200,19 +199,22 @@ def run_scenario(scenario: Scenario) -> SimResult:
     steps_per_day = int(round(SECONDS_PER_DAY / dt_s))
     max_steps = int(round(scenario.max_years * DAYS_PER_YEAR * steps_per_day))
     n_profile = len(profile)
+    load_col, solar_col, temp_col = profile.load_w, profile.solar_w, profile.temp_c
     if profile.dt_s != dt_s:
         raise EngineError(
             f"profile dt {profile.dt_s}s does not match scenario dt {dt_s}s"
         )
 
-    capacity = battery.capacity_ah
+    capacity = params.capacity_ah
+    rest_a = params.rest_current_a
+    gassing = params.gassing
     eff = scenario.converter_efficiency
     eol_ah = model.eol_threshold_ah()
     taper_a = control.taper_current_a(capacity)
     soc_to_ah = 1.0 / (capacity * 3600.0)
 
     soc = scenario.initial_soc
-    v_prev = battery_ocv(max(min(soc, SOC_CAP), SOC_FLOOR), battery)
+    v_prev = battery.ocv(clamp(soc, SOC_FLOOR, SOC_CAP))
     audit = EnergyAudit(soc_start=soc)
 
     soc_hist = [0.0] * N_SOC_BINS
@@ -236,12 +238,13 @@ def run_scenario(scenario: Scenario) -> SimResult:
     day_start_total = 0.0
     lifetime_steps = max_steps
     censored = True
+    loss = deg.total_loss()  # refreshed once per step, after the ageing step
 
     for i in range(max_steps):
         day = i // steps_per_day
         if i > 0 and i % steps_per_day == 0:
             # midnight: close out yesterday, refresh the adaptive target
-            total = deg.total_loss()
+            total = loss
             trajectory.append(
                 DayRecord(
                     day=day,
@@ -270,9 +273,9 @@ def run_scenario(scenario: Scenario) -> SimResult:
             day_start_total = total
 
         idx = i % n_profile
-        load_w = profile.load_w[idx]
-        solar_w = profile.solar_w[idx]
-        temp_c = profile.temp_c[idx]
+        load_w = load_col[idx]
+        solar_w = solar_col[idx]
+        temp_c = temp_col[idx]
         temp_k = temp_c + 273.15
 
         disconnected, _ = update_load_disconnect(ctrl, soc, control)
@@ -291,7 +294,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
         applied, events = tscc_step(
             ctrl,
             soc,
-            deg.total_loss(),
+            loss,
             avail_a,
             load_a,
             v_limit,
@@ -314,28 +317,28 @@ def run_scenario(scenario: Scenario) -> SimResult:
                 last_full_event_day = day
                 ctrl.days_since_full_recharge = 0
             # entering float collapses the current to the float hold level
-            hold = hold_voltage_current(
-                max(min(soc, SOC_CAP), SOC_FLOOR), v_float, battery, deg.total_loss()
+            hold = battery.hold_voltage_current(
+                clamp(soc, SOC_FLOOR, SOC_CAP), v_float, loss
             )
-            applied = min(net_a, max(hold, 0.0))
+            applied = clamp(hold, 0.0, net_a)
 
-        soc_v = max(min(soc, SOC_CAP), SOC_FLOOR)
-        voltage = terminal_voltage(soc_v, applied, battery, deg.total_loss())
+        soc_v = clamp(soc, SOC_FLOOR, SOC_CAP)
+        voltage = battery.terminal_voltage(soc_v, applied, loss)
 
         # rest correction: only when the controller is not holding a
         # voltage, otherwise small hold currents look like rest while
         # the terminal is still polarized
-        if abs(applied) < battery.rest_current_a and ctrl.phase is Phase.BULK:
-            corrected = invert_battery_ocv(voltage, battery, seed=soc)[0]
+        if abs(applied) < rest_a and ctrl.phase is Phase.BULK:
+            corrected = battery.invert_ocv(voltage, seed=soc)[0]
             jump = corrected - soc
             if abs(jump) > 1e-9:
                 correction_events += 1
             audit.correction_jumps += jump
             soc = corrected
 
-        i_gas = gassing_current(voltage, temp_k, battery.gassing)
+        i_gas = gassing_current(voltage, temp_k, gassing)
         audit.integral += (applied - i_gas) * dt_s * soc_to_ah
-        new_soc, clamped = step_soc(soc, applied, i_gas, dt_s, battery)
+        new_soc, clamped = step_soc(soc, applied, i_gas, dt_s, params)
         if clamped:
             clamp_events += 1
             audit.clamp_jumps += new_soc - (
@@ -343,15 +346,19 @@ def run_scenario(scenario: Scenario) -> SimResult:
             )
 
         discharge_a = -applied if applied < 0.0 else 0.0
-        model.step(deg, soc, voltage, temp_k, discharge_a, dt_h)
+        model.step(deg, battery, soc, voltage, temp_k, discharge_a, dt_h)
+        loss = deg.total_loss()
         soc = new_soc
 
-        min_soc_run = min(min_soc_run, soc)
-        min_soc_day = min(min_soc_day, soc)
-        soc_hist[min(int(soc_v / SOC_BIN_WIDTH), N_SOC_BINS - 1)] += dt_h
+        if soc < min_soc_run:
+            min_soc_run = soc
+        if soc < min_soc_day:
+            min_soc_day = soc
+        soc_bin = int(soc_v / SOC_BIN_WIDTH)
+        soc_hist[soc_bin if soc_bin < N_SOC_BINS else N_SOC_BINS - 1] += dt_h
         vbin = int((voltage - VOLTAGE_BIN_LOW) / VOLTAGE_BIN_WIDTH)
-        v_hist[min(max(vbin, 0), N_VOLTAGE_BINS - 1)] += dt_h
-        floating = ctrl.phase.name == "FLOAT"
+        v_hist[clamp(vbin, 0, N_VOLTAGE_BINS - 1)] += dt_h
+        floating = ctrl.phase is Phase.FLOAT
         stress.add(applied, soc, full_event, floating)
         if trace is not None:
             trace.append(
@@ -366,13 +373,13 @@ def run_scenario(scenario: Scenario) -> SimResult:
             )
         v_prev = voltage
 
-        if deg.total_loss() >= eol_ah:
+        if loss >= eol_ah:
             lifetime_steps = i + 1
             censored = False
             break
 
     # close out the final (possibly partial) day
-    total = deg.total_loss()
+    total = loss
     trajectory.append(
         DayRecord(
             day=lifetime_steps // steps_per_day

@@ -67,14 +67,20 @@ class TimeSeries:
             raise ProfileError("empty profile")
         if self.dt_s <= 0:
             raise ProfileError("dt_s must be positive")
+        # negated comparisons, so that nan fails them too
         for i, p in enumerate(self.load_w):
-            if p < 0:
-                raise ProfileError(f"negative load at sample {i}")
-        for i, p in enumerate(self.solar_w):
-            if p < 0 or p > self.panel_rating_w + 1e-9:
+            if not p >= 0:
                 raise ProfileError(
-                    f"solar sample {i} outside [0, {self.panel_rating_w}]: {p}"
+                    f"load_w sample {i} is negative or not a number: {p}"
                 )
+        for i, p in enumerate(self.solar_w):
+            if not 0 <= p <= self.panel_rating_w + 1e-9:
+                raise ProfileError(
+                    f"solar_w sample {i} outside [0, {self.panel_rating_w}]: {p}"
+                )
+        if not all(map(math.isfinite, self.temp_c)):
+            i = next(i for i, t in enumerate(self.temp_c) if not math.isfinite(t))
+            raise ProfileError(f"temp_c sample {i} is not finite: {self.temp_c[i]}")
 
     def __len__(self) -> int:
         return len(self.load_w)

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrlasim.battery import (
+    SOC_CAP,
+    SOC_FLOOR,
+    Battery,
     BatteryParamError,
     BatteryParams,
     GassingParams,
@@ -243,6 +246,44 @@ class TestRestCorrection:
         corrected, clamped = correct_soc_at_rest(0.5, 0.005, v, PARAMS)
         assert not clamped
         assert corrected == pytest.approx(0.7, abs=1e-6)
+
+
+class TestElectrolyteMemo:
+    RAILS = [0.0, SOC_FLOOR, SOC_CAP, 1.0]
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from(RAILS)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_memo_is_never_stale(self, socs):
+        # one object across the sequence (memo carried over) against a
+        # fresh evaluation of the chain for every soc
+        battery = Battery(PARAMS)
+        for soc in socs:
+            fresh = PARAMS.cells_in_series * cell_ocv(
+                log_molality(acid_concentration(soc, PARAMS), PARAMS)
+            )
+            assert battery.ocv(soc) == fresh
+            s = min(max(soc, SOC_FLOOR), SOC_CAP)
+            assert battery.terminal_voltage(s, 1.5, 0.2) == terminal_voltage(
+                s, 1.5, PARAMS, 0.2
+            )
+            assert battery.hold_voltage_current(soc, 14.4, 0.2) == hold_voltage_current(
+                soc, 14.4, PARAMS, 0.2
+            )
+            assert battery.ocv(soc) == fresh
+
+    def test_memo_lives_on_the_object(self):
+        a, b = Battery(PARAMS), Battery(PARAMS)
+        a.ocv(0.3)
+        b.ocv(0.6)
+        assert a.ocv(0.3) == battery_ocv(0.3, PARAMS)
+        assert a.electrolyte(0.3)[0] == 0.3
+        assert b.electrolyte(0.6)[0] == 0.6
 
 
 class TestParamValidation:

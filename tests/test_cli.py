@@ -177,6 +177,25 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert os.path.exists(out / "logged.json")
 
+    def test_profile_csv_alone_selects_the_source(self, tmp_path):
+        series = generate_archetype(LOW_USE, 3, seed=4)
+        csv_path = tmp_path / "logged.csv"
+        write_profile_csv(series, str(csv_path))
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "sim: {max_years: 0.01, seed: 1}\n"
+            f"scenarios: [{{name: logged, profile_csv: {csv_path}}}]\n"
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert os.path.exists(out / "logged.json")
+
+    def test_scenario_without_source_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("scenarios: [{name: nowhere, policy: adaptive}]\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "set exactly one of archetype/profile_csv" in capsys.readouterr().err
+
     def test_parallel_jobs(self, tmp_path):
         cfg = tmp_path / "two.yaml"
         cfg.write_text(

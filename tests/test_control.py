@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vrlasim.battery import BatteryParams, hold_voltage_current, terminal_voltage
+from vrlasim.battery import Battery, BatteryParams, hold_voltage_current, terminal_voltage
 from vrlasim.control import (
     BBOXX_LIMITS,
     FULL_LIMITS,
@@ -167,7 +167,7 @@ class TestTsccStep:
 
     def _step(self, state, soc, avail, load, v_limit=14.5, v_float=13.5):
         return tscc_step(
-            state, soc, 0.0, avail, load, v_limit, v_float, BATTERY, self.TAPER
+            state, soc, 0.0, avail, load, v_limit, v_float, Battery(BATTERY), self.TAPER
         )
 
     def test_deficit_discharges_and_rearms(self):

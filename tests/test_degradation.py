@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrlasim.battery import BatteryParams
+from vrlasim.battery import Battery, BatteryParams
 from vrlasim.degradation import (
     CalibrationError,
     Datasheet,
@@ -30,6 +30,32 @@ BATTERY = BatteryParams()
 DATASHEET = Datasheet()
 REF_T = PARAMS.ks_ref_temp_k
 MODEL = DegradationModel().calibrated()
+# a step in the speed curve: two knots share the potential 1.74 V
+STEP_PARAMS = DegradationParams(
+    ks_knots=((1.55, 2.2), (1.70, 0.85), (1.74, 0.5), (1.74, 1.3), (1.80, 1.6), (2.0, 5.0))
+)
+
+
+def linear_scan_speed(
+    v_positive: float, temp_k: float, params: DegradationParams
+) -> tuple[float, bool]:
+    """Reference corrosion_speed: scan the knot pairs from the low end."""
+    knots = params.ks_knots
+    clamped = False
+    if v_positive <= knots[0][0]:
+        base = knots[0][1]
+        clamped = v_positive < knots[0][0]
+    elif v_positive >= knots[-1][0]:
+        base = knots[-1][1]
+        clamped = v_positive > knots[-1][0]
+    else:
+        base = knots[-1][1]
+        for (v0, k0), (v1, k1) in zip(knots, knots[1:]):
+            if v_positive <= v1:
+                base = k0 + (k1 - k0) * (v_positive - v0) / (v1 - v0)
+                break
+    factor = 2.0 ** ((temp_k - params.ks_ref_temp_k) / params.temp_doubling_k)
+    return base * factor, clamped
 
 
 class TestCorrosionSpeed:
@@ -67,6 +93,29 @@ class TestCorrosionSpeed:
         for v in (1.60, 1.70, 1.74, 1.80, 1.90):
             other, _ = corrosion_speed(v, REF_T, PARAMS)
             assert other > dip
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.floats(1.4, 2.2),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([v for v, _ in PARAMS.ks_knots + STEP_PARAMS.ks_knots]),
+        ),
+        st.floats(250.0, 350.0),
+    )
+    def test_bisect_matches_linear_scan(self, v, temp_k):
+        for params in (PARAMS, STEP_PARAMS):
+            assert corrosion_speed(v, temp_k, params) == linear_scan_speed(
+                v, temp_k, params
+            )
+
+    def test_every_knot_matches_linear_scan(self):
+        for params in (PARAMS, STEP_PARAMS):
+            for v, _ in params.ks_knots:
+                for p in (v, math.nextafter(v, 0.0), math.nextafter(v, 3.0)):
+                    assert corrosion_speed(p, REF_T, params) == linear_scan_speed(
+                        p, REF_T, params
+                    )
 
     def test_knot_validation(self):
         with pytest.raises(ValueError):
@@ -236,12 +285,12 @@ class TestDegradationModel:
         model = DegradationModel()
         state = DegradationState()
         with pytest.raises(CalibrationError):
-            model.step(state, 0.5, 12.0, 298.15, 1.0, 0.25)
+            model.step(state, Battery(model.battery), 0.5, 12.0, 298.15, 1.0, 0.25)
 
     def test_step_updates_both_channels(self):
         model = MODEL
         state = DegradationState()
-        model.step(state, 0.5, 12.0, 298.15, 2.0, 0.25)
+        model.step(state, Battery(model.battery), 0.5, 12.0, 298.15, 2.0, 0.25)
         assert state.w > 0.0
         assert state.z_w > 0.0
         assert state.time_since_full_h == 0.25
@@ -252,7 +301,7 @@ class TestDegradationModel:
     def test_idle_step_skips_throughput(self):
         model = MODEL
         state = DegradationState()
-        model.step(state, 0.9, 12.8, 298.15, 0.0, 0.25)
+        model.step(state, Battery(model.battery), 0.9, 12.8, 298.15, 0.0, 0.25)
         assert state.z_w == 0.0
         assert state.w > 0.0
         # the throughput channel still reports its floor loss
@@ -268,7 +317,7 @@ class TestDegradationModel:
         model = MODEL
         state = DegradationState()
         for soc, dis in ((0.8, 1.5), (0.6, 2.0), (0.4, 0.0), (0.7, 3.0)):
-            model.step(state, soc, 12.2, 300.0, dis, 0.5)
+            model.step(state, Battery(model.battery), soc, 12.2, 300.0, dis, 0.5)
             assert state.c_corr == pytest.approx(
                 corrosion_capacity_loss(state.w, model.limits), rel=1e-12
             )
@@ -296,7 +345,7 @@ class TestDegradationModel:
         state = DegradationState()
         prev = (0.0, 0.0, 0.0, 0.0)
         for soc, voltage, discharge in steps:
-            model.step(state, soc, voltage, 298.15, discharge, 0.25)
+            model.step(state, Battery(model.battery), soc, voltage, 298.15, discharge, 0.25)
             cur = (state.w, state.z_w, state.c_corr, state.c_deg)
             assert all(c >= p for c, p in zip(cur, prev))
             prev = cur

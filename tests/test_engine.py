@@ -7,7 +7,7 @@ import pytest
 
 from helpers import constant_profile, cycling_profile
 from vrlasim.control import ControlParams, Policy, adaptive_params
-from vrlasim.battery import BatteryParams
+from vrlasim.battery import Battery, BatteryParams
 from vrlasim.degradation import Datasheet
 from vrlasim.engine import (
     EngineError,
@@ -257,3 +257,22 @@ class TestComparisons:
         assert (
             cmp.alt.full_recharge_day_fraction < cmp.base.full_recharge_day_fraction
         )
+
+
+def test_electrolyte_evaluated_about_once_per_step(monkeypatch):
+    evaluations = 0
+    log_molality = Battery.log_molality
+
+    def counting(self, concentration):
+        nonlocal evaluations
+        evaluations += 1
+        return log_molality(self, concentration)
+
+    monkeypatch.setattr(Battery, "log_molality", counting)
+    days = 30
+    result = run_scenario(
+        Scenario("low30", generate_archetype(LOW_USE, days, seed=42), max_years=days / 365)
+    )
+    steps = days * 96
+    assert result.lifetime_days == days
+    assert evaluations / steps <= 1.1

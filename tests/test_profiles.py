@@ -126,6 +126,19 @@ class TestTimeSeriesValidation:
         with pytest.raises(ProfileError, match="2"):
             TimeSeries(START, 900.0, [0.0, 0.0, -1.0], [0.0] * 3, [25.0] * 3)
 
+    def test_nan_load_names_column_and_sample(self):
+        with pytest.raises(ProfileError, match="load_w sample 1"):
+            TimeSeries(START, 900.0, [0.0, math.nan], [0.0] * 2, [25.0] * 2)
+
+    def test_nan_solar_names_column_and_sample(self):
+        with pytest.raises(ProfileError, match="solar_w sample 1"):
+            TimeSeries(START, 900.0, [0.0] * 2, [0.0, math.nan], [25.0] * 2)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_temperature_names_column_and_sample(self, bad):
+        with pytest.raises(ProfileError, match="temp_c sample 2"):
+            TimeSeries(START, 900.0, [0.0] * 3, [0.0] * 3, [25.0, 25.0, bad])
+
     def test_solar_above_rating(self):
         with pytest.raises(ProfileError):
             TimeSeries(
