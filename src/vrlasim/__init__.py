@@ -9,6 +9,7 @@ policies.
 """
 
 from .battery import (
+    Battery,
     BatteryParamError,
     BatteryParams,
     GassingParams,
@@ -64,6 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ARCHETYPES",
     "BBOXX_LIMITS",
+    "Battery",
     "BatteryParamError",
     "BatteryParams",
     "CalibrationError",

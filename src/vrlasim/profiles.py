@@ -73,8 +73,9 @@ class TimeSeries:
                 raise ProfileError(
                     f"load_w sample {i} is negative or not a number: {p}"
                 )
+        top = self.panel_rating_w + 1e-9
         for i, p in enumerate(self.solar_w):
-            if not 0 <= p <= self.panel_rating_w + 1e-9:
+            if not p >= 0 or p > top:
                 raise ProfileError(
                     f"solar_w sample {i} outside [0, {self.panel_rating_w}]: {p}"
                 )
