@@ -241,7 +241,7 @@ class Battery:
             raise ValueError("terminal_voltage undefined at soc=1 under charge")
         if current < 0.0 and soc <= 0.0:
             raise ValueError("terminal_voltage undefined at soc=0 under discharge")
-        ocv = self.cells * self.electrolyte(soc)[2]
+        ocv = self.ocv(soc)
         over = self.overpotential_cell(soc, current, capacity_loss_ah)
         return ocv + self.cells * over
 
