@@ -1,7 +1,8 @@
 """Bit-identity of simulation results against digests recorded earlier.
 
 Each case runs 60 days and hashes ``dataclasses.asdict(result)`` without
-``runtime_s``, the same digest the benchmark checks.  A change that alters
+``runtime_s`` (of both runs, for a comparison), the same digest the
+benchmark checks.  A change that alters
 any float in the result, by even one bit, changes the digest.  A change
 that is meant to alter results must say why and record new digests.
 """
@@ -13,7 +14,7 @@ import json
 import pytest
 
 from vrlasim.control import ControlParams, Policy, adaptive_params
-from vrlasim.engine import Scenario, run_scenario
+from vrlasim.engine import Scenario, compare_strategies, run_scenario
 from vrlasim.profiles import ARCHETYPES, generate_archetype
 
 DAYS = 60
@@ -41,30 +42,49 @@ GOLDEN = {
         "593ecd2466472e7994bed2fef22bfbd3ac8312320eff5a5c5f092f456670dc05",
 }
 
+# (archetype, record_trace) -> sha256 of static against adaptive
+GOLDEN_COMPARE = {
+    ("low", False):
+        "71b6ef22d652a1b98a291d71b9684fb8af2e4d3c3a60a576ac8d7ac8e7bfa71a",
+    ("low", True):
+        "926ec553d664c7512afd739536d1079d554a451b134ca9a480b7a4daef7a3767",
+}
+
 
 def result_digest(result) -> str:
     d = dataclasses.asdict(result)
-    d.pop("runtime_s")
+    for part in (d, d.get("base"), d.get("alt")):
+        if isinstance(part, dict):
+            part.pop("runtime_s", None)
     payload = json.dumps(d, sort_keys=True, allow_nan=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def run(archetype: str, policy: str, record_trace: bool):
-    profile = generate_archetype(ARCHETYPES[archetype], DAYS, seed=SEED)
+def scenario(archetype: str, policy: str, record_trace: bool, profile=None):
+    if profile is None:
+        profile = generate_archetype(ARCHETYPES[archetype], DAYS, seed=SEED)
     control = (
         adaptive_params()
         if policy == Policy.ADAPTIVE.value
         else ControlParams(policy=Policy.BBOXX_STATIC)
     )
-    return run_scenario(
-        Scenario(
-            name=f"{archetype}_{policy}",
-            profile=profile,
-            control=control,
-            max_years=DAYS / 365.0,
-            record_trace=record_trace,
-        )
+    return Scenario(
+        name=f"{archetype}_{policy}",
+        profile=profile,
+        control=control,
+        max_years=DAYS / 365.0,
+        record_trace=record_trace,
     )
+
+
+def run(archetype: str, policy: str, record_trace: bool):
+    return run_scenario(scenario(archetype, policy, record_trace))
+
+
+def compare(archetype: str, record_trace: bool):
+    base = scenario(archetype, Policy.BBOXX_STATIC.value, record_trace)
+    alt = scenario(archetype, Policy.ADAPTIVE.value, record_trace, base.profile)
+    return compare_strategies(base, alt)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
@@ -73,3 +93,13 @@ def test_result_digest_unchanged(case):
     assert result.lifetime_days == DAYS
     assert (result.trace is not None) == case[2]
     assert result_digest(result) == GOLDEN[case]
+
+
+@pytest.mark.parametrize(
+    "case", list(GOLDEN_COMPARE), ids=lambda c: "-".join(map(str, c))
+)
+def test_comparison_digest_unchanged(case):
+    result = compare(*case)
+    assert result.base.lifetime_days == result.alt.lifetime_days == DAYS
+    assert (result.alt.trace is not None) == case[1]
+    assert result_digest(result) == GOLDEN_COMPARE[case]
