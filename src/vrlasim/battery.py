@@ -374,14 +374,28 @@ def invert_battery_ocv(
     return Battery(params).invert_ocv(voltage, seed)
 
 
+def gassing_temperature_term(temperature_k: float, gassing: GassingParams) -> float:
+    """Temperature part of the gassing exponent, c_t * (T - t_ref)."""
+    return gassing.c_t * (temperature_k - gassing.t_ref)
+
+
 def gassing_current(
     voltage: float, temperature_k: float, gassing: GassingParams = GassingParams()
 ) -> float:
     """Gassing side-reaction current (A) at a battery voltage and temperature."""
-    g = gassing
-    return g.i_gas_0 * math.exp(
-        g.c_v * (voltage - g.v_ref) + g.c_t * (temperature_k - g.t_ref)
+    return gassing_current_at(
+        voltage, gassing_temperature_term(temperature_k, gassing), gassing
     )
+
+
+def gassing_current_at(
+    voltage: float, temperature_term: float, gassing: GassingParams
+) -> float:
+    """Gassing current (A) at a battery voltage, given the temperature term
+    from :func:`gassing_temperature_term`, which a run evaluates once per
+    temperature."""
+    g = gassing
+    return g.i_gas_0 * math.exp(g.c_v * (voltage - g.v_ref) + temperature_term)
 
 
 def step_soc(

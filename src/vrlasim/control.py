@@ -126,8 +126,21 @@ def wants_full_limits(state: ControllerState, params: ControlParams) -> bool:
     """
     if params.policy is Policy.BBOXX_STATIC:
         return True
-    return state.days_since_full_recharge >= min(
-        state.interval_days, MAX_FULL_RECHARGE_INTERVAL_DAYS
+    interval = state.interval_days
+    if interval > MAX_FULL_RECHARGE_INTERVAL_DAYS:  # min() without the builtin call
+        interval = MAX_FULL_RECHARGE_INTERVAL_DAYS
+    return state.days_since_full_recharge >= interval
+
+
+CompensatedLimits = tuple[tuple[float, float], tuple[float, float]]
+
+
+def compensated_limits(params: ControlParams, temp_c: float) -> CompensatedLimits:
+    """(v_limit, v_float) of the full and of the partial limit set at a
+    battery temperature."""
+    return (
+        params.full_limits.compensated(temp_c),
+        params.partial_limits.compensated(temp_c),
     )
 
 
@@ -135,9 +148,16 @@ def select_limits(
     state: ControllerState, params: ControlParams, temp_c: float
 ) -> tuple[float, float, bool]:
     """Active (v_limit, v_float, is_full_set) for this step."""
+    return select_compensated(state, params, compensated_limits(params, temp_c))
+
+
+def select_compensated(
+    state: ControllerState, params: ControlParams, limits: CompensatedLimits
+) -> tuple[float, float, bool]:
+    """:func:`select_limits`, given :func:`compensated_limits` at the
+    step's temperature, which a run evaluates once per temperature."""
     full = wants_full_limits(state, params)
-    limits = params.full_limits if full else params.partial_limits
-    v_limit, v_float = limits.compensated(temp_c)
+    v_limit, v_float = limits[0] if full else limits[1]
     state.full_set_active = full
     return v_limit, v_float, full
 

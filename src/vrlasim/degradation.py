@@ -85,6 +85,14 @@ class DegradationParams:
         """The knot potentials alone, for bisection."""
         return tuple(v for v, _ in self.ks_knots)
 
+    @functools.cached_property
+    def ks_segments(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(v0, k0, k1 - k0, v1 - v0) of each pair of neighbouring knots."""
+        return tuple(
+            (v0, k0, k1 - k0, v1 - v0)
+            for (v0, k0), (v1, k1) in zip(self.ks_knots, self.ks_knots[1:])
+        )
+
 
 @dataclass(frozen=True)
 class CalibratedLimits:
@@ -95,14 +103,36 @@ class CalibratedLimits:
     c_deg_limit: float  # Ah, active-mass loss at rated cycles
 
 
+def corrosion_temperature_factor(temp_k: float, params: DegradationParams) -> float:
+    """Corrosion speed multiplier at a temperature, relative to the knot
+    table's reference temperature: doubles every temp_doubling_k kelvin."""
+    return 2.0 ** ((temp_k - params.ks_ref_temp_k) / params.temp_doubling_k)
+
+
 def corrosion_speed(
     v_positive: float, temp_k: float, params: DegradationParams
 ) -> tuple[float, bool]:
     """Corrosion speed at a positive-electrode potential and temperature.
 
-    Piecewise-linear in potential, exponential in temperature with a
-    fixed doubling interval.  Potentials outside the knot span clamp to
-    the nearest edge; the flag reports the clamp.
+    Piecewise-linear in potential (:func:`reference_corrosion_speed`),
+    exponential in temperature with a fixed doubling interval
+    (:func:`corrosion_temperature_factor`).
+
+    Returns:
+        (speed in layer units per hour, clamped)
+    """
+    base, clamped = reference_corrosion_speed(v_positive, params)
+    return base * corrosion_temperature_factor(temp_k, params), clamped
+
+
+def reference_corrosion_speed(
+    v_positive: float, params: DegradationParams
+) -> tuple[float, bool]:
+    """Corrosion speed at a positive-electrode potential, at the knot
+    table's reference temperature.
+
+    Linear between knots.  Potentials outside the knot span clamp to the
+    nearest edge; the flag reports the clamp.
 
     Returns:
         (speed in layer units per hour, clamped)
@@ -116,13 +146,12 @@ def corrosion_speed(
     elif v_positive < potentials[-1]:
         # the segment ends at the first knot at or above v_positive
         j = bisect_left(potentials, v_positive)
-        (v0, k0), (v1, k1) = knots[j - 1], knots[j]
-        base = k0 + (k1 - k0) * (v_positive - v0) / (v1 - v0)
+        v0, k0, dk, dv = params.ks_segments[j - 1]
+        base = k0 + dk * (v_positive - v0) / dv
     else:  # at or above the last knot, or nan
         base = knots[-1][1]
         clamped = v_positive > potentials[-1]
-    factor = 2.0 ** ((temp_k - params.ks_ref_temp_k) / params.temp_doubling_k)
-    return base * factor, clamped
+    return base, clamped
 
 
 def positive_terminal_voltage(
@@ -306,21 +335,26 @@ class DegradationModel:
         battery: Battery,
         soc: float,
         battery_voltage: float,
-        temp_k: float,
+        corrosion_factor: float,
         discharge_current_a: float,
         dt_h: float,
     ) -> None:
         """Advance both channels one step, in place.
 
         `battery` is the run's :class:`Battery`, built from self.battery.
+        `corrosion_factor` is :func:`corrosion_temperature_factor` at the
+        step's temperature.
         """
-        if self.limits is None:
+        limits = self.limits
+        if limits is None:
             raise CalibrationError("model is not calibrated; call calibrated()")
+        params = self.params
         v_p = battery.positive_terminal_voltage(soc, battery_voltage)
-        speed, clamped = corrosion_speed(v_p, temp_k, self.params)
+        base, clamped = reference_corrosion_speed(v_p, params)
+        speed = base * corrosion_factor
         if clamped:
             state.ks_clamp_events += 1
-        state.w = grow_corrosion_layer(state.w, speed, v_p, dt_h, self.params)
+        state.w = grow_corrosion_layer(state.w, speed, v_p, dt_h, params)
         state.time_since_full_h += dt_h
         if soc < state.min_soc_since_full:
             state.min_soc_since_full = soc
@@ -329,12 +363,10 @@ class DegradationModel:
                 state.time_since_full_h,
                 state.min_soc_since_full,
                 discharge_current_a,
-                self.params,
+                params,
             )
             state.z_w = accumulate_weighted_cycles(
                 state.z_w, discharge_current_a, f, dt_h, self.battery.capacity_ah
             )
-        state.c_corr = corrosion_capacity_loss(state.w, self.limits)
-        state.c_deg = active_mass_loss(
-            state.z_w, self.datasheet.nominal_cycles, self.limits
-        )
+        state.c_corr = corrosion_capacity_loss(state.w, limits)
+        state.c_deg = active_mass_loss(state.z_w, self.datasheet.nominal_cycles, limits)

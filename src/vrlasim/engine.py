@@ -10,6 +10,8 @@ two controller policies over the same inputs produces a comparison.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -18,17 +20,21 @@ from .battery import (
     SOC_FLOOR,
     Battery,
     BatteryParams,
+    GassingParams,
     clamp,
-    gassing_current,
+    gassing_current_at,
+    gassing_temperature_term,
     step_soc,
 )
 from .control import (
+    CompensatedLimits,
     ControllerState,
     ControlParams,
     Phase,
     Policy,
+    compensated_limits,
     recharge_interval,
-    select_limits,
+    select_compensated,
     tscc_step,
     update_load_disconnect,
 )
@@ -38,6 +44,7 @@ from .degradation import (
     DegradationModel,
     DegradationParams,
     DegradationState,
+    corrosion_temperature_factor,
 )
 from .profiles import SECONDS_PER_DAY, StressAccumulator, TimeSeries, TraceRecord
 
@@ -52,6 +59,10 @@ N_SOC_BINS = 20
 VOLTAGE_BIN_LOW = 10.0
 VOLTAGE_BIN_WIDTH = 0.1
 N_VOLTAGE_BINS = 56  # 10.0 .. 15.6 V, outliers land in the edge bins
+
+# Distinct temperatures one run's TemperatureTerms keeps.  Generated
+# profiles hold a few dozen; an ingested log may hold one per sample.
+TEMPERATURE_MEMO_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -178,6 +189,49 @@ class SimResult:
         }
 
 
+class TemperatureTerms:
+    """The per-step terms that depend on temperature alone, memoised for a run.
+
+    Called with a temperature in degC, returns (corrosion temperature
+    factor, gassing temperature term, compensated limits of both sets),
+    each from the one function that defines it.  Entries are keyed on the
+    exact temp_c float, so the memo cannot change a result.  It stops
+    inserting at TEMPERATURE_MEMO_ENTRIES, so a profile whose temperatures
+    never repeat costs bounded memory; further temperatures are evaluated
+    afresh on every step.
+    """
+
+    __slots__ = ("control", "degradation", "gassing", "entries")
+
+    def __init__(
+        self,
+        control: ControlParams,
+        degradation: DegradationParams,
+        gassing: GassingParams,
+    ) -> None:
+        self.control = control
+        self.degradation = degradation
+        self.gassing = gassing
+        self.entries: dict[float, tuple[float, float, CompensatedLimits]] = {}
+
+    def __call__(self, temp_c: float) -> tuple[float, float, CompensatedLimits]:
+        terms = self.entries.get(temp_c)
+        if terms is None:
+            terms = self.evaluate(temp_c)
+            if len(self.entries) < TEMPERATURE_MEMO_ENTRIES:
+                self.entries[temp_c] = terms
+        return terms
+
+    def evaluate(self, temp_c: float) -> tuple[float, float, CompensatedLimits]:
+        """The terms at a temperature, computed without the memo."""
+        temp_k = temp_c + 273.15
+        return (
+            corrosion_temperature_factor(temp_k, self.degradation),
+            gassing_temperature_term(temp_k, self.gassing),
+            compensated_limits(self.control, temp_c),
+        )
+
+
 def run_scenario(scenario: Scenario) -> SimResult:
     """Simulate one scenario to end of life or the horizon."""
     started = time.perf_counter()
@@ -193,6 +247,8 @@ def run_scenario(scenario: Scenario) -> SimResult:
     ctrl = ControllerState()
     control = scenario.control
     adaptive = control.policy is Policy.ADAPTIVE
+    temperature_terms = TemperatureTerms(control, scenario.degradation, params.gassing)
+    memoised_terms = temperature_terms.entries.get
 
     dt_s = scenario.dt_s
     dt_h = dt_s / 3600.0
@@ -276,7 +332,10 @@ def run_scenario(scenario: Scenario) -> SimResult:
         load_w = load_col[idx]
         solar_w = solar_col[idx]
         temp_c = temp_col[idx]
-        temp_k = temp_c + 273.15
+        terms = memoised_terms(temp_c)  # the memo hit, without a method call
+        if terms is None:
+            terms = temperature_terms(temp_c)
+        corrosion_factor, gas_term, limits = terms
 
         disconnected, _ = update_load_disconnect(ctrl, soc, control)
         if disconnected:
@@ -290,7 +349,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
         avail_a = solar_w * eff / v_prev
         net_a = avail_a - load_a
 
-        v_limit, v_float, _ = select_limits(ctrl, control, temp_c)
+        v_limit, v_float, _ = select_compensated(ctrl, control, limits)
         applied, events = tscc_step(
             ctrl,
             soc,
@@ -336,7 +395,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
             audit.correction_jumps += jump
             soc = corrected
 
-        i_gas = gassing_current(voltage, temp_k, gassing)
+        i_gas = gassing_current_at(voltage, gas_term, gassing)
         audit.integral += (applied - i_gas) * dt_s * soc_to_ah
         new_soc, clamped = step_soc(soc, applied, i_gas, dt_s, params)
         if clamped:
@@ -346,7 +405,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
             )
 
         discharge_a = -applied if applied < 0.0 else 0.0
-        model.step(deg, battery, soc, voltage, temp_k, discharge_a, dt_h)
+        model.step(deg, battery, soc, voltage, corrosion_factor, discharge_a, dt_h)
         loss = deg.total_loss()
         soc = new_soc
 
@@ -488,8 +547,7 @@ def compare_strategies(base: Scenario, alt: Scenario) -> ComparisonResult:
     ):
         raise EngineError("compared scenarios must differ only in control policy")
 
-    base_result = run_scenario(base)
-    alt_result = run_scenario(alt)
+    base_result, alt_result = _run_pair(base, alt)
 
     lifetime_ratio = (
         base_result.lifetime_years
@@ -524,6 +582,75 @@ def compare_strategies(base: Scenario, alt: Scenario) -> ComparisonResult:
         soh_never_worse=deficit <= 1e-9,
         max_soh_deficit_pct=deficit,
     )
+
+
+def should_fork_alt(alt: Scenario) -> bool:
+    """Whether compare_strategies runs the alt scenario in a forked worker.
+
+    Only where a second run can overlap the first: more than one usable
+    CPU, the fork start method (the worker inherits the scenario instead
+    of receiving it pickled), and a caller that may have children, which
+    multiprocessing forbids in daemon processes.  Never for a traced run:
+    pickling a per-step trace through the pipe and back costs more than
+    the overlap saves.
+    """
+    if alt.record_trace:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return (
+        cpus > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+    )
+
+
+def _run_pair(base: Scenario, alt: Scenario) -> tuple[SimResult, SimResult]:
+    """run_scenario of both, the alt one in a forked worker where it helps.
+
+    The worker is started and reaped within the call and sends back only
+    its SimResult, or the exception it raised, which is raised here.
+    """
+    if not should_fork_alt(alt):
+        return run_scenario(base), run_scenario(alt)
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(
+        target=_run_in_worker, args=(alt, sender), name="compare-alt", daemon=True
+    )
+    worker.start()
+    sender.close()  # the worker holds the only write end, so its exit ends recv
+    try:
+        base_result = run_scenario(base)
+        try:
+            outcome = receiver.recv()
+        except EOFError:
+            outcome = None
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        receiver.close()
+        worker.join()
+    if outcome is None:
+        raise RuntimeError(
+            f"the worker running {alt.name!r} exited with code "
+            f"{worker.exitcode} before sending a result"
+        )
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return base_result, outcome
+
+
+def _run_in_worker(scenario: Scenario, sender) -> None:
+    try:
+        outcome = run_scenario(scenario)
+    except Exception as exc:  # re-raised by the parent
+        outcome = exc
+    with sender:
+        sender.send(outcome)
 
 
 def _reduction_pct(base_value: float, alt_value: float) -> float:

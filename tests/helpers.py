@@ -1,7 +1,10 @@
-"""Profile builders shared by the test modules."""
+"""Profile builders and result digests shared by the test modules."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from datetime import datetime
 
 from vrlasim.profiles import TimeSeries
@@ -53,3 +56,14 @@ def cycling_profile(
         temp_c=[25.0] * n,
         panel_rating_w=solar_w,
     )
+
+
+def result_digest(result) -> str:
+    """sha256 of ``dataclasses.asdict(result)`` without ``runtime_s``, which
+    is dropped from both runs of a comparison too."""
+    d = dataclasses.asdict(result)
+    for part in (d, d.get("base"), d.get("alt")):
+        if isinstance(part, dict):
+            part.pop("runtime_s", None)
+    payload = json.dumps(d, sort_keys=True, allow_nan=True)
+    return hashlib.sha256(payload.encode()).hexdigest()

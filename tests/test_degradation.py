@@ -18,6 +18,7 @@ from vrlasim.degradation import (
     calibrate_limits,
     corrosion_capacity_loss,
     corrosion_speed,
+    corrosion_temperature_factor,
     current_weight,
     float_positive_potential,
     grow_corrosion_layer,
@@ -29,6 +30,7 @@ PARAMS = DegradationParams()
 BATTERY = BatteryParams()
 DATASHEET = Datasheet()
 REF_T = PARAMS.ks_ref_temp_k
+REF_FACTOR = corrosion_temperature_factor(REF_T, PARAMS)
 MODEL = DegradationModel().calibrated()
 # a step in the speed curve: two knots share the potential 1.74 V
 STEP_PARAMS = DegradationParams(
@@ -285,12 +287,12 @@ class TestDegradationModel:
         model = DegradationModel()
         state = DegradationState()
         with pytest.raises(CalibrationError):
-            model.step(state, Battery(model.battery), 0.5, 12.0, 298.15, 1.0, 0.25)
+            model.step(state, Battery(model.battery), 0.5, 12.0, REF_FACTOR, 1.0, 0.25)
 
     def test_step_updates_both_channels(self):
         model = MODEL
         state = DegradationState()
-        model.step(state, Battery(model.battery), 0.5, 12.0, 298.15, 2.0, 0.25)
+        model.step(state, Battery(model.battery), 0.5, 12.0, REF_FACTOR, 2.0, 0.25)
         assert state.w > 0.0
         assert state.z_w > 0.0
         assert state.time_since_full_h == 0.25
@@ -301,7 +303,7 @@ class TestDegradationModel:
     def test_idle_step_skips_throughput(self):
         model = MODEL
         state = DegradationState()
-        model.step(state, Battery(model.battery), 0.9, 12.8, 298.15, 0.0, 0.25)
+        model.step(state, Battery(model.battery), 0.9, 12.8, REF_FACTOR, 0.0, 0.25)
         assert state.z_w == 0.0
         assert state.w > 0.0
         # the throughput channel still reports its floor loss
@@ -317,7 +319,8 @@ class TestDegradationModel:
         model = MODEL
         state = DegradationState()
         for soc, dis in ((0.8, 1.5), (0.6, 2.0), (0.4, 0.0), (0.7, 3.0)):
-            model.step(state, Battery(model.battery), soc, 12.2, 300.0, dis, 0.5)
+            factor = corrosion_temperature_factor(300.0, model.params)
+            model.step(state, Battery(model.battery), soc, 12.2, factor, dis, 0.5)
             assert state.c_corr == pytest.approx(
                 corrosion_capacity_loss(state.w, model.limits), rel=1e-12
             )
@@ -345,7 +348,7 @@ class TestDegradationModel:
         state = DegradationState()
         prev = (0.0, 0.0, 0.0, 0.0)
         for soc, voltage, discharge in steps:
-            model.step(state, Battery(model.battery), soc, voltage, 298.15, discharge, 0.25)
+            model.step(state, Battery(model.battery), soc, voltage, REF_FACTOR, discharge, 0.25)
             cur = (state.w, state.z_w, state.c_corr, state.c_deg)
             assert all(c >= p for c, p in zip(cur, prev))
             prev = cur

@@ -2,16 +2,39 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import constant_profile, cycling_profile
-from vrlasim.control import ControlParams, Policy, adaptive_params
-from vrlasim.battery import Battery, BatteryParams
-from vrlasim.degradation import Datasheet
+from helpers import constant_profile, cycling_profile, result_digest
+from vrlasim import engine
+from vrlasim.control import (
+    ControllerState,
+    ControlParams,
+    Policy,
+    adaptive_params,
+    select_limits,
+)
+from vrlasim.battery import (
+    Battery,
+    BatteryParams,
+    gassing_current,
+    gassing_current_at,
+    gassing_temperature_term,
+)
+from vrlasim.degradation import (
+    Datasheet,
+    corrosion_speed,
+    corrosion_temperature_factor,
+    reference_corrosion_speed,
+)
 from vrlasim.engine import (
+    TEMPERATURE_MEMO_ENTRIES,
     EngineError,
     Scenario,
+    should_fork_alt,
     compare_strategies,
     run_scenario,
 )
@@ -276,3 +299,174 @@ def test_electrolyte_evaluated_about_once_per_step(monkeypatch):
     steps = days * 96
     assert result.lifetime_days == days
     assert evaluations / steps <= 1.1
+
+
+def static_vs_adaptive(profile=LOW_60, days=60, record_trace=False):
+    base = Scenario(
+        "base", profile, max_years=days / 365.0, record_trace=record_trace
+    )
+    return base, dataclasses.replace(base, name="alt", control=adaptive_params())
+
+
+def recorded_temperature_terms(monkeypatch) -> list:
+    """Every TemperatureTerms that run_scenario creates in this process."""
+    made = []
+
+    class Recorded(engine.TemperatureTerms):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "TemperatureTerms", Recorded)
+    return made
+
+
+def force_worker(monkeypatch, use: bool) -> None:
+    monkeypatch.setattr(engine, "should_fork_alt", lambda alt: use)
+
+
+class TestConcurrentCompare:
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_worker_and_sequential_results_identical(self, monkeypatch, record_trace):
+        base, alt = static_vs_adaptive(record_trace=record_trace)
+        force_worker(monkeypatch, True)
+        concurrent = compare_strategies(base, alt)
+        force_worker(monkeypatch, False)
+        sequential = compare_strategies(base, alt)
+        assert (concurrent.alt.trace is not None) == record_trace
+        assert result_digest(concurrent) == result_digest(sequential)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("use", [True, False])
+    def test_alt_runs_in_a_worker_only_when_chosen(self, monkeypatch, use):
+        run = engine.run_scenario
+
+        def tagged(scenario):
+            return dataclasses.replace(
+                run(scenario), name=f"{scenario.name}@{os.getpid()}"
+            )
+
+        monkeypatch.setattr(engine, "run_scenario", tagged)
+        force_worker(monkeypatch, use)
+        cmp = compare_strategies(*static_vs_adaptive(days=4))
+        assert cmp.base.name == f"base@{os.getpid()}"
+        assert (cmp.alt.name != f"alt@{os.getpid()}") == use
+        assert cmp.base.policy == "bboxx_static"
+        assert cmp.alt.policy == "adaptive"
+
+    @pytest.mark.parametrize("error", [EngineError, ValueError])
+    @pytest.mark.parametrize("failing", ["base", "alt", "both"])
+    def test_run_error_surfaces_and_worker_is_reaped(
+        self, monkeypatch, failing, error
+    ):
+        run = engine.run_scenario
+
+        def failing_run(scenario):
+            if failing in (scenario.name, "both"):
+                raise error(f"{scenario.name} failed")
+            return run(scenario)
+
+        monkeypatch.setattr(engine, "run_scenario", failing_run)
+        force_worker(monkeypatch, True)
+        with pytest.raises(error) as excinfo:
+            compare_strategies(*static_vs_adaptive(days=4))
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == ("alt" if failing == "alt" else "base") + " failed"
+        assert not multiprocessing.active_children()
+
+    def test_profile_dt_mismatch_surfaces_from_both_runs(self, monkeypatch):
+        base, alt = static_vs_adaptive(days=4)
+        force_worker(monkeypatch, True)
+        with pytest.raises(
+            EngineError, match="profile dt 900.0s does not match scenario dt 450.0s"
+        ):
+            compare_strategies(
+                dataclasses.replace(base, dt_s=450.0),
+                dataclasses.replace(alt, dt_s=450.0),
+            )
+        assert not multiprocessing.active_children()
+
+    def test_worker_exit_without_result_is_reported(self, monkeypatch):
+        parent = os.getpid()
+        run = engine.run_scenario
+
+        def dying_run(scenario):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(scenario)
+
+        monkeypatch.setattr(engine, "run_scenario", dying_run)
+        force_worker(monkeypatch, True)
+        with pytest.raises(RuntimeError, match="'alt' exited with code 3"):
+            compare_strategies(*static_vs_adaptive(days=4))
+        assert not multiprocessing.active_children()
+
+
+class TestShouldForkAlt:
+    def test_two_cpus_with_fork_in_a_plain_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"]
+        )
+        _, alt = static_vs_adaptive()
+        assert should_fork_alt(alt)
+
+    @pytest.mark.parametrize("blocker", ["one_cpu", "no_fork", "daemon", "trace"])
+    def test_any_blocker_means_sequential(self, monkeypatch, blocker):
+        cpus = {0} if blocker == "one_cpu" else {0, 1}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+        methods = ["spawn"] if blocker == "no_fork" else ["fork", "spawn"]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        process = SimpleNamespace(daemon=blocker == "daemon")
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: process)
+        _, alt = static_vs_adaptive(record_trace=blocker == "trace")
+        assert not should_fork_alt(alt)
+
+
+class TestTemperatureTerms:
+    def test_entries_equal_fresh_evaluations(self, monkeypatch):
+        memos = recorded_temperature_terms(monkeypatch)
+        control = adaptive_params()
+        scenario = Scenario("low60", LOW_60, control=control, max_years=60 / 365.0)
+        run_scenario(scenario)
+        (memo,) = memos
+        assert set(memo.entries) == set(LOW_60.temp_c)
+        params, gassing = scenario.degradation, scenario.battery.gassing
+        for temp_c, (factor, gas_term, limits) in memo.entries.items():
+            temp_k = temp_c + 273.15
+            assert factor == corrosion_temperature_factor(temp_k, params)
+            assert gas_term == gassing_temperature_term(temp_k, gassing)
+            assert limits == (
+                control.full_limits.compensated(temp_c),
+                control.partial_limits.compensated(temp_c),
+            )
+            # the public functions compose the same terms
+            speed, _ = corrosion_speed(1.8, temp_k, params)
+            assert speed == reference_corrosion_speed(1.8, params)[0] * factor
+            assert gassing_current(14.2, temp_k, gassing) == gassing_current_at(
+                14.2, gas_term, gassing
+            )
+            assert select_limits(ControllerState(), control, temp_c)[:2] == limits[0]
+
+    def test_distinct_temperatures_stop_at_the_bound(self, monkeypatch):
+        n = len(LOW_60)
+        assert n > TEMPERATURE_MEMO_ENTRIES
+        profile = dataclasses.replace(
+            LOW_60, temp_c=[15.0 + 20.0 * i / n for i in range(n)]
+        )
+        assert len(set(profile.temp_c)) == n
+        base, alt = static_vs_adaptive(profile)
+        memos = recorded_temperature_terms(monkeypatch)
+        force_worker(monkeypatch, True)
+        concurrent = compare_strategies(base, alt)
+        (memo,) = memos  # the base run's; the alt run's lived in the worker
+        assert len(memo.entries) == TEMPERATURE_MEMO_ENTRIES
+        # reference: both runs in this process, and nothing memoised
+        force_worker(monkeypatch, False)
+        monkeypatch.setattr(engine, "TEMPERATURE_MEMO_ENTRIES", 0)
+        reference = compare_strategies(base, alt)
+        assert len(memos) == 3
+        assert not memos[1].entries and not memos[2].entries
+        assert result_digest(concurrent) == result_digest(reference)

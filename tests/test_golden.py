@@ -2,17 +2,14 @@
 
 Each case runs 60 days and hashes ``dataclasses.asdict(result)`` without
 ``runtime_s`` (of both runs, for a comparison), the same digest the
-benchmark checks.  A change that alters
-any float in the result, by even one bit, changes the digest.  A change
-that is meant to alter results must say why and record new digests.
+benchmark checks.  A change that alters any float in the result, by even
+one bit, changes the digest.  A change that is meant to alter results
+must say why and record new digests.
 """
-
-import dataclasses
-import hashlib
-import json
 
 import pytest
 
+from helpers import result_digest
 from vrlasim.control import ControlParams, Policy, adaptive_params
 from vrlasim.engine import Scenario, compare_strategies, run_scenario
 from vrlasim.profiles import ARCHETYPES, generate_archetype
@@ -49,15 +46,6 @@ GOLDEN_COMPARE = {
     ("low", True):
         "926ec553d664c7512afd739536d1079d554a451b134ca9a480b7a4daef7a3767",
 }
-
-
-def result_digest(result) -> str:
-    d = dataclasses.asdict(result)
-    for part in (d, d.get("base"), d.get("alt")):
-        if isinstance(part, dict):
-            part.pop("runtime_s", None)
-    payload = json.dumps(d, sort_keys=True, allow_nan=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def scenario(archetype: str, policy: str, record_trace: bool, profile=None):
