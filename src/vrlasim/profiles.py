@@ -68,10 +68,11 @@ class TimeSeries:
         if self.dt_s <= 0:
             raise ProfileError("dt_s must be positive")
         # negated comparisons, so that nan fails them too
+        inf = math.inf
         for i, p in enumerate(self.load_w):
-            if not p >= 0:
+            if not 0 <= p < inf:
                 raise ProfileError(
-                    f"load_w sample {i} is negative or not a number: {p}"
+                    f"load_w sample {i} is negative or not finite: {p}"
                 )
         top = self.panel_rating_w + 1e-9
         for i, p in enumerate(self.solar_w):

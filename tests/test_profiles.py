@@ -130,6 +130,10 @@ class TestTimeSeriesValidation:
         with pytest.raises(ProfileError, match="load_w sample 1"):
             TimeSeries(START, 900.0, [0.0, math.nan], [0.0] * 2, [25.0] * 2)
 
+    def test_infinite_load_names_column_and_sample(self):
+        with pytest.raises(ProfileError, match="load_w sample 1"):
+            TimeSeries(START, 900.0, [0.0, math.inf], [0.0] * 2, [25.0] * 2)
+
     def test_nan_solar_names_column_and_sample(self):
         with pytest.raises(ProfileError, match="solar_w sample 1"):
             TimeSeries(START, 900.0, [0.0] * 2, [0.0, math.nan], [25.0] * 2)
