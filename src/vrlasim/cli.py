@@ -215,10 +215,17 @@ def _print_summary_table(results: list[SimResult]) -> None:
 
 
 def _worker(args: tuple) -> SimResult:
-    config, spec, seed, dt_s, record_trace = args
-    return run_scenario(
-        build_scenario(config, spec, seed=seed, dt_s=dt_s, record_trace=record_trace)
+    """Build and run one scenario; with a profile path, also write the
+    profile CSV there once the run has succeeded."""
+    config, spec, seed, dt_s, record_trace, profile_path = args
+    scenario = build_scenario(
+        config, spec, seed=seed, dt_s=dt_s, record_trace=record_trace
     )
+    result = run_scenario(scenario)
+    if profile_path is not None:
+        os.makedirs(os.path.dirname(profile_path), exist_ok=True)
+        write_profile_csv(scenario.profile, profile_path)
+    return result
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -235,7 +242,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = args.out or config.output_dir
     jobs = max(args.jobs, 1)
-    tasks = [(config, spec, args.seed, args.dt, args.emit_trace) for spec in specs]
+    tasks = [
+        (
+            config,
+            spec,
+            args.seed,
+            args.dt,
+            args.emit_trace,
+            os.path.join(out_dir, f"{spec.name}_profile.csv")
+            if args.emit_profile
+            else None,
+        )
+        for spec in specs
+    ]
     outcomes: list[SimResult | Exception] = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -260,12 +279,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             continue
         results.append(outcome)
         # write as we go so earlier results survive a later failure
-        files = write_result_files(outcome, out_dir, start)
-        if args.emit_profile:
-            scenario = build_scenario(config, spec, seed=args.seed, dt_s=args.dt)
-            profile_path = os.path.join(out_dir, f"{spec.name}_profile.csv")
-            write_profile_csv(scenario.profile, profile_path)
-            files.append(profile_path)
+        write_result_files(outcome, out_dir, start)
 
     if results:
         _print_summary_table(results)
@@ -317,18 +331,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         policy=base_policy,
         name_suffix=f"_{base_policy.value}",
     )
-    alt = Scenario(
+    alt = dataclasses.replace(
+        base,
         name=spec.name + f"_{alt_policy.value}",
-        profile=base.profile,
         control=config.control_params(alt_policy),
-        battery=base.battery,
-        degradation=base.degradation,
-        datasheet=base.datasheet,
-        dt_s=base.dt_s,
-        max_years=base.max_years,
-        initial_soc=base.initial_soc,
-        converter_efficiency=base.converter_efficiency,
-        record_trace=base.record_trace,
     )
     cmp_result = compare_strategies(base, alt)
 

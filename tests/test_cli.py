@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from vrlasim import cli, engine
 from vrlasim.cli import main
 from vrlasim.config import load_config
+from vrlasim.engine import EngineError
 from vrlasim.profiles import LOW_USE, generate_archetype, read_trace_csv, ingest_csv, write_profile_csv
 
 TINY_CONFIG = """\
@@ -196,6 +198,33 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "set exactly one of archetype/profile_csv" in capsys.readouterr().err
 
+    def test_emit_profile_builds_each_scenario_once(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_scenario
+
+        def counting(config, spec, **kwargs):
+            built.append(spec.name)
+            return build(config, spec, **kwargs)
+
+        monkeypatch.setattr(cli, "build_scenario", counting)
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text(
+            "sim: {max_years: 0.01, seed: 1}\n"
+            "scenarios:\n"
+            "  - {name: one, archetype: low, days: 4}\n"
+            "  - {name: two, archetype: moderate, days: 4}\n"
+        )
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out), "--emit-profile"]
+        assert main(argv) == 0
+        assert built == ["one", "two"]
+        config = load_config(str(cfg))
+        for spec in config.scenarios:
+            expected = tmp_path / f"{spec.name}_expected.csv"
+            write_profile_csv(build(config, spec).profile, str(expected))
+            written = out / f"{spec.name}_profile.csv"
+            assert written.read_bytes() == expected.read_bytes()
+
     def test_parallel_jobs(self, tmp_path):
         cfg = tmp_path / "two.yaml"
         cfg.write_text(
@@ -244,6 +273,21 @@ class TestCompare:
         assert payload["lifetime_ratio"] == 1.0
         assert payload["base"]["policy"] == "bboxx_static"
         assert payload["alt"]["policy"] == "adaptive"
+
+    def test_worker_engine_error_exits_1(self, sim_run, tmp_path, monkeypatch, capsys):
+        _, cfg, _ = sim_run
+        run = engine.run_scenario
+
+        def failing_alt(scenario):
+            if scenario.control.policy.value == "adaptive":
+                raise EngineError("adaptive run failed")
+            return run(scenario)
+
+        monkeypatch.setattr(engine, "run_scenario", failing_alt)
+        monkeypatch.setattr(engine, "should_fork_alt", lambda alt: True)
+        rc = main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")])
+        assert rc == 1
+        assert "error: adaptive run failed" in capsys.readouterr().err
 
     def test_unknown_scenario(self, sim_run, tmp_path):
         _, cfg, _ = sim_run
