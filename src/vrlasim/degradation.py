@@ -114,29 +114,23 @@ def corrosion_speed(
 ) -> tuple[float, bool]:
     """Corrosion speed at a positive-electrode potential and temperature.
 
-    Piecewise-linear in potential (:func:`reference_corrosion_speed`),
-    exponential in temperature with a fixed doubling interval
-    (:func:`corrosion_temperature_factor`).
+    Piecewise-linear in potential, exponential in temperature with a
+    fixed doubling interval.  Potentials outside the knot span clamp to
+    the nearest edge; the flag reports the clamp.
 
     Returns:
         (speed in layer units per hour, clamped)
     """
-    base, clamped = reference_corrosion_speed(v_positive, params)
-    return base * corrosion_temperature_factor(temp_k, params), clamped
+    return corrosion_speed_at(
+        v_positive, corrosion_temperature_factor(temp_k, params), params
+    )
 
 
-def reference_corrosion_speed(
-    v_positive: float, params: DegradationParams
+def corrosion_speed_at(
+    v_positive: float, temperature_factor: float, params: DegradationParams
 ) -> tuple[float, bool]:
-    """Corrosion speed at a positive-electrode potential, at the knot
-    table's reference temperature.
-
-    Linear between knots.  Potentials outside the knot span clamp to the
-    nearest edge; the flag reports the clamp.
-
-    Returns:
-        (speed in layer units per hour, clamped)
-    """
+    """:func:`corrosion_speed`, given :func:`corrosion_temperature_factor`
+    at the temperature, which a run evaluates once per temperature."""
     knots = params.ks_knots
     potentials = params.ks_potentials
     clamped = False
@@ -151,7 +145,7 @@ def reference_corrosion_speed(
     else:  # at or above the last knot, or nan
         base = knots[-1][1]
         clamped = v_positive > potentials[-1]
-    return base, clamped
+    return base * temperature_factor, clamped
 
 
 def positive_terminal_voltage(
@@ -350,8 +344,7 @@ class DegradationModel:
             raise CalibrationError("model is not calibrated; call calibrated()")
         params = self.params
         v_p = battery.positive_terminal_voltage(soc, battery_voltage)
-        base, clamped = reference_corrosion_speed(v_p, params)
-        speed = base * corrosion_factor
+        speed, clamped = corrosion_speed_at(v_p, corrosion_factor, params)
         if clamped:
             state.ks_clamp_events += 1
         state.w = grow_corrosion_layer(state.w, speed, v_p, dt_h, params)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -195,10 +196,11 @@ class TemperatureTerms:
     Called with a temperature in degC, returns (corrosion temperature
     factor, gassing temperature term, compensated limits of both sets),
     each from the one function that defines it.  Entries are keyed on the
-    exact temp_c float, so the memo cannot change a result.  It stops
-    inserting at TEMPERATURE_MEMO_ENTRIES, so a profile whose temperatures
-    never repeat costs bounded memory; further temperatures are evaluated
-    afresh on every step.
+    exact temp_c float (0.0 and -0.0 share one, and give the same terms),
+    so the memo cannot change a result.  It stops inserting at
+    TEMPERATURE_MEMO_ENTRIES, so a profile whose temperatures never repeat
+    costs bounded memory; further temperatures are evaluated afresh on
+    every step.
     """
 
     __slots__ = ("control", "degradation", "gassing", "entries")
@@ -217,19 +219,15 @@ class TemperatureTerms:
     def __call__(self, temp_c: float) -> tuple[float, float, CompensatedLimits]:
         terms = self.entries.get(temp_c)
         if terms is None:
-            terms = self.evaluate(temp_c)
+            temp_k = temp_c + 273.15
+            terms = (
+                corrosion_temperature_factor(temp_k, self.degradation),
+                gassing_temperature_term(temp_k, self.gassing),
+                compensated_limits(self.control, temp_c),
+            )
             if len(self.entries) < TEMPERATURE_MEMO_ENTRIES:
                 self.entries[temp_c] = terms
         return terms
-
-    def evaluate(self, temp_c: float) -> tuple[float, float, CompensatedLimits]:
-        """The terms at a temperature, computed without the memo."""
-        temp_k = temp_c + 273.15
-        return (
-            corrosion_temperature_factor(temp_k, self.degradation),
-            gassing_temperature_term(temp_k, self.gassing),
-            compensated_limits(self.control, temp_c),
-        )
 
 
 def run_scenario(scenario: Scenario) -> SimResult:
@@ -590,9 +588,10 @@ def should_fork_alt(alt: Scenario) -> bool:
     Only where a second run can overlap the first: more than one usable
     CPU, the fork start method (the worker inherits the scenario instead
     of receiving it pickled), and a caller that may have children, which
-    multiprocessing forbids in daemon processes.  Never for a traced run:
-    pickling a per-step trace through the pipe and back costs more than
-    the overlap saves.
+    multiprocessing forbids in daemon processes.  Not from a process that
+    runs other threads, since a lock one of them holds stays locked in
+    the forked child.  Never for a traced run: pickling a per-step trace
+    through the pipe and back costs more than the overlap saves.
     """
     if alt.record_trace:
         return False
@@ -604,6 +603,7 @@ def should_fork_alt(alt: Scenario) -> bool:
         cpus > 1
         and "fork" in multiprocessing.get_all_start_methods()
         and not multiprocessing.current_process().daemon
+        and threading.active_count() == 1
     )
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -27,8 +28,8 @@ from vrlasim.battery import (
 from vrlasim.degradation import (
     Datasheet,
     corrosion_speed,
+    corrosion_speed_at,
     corrosion_temperature_factor,
-    reference_corrosion_speed,
 )
 from vrlasim.engine import (
     TEMPERATURE_MEMO_ENTRIES,
@@ -403,7 +404,7 @@ class TestConcurrentCompare:
 
 
 class TestShouldForkAlt:
-    def test_two_cpus_with_fork_in_a_plain_process(self, monkeypatch):
+    def test_two_cpus_with_fork_in_a_single_threaded_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(
@@ -424,6 +425,18 @@ class TestShouldForkAlt:
         _, alt = static_vs_adaptive(record_trace=blocker == "trace")
         assert not should_fork_alt(alt)
 
+    def test_another_thread_means_sequential(self):
+        _, alt = static_vs_adaptive()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10.0,))
+        thread.start()
+        try:
+            assert not should_fork_alt(alt)
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+
 
 class TestTemperatureTerms:
     def test_entries_equal_fresh_evaluations(self, monkeypatch):
@@ -443,8 +456,9 @@ class TestTemperatureTerms:
                 control.partial_limits.compensated(temp_c),
             )
             # the public functions compose the same terms
-            speed, _ = corrosion_speed(1.8, temp_k, params)
-            assert speed == reference_corrosion_speed(1.8, params)[0] * factor
+            assert corrosion_speed(1.8, temp_k, params) == corrosion_speed_at(
+                1.8, factor, params
+            )
             assert gassing_current(14.2, temp_k, gassing) == gassing_current_at(
                 14.2, gas_term, gassing
             )
