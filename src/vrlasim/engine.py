@@ -10,7 +10,6 @@ two controller policies over the same inputs produces a comparison.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import threading
 import time
@@ -379,7 +378,10 @@ def run_scenario(scenario: Scenario) -> SimResult:
             )
             applied = clamp(hold, 0.0, net_a)
 
-        soc_v = clamp(soc, SOC_FLOOR, SOC_CAP)
+        # per-step clamps as conditional expressions, which cost a fraction
+        # of a call to clamp
+        soc_v = SOC_CAP if SOC_CAP < soc else soc
+        soc_v = SOC_FLOOR if SOC_FLOOR > soc_v else soc_v
         voltage = battery.terminal_voltage(soc_v, applied, loss)
 
         # rest correction: only when the controller is not holding a
@@ -414,7 +416,8 @@ def run_scenario(scenario: Scenario) -> SimResult:
         soc_bin = int(soc_v / SOC_BIN_WIDTH)
         soc_hist[soc_bin if soc_bin < N_SOC_BINS else N_SOC_BINS - 1] += dt_h
         vbin = int((voltage - VOLTAGE_BIN_LOW) / VOLTAGE_BIN_WIDTH)
-        v_hist[clamp(vbin, 0, N_VOLTAGE_BINS - 1)] += dt_h
+        vbin = 0 if vbin < 0 else vbin
+        v_hist[vbin if vbin < N_VOLTAGE_BINS else N_VOLTAGE_BINS - 1] += dt_h
         floating = ctrl.phase is Phase.FLOAT
         stress.add(applied, soc, full_event, floating)
         if trace is not None:
@@ -595,6 +598,10 @@ def should_fork_alt(alt: Scenario) -> bool:
     """
     if alt.record_trace:
         return False
+    # imported here, not with the module: it adds over 1 MB to every
+    # process that imports vrlasim, most of which never compare
+    import multiprocessing
+
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -615,6 +622,8 @@ def _run_pair(base: Scenario, alt: Scenario) -> tuple[SimResult, SimResult]:
     """
     if not should_fork_alt(alt):
         return run_scenario(base), run_scenario(alt)
+    import multiprocessing
+
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
     worker = context.Process(

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -35,9 +36,9 @@ from vrlasim.engine import (
     TEMPERATURE_MEMO_ENTRIES,
     EngineError,
     Scenario,
-    should_fork_alt,
     compare_strategies,
     run_scenario,
+    should_fork_alt,
 )
 from vrlasim.profiles import LOW_USE, generate_archetype
 
@@ -303,9 +304,7 @@ def test_electrolyte_evaluated_about_once_per_step(monkeypatch):
 
 
 def static_vs_adaptive(profile=LOW_60, days=60, record_trace=False):
-    base = Scenario(
-        "base", profile, max_years=days / 365.0, record_trace=record_trace
-    )
+    base = Scenario("base", profile, max_years=days / 365.0, record_trace=record_trace)
     return base, dataclasses.replace(base, name="alt", control=adaptive_params())
 
 
@@ -373,6 +372,22 @@ class TestConcurrentCompare:
             compare_strategies(*static_vs_adaptive(days=4))
         assert type(excinfo.value) is error
         assert str(excinfo.value) == ("alt" if failing == "alt" else "base") + " failed"
+        assert not multiprocessing.active_children()
+
+    def test_base_error_stops_a_running_worker(self, monkeypatch):
+        parent = os.getpid()
+
+        def stuck_alt_failing_base(scenario):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+            raise EngineError(f"{scenario.name} failed")
+
+        monkeypatch.setattr(engine, "run_scenario", stuck_alt_failing_base)
+        force_worker(monkeypatch, True)
+        started = time.monotonic()
+        with pytest.raises(EngineError, match="base failed"):
+            compare_strategies(*static_vs_adaptive(days=4))
+        assert time.monotonic() - started < 30.0
         assert not multiprocessing.active_children()
 
     def test_profile_dt_mismatch_surfaces_from_both_runs(self, monkeypatch):
