@@ -70,7 +70,7 @@ class TimeSeries:
         # negated comparisons, so that nan fails them too
         inf = math.inf
         for i, p in enumerate(self.load_w):
-            if not 0 <= p < inf:
+            if not 0.0 <= p < inf:
                 raise ProfileError(
                     f"load_w sample {i} is negative or not finite: {p}"
                 )
