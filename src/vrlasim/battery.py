@@ -423,15 +423,3 @@ def step_soc(
         return 0.0, True
     return new_soc, False
 
-
-def correct_soc_at_rest(
-    soc: float, current: float, rest_voltage: float, params: BatteryParams
-) -> tuple[float, bool] | None:
-    """OCV-based soc correction, applied only while the battery rests.
-
-    Returns None when |current| is at or above the rest threshold, else
-    (corrected_soc, clamped).
-    """
-    if abs(current) >= params.rest_current_a:
-        return None
-    return invert_battery_ocv(rest_voltage, params)

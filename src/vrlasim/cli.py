@@ -32,6 +32,9 @@ from .degradation import (
     float_positive_potential,
 )
 from .engine import (
+    SOC_BIN_WIDTH,
+    VOLTAGE_BIN_LOW,
+    VOLTAGE_BIN_WIDTH,
     ComparisonResult,
     EngineError,
     Scenario,
@@ -49,10 +52,6 @@ from .profiles import (
     write_profile_csv,
     write_trace_csv,
 )
-
-SOC_BIN_WIDTH = 0.05
-VOLTAGE_BIN_LOW = 10.0
-VOLTAGE_BIN_WIDTH = 0.1
 
 
 def build_scenario(

@@ -164,19 +164,18 @@ def select_compensated(
 
 def update_load_disconnect(
     state: ControllerState, soc: float, params: ControlParams
-) -> tuple[bool, bool]:
+) -> bool:
     """Apply the low-soc cutoff with reconnect hysteresis.
 
     Returns:
-        (disconnected_now, reconnected_now)
+        Whether this call disconnected the load.
     """
     if not state.load_disconnected and soc < params.cutoff_soc:
         state.load_disconnected = True
-        return True, False
+        return True
     if state.load_disconnected and soc >= params.reconnect_soc():
         state.load_disconnected = False
-        return False, True
-    return False, False
+    return False
 
 
 def tscc_step(

@@ -189,6 +189,26 @@ class SimResult:
         }
 
 
+def _day_record(
+    day: int,
+    deg: DegradationState,
+    loss: float,
+    capacity: float,
+    min_soc: float,
+    full_charges: int,
+) -> DayRecord:
+    """The DayRecord closing a day after which the total loss is loss."""
+    return DayRecord(
+        day=day,
+        c_corr_ah=deg.c_corr,
+        c_deg_ah=deg.c_deg,
+        c_total_ah=loss,
+        soh_pct=100.0 * (capacity - loss) / capacity,
+        min_soc=min_soc,
+        full_charges=full_charges,
+    )
+
+
 class TemperatureTerms:
     """The per-step terms that depend on temperature alone, memoised for a run.
 
@@ -279,8 +299,6 @@ def run_scenario(scenario: Scenario) -> SimResult:
     min_soc_run = soc
     min_soc_day = soc
     day_full_events = 0
-    full_days = 0
-    full_events = 0
     disconnect_events = 0
     hours_disconnected = 0.0
     load_lost_wh = 0.0
@@ -297,25 +315,14 @@ def run_scenario(scenario: Scenario) -> SimResult:
         day = i // steps_per_day
         if i > 0 and i % steps_per_day == 0:
             # midnight: close out yesterday, refresh the adaptive target
-            total = loss
             trajectory.append(
-                DayRecord(
-                    day=day,
-                    c_corr_ah=deg.c_corr,
-                    c_deg_ah=deg.c_deg,
-                    c_total_ah=total,
-                    soh_pct=100.0 * (capacity - total) / capacity,
-                    min_soc=min_soc_day,
-                    full_charges=day_full_events,
-                )
+                _day_record(day, deg, loss, capacity, min_soc_day, day_full_events)
             )
-            if day_full_events > 0:
-                full_days += 1
             min_soc_day = soc
             day_full_events = 0
             if adaptive:
                 interval = recharge_interval(
-                    deg.c_corr - day_start_c_corr, total - day_start_total
+                    deg.c_corr - day_start_c_corr, loss - day_start_total
                 )
                 if interval is not None:
                     ctrl.interval_days = interval
@@ -323,7 +330,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
                 if last_full_event_day < 0:
                     ctrl.days_since_full_recharge = day + 1
             day_start_c_corr = deg.c_corr
-            day_start_total = total
+            day_start_total = loss
 
         idx = i % n_profile
         load_w = load_col[idx]
@@ -334,8 +341,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
             terms = temperature_terms(temp_c)
         corrosion_factor, gas_term, limits = terms
 
-        disconnected, _ = update_load_disconnect(ctrl, soc, control)
-        if disconnected:
+        if update_load_disconnect(ctrl, soc, control):
             disconnect_events += 1
         if ctrl.load_disconnected:
             hours_disconnected += dt_h
@@ -368,7 +374,6 @@ def run_scenario(scenario: Scenario) -> SimResult:
                 soc = 1.0
                 deg.register_full_charge()
                 full_event = True
-                full_events += 1
                 day_full_events += 1
                 last_full_event_day = day
                 ctrl.days_since_full_recharge = 0
@@ -439,26 +444,21 @@ def run_scenario(scenario: Scenario) -> SimResult:
             break
 
     # close out the final (possibly partial) day
-    total = loss
     trajectory.append(
-        DayRecord(
-            day=lifetime_steps // steps_per_day
+        _day_record(
+            lifetime_steps // steps_per_day
             + (1 if lifetime_steps % steps_per_day else 0),
-            c_corr_ah=deg.c_corr,
-            c_deg_ah=deg.c_deg,
-            c_total_ah=total,
-            soh_pct=100.0 * (capacity - total) / capacity,
-            min_soc=min_soc_day,
-            full_charges=day_full_events,
+            deg,
+            loss,
+            capacity,
+            min_soc_day,
+            day_full_events,
         )
     )
-    if day_full_events > 0:
-        full_days += 1
 
     audit.soc_end = soc
     lifetime_days = lifetime_steps * dt_s / SECONDS_PER_DAY
     stress_result = stress.result()
-    whole_days = max(int(math.ceil(lifetime_days)), 1)
     return SimResult(
         name=scenario.name,
         policy=control.policy.value,
@@ -469,13 +469,13 @@ def run_scenario(scenario: Scenario) -> SimResult:
         eol_threshold_ah=eol_ah,
         c_corr_ah=deg.c_corr,
         c_deg_ah=deg.c_deg,
-        c_total_ah=total,
-        soh_end_pct=100.0 * (capacity - total) / capacity,
-        corrosion_share_pct=100.0 * deg.c_corr / total if total > 0 else 0.0,
+        c_total_ah=loss,
+        soh_end_pct=100.0 * (capacity - loss) / capacity,
+        corrosion_share_pct=100.0 * deg.c_corr / loss if loss > 0 else 0.0,
         full_equivalent_cycles=stress_result.full_equivalent_cycles,
         min_soc=min_soc_run,
-        full_charge_events=full_events,
-        full_recharge_day_fraction=full_days / whole_days,
+        full_charge_events=stress_result.n_full_charges,
+        full_recharge_day_fraction=stress_result.full_recharge_day_fraction,
         disconnect_events=disconnect_events,
         hours_disconnected=hours_disconnected,
         load_energy_lost_wh=load_lost_wh,

@@ -478,7 +478,9 @@ class StressAccumulator:
 
     def result(self) -> StressFactors:
         duration_days = self.steps * self.dt_h / 24.0
-        whole_days = max(int(math.ceil(duration_days)), 1)
+        # a duration within 1e-9 day above a whole day is the rounding error
+        # of a dt_h such as 96 s / 3600, not a further day
+        whole_days = max(math.ceil(duration_days - 1e-9), 1)
         gaps = [
             b - a
             for a, b in zip(self.full_charge_times, self.full_charge_times[1:])
@@ -512,15 +514,6 @@ def stress_factors(
     if acc.steps == 0:
         raise ProfileError("empty trace")
     return acc.result()
-
-
-def aggregate_fec(records: Iterable[TraceRecord], capacity_ah: float, dt_h: float) -> float:
-    """Full equivalent cycles: total discharged Ah over nominal capacity."""
-    total = 0.0
-    for r in records:
-        if r.current_a < 0.0:
-            total += -r.current_a * dt_h
-    return total / capacity_ah
 
 
 def write_trace_csv(

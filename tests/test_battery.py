@@ -16,7 +16,6 @@ from vrlasim.battery import (
     acid_concentration,
     battery_ocv,
     cell_ocv,
-    correct_soc_at_rest,
     effective_b0,
     gassing_current,
     hold_voltage_current,
@@ -234,19 +233,6 @@ class TestOcvInversion:
     def test_out_of_span_clamps(self):
         assert invert_battery_ocv(battery_ocv(1.0, PARAMS) + 0.5, PARAMS) == (1.0, True)
         assert invert_battery_ocv(battery_ocv(0.0, PARAMS) - 0.5, PARAMS) == (0.0, True)
-
-
-class TestRestCorrection:
-    def test_no_correction_while_current_flows(self):
-        assert correct_soc_at_rest(0.5, 0.5, 12.5, PARAMS) is None
-        assert correct_soc_at_rest(0.5, -0.5, 12.5, PARAMS) is None
-        assert correct_soc_at_rest(0.5, PARAMS.rest_current_a, 12.5, PARAMS) is None
-
-    def test_correction_at_rest(self):
-        v = battery_ocv(0.7, PARAMS)
-        corrected, clamped = correct_soc_at_rest(0.5, 0.005, v, PARAMS)
-        assert not clamped
-        assert corrected == pytest.approx(0.7, abs=1e-6)
 
 
 class TestElectrolyteMemo:

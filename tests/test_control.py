@@ -145,20 +145,20 @@ class TestLoadDisconnect:
     def test_cutoff_and_hysteresis_sequence(self):
         params = ControlParams()
         state = ControllerState()
-        assert update_load_disconnect(state, 0.60, params) == (False, False)
+        assert update_load_disconnect(state, 0.60, params) is False
         assert not state.load_disconnected
-        assert update_load_disconnect(state, 0.49, params) == (True, False)
+        assert update_load_disconnect(state, 0.49, params) is True
         assert state.load_disconnected
         # still below the reconnect threshold
-        assert update_load_disconnect(state, 0.54, params) == (False, False)
+        assert update_load_disconnect(state, 0.54, params) is False
         assert state.load_disconnected
-        assert update_load_disconnect(state, 0.55, params) == (False, True)
+        assert update_load_disconnect(state, 0.55, params) is False
         assert not state.load_disconnected
 
     def test_exact_cutoff_stays_connected(self):
         params = ControlParams()
         state = ControllerState()
-        assert update_load_disconnect(state, 0.50, params) == (False, False)
+        assert update_load_disconnect(state, 0.50, params) is False
         assert not state.load_disconnected
 
 

@@ -15,7 +15,6 @@ from vrlasim.profiles import (
     TimeSeries,
     TraceRecord,
     UseArchetype,
-    aggregate_fec,
     ambient_temperature,
     generate_archetype,
     ingest_csv,
@@ -301,11 +300,6 @@ class TestStressFactors:
         # the first full charge has no preceding cycle to close
         assert sf.partial_cycle_depths[5] == 2
         assert sf.partial_cycle_count() == 2
-
-    def test_aggregate_fec_matches(self):
-        assert aggregate_fec(toy_trace(), 20.0, 1.0) == pytest.approx(
-            1.5, rel=1e-12
-        )
 
     def test_low_soc_strictly_below(self):
         records = [
