@@ -19,6 +19,11 @@ from typing import Iterable, Iterator, Sequence
 
 SECONDS_PER_DAY = 86400.0
 
+# Plausible ambient temperatures (degC).  A log in kelvin read as degC
+# (298.15) lies far above the top and would scale corrosion by about 1e8.
+TEMP_MIN_C = -40.0
+TEMP_MAX_C = 80.0
+
 
 class ProfileError(ValueError):
     """Bad profile data or parameters; message carries the location."""
@@ -80,9 +85,15 @@ class TimeSeries:
                 raise ProfileError(
                     f"solar_w sample {i} outside [0, {self.panel_rating_w}]: {p}"
                 )
-        if not all(map(math.isfinite, self.temp_c)):
-            i = next(i for i, t in enumerate(self.temp_c) if not math.isfinite(t))
-            raise ProfileError(f"temp_c sample {i} is not finite: {self.temp_c[i]}")
+        temps = self.temp_c
+        if not all(map(math.isfinite, temps)):
+            i = next(i for i, t in enumerate(temps) if not math.isfinite(t))
+            raise ProfileError(f"temp_c sample {i} is not finite: {temps[i]}")
+        if min(temps) < TEMP_MIN_C or max(temps) > TEMP_MAX_C:
+            i = next(i for i, t in enumerate(temps) if not TEMP_MIN_C <= t <= TEMP_MAX_C)
+            raise ProfileError(
+                f"temp_c sample {i} outside [{TEMP_MIN_C}, {TEMP_MAX_C}] degC: {temps[i]}"
+            )
 
     def __len__(self) -> int:
         return len(self.load_w)

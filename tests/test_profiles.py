@@ -142,6 +142,14 @@ class TestTimeSeriesValidation:
         with pytest.raises(ProfileError, match="temp_c sample 2"):
             TimeSeries(START, 900.0, [0.0] * 3, [0.0] * 3, [25.0, 25.0, bad])
 
+    @pytest.mark.parametrize("bad", [298.15, -40.01])
+    def test_implausible_temperature_names_column_sample_and_range(self, bad):
+        with pytest.raises(ProfileError, match=r"temp_c sample 2 outside \[-40.0, 80.0\]"):
+            TimeSeries(START, 900.0, [0.0] * 4, [0.0] * 4, [80.0, -40.0, bad, 25.0])
+
+    def test_temperature_range_is_inclusive(self):
+        TimeSeries(START, 900.0, [0.0] * 2, [0.0] * 2, [-40.0, 80.0])
+
     def test_solar_above_rating(self):
         with pytest.raises(ProfileError):
             TimeSeries(
