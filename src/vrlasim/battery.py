@@ -289,14 +289,19 @@ class Battery:
             return 1.0, True
 
         ocv = self.ocv
-        soc = min(max(seed, 1e-6), 1.0 - 1e-6)
+        # the clamps as conditional expressions, which keep min's and max's
+        # result on ties and nan and cost a fraction of their calls
+        soc = 1e-6 if 1e-6 > seed else seed
+        soc = 1.0 - 1e-6 if 1.0 - 1e-6 < soc else soc
         for _ in range(8):
             f = ocv(soc) - voltage
             if abs(f) < 1e-12:
                 return soc, False
             step = 1e-6
-            upper = min(1.0, soc + step)
-            lower = max(0.0, upper - step)
+            upper = soc + step
+            upper = upper if upper < 1.0 else 1.0
+            lower = upper - step
+            lower = lower if lower > 0.0 else 0.0
             slope = (ocv(upper) - ocv(lower)) / step
             if slope <= 0.0:
                 break
