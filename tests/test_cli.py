@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
+import csv
 import json
 import os
 
@@ -91,6 +92,23 @@ class TestSimulate:
             "_profile.csv",
         ):
             assert os.path.exists(os.path.join(out, f"tiny{suffix}"))
+
+    @pytest.mark.parametrize(
+        "suffix, n_bins, low, high",
+        [
+            ("_soc_hist.csv", engine.N_SOC_BINS, 0.0, 1.0),
+            ("_voltage_hist.csv", engine.N_VOLTAGE_BINS, engine.VOLTAGE_BIN_LOW, 15.6),
+        ],
+    )
+    def test_histogram_bin_layout(self, sim_run, suffix, n_bins, low, high):
+        _, _, out = sim_run
+        with open(os.path.join(out, f"tiny{suffix}"), newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        edges = [(float(lo), float(hi)) for lo, hi, _ in rows]
+        assert len(edges) == n_bins
+        assert edges[0][0] == low
+        assert edges[-1][1] == high
+        assert all(prev[1] == cur[0] for prev, cur in zip(edges, edges[1:]))
 
     def test_json_content(self, sim_run):
         _, _, out = sim_run

@@ -214,6 +214,34 @@ class TestDailyCycling:
         assert cycling_run.full_equivalent_cycles > 2.0
         assert cycling_run.disconnect_events == 0
 
+    # 96 s is a step inexact in hours: 20 days of it sum to over 20.0 days
+    @pytest.mark.parametrize("dt_s", [96.0, 337.5, 600.0, 900.0, 3600.0])
+    @pytest.mark.parametrize("control", [ControlParams(), adaptive_params()])
+    def test_full_recharges_counted_once(self, dt_s, control):
+        control = dataclasses.replace(control, cutoff_soc=0.05)
+        profile = cycling_profile(20, dt_s=dt_s)
+        result = run_scenario(
+            Scenario("c20", profile, control, dt_s=dt_s, max_years=20 / 365, initial_soc=1.0)
+        )
+        days = result.trajectory
+        assert len(days) == 20
+        assert result.full_charge_events == sum(d.full_charges for d in days)
+        assert result.full_recharge_day_fraction == sum(d.full_charges > 0 for d in days) / 20
+
+
+def test_no_rest_correction_while_float_holds_below_rest_current(monkeypatch):
+    """The rest rule applies in BULK only: a float hold current below
+    rest_current_a is not rest, since the terminal is still polarised."""
+
+    def refuse(self, voltage, seed=0.5):
+        raise AssertionError("rest correction outside BULK")
+
+    monkeypatch.setattr(Battery, "invert_ocv", refuse)
+    profile = constant_profile(2)
+    result = run_scenario(Scenario("float", profile, max_years=2 / 365, record_trace=True))
+    rest_a = BatteryParams().rest_current_a
+    assert any(r.floating and abs(r.current_a) < rest_a for r in result.trace)
+
 
 class TestEndOfLife:
     def test_short_float_life_reaches_eol(self):
