@@ -45,10 +45,10 @@ from .engine import (
 from .profiles import (
     ARCHETYPES,
     ProfileError,
-    StressAccumulator,
     generate_archetype,
     ingest_csv,
     read_trace_csv,
+    stress_factors,
     write_profile_csv,
     write_trace_csv,
 )
@@ -372,10 +372,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     dt_h = first_two[1].t_h - first_two[0].t_h
     if dt_h <= 0:
         raise ProfileError(f"{args.trace}: non-increasing timestamps")
-    acc = StressAccumulator(args.capacity, dt_h)
-    for record in itertools.chain(first_two, records):
-        acc.add(record.current_a, record.soc, record.full_charge, record.floating)
-    stress = acc.result()
+    stress = stress_factors(itertools.chain(first_two, records), args.capacity, dt_h)
 
     payload = dataclasses.asdict(stress)
     payload["capacity_ah"] = args.capacity

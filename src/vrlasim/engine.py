@@ -444,16 +444,9 @@ def run_scenario(scenario: Scenario) -> SimResult:
             break
 
     # close out the final (possibly partial) day
+    last_day = lifetime_steps // steps_per_day + (1 if lifetime_steps % steps_per_day else 0)
     trajectory.append(
-        _day_record(
-            lifetime_steps // steps_per_day
-            + (1 if lifetime_steps % steps_per_day else 0),
-            deg,
-            loss,
-            capacity,
-            min_soc_day,
-            day_full_events,
-        )
+        _day_record(last_day, deg, loss, capacity, min_soc_day, day_full_events)
     )
 
     audit.soc_end = soc
