@@ -289,8 +289,7 @@ class Battery:
             return 1.0, True
 
         ocv = self.ocv
-        # the clamps as conditional expressions, which keep min's and max's
-        # result on ties and nan and cost a fraction of their calls
+        # clamps as conditional expressions: min's and max's results, without the calls
         soc = 1e-6 if 1e-6 > seed else seed
         soc = 1.0 - 1e-6 if 1.0 - 1e-6 < soc else soc
         for _ in range(8):

@@ -93,13 +93,10 @@ class TestSimulate:
         ):
             assert os.path.exists(os.path.join(out, f"tiny{suffix}"))
 
-    @pytest.mark.parametrize(
-        "suffix, n_bins, low, high",
-        [
-            ("_soc_hist.csv", engine.N_SOC_BINS, 0.0, 1.0),
-            ("_voltage_hist.csv", engine.N_VOLTAGE_BINS, engine.VOLTAGE_BIN_LOW, 15.6),
-        ],
-    )
+    @pytest.mark.parametrize("suffix, n_bins, low, high", [
+        ("_soc_hist.csv", engine.N_SOC_BINS, 0.0, 1.0),
+        ("_voltage_hist.csv", engine.N_VOLTAGE_BINS, engine.VOLTAGE_BIN_LOW, 15.6),
+    ])
     def test_histogram_bin_layout(self, sim_run, suffix, n_bins, low, high):
         _, _, out = sim_run
         with open(os.path.join(out, f"tiny{suffix}"), newline="") as fh:
