@@ -197,7 +197,7 @@ def _day_record(
     min_soc: float,
     full_charges: int,
 ) -> DayRecord:
-    """The DayRecord closing a day after which the total loss is loss."""
+    """The record of a day that ended with a total capacity loss of loss (Ah)."""
     return DayRecord(
         day=day,
         c_corr_ah=deg.c_corr,
