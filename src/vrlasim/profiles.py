@@ -204,9 +204,13 @@ def generate_archetype(
     Args:
         days: Number of whole days to generate.
         seed: RNG seed; falls back to the archetype's stochastic_seed.
+        panel_rating_w: Solar output at noon of the clearest day (W),
+            positive and finite.
     """
     if days <= 0:
         raise ProfileError("days must be positive")
+    if not 0.0 < panel_rating_w < math.inf:
+        raise ProfileError(f"panel_rating_w must be positive and finite: {panel_rating_w}")
     steps_per_day = SECONDS_PER_DAY / dt_s
     if abs(steps_per_day - round(steps_per_day)) > 1e-9:
         raise ProfileError("dt_s must divide a day evenly")
@@ -242,23 +246,30 @@ def generate_archetype(
         for d in range(days)
     ]
 
+    # One-day templates.  The load windows depend on evening_fraction
+    # alone, so every day has the same blocks with its own powers; the
+    # last index stands for "no block".  solar_power(hour, 1.0) is the
+    # exact sine, so peak * shape has the bits of solar_power(hour, peak).
+    dt_h = dt_s / 3600.0
+    hours = [k * dt_h for k in range(steps_per_day)]
+    windows = [(h0, h1) for h0, h1, _ in _day_load_blocks(0.0, archetype.evening_fraction)]
+    block_of_step = [
+        next((b for b, (h0, h1) in enumerate(windows) if h0 <= hour < h1), len(windows))
+        for hour in hours
+    ]
+    shape = [solar_power(hour, 1.0) for hour in hours]
+    day_temp = [ambient_temperature(hour) for hour in hours]
+
     load: list[float] = []
     solar: list[float] = []
     temp: list[float] = []
-    dt_h = dt_s / 3600.0
     for d in range(days):
-        blocks = _day_load_blocks(energy[d], archetype.evening_fraction)
+        powers = [w for _, _, w in _day_load_blocks(energy[d], archetype.evening_fraction)]
+        powers.append(0.0)
+        load.extend(map(powers.__getitem__, block_of_step))
         peak = panel_rating_w * weather[d]
-        for k in range(steps_per_day):
-            hour = k * dt_h
-            p = 0.0
-            for h0, h1, watts in blocks:
-                if h0 <= hour < h1:
-                    p = watts
-                    break
-            load.append(p)
-            solar.append(solar_power(hour, peak))
-            temp.append(ambient_temperature(hour))
+        solar.extend([peak * s for s in shape])
+        temp.extend(day_temp)
 
     return TimeSeries(
         start=start,

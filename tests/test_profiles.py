@@ -111,6 +111,11 @@ class TestArchetypeGeneration:
         with pytest.raises(ProfileError):
             UseArchetype("bad", -1.0)
 
+    @pytest.mark.parametrize("rating", [0.0, -0.0, -50.0, math.nan, math.inf])
+    def test_panel_rating_must_be_positive_and_finite(self, rating):
+        with pytest.raises(ProfileError, match="panel_rating_w must be positive and finite"):
+            generate_archetype(LOW_USE, 2, seed=1, panel_rating_w=rating)
+
 
 class TestTimeSeriesValidation:
     def test_length_mismatch(self):
