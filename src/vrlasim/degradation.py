@@ -25,6 +25,10 @@ from .battery import Battery, BatteryParams, clamp
 HOURS_PER_YEAR = 8760.0
 DAYS_PER_YEAR = 365.0
 
+# Parameter sets whose calibration calibrate_limits keeps; a sweep of
+# scenarios shares one or a few.
+CALIBRATION_MEMO_ENTRIES = 32
+
 # Corrosion speed vs positive-electrode potential at the reference
 # temperature, relative units per hour.  Shape: high again at deep
 # discharge potentials, a passivation dip with its minimum just below
@@ -249,6 +253,7 @@ def float_positive_potential(
     return positive_terminal_voltage(1.0, datasheet.float_voltage, battery)
 
 
+@functools.lru_cache(maxsize=CALIBRATION_MEMO_ENTRIES)
 def calibrate_limits(
     battery: BatteryParams,
     params: DegradationParams,
@@ -262,6 +267,9 @@ def calibrate_limits(
     life.  Both channel limits are the end-of-life loss budget, so
     corrosion alone kills the battery exactly at rated float life and
     cycling alone at the rated cycle count.
+
+    The result depends on the frozen arguments alone, so it is memoised
+    on them: equal parameter sets integrate the float life once.
     """
     v_p = float_positive_potential(battery, datasheet)
     temp_k = datasheet.float_temp_c + 273.15
