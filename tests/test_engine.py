@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import constant_profile, cycling_profile, result_digest
+from helpers import START, constant_profile, cycling_profile, result_digest
 from vrlasim import engine
 from vrlasim.control import (
     ControllerState,
@@ -28,6 +28,8 @@ from vrlasim.battery import (
 )
 from vrlasim.degradation import (
     Datasheet,
+    DegradationParams,
+    calibrate_limits,
     corrosion_speed,
     corrosion_speed_at,
     corrosion_temperature_factor,
@@ -40,7 +42,7 @@ from vrlasim.engine import (
     run_scenario,
     should_fork_alt,
 )
-from vrlasim.profiles import LOW_USE, generate_archetype
+from vrlasim.profiles import LOW_USE, TimeSeries, generate_archetype
 
 LOW_60 = generate_archetype(LOW_USE, 60, seed=42)
 
@@ -134,7 +136,9 @@ class TestBookkeeping:
         assert low_run.soh_at_day(10_000) == low_run.trajectory[-1].soh_pct
 
     def test_full_event_days_match_stress(self, low_run):
-        assert low_run.full_charge_events == low_run.stress.n_full_charges
+        # the stress accumulator's count against the engine's own per-day
+        # count in the day records
+        assert low_run.full_charge_events == sum(d.full_charges for d in low_run.trajectory)
 
     def test_censored_run_spans_horizon(self):
         result = run_scenario(
@@ -142,6 +146,35 @@ class TestBookkeeping:
         )
         assert result.censored
         assert result.lifetime_days == pytest.approx(10.0, rel=1e-12)
+
+
+class TestCalibrationMemo:
+    @staticmethod
+    def _run(**params):
+        profile = constant_profile(2)
+        return run_scenario(Scenario("memo", profile, max_years=2 / 365, **params))
+
+    def test_equal_parameters_calibrate_once(self):
+        calibrate_limits.cache_clear()
+        runs = [
+            self._run(battery=BatteryParams(), degradation=DegradationParams(), datasheet=Datasheet())
+            for _ in range(2)
+        ]
+        info = calibrate_limits.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert result_digest(runs[0]) == result_digest(runs[1])
+
+    def test_other_datasheet_calibrates_anew(self):
+        calibrate_limits.cache_clear()
+        base = self._run()
+        other = self._run(datasheet=Datasheet(float_life_years=5.0))
+        info = calibrate_limits.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+        assert other.c_corr_ah != base.c_corr_ah
+
+    def test_memoised_limits_equal_a_fresh_integration(self):
+        args = (BatteryParams(), DegradationParams(), Datasheet(float_life_years=5.0))
+        assert calibrate_limits(*args) == calibrate_limits.__wrapped__(*args)
 
 
 class TestDeterminism:
@@ -227,6 +260,23 @@ class TestDailyCycling:
         assert len(days) == 20
         assert result.full_charge_events == sum(d.full_charges for d in days)
         assert result.full_recharge_day_fraction == sum(d.full_charges > 0 for d in days) / 20
+
+    def test_day_with_two_full_recharges(self):
+        """Two discharge-recharge cycles a day: each full recharge is an
+        event, while the day fraction counts days with one, not events."""
+        n = 10 * 96
+        load, solar = [], []
+        for i in range(n):
+            h = (i % 96) / 4.0
+            load.append(60.0 if 4.0 <= h < 6.0 or 11.0 <= h < 12.0 or 19.0 <= h < 21.0 else 0.0)
+            solar.append(120.0 if 7.0 <= h < 11.0 or 12.0 <= h < 17.0 else 0.0)
+        profile = TimeSeries(START, 900.0, load, solar, [25.0] * n, panel_rating_w=120.0)
+        result = run_scenario(Scenario("twice", profile, max_years=10 / 365, initial_soc=1.0))
+        days = result.trajectory
+        assert len(days) == 10
+        assert all(d.full_charges == 2 for d in days)
+        assert result.full_charge_events == sum(d.full_charges for d in days) == 20
+        assert result.full_recharge_day_fraction == sum(d.full_charges > 0 for d in days) / 10 == 1.0
 
 
 def test_no_rest_correction_while_float_holds_below_rest_current(monkeypatch):
