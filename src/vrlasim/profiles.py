@@ -13,9 +13,9 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 SECONDS_PER_DAY = 86400.0
 
@@ -475,6 +475,8 @@ class StressAccumulator:
     def add(
         self, current_a: float, soc: float, full_charge: bool, floating: bool
     ) -> None:
+        # runs every step: conditionals in place of the min/max builtins,
+        # keeping their choice on ties and nan (the first argument wins)
         t_h = self.steps * self.dt_h
         self.steps += 1
         if current_a >= 0.0:
@@ -482,17 +484,21 @@ class StressAccumulator:
         else:
             drawn = -current_a
             self.discharge_ah += drawn * self.dt_h
-            self.max_discharge_a = max(self.max_discharge_a, drawn)
+            if drawn > self.max_discharge_a:
+                self.max_discharge_a = drawn
         if soc < self.low_soc:
             self.low_soc_h += self.dt_h
         if floating:
             self.float_h += self.dt_h
-        if self._min_soc_since_full is not None:
-            self._min_soc_since_full = min(self._min_soc_since_full, soc)
+        low = self._min_soc_since_full
+        if low is not None and soc < low:
+            self._min_soc_since_full = low = soc
         if full_charge:
-            if self._min_soc_since_full is not None:
-                depth = max(0.0, 1.0 - self._min_soc_since_full)
-                idx = min(int(depth * self.N_DEPTH_BINS), self.N_DEPTH_BINS - 1)
+            if low is not None:
+                depth = 1.0 - low
+                idx = int(depth * self.N_DEPTH_BINS) if depth > 0.0 else 0
+                if idx > self.N_DEPTH_BINS - 1:
+                    idx = self.N_DEPTH_BINS - 1
                 self.depth_bins[idx] += 1
             self.full_charge_times.append(t_h)
             self.full_charge_days.add(int(t_h // 24.0))

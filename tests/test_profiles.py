@@ -4,6 +4,8 @@ import math
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vrlasim.profiles import (
     ARCHETYPES,
@@ -339,6 +341,58 @@ class TestStressFactors:
         for r in toy_trace():
             acc.add(r.current_a, r.soc, r.full_charge, r.floating)
         assert acc.result() == stress_factors(toy_trace(), 20.0, 1.0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.nan]), st.floats(-50.0, 50.0)),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 0.5, 0.9, 1.0, math.nan]), st.floats(-1.0, 2.0)
+                ),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_add_matches_min_max_reference(self, steps):
+        """The accumulator's conditionals choose as min and max do, on ties,
+        signed zeros and nan included."""
+        acc = StressAccumulator(20.0, 0.25)
+        ref = MinMaxAccumulator(20.0, 0.25)
+        for step in steps:
+            acc.add(*step)
+            ref.add(*step)
+        assert repr(acc.result()) == repr(ref.result())
+
+
+class MinMaxAccumulator(StressAccumulator):
+    """StressAccumulator.add written with the min and max builtins."""
+
+    def add(self, current_a, soc, full_charge, floating):
+        t_h = self.steps * self.dt_h
+        self.steps += 1
+        if current_a >= 0.0:
+            self.charge_ah += current_a * self.dt_h
+        else:
+            drawn = -current_a
+            self.discharge_ah += drawn * self.dt_h
+            self.max_discharge_a = max(self.max_discharge_a, drawn)
+        if soc < self.low_soc:
+            self.low_soc_h += self.dt_h
+        if floating:
+            self.float_h += self.dt_h
+        if self._min_soc_since_full is not None:
+            self._min_soc_since_full = min(self._min_soc_since_full, soc)
+        if full_charge:
+            if self._min_soc_since_full is not None:
+                depth = max(0.0, 1.0 - self._min_soc_since_full)
+                idx = min(int(depth * self.N_DEPTH_BINS), self.N_DEPTH_BINS - 1)
+                self.depth_bins[idx] += 1
+            self.full_charge_times.append(t_h)
+            self.full_charge_days.add(int(t_h // 24.0))
+            self._min_soc_since_full = soc
 
 
 class TestTraceCsv:
