@@ -43,7 +43,6 @@ from .engine import (
     run_scenario,
 )
 from .profiles import (
-    ARCHETYPES,
     ProfileError,
     generate_archetype,
     ingest_csv,

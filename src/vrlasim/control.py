@@ -13,7 +13,7 @@ and reconnects with hysteresis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .battery import SOC_CAP, Battery, clamp
 
