@@ -204,8 +204,8 @@ def generate_archetype(
     Args:
         days: Number of whole days to generate.
         seed: RNG seed; falls back to the archetype's stochastic_seed.
-        panel_rating_w: Solar output at noon of the clearest day (W),
-            positive and finite.
+        panel_rating_w: Noon solar output at a weather factor of 1 (W);
+            must be positive and finite.
     """
     if days <= 0:
         raise ProfileError("days must be positive")
@@ -249,7 +249,8 @@ def generate_archetype(
     # One-day templates.  The load windows depend on evening_fraction
     # alone, so every day has the same blocks with its own powers; the
     # last index stands for "no block".  solar_power(hour, 1.0) is the
-    # exact sine, so peak * shape has the bits of solar_power(hour, peak).
+    # exact sine (or 0.0 at night), so for a positive finite peak,
+    # peak * shape has the bits of solar_power(hour, peak).
     dt_h = dt_s / 3600.0
     hours = [k * dt_h for k in range(steps_per_day)]
     windows = [(h0, h1) for h0, h1, _ in _day_load_blocks(0.0, archetype.evening_fraction)]
