@@ -294,6 +294,34 @@ def toy_trace():
     return records
 
 
+class MinMaxAccumulator(StressAccumulator):
+    """StressAccumulator.add written with the min and max builtins."""
+
+    def add(self, current_a, soc, full_charge, floating):
+        t_h = self.steps * self.dt_h
+        self.steps += 1
+        if current_a >= 0.0:
+            self.charge_ah += current_a * self.dt_h
+        else:
+            drawn = -current_a
+            self.discharge_ah += drawn * self.dt_h
+            self.max_discharge_a = max(self.max_discharge_a, drawn)
+        if soc < self.low_soc:
+            self.low_soc_h += self.dt_h
+        if floating:
+            self.float_h += self.dt_h
+        if self._min_soc_since_full is not None:
+            self._min_soc_since_full = min(self._min_soc_since_full, soc)
+        if full_charge:
+            if self._min_soc_since_full is not None:
+                depth = max(0.0, 1.0 - self._min_soc_since_full)
+                idx = min(int(depth * self.N_DEPTH_BINS), self.N_DEPTH_BINS - 1)
+                self.depth_bins[idx] += 1
+            self.full_charge_times.append(t_h)
+            self.full_charge_days.add(int(t_h // 24.0))
+            self._min_soc_since_full = soc
+
+
 class TestStressFactors:
     def test_toy_trace_oracle(self):
         sf = stress_factors(toy_trace(), capacity_ah=20.0, dt_h=1.0)
@@ -365,34 +393,6 @@ class TestStressFactors:
             acc.add(*step)
             ref.add(*step)
         assert repr(acc.result()) == repr(ref.result())
-
-
-class MinMaxAccumulator(StressAccumulator):
-    """StressAccumulator.add written with the min and max builtins."""
-
-    def add(self, current_a, soc, full_charge, floating):
-        t_h = self.steps * self.dt_h
-        self.steps += 1
-        if current_a >= 0.0:
-            self.charge_ah += current_a * self.dt_h
-        else:
-            drawn = -current_a
-            self.discharge_ah += drawn * self.dt_h
-            self.max_discharge_a = max(self.max_discharge_a, drawn)
-        if soc < self.low_soc:
-            self.low_soc_h += self.dt_h
-        if floating:
-            self.float_h += self.dt_h
-        if self._min_soc_since_full is not None:
-            self._min_soc_since_full = min(self._min_soc_since_full, soc)
-        if full_charge:
-            if self._min_soc_since_full is not None:
-                depth = max(0.0, 1.0 - self._min_soc_since_full)
-                idx = min(int(depth * self.N_DEPTH_BINS), self.N_DEPTH_BINS - 1)
-                self.depth_bins[idx] += 1
-            self.full_charge_times.append(t_h)
-            self.full_charge_days.add(int(t_h // 24.0))
-            self._min_soc_since_full = soc
 
 
 class TestTraceCsv:
