@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from datetime import datetime
 
 from .battery import battery_ocv
 from .config import ConfigError, RunConfig, ScenarioSpec, default_config_yaml, load_config
@@ -51,6 +52,9 @@ from .profiles import (
     write_profile_csv,
     write_trace_csv,
 )
+
+# Wall-clock time of a run's first step in the trace CSVs.
+TRACE_START = datetime(2023, 1, 1)
 
 
 def build_scenario(
@@ -128,7 +132,7 @@ def result_payload(result: SimResult) -> dict:
     return payload
 
 
-def write_result_files(result: SimResult, out_dir: str, start) -> list[str]:
+def write_result_files(result: SimResult, out_dir: str, start: datetime) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, result.name)
     written = [base + ".json"]
@@ -213,17 +217,21 @@ def _print_summary_table(results: list[SimResult]) -> None:
 
 
 def _worker(args: tuple) -> SimResult:
-    """Build and run one scenario; with a profile path, also write the
-    profile CSV there once the run has succeeded."""
-    config, spec, seed, dt_s, record_trace, profile_path = args
+    """Build and run one scenario and write its files to out_dir: with
+    emit_profile its profile CSV, then its result files.  Returns the
+    result without its trace, which the caller needs only for reporting."""
+    config, spec, seed, dt_s, record_trace, emit_profile, out_dir = args
     scenario = build_scenario(
         config, spec, seed=seed, dt_s=dt_s, record_trace=record_trace
     )
     result = run_scenario(scenario)
-    if profile_path is not None:
-        os.makedirs(os.path.dirname(profile_path), exist_ok=True)
-        write_profile_csv(scenario.profile, profile_path)
-    return result
+    if emit_profile:
+        os.makedirs(out_dir, exist_ok=True)
+        write_profile_csv(
+            scenario.profile, os.path.join(out_dir, f"{spec.name}_profile.csv")
+        )
+    write_result_files(result, out_dir, TRACE_START)
+    return dataclasses.replace(result, trace=None)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -238,19 +246,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown scenarios requested: {sorted(unknown)}")
         specs = [s for s in specs if s.name in wanted]
 
+    # Each worker writes its own scenario's files as soon as its run has
+    # ended, so the results of finished scenarios survive a later failure.
     out_dir = args.out or config.output_dir
     jobs = max(args.jobs, 1)
     tasks = [
-        (
-            config,
-            spec,
-            args.seed,
-            args.dt,
-            args.emit_trace,
-            os.path.join(out_dir, f"{spec.name}_profile.csv")
-            if args.emit_profile
-            else None,
-        )
+        (config, spec, args.seed, args.dt, args.emit_trace, args.emit_profile, out_dir)
         for spec in specs
     ]
     outcomes: list[SimResult | Exception] = []
@@ -266,18 +267,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             except Exception as exc:
                 outcomes.append(exc)
 
-    from datetime import datetime
-
-    start = datetime(2023, 1, 1)
     results: list[SimResult] = []
     failures: list[tuple[str, Exception]] = []
     for spec, outcome in zip(specs, outcomes):
         if isinstance(outcome, Exception):
             failures.append((spec.name, outcome))
-            continue
-        results.append(outcome)
-        # write as we go so earlier results survive a later failure
-        write_result_files(outcome, out_dir, start)
+        else:
+            results.append(outcome)
 
     if results:
         _print_summary_table(results)
@@ -337,11 +333,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cmp_result = compare_strategies(base, alt)
 
     out_dir = args.out or config.output_dir
-    from datetime import datetime
-
-    start = datetime(2023, 1, 1)
-    write_result_files(cmp_result.base, out_dir, start)
-    write_result_files(cmp_result.alt, out_dir, start)
+    write_result_files(cmp_result.base, out_dir, TRACE_START)
+    write_result_files(cmp_result.alt, out_dir, TRACE_START)
     overlay = os.path.join(out_dir, f"{spec.name}_comparison_trajectory.csv")
     with open(overlay, "w", newline="") as fh:
         writer = csv.writer(fh)

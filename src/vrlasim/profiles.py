@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 SECONDS_PER_DAY = 86400.0
 
@@ -70,8 +71,8 @@ class TimeSeries:
             raise ProfileError("load, solar and temperature lengths differ")
         if n == 0:
             raise ProfileError("empty profile")
-        if self.dt_s <= 0:
-            raise ProfileError("dt_s must be positive")
+        if not 0.0 < self.dt_s < math.inf:
+            raise ProfileError(f"dt_s must be positive and finite: {self.dt_s}")
         # negated comparisons, so that nan fails them too
         inf = math.inf
         for i, p in enumerate(self.load_w):
@@ -307,6 +308,44 @@ def write_profile_csv(series: TimeSeries, path: str) -> None:
             t = t + step
 
 
+def _csv_cells(
+    path: str, columns: Sequence[str]
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line number, cells of `columns`) for each data row of a CSV.
+
+    The header is read once and each column resolved to its index there
+    (for a repeated name, the last one, as csv.DictReader does); there
+    must be at least two columns.  Blank lines are skipped and not
+    counted, so the header is line 1 and the first data row line 2.
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ProfileError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ProfileError(f"{path}: empty file")
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            raise ProfileError(f"{path}: missing columns {missing}")
+        pick = operator.itemgetter(*(index[c] for c in columns))
+        lineno = 1
+        for row in reader:
+            if not row:
+                continue
+            lineno += 1
+            try:
+                cells = pick(row)
+            except IndexError:
+                raise ProfileError(
+                    f"{path}: line {lineno}: {len(row)} fields, header has {len(header)}"
+                ) from None
+            yield lineno, cells
+
+
 def ingest_csv(
     path: str,
     dt_s: float | None = None,
@@ -326,47 +365,37 @@ def ingest_csv(
         column_map: Maps the canonical names (timestamp, load_w,
             solar_w, temp_c) to the file's column names.
     """
+    if dt_s is not None and not 0.0 < dt_s < math.inf:
+        raise ProfileError(f"dt_s must be positive and finite: {dt_s}")
     cmap = {name: name for name in PROFILE_COLUMNS}
     if column_map:
+        unknown = sorted(set(column_map) - set(PROFILE_COLUMNS))
+        if unknown:
+            raise ProfileError(f"column_map: unknown names {unknown}")
         cmap.update(column_map)
 
     times: list[datetime] = []
     rows: list[tuple[float, float, float]] = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ProfileError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ProfileError(f"{path}: empty file")
-        missing = [c for c in cmap.values() if c not in reader.fieldnames]
-        if missing:
-            raise ProfileError(f"{path}: missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                ts = datetime.fromisoformat(row[cmap["timestamp"]].strip())
-                vals = (
-                    float(row[cmap["load_w"]]),
-                    float(row[cmap["solar_w"]]),
-                    float(row[cmap["temp_c"]]),
-                )
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
-            if times and ts <= times[-1]:
-                raise ProfileError(
-                    f"{path}: line {lineno}: timestamps not strictly increasing"
-                )
-            times.append(ts)
-            rows.append(vals)
+    columns = [cmap[name] for name in PROFILE_COLUMNS]
+    for lineno, (stamp, load_w, solar_w, temp_c) in _csv_cells(path, columns):
+        try:
+            ts = datetime.fromisoformat(stamp.strip())
+            vals = (float(load_w), float(solar_w), float(temp_c))
+            increasing = not times or ts > times[-1]
+        except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
+            raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
+        if not increasing:
+            raise ProfileError(
+                f"{path}: line {lineno}: timestamps not strictly increasing"
+            )
+        times.append(ts)
+        rows.append(vals)
 
     if len(times) < 2:
         raise ProfileError(f"{path}: need at least two samples")
 
     if dt_s is None:
         dt_s = (times[1] - times[0]).total_seconds()
-    if dt_s <= 0:
-        raise ProfileError("dt_s must be positive")
 
     t0 = times[0]
     span_s = (times[-1] - t0).total_seconds()
@@ -567,30 +596,23 @@ def write_trace_csv(
 
 def read_trace_csv(path: str) -> Iterator[TraceRecord]:
     """Stream a trace CSV written by :func:`write_trace_csv`."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ProfileError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ProfileError(f"{path}: empty file")
-        missing = [c for c in TRACE_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ProfileError(f"{path}: missing columns {missing}")
-        t0: datetime | None = None
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                ts = datetime.fromisoformat(row["timestamp"].strip())
-                if t0 is None:
-                    t0 = ts
-                yield TraceRecord(
-                    t_h=(ts - t0).total_seconds() / 3600.0,
-                    current_a=float(row["current_a"]),
-                    soc=float(row["soc"]),
-                    voltage=float(row["voltage"]),
-                    full_charge=row["full_charge"].strip() in ("1", "True", "true"),
-                    floating=row["floating"].strip() in ("1", "True", "true"),
-                )
-            except (ValueError, AttributeError) as exc:
-                raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
+    t0: datetime | None = None
+    flags = ("1", "True", "true")
+    for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in _csv_cells(
+        path, TRACE_COLUMNS
+    ):
+        try:
+            ts = datetime.fromisoformat(stamp.strip())
+            if t0 is None:
+                t0 = ts
+            record = TraceRecord(
+                t_h=(ts - t0).total_seconds() / 3600.0,
+                current_a=float(current_a),
+                soc=float(soc),
+                voltage=float(voltage),
+                full_charge=full_charge.strip() in flags,
+                floating=floating.strip() in flags,
+            )
+        except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
+            raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
+        yield record

@@ -1,14 +1,16 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
 import csv
+import dataclasses
 import json
 import os
+import time
 
 import pytest
 
 from vrlasim import cli, engine
 from vrlasim.cli import main
-from vrlasim.config import load_config
+from vrlasim.config import RunConfig, default_config_yaml, load_config
 from vrlasim.engine import EngineError
 from vrlasim.profiles import LOW_USE, generate_archetype, read_trace_csv, ingest_csv, write_profile_csv
 
@@ -20,6 +22,13 @@ scenarios:
   - name: tiny
     archetype: low
     days: 40
+"""
+
+TWO_SCENARIOS = """\
+sim: {max_years: 0.01, seed: 1}
+scenarios:
+  - {name: first, archetype: low, days: 4}
+  - {name: second, archetype: moderate, days: 4}
 """
 
 
@@ -54,6 +63,12 @@ class TestInitConfig:
         path.write_text("sim: {}\n")
         assert main(["init-config", "--out", str(path)]) == 1
         assert main(["init-config", "--out", str(path), "--force"]) == 0
+
+    def test_template_matches_defaults(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(default_config_yaml())
+        config = load_config(str(path))
+        assert dataclasses.replace(config, scenarios=()) == RunConfig()
 
 
 class TestCalibrate:
@@ -164,7 +179,7 @@ class TestSimulate:
         cfg.write_text("scenarios: [{name: x, archetype: low, policy: warp}]\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
 
-    def test_failing_scenario_isolated(self, tmp_path, capsys):
+    def _run_good_and_bad(self, tmp_path, capsys, jobs):
         cfg = tmp_path / "mixed.yaml"
         cfg.write_text(
             "sim: {max_years: 0.01, seed: 1}\n"
@@ -173,12 +188,18 @@ class TestSimulate:
             "  - {name: bad, archetype: low, days: -5}\n"
         )
         out = tmp_path / "o"
-        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
         captured = capsys.readouterr()
         assert rc == 1
         assert os.path.exists(out / "good.json")
         assert not os.path.exists(out / "bad.json")
         assert "bad" in captured.err
+
+    def test_failing_scenario_isolated(self, tmp_path, capsys):
+        self._run_good_and_bad(tmp_path, capsys, "1")
+
+    def test_failing_scenario_isolated_in_parallel(self, tmp_path, capsys):
+        self._run_good_and_bad(tmp_path, capsys, "2")
 
     def test_profile_csv_scenario(self, tmp_path):
         series = generate_archetype(LOW_USE, 3, seed=4)
@@ -252,6 +273,71 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
         assert os.path.exists(out / "one.json")
         assert os.path.exists(out / "two.json")
+
+    def test_parallel_files_match_serial(self, tmp_path):
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text(TWO_SCENARIOS)
+        outs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["simulate", "--config", str(cfg), "--out", str(out), "--jobs", jobs,
+                    "--emit-trace", "--emit-profile"]
+            assert main(argv) == 0
+            outs[jobs] = out
+        names = sorted(os.listdir(outs["1"]))
+        assert len(names) == 2 * 6
+        assert sorted(os.listdir(outs["2"])) == names
+        for name in names:
+            serial, parallel = (outs[j] / name for j in ("1", "2"))
+            if name.endswith(".json"):
+                # runtime_s is the one field that may differ
+                a, b = json.loads(serial.read_text()), json.loads(parallel.read_text())
+                del a["runtime_s"], b["runtime_s"]
+                assert a == b
+            else:
+                assert serial.read_bytes() == parallel.read_bytes(), name
+
+    def test_table_follows_config_when_first_finishes_last(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        marker = tmp_path / "second_ran"
+        run = cli.run_scenario
+
+        def first_waits_for_second(scenario):
+            # the pool workers are forked, so they run this patched function
+            result = run(scenario)
+            if scenario.name == "second":
+                marker.touch()
+            deadline = time.monotonic() + 60.0
+            while scenario.name == "first" and not marker.exists():
+                if time.monotonic() > deadline:
+                    raise RuntimeError("second scenario never finished")
+                time.sleep(0.01)
+            return result
+
+        monkeypatch.setattr(cli, "run_scenario", first_waits_for_second)
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text(TWO_SCENARIOS)
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "2"]
+        assert main(argv) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:4]]
+        assert rows == ["first", "second"]
+
+    def test_worker_writes_files_and_drops_trace(self, tmp_path):
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text(TWO_SCENARIOS)
+        config = load_config(str(cfg))
+        out = str(tmp_path / "o")
+        result = cli._worker((config, config.scenarios[0], None, None, True, True, out))
+        assert result.trace is None
+        assert result.name == "first"
+        assert sorted(os.listdir(out)) == [
+            "first.json", "first_profile.csv", "first_soc_hist.csv", "first_trace.csv",
+            "first_trajectory.csv", "first_voltage_hist.csv",
+        ]
+        assert len(list(read_trace_csv(os.path.join(out, "first_trace.csv")))) == round(
+            0.01 * 365 * 96
+        )
 
 
 class TestCompare:
@@ -345,3 +431,16 @@ class TestAnalyze:
         path = tmp_path / "empty.csv"
         path.write_text("timestamp,current_a,soc,voltage,full_charge,floating\n")
         assert main(["analyze", "--trace", str(path)]) == 1
+
+    def test_short_row_names_line(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text(
+            "timestamp,current_a,soc,voltage,full_charge,floating\n"
+            "2023-01-01T00:00:00,1.0,0.9,13.0,0,0\n"
+            "2023-01-01T00:15:00,1.0,0.91,13.0,0,0\n"
+            "2023-01-01T00:30:00,1.0,0.92\n"
+        )
+        assert main(["analyze", "--trace", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 4" in err
+        assert "internal error" not in err

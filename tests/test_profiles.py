@@ -157,6 +157,11 @@ class TestTimeSeriesValidation:
     def test_temperature_range_is_inclusive(self):
         TimeSeries(START, 900.0, [0.0] * 2, [0.0] * 2, [-40.0, 80.0])
 
+    @pytest.mark.parametrize("dt_s", [math.nan, math.inf, 0.0, -900.0])
+    def test_dt_must_be_positive_and_finite(self, dt_s):
+        with pytest.raises(ProfileError, match="dt_s must be positive and finite"):
+            TimeSeries(START, dt_s, [0.0] * 2, [0.0] * 2, [25.0] * 2)
+
     def test_solar_above_rating(self):
         with pytest.raises(ProfileError):
             TimeSeries(
@@ -242,6 +247,70 @@ class TestProfileCsv:
         with pytest.raises(ProfileError, match="line 3"):
             ingest_csv(path)
 
+    def test_short_row_names_line(self, tmp_path):
+        path = str(tmp_path / "short_row.csv")
+        rows = [
+            "timestamp,load_w,solar_w,temp_c",
+            "2023-01-01T00:00:00,1.0,0.0,25.0",
+            "2023-01-01T00:15:00,1.0,0.0,25.0",
+            "2023-01-01T00:30:00,1.0",
+        ]
+        open(path, "w").write("\n".join(rows) + "\n")
+        with pytest.raises(ProfileError, match="line 4: 2 fields, header has 4"):
+            ingest_csv(path)
+
+    def test_naive_and_aware_timestamps_name_line(self, tmp_path):
+        path = str(tmp_path / "zones.csv")
+        rows = [
+            "timestamp,load_w,solar_w,temp_c",
+            "2023-01-01T00:00:00,1.0,0.0,25.0",
+            "2023-01-01T00:15:00+00:00,1.0,0.0,25.0",
+        ]
+        open(path, "w").write("\n".join(rows) + "\n")
+        with pytest.raises(ProfileError, match="line 3"):
+            ingest_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        series = generate_archetype(LOW_USE, 1, seed=9)
+        path = str(tmp_path / "blank.csv")
+        write_profile_csv(series, path)
+        lines = open(path).read().splitlines()
+        open(path, "w").write("\n\n".join(lines) + "\n\n")
+        back = ingest_csv(path, dt_s=900.0)
+        assert back.load_w == series.load_w
+        assert back.gap_report.filled_slots == 0
+
+    def test_columns_found_by_name(self, tmp_path):
+        path = str(tmp_path / "reordered.csv")
+        rows = [
+            "note,temp_c,solar_w,timestamp,load_w",
+            "a,24.0,0.0,2023-01-01T00:00:00,5.0",
+            ",24.5,1.0,2023-01-01T00:15:00,6.0",
+        ]
+        open(path, "w").write("\n".join(rows) + "\n")
+        back = ingest_csv(path)
+        assert back.load_w == [5.0, 6.0]
+        assert back.solar_w == [0.0, 1.0]
+        assert back.temp_c == [24.0, 24.5]
+
+    def test_repeated_column_uses_the_last(self, tmp_path):
+        path = str(tmp_path / "repeated.csv")
+        rows = [
+            "timestamp,load_w,solar_w,temp_c,load_w",
+            "2023-01-01T00:00:00,1.0,0.0,24.0,5.0",
+            "2023-01-01T00:15:00,2.0,1.0,24.5,6.0",
+        ]
+        open(path, "w").write("\n".join(rows) + "\n")
+        assert ingest_csv(path).load_w == [5.0, 6.0]
+
+    @pytest.mark.parametrize("dt_s", [math.nan, math.inf, 0.0])
+    def test_explicit_dt_must_be_positive_and_finite(self, tmp_path, dt_s):
+        series = generate_archetype(LOW_USE, 1, seed=9)
+        path = str(tmp_path / "profile.csv")
+        write_profile_csv(series, path)
+        with pytest.raises(ProfileError, match="dt_s must be positive and finite"):
+            ingest_csv(path, dt_s=dt_s)
+
     def test_too_few_samples(self, tmp_path):
         path = str(tmp_path / "one.csv")
         open(path, "w").write(
@@ -269,6 +338,13 @@ class TestProfileCsv:
         )
         assert back.load_w == [5.0, 6.0]
         assert back.dt_s == 900.0
+
+    def test_column_map_unknown_name_rejected(self, tmp_path):
+        series = generate_archetype(LOW_USE, 1, seed=9)
+        path = str(tmp_path / "profile.csv")
+        write_profile_csv(series, path)
+        with pytest.raises(ProfileError, match="unknown names \\['load'\\]"):
+            ingest_csv(path, column_map={"load": "load_w"})
 
 
 def toy_trace():
@@ -417,3 +493,21 @@ class TestTraceCsv:
         back = list(read_trace_csv(path))
         assert back[0].t_h == 0.0
         assert back[1].t_h == pytest.approx(1.0, rel=1e-12)
+
+    def test_short_row_names_line(self, tmp_path):
+        path = str(tmp_path / "short.csv")
+        write_trace_csv(path, toy_trace()[:3], START)
+        with open(path, "a") as fh:
+            fh.write("2023-01-01T03:00:00,1.0,0.9\n")
+        with pytest.raises(ProfileError, match="line 5: 3 fields, header has 6"):
+            list(read_trace_csv(path))
+
+    def test_naive_and_aware_timestamps_name_line(self, tmp_path):
+        path = tmp_path / "zones.csv"
+        path.write_text(
+            "timestamp,current_a,soc,voltage,full_charge,floating\n"
+            "2023-01-01T00:00:00,1.0,0.9,13.0,0,0\n"
+            "2023-01-01T00:15:00+00:00,1.0,0.91,13.0,0,0\n"
+        )
+        with pytest.raises(ProfileError, match="line 3"):
+            list(read_trace_csv(str(path)))
