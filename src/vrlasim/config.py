@@ -9,6 +9,7 @@ rejected so typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,6 +40,12 @@ class SimSettings:
     initial_soc: float = 0.9
     converter_efficiency: float = 0.95
     panel_rating_w: float = 50.0
+
+    def __post_init__(self) -> None:
+        for key in ("dt_s", "max_years"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
+                raise ConfigError(f"sim.{key} must be positive and finite: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,8 @@ def _build(cls, data: Any, path: str):
         kwargs[key] = _convert(names[key].type, value, f"{path}.{key}")
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

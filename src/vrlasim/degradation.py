@@ -59,6 +59,12 @@ class Datasheet:
     float_voltage: float = 13.5  # V, battery-level float setpoint
     float_temp_c: float = 25.0  # degC, rating temperature
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.nominal_cycles < math.inf:
+            raise ValueError(
+                f"nominal_cycles must be positive and finite: {self.nominal_cycles}"
+            )
+
 
 @dataclass(frozen=True)
 class DegradationParams:
@@ -83,6 +89,12 @@ class DegradationParams:
             raise ValueError("ks_knots must be sorted by potential")
         if any(k <= 0.0 for _, k in self.ks_knots):
             raise ValueError("corrosion speeds must be positive")
+        # below 1 the end-of-life loss leaves some capacity, which the
+        # ohmic ageing term (Battery.effective_b0) divides by
+        if not 0.0 < self.eol_loss_fraction < 1.0:
+            raise ValueError(
+                f"eol_loss_fraction must lie in (0, 1): {self.eol_loss_fraction}"
+            )
 
     @functools.cached_property
     def ks_potentials(self) -> tuple[float, ...]:

@@ -13,18 +13,18 @@ import math
 import os
 import threading
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .battery import (
+    POSITIVE_OCV_COEFFS,
     SOC_CAP,
     SOC_FLOOR,
     Battery,
     BatteryParams,
     GassingParams,
     clamp,
-    gassing_current_at,
     gassing_temperature_term,
-    step_soc,
 )
 from .control import (
     CompensatedLimits,
@@ -34,16 +34,13 @@ from .control import (
     Policy,
     compensated_limits,
     recharge_interval,
-    select_compensated,
-    tscc_step,
-    update_load_disconnect,
+    wants_full_limits,
 )
 from .degradation import (
     DAYS_PER_YEAR,
     Datasheet,
     DegradationModel,
     DegradationParams,
-    DegradationState,
     corrosion_temperature_factor,
 )
 from .profiles import SECONDS_PER_DAY, StressAccumulator, TimeSeries, TraceRecord
@@ -84,6 +81,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.dt_s <= 0:
             raise EngineError("dt_s must be positive")
+        if not math.isfinite(self.dt_s):
+            raise EngineError(f"dt_s must be finite: {self.dt_s}")
         steps_per_day = SECONDS_PER_DAY / self.dt_s
         if abs(steps_per_day - round(steps_per_day)) > 1e-9:
             raise EngineError("dt_s must divide a day evenly")
@@ -93,6 +92,8 @@ class Scenario:
             raise EngineError("converter_efficiency must lie in (0, 1]")
         if self.max_years <= 0:
             raise EngineError("max_years must be positive")
+        if not math.isfinite(self.max_years):
+            raise EngineError(f"max_years must be finite: {self.max_years}")
 
 
 @dataclass(frozen=True)
@@ -191,17 +192,18 @@ class SimResult:
 
 def _day_record(
     day: int,
-    deg: DegradationState,
-    loss: float,
+    c_corr: float,
+    c_deg: float,
     capacity: float,
     min_soc: float,
     full_charges: int,
 ) -> DayRecord:
-    """The record of a day that ended with a total capacity loss of loss (Ah)."""
+    """The record of a day that ended with capacity losses c_corr and c_deg (Ah)."""
+    loss = c_corr + c_deg
     return DayRecord(
         day=day,
-        c_corr_ah=deg.c_corr,
-        c_deg_ah=deg.c_deg,
+        c_corr_ah=c_corr,
+        c_deg_ah=c_deg,
         c_total_ah=loss,
         soh_pct=100.0 * (capacity - loss) / capacity,
         min_soc=min_soc,
@@ -249,8 +251,81 @@ class TemperatureTerms:
         return terms
 
 
+def _reschedule(
+    ctrl: ControllerState,
+    control: ControlParams,
+    day: int,
+    delta_c_corr: float,
+    delta_c: float,
+    last_full_event_day: int,
+) -> bool:
+    """The adaptive scheduler's midnight update, from the day's losses (Ah).
+
+    Sets the full-recharge interval and the days since the last full
+    recharge (day + 1 before the first one); returns whether the full
+    limit set applies from now on.
+    """
+    interval = recharge_interval(delta_c_corr, delta_c)
+    if interval is not None:
+        ctrl.interval_days = interval
+    ctrl.days_since_full_recharge = day - max(last_full_event_day, 0)
+    if last_full_event_day < 0:
+        ctrl.days_since_full_recharge = day + 1
+    return wants_full_limits(ctrl, control)
+
+
+def _sim_result(
+    scenario: Scenario,
+    started: float,
+    lifetime_steps: int,
+    eol_ah: float,
+    c_corr: float,
+    c_deg: float,
+    stress: StressAccumulator,
+    **fields,
+) -> SimResult:
+    """The SimResult of a run that ended after lifetime_steps steps with
+    losses c_corr + c_deg (Ah); fields are the run's own counters."""
+    capacity = scenario.battery.capacity_ah
+    loss = c_corr + c_deg
+    lifetime_days = lifetime_steps * scenario.dt_s / SECONDS_PER_DAY
+    stress_result = stress.result()
+    return SimResult(
+        name=scenario.name,
+        policy=scenario.control.policy.value,
+        lifetime_years=lifetime_days / DAYS_PER_YEAR,
+        lifetime_days=lifetime_days,
+        capacity_ah=capacity,
+        eol_threshold_ah=eol_ah,
+        c_corr_ah=c_corr,
+        c_deg_ah=c_deg,
+        c_total_ah=loss,
+        soh_end_pct=100.0 * (capacity - loss) / capacity,
+        corrosion_share_pct=100.0 * c_corr / loss if loss > 0 else 0.0,
+        full_equivalent_cycles=stress_result.full_equivalent_cycles,
+        full_charge_events=stress_result.n_full_charges,
+        full_recharge_day_fraction=stress_result.full_recharge_day_fraction,
+        stress=stress_result,
+        runtime_s=time.perf_counter() - started,
+        **fields,
+    )
+
+
 def run_scenario(scenario: Scenario) -> SimResult:
-    """Simulate one scenario to end of life or the horizon."""
+    """Simulate one scenario to end of life or the horizon.
+
+    The whole step runs in this function's locals.  The load disconnect,
+    limit selection and controller step (control.update_load_disconnect,
+    select_compensated, tscc_step), terminal voltage and hold current
+    (Battery methods), gassing (battery.gassing_current_at), coulomb
+    counting (battery.step_soc) and the ageing step
+    (DegradationModel.step) are written out here with the float
+    operations of those functions, in their order; the functions remain
+    the single-step API, and tests/reference_engine.py composes them into
+    the loop whose results this one must equal bit for bit.  The
+    electrolyte chain stays in Battery.electrolyte, the OCV inversion in
+    Battery.invert_ocv and the adaptive schedule in _reschedule.
+    """
     started = time.perf_counter()
     params = scenario.battery
     battery = Battery(params)
@@ -260,7 +335,6 @@ def run_scenario(scenario: Scenario) -> SimResult:
         params=scenario.degradation,
         datasheet=scenario.datasheet,
     ).calibrated()
-    deg = DegradationState(min_soc_since_full=scenario.initial_soc)
     ctrl = ControllerState()
     control = scenario.control
     adaptive = control.policy is Policy.ADAPTIVE
@@ -280,21 +354,53 @@ def run_scenario(scenario: Scenario) -> SimResult:
 
     capacity = params.capacity_ah
     rest_a = params.rest_current_a
-    gassing = params.gassing
     eff = scenario.converter_efficiency
     eol_ah = model.eol_threshold_ah()
     taper_a = control.taper_current_a(capacity)
     soc_to_ah = 1.0 / (capacity * 3600.0)
+    capacity_as = capacity * 3600.0  # step_soc's divisor
+
+    # per-run constants of the written-out layers
+    cells, b0_ah, b1 = battery.cells, battery.b0_ah, battery.b1
+    electrolyte = battery.electrolyte
+    p0, p1, p2, p3, p4 = POSITIVE_OCV_COEFFS
+    gassing = params.gassing
+    i_gas_0, c_v, v_ref = gassing.i_gas_0, gassing.c_v, gassing.v_ref
+    cutoff_soc, reconnect_soc = control.cutoff_soc, control.reconnect_soc()
+    BULK, ABSORPTION, FLOAT = Phase.BULK, Phase.ABSORPTION, Phase.FLOAT
+    ageing = scenario.degradation
+    ks_potentials, ks_segments = ageing.ks_potentials, ageing.ks_segments
+    v_first, v_last = ks_potentials[0], ks_potentials[-1]
+    k_first, k_last = ageing.ks_knots[0][1], ageing.ks_knots[-1][1]
+    threshold_v, exponent = ageing.corrosion_threshold_v, ageing.corrosion_exponent
+    c_soc0, c_soc_min = ageing.c_soc0_per_h, ageing.c_soc_min_per_h
+    i_ref, i_floor = ageing.i_ref_a, ageing.i_floor_a
+    nominal_cycles = scenario.datasheet.nominal_cycles
+    w_limit = model.limits.w_limit
+    c_corr_limit, c_deg_limit = model.limits.c_corr_limit, model.limits.c_deg_limit
 
     soc = scenario.initial_soc
     v_prev = battery.ocv(clamp(soc, SOC_FLOOR, SOC_CAP))
-    audit = EnergyAudit(soc_start=soc)
+    integral = correction_jumps = full_reset_jumps = clamp_jumps = 0.0
 
     soc_hist = [0.0] * N_SOC_BINS
     v_hist = [0.0] * N_VOLTAGE_BINS
     stress = StressAccumulator(capacity, dt_h)
+    stress_add = stress.add
     trace: list[TraceRecord] | None = [] if scenario.record_trace else None
     trajectory: list[DayRecord] = []
+
+    # controller state: phase, load switch and limit set; the adaptive
+    # schedule's day counts stay in ctrl
+    phase = BULK
+    disconnected = False
+    full_set = wants_full_limits(ctrl, control)
+    # ageing state (DegradationState's fields)
+    w = z_w = since_full_h = c_corr = c_deg = 0.0
+    min_soc_since_full = soc
+    ks_clamp_events = 0
+    c_deg_z_w = math.nan  # the z_w that c_deg was computed at; nan matches none
+    el = (math.nan, math.nan, math.nan)  # the last Battery.electrolyte result
 
     min_soc_run = soc
     min_soc_day = soc
@@ -304,32 +410,36 @@ def run_scenario(scenario: Scenario) -> SimResult:
     load_lost_wh = 0.0
     clamp_events = 0
     correction_events = 0
+    day = 0
+    midnight = steps_per_day
     last_full_event_day = -1
     day_start_c_corr = 0.0
     day_start_total = 0.0
     lifetime_steps = max_steps
     censored = True
-    loss = deg.total_loss()  # refreshed once per step, after the ageing step
+    loss = c_corr + c_deg  # refreshed once per step, after the ageing step
+    b0 = b0_ah / (capacity - loss)  # Battery.effective_b0 at loss
 
     for i in range(max_steps):
-        day = i // steps_per_day
-        if i > 0 and i % steps_per_day == 0:
-            # midnight: close out yesterday, refresh the adaptive target
+        if i == midnight:
+            # close out yesterday, refresh the adaptive target
+            day += 1
+            midnight += steps_per_day
             trajectory.append(
-                _day_record(day, deg, loss, capacity, min_soc_day, day_full_events)
+                _day_record(day, c_corr, c_deg, capacity, min_soc_day, day_full_events)
             )
             min_soc_day = soc
             day_full_events = 0
             if adaptive:
-                interval = recharge_interval(
-                    deg.c_corr - day_start_c_corr, loss - day_start_total
+                full_set = _reschedule(
+                    ctrl,
+                    control,
+                    day,
+                    c_corr - day_start_c_corr,
+                    loss - day_start_total,
+                    last_full_event_day,
                 )
-                if interval is not None:
-                    ctrl.interval_days = interval
-                ctrl.days_since_full_recharge = day - max(last_full_event_day, 0)
-                if last_full_event_day < 0:
-                    ctrl.days_since_full_recharge = day + 1
-            day_start_c_corr = deg.c_corr
+            day_start_c_corr = c_corr
             day_start_total = loss
 
         idx = i % n_profile
@@ -341,9 +451,14 @@ def run_scenario(scenario: Scenario) -> SimResult:
             terms = temperature_terms(temp_c)
         corrosion_factor, gas_term, limits = terms
 
-        if update_load_disconnect(ctrl, soc, control):
+        # load disconnect with reconnect hysteresis
+        if disconnected:
+            if soc >= reconnect_soc:
+                disconnected = False
+        elif soc < cutoff_soc:
+            disconnected = True
             disconnect_events += 1
-        if ctrl.load_disconnected:
+        if disconnected:
             hours_disconnected += dt_h
             load_lost_wh += load_w * dt_h
             load_a = 0.0
@@ -351,67 +466,147 @@ def run_scenario(scenario: Scenario) -> SimResult:
             load_a = load_w / v_prev
         avail_a = solar_w * eff / v_prev
         net_a = avail_a - load_a
+        v_limit, v_float = limits[0] if full_set else limits[1]
 
-        v_limit, v_float, _ = select_compensated(ctrl, control, limits)
-        applied, events = tscc_step(
-            ctrl,
-            soc,
-            loss,
-            avail_a,
-            load_a,
-            v_limit,
-            v_float,
-            battery,
-            taper_a,
-        )
-
+        # controller step: pick the battery current and advance the phase
         full_event = False
-        if events.float_entered:
-            if events.full_charge:
-                # full recharge declared: trust the controller and snap
-                # the coulomb counter to full
-                audit.full_reset_jumps += 1.0 - soc
-                soc = 1.0
-                deg.register_full_charge()
-                full_event = True
-                day_full_events += 1
-                last_full_event_day = day
-                ctrl.days_since_full_recharge = 0
-            # entering float collapses the current to the float hold level
-            hold = battery.hold_voltage_current(
-                clamp(soc, SOC_FLOOR, SOC_CAP), v_float, loss
-            )
-            applied = clamp(hold, 0.0, net_a)
+        if net_a <= 0.0:
+            # deficit or nothing available: battery serves the load, re-arm
+            phase = BULK
+            applied = net_a
+        else:
+            s = SOC_CAP if SOC_CAP < soc else soc
+            s = 1e-6 if 1e-6 > s else s
+            tapering = phase is ABSORPTION
+            hold_v = v_float if phase is FLOAT else v_limit
+            if phase is BULK:
+                # terminal voltage if the whole surplus charged the battery
+                if el[0] != s:
+                    el = electrolyte(s)
+                sc = SOC_CAP if SOC_CAP < s else s
+                over = b0 * (net_a / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
+                if cells * el[2] + cells * over < v_limit:
+                    hold_v = None
+                else:
+                    phase = ABSORPTION
+            if hold_v is None:
+                applied = net_a
+            else:
+                # current that holds the terminal at hold_v
+                sh = SOC_CAP if SOC_CAP < s else s
+                sh = SOC_FLOOR if SOC_FLOOR > sh else sh
+                if el[0] != sh:
+                    el = electrolyte(sh)
+                gain = b0 * (1.0 + b1 * sh / (1.0 - sh)) / capacity
+                i_hold = (hold_v / cells - el[2]) / gain
+                applied = net_a if net_a < i_hold else i_hold
+                applied = 0.0 if 0.0 > applied else applied
+                if tapering and i_hold <= taper_a and net_a >= i_hold:
+                    # taper finished and the source could actually sustain it
+                    phase = FLOAT
+                    if full_set:
+                        # full recharge declared: trust the controller and
+                        # snap the coulomb counter to full
+                        full_reset_jumps += 1.0 - soc
+                        soc = 1.0
+                        since_full_h = 0.0
+                        min_soc_since_full = 1.0
+                        full_event = True
+                        day_full_events += 1
+                        last_full_event_day = day
+                        ctrl.days_since_full_recharge = 0
+                        full_set = wants_full_limits(ctrl, control)
+                    # entering float collapses the current to the float hold level
+                    hold = battery.hold_voltage_current(
+                        clamp(soc, SOC_FLOOR, SOC_CAP), v_float, loss
+                    )
+                    applied = clamp(hold, 0.0, net_a)
 
-        # per-step clamps as conditional expressions, which cost a fraction
-        # of a call to clamp
+        # terminal voltage under the applied current
         soc_v = SOC_CAP if SOC_CAP < soc else soc
         soc_v = SOC_FLOOR if SOC_FLOOR > soc_v else soc_v
-        voltage = battery.terminal_voltage(soc_v, applied, loss)
+        if el[0] != soc_v:
+            el = electrolyte(soc_v)
+        if applied == 0.0:
+            over = 0.0
+        elif applied > 0.0:
+            sc = SOC_CAP if SOC_CAP < soc_v else soc_v
+            over = b0 * (applied / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
+        else:
+            sc = SOC_FLOOR if SOC_FLOOR > soc_v else soc_v
+            over = b0 * (applied / capacity) * (1.0 + b1 * ((1.0 - sc) / sc))
+        voltage = cells * el[2] + cells * over
 
         # rest correction: only when the controller is not holding a
         # voltage, otherwise small hold currents look like rest while
         # the terminal is still polarized
-        if abs(applied) < rest_a and ctrl.phase is Phase.BULK:
+        if phase is BULK and -rest_a < applied < rest_a:
             corrected = battery.invert_ocv(voltage, seed=soc)[0]
             jump = corrected - soc
             if abs(jump) > 1e-9:
                 correction_events += 1
-            audit.correction_jumps += jump
+            correction_jumps += jump
             soc = corrected
 
-        i_gas = gassing_current_at(voltage, gas_term, gassing)
-        audit.integral += (applied - i_gas) * dt_s * soc_to_ah
-        new_soc, clamped = step_soc(soc, applied, i_gas, dt_s, params)
-        if clamped:
+        # gassing, then coulomb counting without the gassing current
+        i_gas = i_gas_0 * math.exp(c_v * (voltage - v_ref) + gas_term)
+        charge = (applied - i_gas) * dt_s
+        integral += charge * soc_to_ah
+        new_soc = soc + charge / capacity_as
+        if new_soc > 1.0 or new_soc < 0.0:
+            bound = 1.0 if new_soc > 1.0 else 0.0
             clamp_events += 1
-            audit.clamp_jumps += new_soc - (
-                soc + (applied - i_gas) * dt_s * soc_to_ah
-            )
+            clamp_jumps += bound - (soc + charge * soc_to_ah)
+            new_soc = bound
 
-        discharge_a = -applied if applied < 0.0 else 0.0
-        model.step(deg, battery, soc, voltage, corrosion_factor, discharge_a, dt_h)
-        loss = deg.total_loss()
+        # ageing: corrosion from the positive-electrode potential ...
+        sd = 1.0 if 1.0 < soc else soc
+        sd = 0.0 if 0.0 > sd else sd
+        if el[0] != sd:
+            el = electrolyte(sd)
+        y = el[1]
+        v_p = p0 + y * (p1 + y * (p2 + y * (p3 + y * p4))) + 0.5 * (
+            voltage / cells - el[2]
+        )
+        if v_p <= v_first:
+            speed = k_first * corrosion_factor
+            if v_p < v_first:
+                ks_clamp_events += 1
+        elif v_p < v_last:
+            # the segment ends at the first knot at or above v_p
+            v0, k0, dk, dv = ks_segments[bisect_left(ks_potentials, v_p) - 1]
+            speed = (k0 + dk * (v_p - v0) / dv) * corrosion_factor
+        else:  # at or above the last knot, or nan
+            speed = k_last * corrosion_factor
+            if v_p > v_last:
+                ks_clamp_events += 1
+        if speed <= 0.0:
+            pass  # no growth
+        elif v_p >= threshold_v:
+            w = w + speed * dt_h
+        else:
+            tau_eff = (w / speed) ** (1.0 / exponent) if w > 0.0 else 0.0
+            w = speed * (tau_eff + dt_h) ** exponent
+        # ... and weighted discharge throughput
+        since_full_h += dt_h
+        if soc < min_soc_since_full:
+            min_soc_since_full = soc
+        if applied < 0.0:
+            discharge_a = -applied
+            m = 1.0 if 1.0 < min_soc_since_full else min_soc_since_full
+            m = 0.0 if 0.0 > m else m
+            i_w = i_floor if i_floor > discharge_a else discharge_a
+            f = 1.0 + (c_soc0 + c_soc_min * (1.0 - m)) * math.sqrt(
+                i_ref / i_w
+            ) * since_full_h
+            z_w = z_w + discharge_a * f * dt_h / capacity
+        c_corr = c_corr_limit * w / w_limit
+        if z_w != c_deg_z_w:
+            if z_w < 0.0:
+                raise ValueError("weighted cycles cannot be negative")
+            c_deg = c_deg_limit * math.exp(-5.0 * (1.0 - z_w / nominal_cycles))
+            c_deg_z_w = z_w
+        loss = c_corr + c_deg
         soc = new_soc
 
         if soc < min_soc_run:
@@ -423,8 +618,8 @@ def run_scenario(scenario: Scenario) -> SimResult:
         vbin = int((voltage - VOLTAGE_BIN_LOW) / VOLTAGE_BIN_WIDTH)
         vbin = 0 if vbin < 0 else vbin
         v_hist[vbin if vbin < N_VOLTAGE_BINS else N_VOLTAGE_BINS - 1] += dt_h
-        floating = ctrl.phase is Phase.FLOAT
-        stress.add(applied, soc, full_event, floating)
+        floating = phase is FLOAT
+        stress_add(applied, soc, full_event, floating)
         if trace is not None:
             trace.append(
                 TraceRecord(
@@ -442,45 +637,40 @@ def run_scenario(scenario: Scenario) -> SimResult:
             lifetime_steps = i + 1
             censored = False
             break
+        b0 = b0_ah / (capacity - loss)
 
     # close out the final (possibly partial) day
     last_day = lifetime_steps // steps_per_day + (1 if lifetime_steps % steps_per_day else 0)
     trajectory.append(
-        _day_record(last_day, deg, loss, capacity, min_soc_day, day_full_events)
+        _day_record(last_day, c_corr, c_deg, capacity, min_soc_day, day_full_events)
     )
-
-    audit.soc_end = soc
-    lifetime_days = lifetime_steps * dt_s / SECONDS_PER_DAY
-    stress_result = stress.result()
-    return SimResult(
-        name=scenario.name,
-        policy=control.policy.value,
-        lifetime_years=lifetime_days / DAYS_PER_YEAR,
-        lifetime_days=lifetime_days,
+    return _sim_result(
+        scenario,
+        started,
+        lifetime_steps,
+        eol_ah,
+        c_corr,
+        c_deg,
+        stress,
         censored=censored,
-        capacity_ah=capacity,
-        eol_threshold_ah=eol_ah,
-        c_corr_ah=deg.c_corr,
-        c_deg_ah=deg.c_deg,
-        c_total_ah=loss,
-        soh_end_pct=100.0 * (capacity - loss) / capacity,
-        corrosion_share_pct=100.0 * deg.c_corr / loss if loss > 0 else 0.0,
-        full_equivalent_cycles=stress_result.full_equivalent_cycles,
         min_soc=min_soc_run,
-        full_charge_events=stress_result.n_full_charges,
-        full_recharge_day_fraction=stress_result.full_recharge_day_fraction,
         disconnect_events=disconnect_events,
         hours_disconnected=hours_disconnected,
         load_energy_lost_wh=load_lost_wh,
         soc_clamp_events=clamp_events,
         rest_correction_events=correction_events,
-        ks_clamp_events=deg.ks_clamp_events,
-        audit=audit,
+        ks_clamp_events=ks_clamp_events,
+        audit=EnergyAudit(
+            soc_start=scenario.initial_soc,
+            soc_end=soc,
+            integral=integral,
+            correction_jumps=correction_jumps,
+            full_reset_jumps=full_reset_jumps,
+            clamp_jumps=clamp_jumps,
+        ),
         trajectory=trajectory,
         soc_hist_h=soc_hist,
         voltage_hist_h=v_hist,
-        stress=stress_result,
-        runtime_s=time.perf_counter() - started,
         trace=trace,
     )
 

@@ -315,8 +315,9 @@ def _csv_cells(
 
     The header is read once and each column resolved to its index there
     (for a repeated name, the last one, as csv.DictReader does); there
-    must be at least two columns.  Blank lines are skipped and not
-    counted, so the header is line 1 and the first data row line 2.
+    must be at least two columns.  Blank lines are skipped; line numbers
+    are the file's own (csv.reader.line_num), so they count blank lines
+    too, and a row whose quoted cell spans lines gets its last line.
     """
     try:
         fh = open(path, newline="")
@@ -332,18 +333,17 @@ def _csv_cells(
         if missing:
             raise ProfileError(f"{path}: missing columns {missing}")
         pick = operator.itemgetter(*(index[c] for c in columns))
-        lineno = 1
         for row in reader:
             if not row:
                 continue
-            lineno += 1
             try:
                 cells = pick(row)
             except IndexError:
                 raise ProfileError(
-                    f"{path}: line {lineno}: {len(row)} fields, header has {len(header)}"
+                    f"{path}: line {reader.line_num}: {len(row)} fields, "
+                    f"header has {len(header)}"
                 ) from None
-            yield lineno, cells
+            yield reader.line_num, cells
 
 
 def ingest_csv(

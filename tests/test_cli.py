@@ -179,6 +179,28 @@ class TestSimulate:
         cfg.write_text("scenarios: [{name: x, archetype: low, policy: warp}]\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("sim: {max_years: .inf}", "sim.max_years must be positive and finite: inf"),
+            ("sim: {max_years: .nan}", "sim.max_years must be positive and finite: nan"),
+            ("sim: {dt_s: .nan}", "sim.dt_s must be positive and finite: nan"),
+            (
+                "degradation: {eol_loss_fraction: 0.0}",
+                "degradation: eol_loss_fraction must lie in (0, 1): 0.0",
+            ),
+            (
+                "datasheet: {nominal_cycles: -5.0}",
+                "datasheet: nominal_cycles must be positive and finite: -5.0",
+            ),
+        ],
+    )
+    def test_bad_setting_exits_1_naming_the_key(self, tmp_path, capsys, section, message):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"{section}\nscenarios: [{{name: x, archetype: low, days: 2}}]\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def _run_good_and_bad(self, tmp_path, capsys, jobs):
         cfg = tmp_path / "mixed.yaml"
         cfg.write_text(

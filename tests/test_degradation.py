@@ -128,6 +128,22 @@ class TestCorrosionSpeed:
             DegradationParams(ks_knots=((1.7, 1.0), (1.8, 0.0)))
 
 
+class TestAnchorValidation:
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.0, 1.5, math.nan, math.inf])
+    def test_eol_loss_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="eol_loss_fraction must lie in"):
+            DegradationParams(eol_loss_fraction=fraction)
+
+    @pytest.mark.parametrize("cycles", [0.0, -5.0, math.nan, math.inf])
+    def test_nominal_cycles_not_positive_and_finite_rejected(self, cycles):
+        with pytest.raises(ValueError, match="nominal_cycles must be positive"):
+            Datasheet(nominal_cycles=cycles)
+
+    def test_edges_inside_accepted(self):
+        assert DegradationParams(eol_loss_fraction=0.999).eol_loss_fraction == 0.999
+        assert Datasheet(nominal_cycles=1e-3).nominal_cycles == 1e-3
+
+
 class TestPositivePotential:
     def test_half_overpotential_split(self):
         # at OCV the positive electrode sits exactly at its equilibrium value

@@ -81,6 +81,12 @@ class TestScenarioValidation:
         with pytest.raises(EngineError):
             low_use_scenario(max_years=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["dt_s", "max_years"])
+    def test_horizon_and_step_must_be_finite(self, key, value):
+        with pytest.raises(EngineError, match=f"{key} must be finite"):
+            low_use_scenario(**{key: value})
+
     def test_profile_dt_must_match(self):
         scenario = low_use_scenario(dt_s=450.0)  # profile is on a 900 s grid
         with pytest.raises(EngineError, match="dt"):

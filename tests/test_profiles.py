@@ -270,6 +270,18 @@ class TestProfileCsv:
         with pytest.raises(ProfileError, match="line 3"):
             ingest_csv(path)
 
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        path = str(tmp_path / "blank_then_bad.csv")
+        rows = [
+            "timestamp,load_w,solar_w,temp_c",
+            "2023-01-01T00:00:00,1.0,0.0,25.0",
+            "",
+            "2023-01-01T00:15:00,oops,0.0,25.0",
+        ]
+        open(path, "w").write("\n".join(rows) + "\n")
+        with pytest.raises(ProfileError, match="line 4: could not convert"):
+            ingest_csv(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         series = generate_archetype(LOW_USE, 1, seed=9)
         path = str(tmp_path / "blank.csv")
@@ -501,6 +513,18 @@ class TestTraceCsv:
             fh.write("2023-01-01T03:00:00,1.0,0.9\n")
         with pytest.raises(ProfileError, match="line 5: 3 fields, header has 6"):
             list(read_trace_csv(path))
+
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "blank_then_bad.csv"
+        path.write_text(
+            "timestamp,current_a,soc,voltage,full_charge,floating\n"
+            "2023-01-01T00:00:00,1.0,0.9,13.0,0,0\n"
+            "\n"
+            "\n"
+            "2023-01-01T00:15:00,1.0,high,13.0,0,0\n"
+        )
+        with pytest.raises(ProfileError, match="line 5: could not convert"):
+            list(read_trace_csv(str(path)))
 
     def test_naive_and_aware_timestamps_name_line(self, tmp_path):
         path = tmp_path / "zones.csv"

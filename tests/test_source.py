@@ -1,11 +1,15 @@
 """Static checks of the package source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vrlasim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vrlasim"
+TRACER = ROOT / "perfbench" / "tracing.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -36,3 +40,23 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def tracer_names() -> list[tuple[str, str]]:
+    """Every (module, attribute) the benchmark's span tracer wraps."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return sorted({**tracing.FOLDED, **tracing.COARSE, **tracing.GENERATORS})
+
+
+TRACED = tracer_names()
+
+
+@pytest.mark.parametrize("module, attribute", TRACED, ids=[f"{m}.{a}" for m, a in TRACED])
+def test_traced_name_exists(module, attribute):
+    """A name the tracer wraps must exist, or its per-layer metric reads 0."""
+    target = importlib.import_module(f"vrlasim.{module}")
+    for part in attribute.split("."):
+        target = getattr(target, part)
+    assert callable(target)
