@@ -84,11 +84,17 @@ class DegradationParams:
     def __post_init__(self) -> None:
         if len(self.ks_knots) < 2:
             raise ValueError("ks_knots needs at least two points")
+        # negated comparisons, so that nan fails them too
+        for i, (v, k) in enumerate(self.ks_knots):
+            if not -math.inf < v < math.inf:
+                raise ValueError(f"ks_knots[{i}]: potential must be finite: {v}")
+            if not 0.0 < k < math.inf:
+                raise ValueError(
+                    f"ks_knots[{i}]: corrosion speed must be positive and finite: {k}"
+                )
         vs = [v for v, _ in self.ks_knots]
         if vs != sorted(vs):
             raise ValueError("ks_knots must be sorted by potential")
-        if any(k <= 0.0 for _, k in self.ks_knots):
-            raise ValueError("corrosion speeds must be positive")
         # below 1 the end-of-life loss leaves some capacity, which the
         # ohmic ageing term (Battery.effective_b0) divides by
         if not 0.0 < self.eol_loss_fraction < 1.0:

@@ -621,16 +621,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
         floating = phase is FLOAT
         stress_add(applied, soc, full_event, floating)
         if trace is not None:
-            trace.append(
-                TraceRecord(
-                    t_h=i * dt_h,
-                    current_a=applied,
-                    soc=soc,
-                    voltage=voltage,
-                    full_charge=full_event,
-                    floating=floating,
-                )
-            )
+            trace.append(TraceRecord(i * dt_h, applied, soc, voltage, full_event, floating))
         v_prev = voltage
 
         if loss >= eol_ah:

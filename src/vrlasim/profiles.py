@@ -16,6 +16,7 @@ import operator
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 SECONDS_PER_DAY = 86400.0
@@ -73,19 +74,26 @@ class TimeSeries:
             raise ProfileError("empty profile")
         if not 0.0 < self.dt_s < math.inf:
             raise ProfileError(f"dt_s must be positive and finite: {self.dt_s}")
-        # negated comparisons, so that nan fails them too
+        # A finite sum rules out nan and +-inf, so C-level passes accept
+        # a good column; only a column they reject (or whose finite
+        # samples overflow the sum) is searched, sample by sample, for
+        # the one to name.  Negated comparisons, so that nan fails them.
         inf = math.inf
-        for i, p in enumerate(self.load_w):
-            if not 0.0 <= p < inf:
-                raise ProfileError(
-                    f"load_w sample {i} is negative or not finite: {p}"
-                )
+        load = self.load_w
+        if not (math.isfinite(sum(load)) and min(load) >= 0.0):
+            for i, p in enumerate(load):
+                if not 0.0 <= p < inf:
+                    raise ProfileError(
+                        f"load_w sample {i} is negative or not finite: {p}"
+                    )
         top = self.panel_rating_w + 1e-9
-        for i, p in enumerate(self.solar_w):
-            if not p >= 0 or p > top:
-                raise ProfileError(
-                    f"solar_w sample {i} outside [0, {self.panel_rating_w}]: {p}"
-                )
+        solar = self.solar_w
+        if not (math.isfinite(sum(solar)) and min(solar) >= 0.0 and max(solar) <= top):
+            for i, p in enumerate(solar):
+                if not p >= 0 or p > top:
+                    raise ProfileError(
+                        f"solar_w sample {i} outside [0, {self.panel_rating_w}]: {p}"
+                    )
         temps = self.temp_c
         if not all(map(math.isfinite, temps)):
             i = next(i for i, t in enumerate(temps) if not math.isfinite(t))
@@ -290,22 +298,28 @@ PROFILE_COLUMNS = ("timestamp", "load_w", "solar_w", "temp_c")
 
 
 def write_profile_csv(series: TimeSeries, path: str) -> None:
-    """Write a profile in the dialect :func:`ingest_csv` reads back."""
+    """Write a profile in the dialect :func:`ingest_csv` reads back.
+
+    One line per sample, as csv.writer would write it: no cell (an
+    isoformat timestamp or a float repr) needs quoting.
+    """
+    stamps = accumulate(
+        repeat(timedelta(seconds=series.dt_s), len(series) - 1),
+        operator.add,
+        initial=series.start,
+    )
+    line = "{},{!r},{!r},{!r}\r\n".format
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_COLUMNS)
-        t = series.start
-        step = timedelta(seconds=series.dt_s)
-        for i in range(len(series)):
-            writer.writerow(
-                (
-                    t.isoformat(),
-                    repr(series.load_w[i]),
-                    repr(series.solar_w[i]),
-                    repr(series.temp_c[i]),
-                )
+        fh.write(",".join(PROFILE_COLUMNS) + "\r\n")
+        fh.writelines(
+            map(
+                line,
+                map(datetime.isoformat, stamps),
+                series.load_w,
+                series.solar_w,
+                series.temp_c,
             )
-            t = t + step
+        )
 
 
 def _csv_cells(
@@ -448,9 +462,11 @@ def ingest_csv(
 # Battery-trace stress factors
 
 TRACE_COLUMNS = ("timestamp", "current_a", "soc", "voltage", "full_charge", "floating")
+_NO_TIME = timedelta(0)
+_ONE_MICROSECOND = timedelta(microseconds=1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     t_h: float
     current_a: float  # battery current, charge positive
@@ -577,41 +593,61 @@ def stress_factors(
 def write_trace_csv(
     path: str, records: Iterable[TraceRecord], start: datetime
 ) -> None:
+    """Write a trace, one line per record, as csv.writer would write it:
+    no cell (an isoformat timestamp, a float repr or an int) needs
+    quoting."""
+    fields = operator.attrgetter(
+        "t_h", "current_a", "soc", "voltage", "full_charge", "floating"
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in records:
-            ts = start + timedelta(hours=r.t_h)
-            writer.writerow(
-                (
-                    ts.isoformat(),
-                    repr(r.current_a),
-                    repr(r.soc),
-                    repr(r.voltage),
-                    int(r.full_charge),
-                    int(r.floating),
-                )
-            )
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(
+            "%s,%r,%r,%r,%d,%d\r\n"
+            % ((start + timedelta(hours=t_h)).isoformat(), amps, soc, volts, full, flt)
+            for t_h, amps, soc, volts, full, flt in map(fields, records)
+        )
 
 
 def read_trace_csv(path: str) -> Iterator[TraceRecord]:
-    """Stream a trace CSV written by :func:`write_trace_csv`."""
+    """Stream a trace CSV written by :func:`write_trace_csv`.
+
+    The rows must be evenly spaced: each timestamp is the first row's
+    interval after the one before it, so a gap, a repeated row or rows
+    out of order are a :class:`ProfileError` naming the line.  The
+    writer rounds each timestamp to the microsecond, so at a step that
+    is not a whole number of microseconds (86400 s / 7, say) intervals
+    may differ from the first by that microsecond, and no more.
+    """
     t0: datetime | None = None
+    prev: datetime | None = None
+    step: timedelta | None = None
     flags = ("1", "True", "true")
     for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in _csv_cells(
         path, TRACE_COLUMNS
     ):
         try:
             ts = datetime.fromisoformat(stamp.strip())
-            if t0 is None:
+            if prev is None:
                 t0 = ts
+            else:
+                interval = ts - prev
+                if step is None:
+                    step = interval
+                if interval <= _NO_TIME:
+                    raise ValueError("timestamps not strictly increasing")
+                if abs(interval - step) > _ONE_MICROSECOND:
+                    raise ValueError(
+                        f"timestamp {ts.isoformat()} is {interval} after the "
+                        f"previous row, not the trace's interval of {step}"
+                    )
+            prev = ts
             record = TraceRecord(
-                t_h=(ts - t0).total_seconds() / 3600.0,
-                current_a=float(current_a),
-                soc=float(soc),
-                voltage=float(voltage),
-                full_charge=full_charge.strip() in flags,
-                floating=floating.strip() in flags,
+                (ts - t0).total_seconds() / 3600.0,
+                float(current_a),
+                float(soc),
+                float(voltage),
+                full_charge.strip() in flags,
+                floating.strip() in flags,
             )
         except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
             raise ProfileError(f"{path}: line {lineno}: {exc}") from exc

@@ -454,6 +454,17 @@ class TestAnalyze:
         path.write_text("timestamp,current_a,soc,voltage,full_charge,floating\n")
         assert main(["analyze", "--trace", str(path)]) == 1
 
+    def test_trace_with_a_gap_rejected(self, sim_run, tmp_path, capsys):
+        _, _, out = sim_run
+        with open(os.path.join(out, "tiny_trace.csv")) as fh:
+            lines = fh.readlines()
+        path = tmp_path / "gap.csv"
+        path.write_text("".join(lines[:1] + lines[2:11] + lines[500:601]))
+        assert main(["analyze", "--trace", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 11" in err
+        assert "internal error" not in err
+
     def test_short_row_names_line(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text(

@@ -127,6 +127,22 @@ class TestCorrosionSpeed:
         with pytest.raises(ValueError):
             DegradationParams(ks_knots=((1.7, 1.0), (1.8, 0.0)))
 
+    @pytest.mark.parametrize(
+        "knot, message",
+        [
+            ((1.74, math.nan), "corrosion speed must be positive and finite: nan"),
+            ((1.74, math.inf), "corrosion speed must be positive and finite: inf"),
+            ((1.74, -1.0), "corrosion speed must be positive and finite: -1.0"),
+            ((math.nan, 1.3), "potential must be finite: nan"),
+            ((-math.inf, 1.3), "potential must be finite: -inf"),
+        ],
+    )
+    def test_non_finite_knot_names_its_index(self, knot, message):
+        knots = list(DegradationParams().ks_knots)
+        knots[3] = knot
+        with pytest.raises(ValueError, match=rf"ks_knots\[3\]: {message}"):
+            DegradationParams(ks_knots=tuple(knots))
+
 
 class TestAnchorValidation:
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.0, 1.5, math.nan, math.inf])

@@ -168,6 +168,28 @@ class TestTimeSeriesValidation:
                 START, 900.0, [0.0], [60.0], [25.0], panel_rating_w=50.0
             )
 
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["load_w", "solar_w"])
+    def test_non_finite_power_names_column_and_sample(self, column, bad, at):
+        powers = {"load_w": [1.0] * 5, "solar_w": [1.0] * 5}
+        powers[column][at] = bad
+        with pytest.raises(ProfileError, match=f"{column} sample {at} "):
+            TimeSeries(START, 900.0, powers["load_w"], powers["solar_w"], [25.0] * 5)
+
+    def test_power_bounds_are_inclusive(self):
+        top = 50.0 + 1e-9
+        TimeSeries(START, 900.0, [0.0, -0.0, 1.0], [0.0, -0.0, top], [25.0] * 3)
+
+    def test_solar_one_ulp_above_the_tolerance_names_sample(self):
+        above = math.nextafter(50.0 + 1e-9, math.inf)
+        with pytest.raises(ProfileError, match="solar_w sample 1 "):
+            TimeSeries(START, 900.0, [0.0] * 3, [0.0, above, 0.0], [25.0] * 3)
+
+    def test_finite_powers_whose_sum_overflows_accepted(self):
+        big = [1e308, 1e308]
+        TimeSeries(START, 900.0, big, big, [25.0] * 2, panel_rating_w=1e308)
+
     def test_durations(self):
         series = generate_archetype(LOW_USE, 3, seed=1)
         assert len(series) == 3 * 96
@@ -535,3 +557,36 @@ class TestTraceCsv:
         )
         with pytest.raises(ProfileError, match="line 3"):
             list(read_trace_csv(str(path)))
+
+    @pytest.mark.parametrize(
+        "times, line, message",
+        [
+            (("00:00", "00:15", "00:30", "01:00"), 5, "not the trace's interval"),
+            (("00:00", "00:15", "04:30", "00:45"), 4, "not the trace's interval"),
+            (("00:00", "00:15", "00:45", "00:30"), 4, "not the trace's interval"),
+            (("00:00", "00:15", "00:15", "00:30"), 4, "not strictly increasing"),
+            (("00:00", "00:00", "00:15"), 3, "not strictly increasing"),
+            (("00:15", "00:00", "00:15"), 3, "not strictly increasing"),
+        ],
+        ids=["gap", "jump_back", "reordered", "repeated", "repeated_first", "backwards"],
+    )
+    def test_uneven_rows_name_line(self, tmp_path, times, line, message):
+        path = tmp_path / "uneven.csv"
+        path.write_text(
+            "timestamp,current_a,soc,voltage,full_charge,floating\n"
+            + "".join(f"2023-01-01T{t}:00,1.0,0.9,13.0,0,0\n" for t in times)
+        )
+        with pytest.raises(ProfileError, match=f"line {line}: .*{message}"):
+            list(read_trace_csv(str(path)))
+
+    @pytest.mark.parametrize("dt_s", [96.0, 337.5, 900.0, 86400.0 / 7])
+    def test_every_written_step_reads_back(self, tmp_path, dt_s):
+        """At 86400 s / 7 the writer's microsecond rounding makes the
+        intervals differ by one microsecond; that is not a gap."""
+        dt_h = dt_s / 3600.0
+        records = [TraceRecord(i * dt_h, 0.5, 0.9, 13.0, False, False) for i in range(3000)]
+        path = str(tmp_path / "trace.csv")
+        write_trace_csv(path, records, START)
+        back = list(read_trace_csv(path))
+        assert len(back) == len(records)
+        assert back[-1].t_h == pytest.approx(records[-1].t_h, rel=1e-12)
