@@ -298,28 +298,15 @@ PROFILE_COLUMNS = ("timestamp", "load_w", "solar_w", "temp_c")
 
 
 def write_profile_csv(series: TimeSeries, path: str) -> None:
-    """Write a profile in the dialect :func:`ingest_csv` reads back.
-
-    One line per sample, as csv.writer would write it: no cell (an
-    isoformat timestamp or a float repr) needs quoting.
-    """
-    stamps = accumulate(
-        repeat(timedelta(seconds=series.dt_s), len(series) - 1),
-        operator.add,
-        initial=series.start,
-    )
-    line = "{},{!r},{!r},{!r}\r\n".format
+    """Write a profile in the dialect :func:`ingest_csv` reads back: one
+    line per sample, as csv.writer writes it, since no cell (an
+    isoformat timestamp or a float repr) needs quoting."""
+    step = timedelta(seconds=series.dt_s)
+    stamps = accumulate(repeat(step, len(series) - 1), operator.add, initial=series.start)
+    columns = (map(datetime.isoformat, stamps), series.load_w, series.solar_w, series.temp_c)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(PROFILE_COLUMNS) + "\r\n")
-        fh.writelines(
-            map(
-                line,
-                map(datetime.isoformat, stamps),
-                series.load_w,
-                series.solar_w,
-                series.temp_c,
-            )
-        )
+        fh.writelines(map("{},{!r},{!r},{!r}\r\n".format, *columns))
 
 
 def _csv_cells(
@@ -593,12 +580,9 @@ def stress_factors(
 def write_trace_csv(
     path: str, records: Iterable[TraceRecord], start: datetime
 ) -> None:
-    """Write a trace, one line per record, as csv.writer would write it:
-    no cell (an isoformat timestamp, a float repr or an int) needs
-    quoting."""
-    fields = operator.attrgetter(
-        "t_h", "current_a", "soc", "voltage", "full_charge", "floating"
-    )
+    """Write a trace: one line per record, as csv.writer writes it, since
+    no cell (an isoformat timestamp, a float repr or an int) needs quoting."""
+    fields = operator.attrgetter("t_h", "current_a", "soc", "voltage", "full_charge", "floating")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         fh.writelines(
