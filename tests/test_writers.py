@@ -59,7 +59,10 @@ def test_trace_writer_matches_reference(records, start):
 @st.composite
 def profiles(draw):
     n = draw(st.integers(1, 20))
-    column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
     power = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308]), st.floats(0.0, 1e308))
     return TimeSeries(
         start=draw(starts),
