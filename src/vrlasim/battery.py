@@ -387,19 +387,10 @@ def gassing_current(
     voltage: float, temperature_k: float, gassing: GassingParams = GassingParams()
 ) -> float:
     """Gassing side-reaction current (A) at a battery voltage and temperature."""
-    return gassing_current_at(
-        voltage, gassing_temperature_term(temperature_k, gassing), gassing
-    )
-
-
-def gassing_current_at(
-    voltage: float, temperature_term: float, gassing: GassingParams
-) -> float:
-    """Gassing current (A) at a battery voltage, given the temperature term
-    from :func:`gassing_temperature_term`, which a run evaluates once per
-    temperature."""
     g = gassing
-    return g.i_gas_0 * math.exp(g.c_v * (voltage - g.v_ref) + temperature_term)
+    return g.i_gas_0 * math.exp(
+        g.c_v * (voltage - g.v_ref) + gassing_temperature_term(temperature_k, g)
+    )
 
 
 def step_soc(

@@ -147,17 +147,10 @@ def compensated_limits(params: ControlParams, temp_c: float) -> CompensatedLimit
 def select_limits(
     state: ControllerState, params: ControlParams, temp_c: float
 ) -> tuple[float, float, bool]:
-    """Active (v_limit, v_float, is_full_set) for this step."""
-    return select_compensated(state, params, compensated_limits(params, temp_c))
-
-
-def select_compensated(
-    state: ControllerState, params: ControlParams, limits: CompensatedLimits
-) -> tuple[float, float, bool]:
-    """:func:`select_limits`, given :func:`compensated_limits` at the
-    step's temperature, which a run evaluates once per temperature."""
+    """Active (v_limit, v_float, is_full_set) at a battery temperature."""
     full = wants_full_limits(state, params)
-    v_limit, v_float = limits[0] if full else limits[1]
+    limits = params.full_limits if full else params.partial_limits
+    v_limit, v_float = limits.compensated(temp_c)
     state.full_set_active = full
     return v_limit, v_float, full
 

@@ -143,16 +143,6 @@ def corrosion_speed(
     Returns:
         (speed in layer units per hour, clamped)
     """
-    return corrosion_speed_at(
-        v_positive, corrosion_temperature_factor(temp_k, params), params
-    )
-
-
-def corrosion_speed_at(
-    v_positive: float, temperature_factor: float, params: DegradationParams
-) -> tuple[float, bool]:
-    """:func:`corrosion_speed`, given :func:`corrosion_temperature_factor`
-    at the temperature, which a run evaluates once per temperature."""
     knots = params.ks_knots
     potentials = params.ks_potentials
     clamped = False
@@ -167,17 +157,7 @@ def corrosion_speed_at(
     else:  # at or above the last knot, or nan
         base = knots[-1][1]
         clamped = v_positive > potentials[-1]
-    return base * temperature_factor, clamped
-
-
-def positive_terminal_voltage(
-    soc: float, battery_voltage: float, params: BatteryParams
-) -> float:
-    """Positive-electrode potential under load (V, per electrode).
-
-    See :meth:`Battery.positive_terminal_voltage`.
-    """
-    return Battery(params).positive_terminal_voltage(soc, battery_voltage)
+    return base * corrosion_temperature_factor(temp_k, params), clamped
 
 
 def grow_corrosion_layer(
@@ -268,7 +248,7 @@ def float_positive_potential(
     battery: BatteryParams, datasheet: Datasheet
 ) -> float:
     """Positive-electrode potential of a full battery held at float."""
-    return positive_terminal_voltage(1.0, datasheet.float_voltage, battery)
+    return Battery(battery).positive_terminal_voltage(1.0, datasheet.float_voltage)
 
 
 @functools.lru_cache(maxsize=CALIBRATION_MEMO_ENTRIES)
@@ -331,20 +311,18 @@ class DegradationState:
 
 @dataclass(frozen=True)
 class DegradationModel:
-    """Parameter set, datasheet anchors and calibrated limits, bundled."""
+    """Parameter set and datasheet anchors, with their calibrated limits."""
 
     battery: BatteryParams = field(default_factory=BatteryParams)
     params: DegradationParams = field(default_factory=DegradationParams)
     datasheet: Datasheet = field(default_factory=Datasheet)
-    limits: CalibratedLimits | None = None
 
-    def calibrated(self) -> "DegradationModel":
-        return DegradationModel(
-            battery=self.battery,
-            params=self.params,
-            datasheet=self.datasheet,
-            limits=calibrate_limits(self.battery, self.params, self.datasheet),
-        )
+    @functools.cached_property
+    def limits(self) -> CalibratedLimits:
+        """:func:`calibrate_limits` of the model's parameters; raises
+        :class:`CalibrationError` on first access if they cannot be
+        calibrated."""
+        return calibrate_limits(self.battery, self.params, self.datasheet)
 
     def eol_threshold_ah(self) -> float:
         return self.params.eol_loss_fraction * self.battery.capacity_ah
@@ -355,22 +333,18 @@ class DegradationModel:
         battery: Battery,
         soc: float,
         battery_voltage: float,
-        corrosion_factor: float,
+        temp_k: float,
         discharge_current_a: float,
         dt_h: float,
     ) -> None:
-        """Advance both channels one step, in place.
+        """Advance both channels one step at a battery temperature, in place.
 
         `battery` is the run's :class:`Battery`, built from self.battery.
-        `corrosion_factor` is :func:`corrosion_temperature_factor` at the
-        step's temperature.
         """
         limits = self.limits
-        if limits is None:
-            raise CalibrationError("model is not calibrated; call calibrated()")
         params = self.params
         v_p = battery.positive_terminal_voltage(soc, battery_voltage)
-        speed, clamped = corrosion_speed_at(v_p, corrosion_factor, params)
+        speed, clamped = corrosion_speed(v_p, temp_k, params)
         if clamped:
             state.ks_clamp_events += 1
         state.w = grow_corrosion_layer(state.w, speed, v_p, dt_h, params)

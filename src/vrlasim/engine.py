@@ -316,12 +316,14 @@ def run_scenario(scenario: Scenario) -> SimResult:
 
     The whole step runs in this function's locals.  The load disconnect,
     limit selection and controller step (control.update_load_disconnect,
-    select_compensated, tscc_step), terminal voltage and hold current
-    (Battery methods), gassing (battery.gassing_current_at), coulomb
+    select_limits, tscc_step), terminal voltage and hold current
+    (Battery methods), gassing (battery.gassing_current), coulomb
     counting (battery.step_soc) and the ageing step
     (DegradationModel.step) are written out here with the float
-    operations of those functions, in their order; the functions remain
-    the single-step API, and tests/reference_engine.py composes them into
+    operations of those functions, in their order; the terms that depend
+    on temperature alone come from a TemperatureTerms memo.  The
+    functions remain the single-step API, and tests/reference_engine.py
+    composes them, each evaluated afresh at the step's temperature, into
     the loop whose results this one must equal bit for bit.  The
     electrolyte chain stays in Battery.electrolyte, the OCV inversion in
     Battery.invert_ocv and the adaptive schedule in _reschedule.
@@ -334,7 +336,8 @@ def run_scenario(scenario: Scenario) -> SimResult:
         battery=params,
         params=scenario.degradation,
         datasheet=scenario.datasheet,
-    ).calibrated()
+    )
+    calibrated = model.limits  # a scenario that cannot be calibrated fails here
     ctrl = ControllerState()
     control = scenario.control
     adaptive = control.policy is Policy.ADAPTIVE
@@ -376,8 +379,8 @@ def run_scenario(scenario: Scenario) -> SimResult:
     c_soc0, c_soc_min = ageing.c_soc0_per_h, ageing.c_soc_min_per_h
     i_ref, i_floor = ageing.i_ref_a, ageing.i_floor_a
     nominal_cycles = scenario.datasheet.nominal_cycles
-    w_limit = model.limits.w_limit
-    c_corr_limit, c_deg_limit = model.limits.c_corr_limit, model.limits.c_deg_limit
+    w_limit = calibrated.w_limit
+    c_corr_limit, c_deg_limit = calibrated.c_corr_limit, calibrated.c_deg_limit
 
     soc = scenario.initial_soc
     v_prev = battery.ocv(clamp(soc, SOC_FLOOR, SOC_CAP))

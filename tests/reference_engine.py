@@ -1,10 +1,13 @@
 """The composed simulation loop: the reference for engine.run_scenario.
 
 Each step calls the layer functions (controller, battery methods,
-gassing, SOC update, ageing step) one by one, so every formula comes
-from its one definition.  run_scenario writes the same step out in its
-own locals; the differential tests check that its result equals this
-loop's, bit for bit, and that it raises what this loop raises.
+gassing, SOC update, ageing step) one by one with the step's
+temperature, so every formula, the temperature terms included, comes
+from its one definition and is evaluated afresh.  run_scenario writes
+the same step out in its own locals and takes the temperature terms from
+its TemperatureTerms memo; the differential tests check that its result
+equals this loop's, bit for bit, and that it raises what this loop
+raises.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from vrlasim.battery import (
     SOC_FLOOR,
     Battery,
     clamp,
-    gassing_current_at,
+    gassing_current,
     step_soc,
 )
 from vrlasim.control import (
@@ -24,7 +27,7 @@ from vrlasim.control import (
     Phase,
     Policy,
     recharge_interval,
-    select_compensated,
+    select_limits,
     tscc_step,
     update_load_disconnect,
 )
@@ -40,7 +43,6 @@ from vrlasim.engine import (
     EngineError,
     Scenario,
     SimResult,
-    TemperatureTerms,
 )
 from vrlasim.profiles import SECONDS_PER_DAY, StressAccumulator, TraceRecord
 
@@ -75,13 +77,12 @@ def reference_run(scenario: Scenario) -> SimResult:
         battery=params,
         params=scenario.degradation,
         datasheet=scenario.datasheet,
-    ).calibrated()
+    )
+    model.limits  # a scenario that cannot be calibrated fails here
     deg = DegradationState(min_soc_since_full=scenario.initial_soc)
     ctrl = ControllerState()
     control = scenario.control
     adaptive = control.policy is Policy.ADAPTIVE
-    temperature_terms = TemperatureTerms(control, scenario.degradation, params.gassing)
-    memoised_terms = temperature_terms.entries.get
 
     dt_s = scenario.dt_s
     dt_h = dt_s / 3600.0
@@ -152,10 +153,7 @@ def reference_run(scenario: Scenario) -> SimResult:
         load_w = load_col[idx]
         solar_w = solar_col[idx]
         temp_c = temp_col[idx]
-        terms = memoised_terms(temp_c)  # the memo hit, without a method call
-        if terms is None:
-            terms = temperature_terms(temp_c)
-        corrosion_factor, gas_term, limits = terms
+        temp_k = temp_c + 273.15
 
         if update_load_disconnect(ctrl, soc, control):
             disconnect_events += 1
@@ -168,7 +166,7 @@ def reference_run(scenario: Scenario) -> SimResult:
         avail_a = solar_w * eff / v_prev
         net_a = avail_a - load_a
 
-        v_limit, v_float, _ = select_compensated(ctrl, control, limits)
+        v_limit, v_float, _ = select_limits(ctrl, control, temp_c)
         applied, events = tscc_step(
             ctrl,
             soc,
@@ -216,7 +214,7 @@ def reference_run(scenario: Scenario) -> SimResult:
             audit.correction_jumps += jump
             soc = corrected
 
-        i_gas = gassing_current_at(voltage, gas_term, gassing)
+        i_gas = gassing_current(voltage, temp_k, gassing)
         audit.integral += (applied - i_gas) * dt_s * soc_to_ah
         new_soc, clamped = step_soc(soc, applied, i_gas, dt_s, params)
         if clamped:
@@ -226,7 +224,7 @@ def reference_run(scenario: Scenario) -> SimResult:
             )
 
         discharge_a = -applied if applied < 0.0 else 0.0
-        model.step(deg, battery, soc, voltage, corrosion_factor, discharge_a, dt_h)
+        model.step(deg, battery, soc, voltage, temp_k, discharge_a, dt_h)
         loss = deg.total_loss()
         soc = new_soc
 

@@ -25,7 +25,6 @@ from vrlasim.battery import (
     step_soc,
     terminal_voltage,
 )
-from vrlasim.degradation import positive_terminal_voltage
 
 PARAMS = BatteryParams()
 
@@ -262,9 +261,9 @@ class TestElectrolyteMemo:
             assert battery.hold_voltage_current(soc, 14.4, 0.2) == hold_voltage_current(
                 soc, 14.4, PARAMS, 0.2
             )
-            assert battery.positive_terminal_voltage(
-                soc, 12.6
-            ) == positive_terminal_voltage(soc, 12.6, PARAMS)
+            assert battery.positive_terminal_voltage(soc, 12.6) == Battery(
+                PARAMS
+            ).positive_terminal_voltage(soc, 12.6)
             assert battery.ocv(soc) == fresh
 
     def test_memo_lives_on_the_object(self):

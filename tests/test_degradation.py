@@ -18,11 +18,9 @@ from vrlasim.degradation import (
     calibrate_limits,
     corrosion_capacity_loss,
     corrosion_speed,
-    corrosion_temperature_factor,
     current_weight,
     float_positive_potential,
     grow_corrosion_layer,
-    positive_terminal_voltage,
     soc_factor,
 )
 
@@ -30,8 +28,7 @@ PARAMS = DegradationParams()
 BATTERY = BatteryParams()
 DATASHEET = Datasheet()
 REF_T = PARAMS.ks_ref_temp_k
-REF_FACTOR = corrosion_temperature_factor(REF_T, PARAMS)
-MODEL = DegradationModel().calibrated()
+MODEL = DegradationModel()
 # a step in the speed curve: two knots share the potential 1.74 V
 STEP_PARAMS = DegradationParams(
     ks_knots=((1.55, 2.2), (1.70, 0.85), (1.74, 0.5), (1.74, 1.3), (1.80, 1.6), (2.0, 5.0))
@@ -165,10 +162,11 @@ class TestPositivePotential:
         # at OCV the positive electrode sits exactly at its equilibrium value
         from vrlasim.battery import battery_ocv
 
+        battery = Battery(BATTERY)
         for s in (0.3, 0.7, 1.0):
             v = battery_ocv(s, BATTERY)
-            v_p = positive_terminal_voltage(s, v, BATTERY)
-            v_p_plus = positive_terminal_voltage(s, v + 0.6, BATTERY)
+            v_p = battery.positive_terminal_voltage(s, v)
+            v_p_plus = battery.positive_terminal_voltage(s, v + 0.6)
             assert v_p_plus - v_p == pytest.approx(0.05, abs=1e-12)
 
     def test_float_point_above_growth_threshold(self):
@@ -315,16 +313,20 @@ class TestCalibration:
 
 
 class TestDegradationModel:
-    def test_uncalibrated_step_rejected(self):
+    def test_limits_are_the_memoised_calibration(self):
         model = DegradationModel()
-        state = DegradationState()
+        assert model.limits is calibrate_limits(BATTERY, PARAMS, DATASHEET)
+        assert model.limits is model.limits
+
+    def test_uncalibratable_model_raises_on_limits(self):
+        model = DegradationModel(datasheet=Datasheet(float_life_years=0.0))
         with pytest.raises(CalibrationError):
-            model.step(state, Battery(model.battery), 0.5, 12.0, REF_FACTOR, 1.0, 0.25)
+            model.limits
 
     def test_step_updates_both_channels(self):
         model = MODEL
         state = DegradationState()
-        model.step(state, Battery(model.battery), 0.5, 12.0, REF_FACTOR, 2.0, 0.25)
+        model.step(state, Battery(model.battery), 0.5, 12.0, REF_T, 2.0, 0.25)
         assert state.w > 0.0
         assert state.z_w > 0.0
         assert state.time_since_full_h == 0.25
@@ -335,7 +337,7 @@ class TestDegradationModel:
     def test_idle_step_skips_throughput(self):
         model = MODEL
         state = DegradationState()
-        model.step(state, Battery(model.battery), 0.9, 12.8, REF_FACTOR, 0.0, 0.25)
+        model.step(state, Battery(model.battery), 0.9, 12.8, REF_T, 0.0, 0.25)
         assert state.z_w == 0.0
         assert state.w > 0.0
         # the throughput channel still reports its floor loss
@@ -351,8 +353,7 @@ class TestDegradationModel:
         model = MODEL
         state = DegradationState()
         for soc, dis in ((0.8, 1.5), (0.6, 2.0), (0.4, 0.0), (0.7, 3.0)):
-            factor = corrosion_temperature_factor(300.0, model.params)
-            model.step(state, Battery(model.battery), soc, 12.2, factor, dis, 0.5)
+            model.step(state, Battery(model.battery), soc, 12.2, 300.0, dis, 0.5)
             assert state.c_corr == pytest.approx(
                 corrosion_capacity_loss(state.w, model.limits), rel=1e-12
             )
@@ -380,7 +381,7 @@ class TestDegradationModel:
         state = DegradationState()
         prev = (0.0, 0.0, 0.0, 0.0)
         for soc, voltage, discharge in steps:
-            model.step(state, Battery(model.battery), soc, voltage, REF_FACTOR, discharge, 0.25)
+            model.step(state, Battery(model.battery), soc, voltage, REF_T, discharge, 0.25)
             cur = (state.w, state.z_w, state.c_corr, state.c_deg)
             assert all(c >= p for c, p in zip(cur, prev))
             prev = cur

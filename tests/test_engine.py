@@ -22,16 +22,12 @@ from vrlasim.control import (
 from vrlasim.battery import (
     Battery,
     BatteryParams,
-    gassing_current,
-    gassing_current_at,
     gassing_temperature_term,
 )
 from vrlasim.degradation import (
     Datasheet,
     DegradationParams,
     calibrate_limits,
-    corrosion_speed,
-    corrosion_speed_at,
     corrosion_temperature_factor,
 )
 from vrlasim.engine import (
@@ -553,13 +549,6 @@ class TestTemperatureTerms:
             assert limits == (
                 control.full_limits.compensated(temp_c),
                 control.partial_limits.compensated(temp_c),
-            )
-            # the public functions compose the same terms
-            assert corrosion_speed(1.8, temp_k, params) == corrosion_speed_at(
-                1.8, factor, params
-            )
-            assert gassing_current(14.2, temp_k, gassing) == gassing_current_at(
-                14.2, gas_term, gassing
             )
             assert select_limits(ControllerState(), control, temp_c)[:2] == limits[0]
 
