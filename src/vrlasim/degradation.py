@@ -95,6 +95,17 @@ class DegradationParams:
         vs = [v for v, _ in self.ks_knots]
         if vs != sorted(vs):
             raise ValueError("ks_knots must be sorted by potential")
+        # a negative weight can shrink the weighted throughput below 0
+        for key in ("c_soc0_per_h", "c_soc_min_per_h"):
+            value = getattr(self, key)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{key} must be non-negative and finite: {value}")
+        # the current weighting takes a square root of i_ref_a, and the
+        # corrosion law divides by the other two
+        for key in ("i_ref_a", "corrosion_exponent", "temp_doubling_k"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite: {value}")
         # below 1 the end-of-life loss leaves some capacity, which the
         # ohmic ageing term (Battery.effective_b0) divides by
         if not 0.0 < self.eol_loss_fraction < 1.0:

@@ -605,8 +605,6 @@ def run_scenario(scenario: Scenario) -> SimResult:
             z_w = z_w + discharge_a * f * dt_h / capacity
         c_corr = c_corr_limit * w / w_limit
         if z_w != c_deg_z_w:
-            if z_w < 0.0:
-                raise ValueError("weighted cycles cannot be negative")
             c_deg = c_deg_limit * math.exp(-5.0 * (1.0 - z_w / nominal_cycles))
             c_deg_z_w = z_w
         loss = c_corr + c_deg

@@ -193,6 +193,26 @@ class TestSimulate:
                 "datasheet: {nominal_cycles: -5.0}",
                 "datasheet: nominal_cycles must be positive and finite: -5.0",
             ),
+            (
+                "degradation: {c_soc0_per_h: -0.5}",
+                "degradation: c_soc0_per_h must be non-negative and finite: -0.5",
+            ),
+            (
+                "degradation: {c_soc_min_per_h: .nan}",
+                "degradation: c_soc_min_per_h must be non-negative and finite: nan",
+            ),
+            (
+                "degradation: {i_ref_a: -2.0}",
+                "degradation: i_ref_a must be positive and finite: -2.0",
+            ),
+            (
+                "degradation: {corrosion_exponent: 0.0}",
+                "degradation: corrosion_exponent must be positive and finite: 0.0",
+            ),
+            (
+                "degradation: {temp_doubling_k: 0.0}",
+                "degradation: temp_doubling_k must be positive and finite: 0.0",
+            ),
         ],
     )
     def test_bad_setting_exits_1_naming_the_key(self, tmp_path, capsys, section, message):

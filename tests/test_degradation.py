@@ -155,6 +155,27 @@ class TestAnchorValidation:
     def test_edges_inside_accepted(self):
         assert DegradationParams(eol_loss_fraction=0.999).eol_loss_fraction == 0.999
         assert Datasheet(nominal_cycles=1e-3).nominal_cycles == 1e-3
+        unweighted = DegradationParams(c_soc0_per_h=0.0, c_soc_min_per_h=0.0)
+        assert unweighted.c_soc0_per_h == unweighted.c_soc_min_per_h == 0.0
+
+
+class TestAgeingConstantValidation:
+    """Each ageing constant is checked where it enters; out of its domain
+    it would fail a run part-way through (-0.5, -2.0 and 0.0 below)."""
+
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["c_soc0_per_h", "c_soc_min_per_h"])
+    def test_weight_negative_or_not_finite_rejected(self, key, value):
+        message = rf"{key} must be non-negative and finite: {value}"
+        with pytest.raises(ValueError, match=message):
+            DegradationParams(**{key: value})
+
+    @pytest.mark.parametrize("value", [0.0, -2.0, math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["i_ref_a", "corrosion_exponent", "temp_doubling_k"])
+    def test_constant_not_positive_and_finite_rejected(self, key, value):
+        message = rf"{key} must be positive and finite: {value}"
+        with pytest.raises(ValueError, match=message):
+            DegradationParams(**{key: value})
 
 
 class TestPositivePotential:
