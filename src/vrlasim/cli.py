@@ -27,8 +27,9 @@ from .battery import battery_ocv
 from .config import ConfigError, RunConfig, ScenarioSpec, default_config_yaml, load_config
 from .control import Policy
 from .degradation import (
+    DAYS_PER_YEAR,
     CalibrationError,
-    calibrate_limits,
+    DegradationModel,
     corrosion_speed,
     float_positive_potential,
 )
@@ -73,7 +74,7 @@ def build_scenario(
         seed = spec.seed if spec.seed is not None else sim.seed
     pol = policy if policy is not None else spec.policy
     if spec.archetype is not None:
-        days = spec.days or int(math.ceil(sim.max_years * 365.0)) + 1
+        days = spec.days or int(math.ceil(sim.max_years * DAYS_PER_YEAR)) + 1
         profile = generate_archetype(
             config.archetype(spec.archetype),
             days,
@@ -382,12 +383,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
-    battery = config.battery
-    params = config.degradation
-    datasheet = config.datasheet
-    limits = calibrate_limits(battery, params, datasheet)
+    model = DegradationModel(config.battery, config.degradation, config.datasheet)
+    battery, datasheet = model.battery, model.datasheet
+    limits = model.limits
     v_p = float_positive_potential(battery, datasheet)
-    speed, _ = corrosion_speed(v_p, datasheet.float_temp_c + 273.15, params)
+    speed, _ = corrosion_speed(v_p, datasheet.float_temp_c + 273.15, model.params)
     payload = {
         "ocv_full_v": round(battery_ocv(1.0, battery), 4),
         "ocv_empty_v": round(battery_ocv(0.0, battery), 4),
@@ -396,7 +396,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "w_limit": limits.w_limit,
         "c_corr_limit_ah": limits.c_corr_limit,
         "c_deg_limit_ah": limits.c_deg_limit,
-        "eol_threshold_ah": params.eol_loss_fraction * battery.capacity_ah,
+        "eol_threshold_ah": model.eol_threshold_ah(),
         "float_life_years": datasheet.float_life_years,
         "nominal_cycles": datasheet.nominal_cycles,
     }
