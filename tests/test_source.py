@@ -10,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vrlasim"
 TRACER = ROOT / "perfbench" / "tracing.py"
+REFERENCE = ROOT / "tests" / "reference_engine.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -60,3 +61,51 @@ def test_traced_name_exists(module, attribute):
     for part in attribute.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+# What the reference loop may take from the engine: the scenario and
+# result types and the histogram layout.  A piece of the fused step, such
+# as its TemperatureTerms memo, would make the differential test compare
+# the step with itself.
+REFERENCE_ENGINE_IMPORTS = {
+    "DayRecord",
+    "EnergyAudit",
+    "EngineError",
+    "Scenario",
+    "SimResult",
+    "N_SOC_BINS",
+    "N_VOLTAGE_BINS",
+    "SOC_BIN_WIDTH",
+    "VOLTAGE_BIN_LOW",
+    "VOLTAGE_BIN_WIDTH",
+}
+
+
+def engine_imports(source: str) -> set[str]:
+    """Names a module imports from vrlasim.engine, and "vrlasim.engine"
+    if it imports the module itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "vrlasim.engine":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "vrlasim":
+            if any(alias.name == "engine" for alias in node.names):
+                names.add("vrlasim.engine")
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "vrlasim.engine" for alias in node.names):
+                names.add("vrlasim.engine")
+    return names
+
+
+def test_finds_engine_imports():
+    source = (
+        "import vrlasim.battery\n"
+        "from vrlasim.engine import Scenario, TemperatureTerms\n"
+        "from vrlasim import engine\n"
+    )
+    assert engine_imports(source) == {"Scenario", "TemperatureTerms", "vrlasim.engine"}
+    assert engine_imports("import vrlasim.engine as e\n") == {"vrlasim.engine"}
+
+
+def test_reference_loop_imports_no_part_of_the_fused_step():
+    assert engine_imports(REFERENCE.read_text()) <= REFERENCE_ENGINE_IMPORTS
