@@ -337,7 +337,6 @@ class TestDegradationModel:
     def test_limits_are_the_memoised_calibration(self):
         model = DegradationModel()
         assert model.limits is calibrate_limits(BATTERY, PARAMS, DATASHEET)
-        assert model.limits is model.limits
 
     def test_uncalibratable_model_raises_on_limits(self):
         model = DegradationModel(datasheet=Datasheet(float_life_years=0.0))
