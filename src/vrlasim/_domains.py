@@ -1,0 +1,46 @@
+"""The fixed set of parameter domains, and the one checker of declared fields."""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from typing import Any, Callable, NamedTuple
+
+
+class Domain(NamedTuple):
+    rule: str  # completes "{key} must ..."
+    test: Callable[[Any], bool]  # false for nan; an int domain tests the type too
+
+    def accepts(self, value: Any) -> bool:
+        """Whether value is an int or a float, not a bool, that passes the test."""
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and self.test(value)
+
+
+FINITE = Domain("be finite", lambda v: -math.inf < v < math.inf)
+NON_NEGATIVE = Domain("be non-negative and finite", lambda v: 0.0 <= v < math.inf)
+POSITIVE = Domain("be positive and finite", lambda v: 0.0 < v < math.inf)
+UNIT = Domain("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+OPEN_UNIT = Domain("lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+HALF_OPEN_UNIT = Domain("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+POSITIVE_INT = Domain("be a positive integer", lambda v: isinstance(v, int) and v >= 1)
+NON_NEGATIVE_INT = Domain("be a non-negative integer", lambda v: isinstance(v, int) and v >= 0)
+
+
+def declared(default: Any, domain: Domain | None, unit: str, doc: str) -> Any:
+    """A dataclass field with its default (dataclasses.MISSING for none), its
+    domain (None for a field only documented), unit ("-" for none) and doc."""
+    return dataclasses.field(default=default, metadata=dict(domain=domain, unit=unit, doc=doc))
+
+
+def same_as(cls: type, name: str) -> Any:
+    """A new field with the default and declaration of `cls`'s field `name`."""
+    source = cls.__dataclass_fields__[name]
+    return dataclasses.field(default=source.default, metadata=source.metadata)
+
+
+def check_fields(obj: Any, error: type[Exception], prefix: str = "") -> None:
+    """Raise `error` naming the first declared field of `obj` out of its domain."""
+    for f in dataclasses.fields(obj):
+        domain, value = f.metadata.get("domain"), getattr(obj, f.name)
+        if domain is not None and not domain.accepts(value):
+            raise error(f"{prefix}{f.name} must {domain.rule}: {value!r}")

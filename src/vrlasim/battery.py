@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._domains import FINITE, NON_NEGATIVE, POSITIVE, POSITIVE_INT, check_fields, declared
+
 FARADAY = 96485.0  # C/mol
 
 # Per-cell OCV polynomial in the log10 of acid molality.
@@ -37,56 +39,41 @@ def clamp(x: float, lo: float, hi: float) -> float:
 
 
 class BatteryParamError(ValueError):
-    """Raised for parameter sets with no valid electrolyte state."""
+    """Raised for battery parameters out of domain or with no valid electrolyte state."""
 
 
 @dataclass(frozen=True)
 class GassingParams:
     """Gassing current model constants (battery-level voltage)."""
 
-    i_gas_0: float = 0.017  # A, gassing current at reference point
-    c_v: float = 0.183  # 1/V, voltage sensitivity
-    c_t: float = 0.06  # 1/K, temperature sensitivity
-    v_ref: float = 13.38  # V, reference battery voltage
-    t_ref: float = 298.0  # K, reference temperature
+    i_gas_0: float = declared(0.017, NON_NEGATIVE, "A", "gassing current at the reference point")
+    c_v: float = declared(0.183, NON_NEGATIVE, "1/V", "voltage sensitivity of gassing")
+    c_t: float = declared(0.06, NON_NEGATIVE, "1/K", "temperature sensitivity of gassing")
+    v_ref: float = declared(13.38, FINITE, "V", "reference battery voltage of gassing")
+    t_ref: float = declared(298.0, POSITIVE, "K", "reference temperature of gassing")
+
+    def __post_init__(self) -> None:
+        check_fields(self, BatteryParamError)
 
 
 @dataclass(frozen=True)
 class BatteryParams:
-    """Cell stack geometry, electrolyte inventory and overpotential shape.
+    """Cell stack geometry, electrolyte inventory and overpotential shape."""
 
-    Attributes:
-        capacity_ah: Nominal capacity C_N (Ah).
-        cells_in_series: Cell count of the monoblock (6 for a 12 V unit).
-        c_max: Acid concentration at full charge (mol/m^3).
-        electrolyte_volume_m3: Acid volume per cell group (m^3).
-        v_water: Molar volume of water (cm^3/mol).
-        v_acid: Molar volume of sulphuric acid (cm^3/mol).
-        m_water: Molar mass of water (g/mol).
-        b0: Ohmic overpotential scale (V per unit C-rate).
-        b1: Charge-transfer amplification near the full/empty rails.
-        rest_current_a: |I| below which the battery counts as resting (A).
-    """
-
-    capacity_ah: float = 20.0
-    cells_in_series: int = 6
-    c_max: float = 5450.0
-    electrolyte_volume_m3: float = 1.43e-4
-    v_water: float = 17.5
-    v_acid: float = 45.0
-    m_water: float = 18.0
-    b0: float = 0.07
-    b1: float = 3.0
-    rest_current_a: float = 0.01
+    capacity_ah: float = declared(20.0, POSITIVE, "Ah", "nominal capacity C_N")
+    cells_in_series: int = declared(6, POSITIVE_INT, "-", "cells of the monoblock (6 for 12 V)")
+    c_max: float = declared(5450.0, POSITIVE, "mol/m^3", "acid concentration at full charge")
+    electrolyte_volume_m3: float = declared(1.43e-4, POSITIVE, "m^3", "acid volume per cell group")
+    v_water: float = declared(17.5, POSITIVE, "cm^3/mol", "molar volume of water")
+    v_acid: float = declared(45.0, POSITIVE, "cm^3/mol", "molar volume of sulphuric acid")
+    m_water: float = declared(18.0, POSITIVE, "g/mol", "molar mass of water")
+    b0: float = declared(0.07, POSITIVE, "V per C-rate", "ohmic overpotential scale")
+    b1: float = declared(3.0, POSITIVE, "-", "charge-transfer gain near the full/empty rails")
+    rest_current_a: float = declared(0.01, NON_NEGATIVE, "A", "|I| below which it is at rest")
     gassing: GassingParams = field(default_factory=GassingParams)
 
     def __post_init__(self) -> None:
-        if self.capacity_ah <= 0:
-            raise BatteryParamError("capacity_ah must be positive")
-        if self.cells_in_series < 1:
-            raise BatteryParamError("cells_in_series must be at least 1")
-        if self.b0 <= 0 or self.b1 <= 0:
-            raise BatteryParamError("overpotential constants must be positive")
+        check_fields(self, BatteryParamError)
         # acid must not fill the whole electrolyte volume
         if self.c_max * self.v_acid * 1e-6 >= 1.0:
             raise BatteryParamError("c_max implies acid volume fraction >= 1")

@@ -23,7 +23,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime
 
-from .battery import battery_ocv
+from .battery import BatteryParams, battery_ocv
 from .config import ConfigError, RunConfig, ScenarioSpec, default_config_yaml, load_config
 from .control import Policy
 from .degradation import (
@@ -74,7 +74,8 @@ def build_scenario(
         seed = spec.seed if spec.seed is not None else sim.seed
     pol = policy if policy is not None else spec.policy
     if spec.archetype is not None:
-        days = spec.days or int(math.ceil(sim.max_years * DAYS_PER_YEAR)) + 1
+        horizon_days = int(math.ceil(sim.max_years * DAYS_PER_YEAR)) + 1
+        days = horizon_days if spec.days is None else spec.days
         profile = generate_archetype(
             config.archetype(spec.archetype),
             days,
@@ -86,18 +87,17 @@ def build_scenario(
         profile = ingest_csv(
             spec.profile_csv, dt_s=dt, panel_rating_w=sim.panel_rating_w
         )
+    # the settings SimSettings shares with Scenario, under the same names
+    shared = {f.name: getattr(sim, f.name) for f in dataclasses.fields(Scenario) if f.metadata}
     return Scenario(
         name=spec.name + name_suffix,
         profile=profile,
-        control=config.control_params(pol),
+        control=config.control.params(pol),
         battery=config.battery,
         degradation=config.degradation,
         datasheet=config.datasheet,
-        dt_s=dt,
-        max_years=sim.max_years,
-        initial_soc=sim.initial_soc,
-        converter_efficiency=sim.converter_efficiency,
         record_trace=record_trace or spec.record_trace,
+        **{**shared, "dt_s": dt},
     )
 
 
@@ -329,7 +329,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     alt = dataclasses.replace(
         base,
         name=spec.name + f"_{alt_policy.value}",
-        control=config.control_params(alt_policy),
+        control=config.control.params(alt_policy),
     )
     cmp_result = compare_strategies(base, alt)
 
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="stress factors of a battery trace CSV")
     p_an.add_argument("--trace", required=True, help="trace CSV from simulate/compare")
     p_an.add_argument(
-        "--capacity", type=float, default=20.0, help="nominal capacity (Ah)"
+        "--capacity", type=float, default=BatteryParams.capacity_ah, help="nominal capacity (Ah)"
     )
     p_an.add_argument("--out", help="directory for the stress-factor JSON")
     p_an.set_defaults(func=cmd_analyze)

@@ -9,12 +9,13 @@ rejected so typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import dataclasses
-import math
+import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 import yaml
 
+from ._domains import NON_NEGATIVE_INT, check_fields, declared, same_as
 from .battery import BatteryParams, GassingParams
 from .control import (
     BBOXX_LIMITS,
@@ -25,7 +26,8 @@ from .control import (
     VoltageLimits,
 )
 from .degradation import Datasheet, DegradationParams
-from .profiles import ARCHETYPES, UseArchetype
+from .engine import Scenario
+from .profiles import ARCHETYPES, TimeSeries, UseArchetype, divides_day
 
 
 class ConfigError(ValueError):
@@ -34,30 +36,42 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimSettings:
-    dt_s: float = 900.0
-    max_years: float = 15.0
-    seed: int = 42
-    initial_soc: float = 0.9
-    converter_efficiency: float = 0.95
-    panel_rating_w: float = 50.0
+    """Simulation settings shared by every scenario in a run."""
+
+    dt_s: float = same_as(Scenario, "dt_s")
+    max_years: float = same_as(Scenario, "max_years")
+    seed: int = declared(42, NON_NEGATIVE_INT, "-", "RNG seed of synthetic profiles")
+    initial_soc: float = same_as(Scenario, "initial_soc")
+    converter_efficiency: float = same_as(Scenario, "converter_efficiency")
+    panel_rating_w: float = same_as(TimeSeries, "panel_rating_w")
 
     def __post_init__(self) -> None:
-        for key in ("dt_s", "max_years"):
-            value = getattr(self, key)
-            if not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
-                raise ConfigError(f"sim.{key} must be positive and finite: {value!r}")
+        check_fields(self, ConfigError, prefix="sim.")
+        if not divides_day(self.dt_s):
+            raise ConfigError(f"sim.dt_s must divide a day evenly: {self.dt_s!r}")
 
 
 @dataclass(frozen=True)
 class ControlSettings:
     """Controller constants shared by every scenario in a run."""
 
-    taper_fraction_per_h: float = 0.02
-    cutoff_soc: float = 0.5
-    reconnect_hysteresis: float = 0.05
+    taper_fraction_per_h: float = same_as(ControlParams, "taper_fraction_per_h")
+    cutoff_soc: float = same_as(ControlParams, "cutoff_soc")
+    reconnect_hysteresis: float = same_as(ControlParams, "reconnect_hysteresis")
     bboxx_limits: VoltageLimits = BBOXX_LIMITS
     full_limits: VoltageLimits = FULL_LIMITS
     partial_limits: VoltageLimits = PARTIAL_LIMITS
+
+    def __post_init__(self) -> None:
+        self.params(Policy.BBOXX_STATIC)  # which checks every shared field
+
+    def params(self, policy: Policy) -> ControlParams:
+        """The controller constants of a scenario run under `policy`."""
+        full = self.full_limits if policy is Policy.ADAPTIVE else self.bboxx_limits
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.metadata}
+        return ControlParams(
+            policy=policy, full_limits=full, partial_limits=self.partial_limits, **shared
+        )
 
 
 @dataclass(frozen=True)
@@ -101,23 +115,18 @@ class RunConfig:
                 return spec
         raise ConfigError(f"no scenario named {name!r} in config")
 
-    def control_params(self, policy: Policy) -> ControlParams:
-        c = self.control
-        full = c.full_limits if policy is Policy.ADAPTIVE else c.bboxx_limits
-        return ControlParams(
-            policy=policy,
-            full_limits=full,
-            partial_limits=c.partial_limits,
-            taper_fraction_per_h=c.taper_fraction_per_h,
-            cutoff_soc=c.cutoff_soc,
-            reconnect_hysteresis=c.reconnect_hysteresis,
-        )
-
     def archetype(self, name: str) -> UseArchetype:
         for key, archetype in self.archetype_overrides:
             if key == name:
                 return archetype
         return ARCHETYPES[name]
+
+
+# The sections that each hold one parameter class, in reading and printing order.
+SECTIONS = {
+    "sim": SimSettings, "battery": BatteryParams, "degradation": DegradationParams,
+    "datasheet": Datasheet, "control": ControlSettings,
+}
 
 
 def _build(cls, data: Any, path: str):
@@ -142,10 +151,8 @@ def _build(cls, data: Any, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _convert(annotation: Any, value: Any, path: str):
-    text = annotation if isinstance(annotation, str) else getattr(
-        annotation, "__name__", str(annotation)
-    )
+def _convert(text: str, value: Any, path: str):
+    """A value for a field annotated `text` (a string: the modules defer annotations)."""
     if text == "GassingParams":
         return _build(GassingParams, value, path)
     if text == "VoltageLimits":
@@ -170,7 +177,7 @@ def _knots(value: Any, path: str) -> tuple[tuple[float, float], ...]:
     for i, pair in enumerate(value):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"{path}[{i}]: expected a [voltage, speed] pair")
-        out.append((float(pair[0]), float(pair[1])))
+        out.append(tuple(pair))  # DegradationParams checks each number
     return tuple(out)
 
 
@@ -189,25 +196,12 @@ def load_config(path: str) -> RunConfig:
 def config_from_dict(raw: dict, source: str = "config") -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
-    known = {
-        "sim",
-        "battery",
-        "degradation",
-        "datasheet",
-        "control",
-        "scenarios",
-        "archetypes",
-        "output",
-    }
+    known = {*SECTIONS, "scenarios", "archetypes", "output"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{source}: unknown sections {sorted(unknown)}")
 
-    sim = _build(SimSettings, raw.get("sim"), "sim")
-    battery = _build(BatteryParams, raw.get("battery"), "battery")
-    degradation = _build(DegradationParams, raw.get("degradation"), "degradation")
-    datasheet = _build(Datasheet, raw.get("datasheet"), "datasheet")
-    control = _build(ControlSettings, raw.get("control"), "control")
+    sections = {key: _build(cls, raw.get(key), key) for key, cls in SECTIONS.items()}
 
     overrides = []
     raw_arch = raw.get("archetypes") or {}
@@ -221,12 +215,8 @@ def config_from_dict(raw: dict, source: str = "config") -> RunConfig:
         if not isinstance(fields_, dict):
             raise ConfigError(f"archetypes.{name}: expected a mapping")
         base = ARCHETYPES[name]
-        allowed = {
-            "daily_energy_wh",
-            "evening_fraction",
-            "nonuse_run_days",
-            "active_run_days",
-        }
+        # the scenario's seed replaces stochastic_seed
+        allowed = {f.name for f in dataclasses.fields(base) if f.metadata} - {"stochastic_seed"}
         bad = set(fields_) - allowed
         if bad:
             raise ConfigError(
@@ -257,11 +247,7 @@ def config_from_dict(raw: dict, source: str = "config") -> RunConfig:
         raise ConfigError(f"output: unknown keys {sorted(extra)}")
 
     return RunConfig(
-        sim=sim,
-        battery=battery,
-        degradation=degradation,
-        datasheet=datasheet,
-        control=control,
+        **sections,
         scenarios=tuple(scenarios),
         archetype_overrides=tuple(overrides),
         output_dir=output.get("directory", "out"),
@@ -269,38 +255,31 @@ def config_from_dict(raw: dict, source: str = "config") -> RunConfig:
 
 
 def default_config_yaml() -> str:
-    """A complete, commented example config."""
-    return """\
-# vrlasim run configuration; every key is optional.
-sim:
-  dt_s: 900            # simulation step (s), must divide a day evenly
-  max_years: 15        # horizon; runs not at end of life by then are censored
-  seed: 42             # default RNG seed for synthetic profiles
-  initial_soc: 0.9
-  converter_efficiency: 0.95
-  panel_rating_w: 50
+    """A complete, commented example config: every key of each section
+    with its default, unit, domain and doc, then example scenarios."""
+    lines = ["# vrlasim run configuration; every key is optional."]
+    for section, cls in SECTIONS.items():
+        lines += ["", f"{section}:", *_template_lines(cls(), "  ")]
+    return "\n".join(lines) + "\n" + _TEMPLATE_EXAMPLES
 
-battery:
-  capacity_ah: 20
-  cells_in_series: 6
-  b0: 0.07             # V per unit C-rate
-  b1: 3.0              # overpotential spread gain
 
-datasheet:
-  float_life_years: 4  # rated standby life at 13.5 V / 25 degC
-  nominal_cycles: 600  # rated full cycles
+def _template_lines(obj: Any, indent: str) -> Iterator[str]:
+    """A section's keys, each with its default in JSON, which YAML reads."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield f"{indent}{f.name}:"
+            yield from _template_lines(value, indent + "  ")
+        else:
+            meta = f.metadata
+            rule = f"; must {meta['domain'].rule}" if meta["domain"] else ""
+            yield f"{indent}{f.name}: {json.dumps(value)}  # [{meta['unit']}] {meta['doc']}{rule}"
 
-control:
-  taper_fraction_per_h: 0.02   # absorption exit: current below this x capacity
-  cutoff_soc: 0.5
-  reconnect_hysteresis: 0.05
-  bboxx_limits:   {v_limit: 14.5, v_float: 13.5, temp_coeff_mv_per_c: 0}
-  full_limits:    {v_limit: 14.5, v_float: 13.5, temp_coeff_mv_per_c: -30}
-  partial_limits: {v_limit: 13.0, v_float: 12.8, temp_coeff_mv_per_c: -30}
 
+_TEMPLATE_EXAMPLES = """
 # archetypes:              # optional per-archetype overrides
-#   low: {daily_energy_wh: 40, evening_fraction: 0.7}
-#   infrequent: {nonuse_run_days: 10, active_run_days: 7}
+#   low: {daily_energy_wh: 50, evening_fraction: 0.6}
+#   infrequent: {nonuse_run_days: 14, active_run_days: 5}
 
 scenarios:
   - name: low_static

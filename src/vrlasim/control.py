@@ -13,8 +13,9 @@ and reconnects with hysteresis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
+from ._domains import FINITE, NON_NEGATIVE, UNIT, check_fields, declared
 from .battery import SOC_CAP, Battery, clamp
 
 
@@ -33,12 +34,13 @@ class Policy(enum.Enum):
 class VoltageLimits:
     """A charge limit pair with linear temperature compensation."""
 
-    v_limit: float  # V, absorption ceiling at the reference temperature
-    v_float: float  # V, float setpoint at the reference temperature
-    temp_coeff_mv_per_c: float = -30.0  # 0 disables compensation
-    ref_temp_c: float = 25.0
+    v_limit: float = declared(MISSING, FINITE, "V", "absorption ceiling at ref_temp_c")
+    v_float: float = declared(MISSING, FINITE, "V", "float setpoint at ref_temp_c")
+    temp_coeff_mv_per_c: float = declared(-30.0, FINITE, "mV/degC", "0 disables compensation")
+    ref_temp_c: float = declared(25.0, FINITE, "degC", "temperature of no shift")
 
     def __post_init__(self) -> None:
+        check_fields(self, ValueError)
         if self.v_float > self.v_limit:
             raise ValueError("v_float cannot exceed v_limit")
 
@@ -62,9 +64,15 @@ class ControlParams:
     policy: Policy = Policy.BBOXX_STATIC
     full_limits: VoltageLimits = BBOXX_LIMITS
     partial_limits: VoltageLimits = PARTIAL_LIMITS
-    taper_fraction_per_h: float = 0.02  # of C_N; full-charge threshold
-    cutoff_soc: float = 0.5
-    reconnect_hysteresis: float = 0.05
+    taper_fraction_per_h: float = declared(0.02, NON_NEGATIVE, "1/h", "full below this A per Ah")
+    cutoff_soc: float = declared(0.5, UNIT, "-", "state of charge that disconnects the load")
+    reconnect_hysteresis: float = declared(0.05, UNIT, "-", "reconnect this far above the cutoff")
+
+    def __post_init__(self) -> None:
+        check_fields(self, ValueError)
+        reconnect = self.reconnect_soc()
+        if reconnect > 1.0:  # no battery would reach it
+            raise ValueError(f"cutoff_soc + reconnect_hysteresis exceeds 1: {reconnect!r}")
 
     def taper_current_a(self, capacity_ah: float) -> float:
         return self.taper_fraction_per_h * capacity_ah

@@ -20,6 +20,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from ._domains import FINITE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, check_fields, declared
 from .battery import Battery, BatteryParams, clamp
 
 HOURS_PER_YEAR = 8760.0
@@ -54,64 +55,44 @@ class CalibrationError(RuntimeError):
 class Datasheet:
     """Manufacturer anchors used to scale both degradation channels."""
 
-    float_life_years: float = 4.0  # rated standby life at float conditions
-    nominal_cycles: float = 600.0  # rated full cycles to end of life
-    float_voltage: float = 13.5  # V, battery-level float setpoint
-    float_temp_c: float = 25.0  # degC, rating temperature
+    float_life_years: float = declared(4.0, NON_NEGATIVE, "years", "rated life held at float")
+    nominal_cycles: float = declared(600.0, POSITIVE, "cycles", "rated full cycles to end of life")
+    float_voltage: float = declared(13.5, FINITE, "V", "battery-level float setpoint rated")
+    float_temp_c: float = declared(25.0, FINITE, "degC", "temperature of the rating")
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.nominal_cycles < math.inf:
-            raise ValueError(
-                f"nominal_cycles must be positive and finite: {self.nominal_cycles}"
-            )
+        check_fields(self, ValueError)
 
 
 @dataclass(frozen=True)
 class DegradationParams:
     """Model constants for both degradation channels."""
 
-    ks_knots: tuple[tuple[float, float], ...] = DEFAULT_KS_KNOTS
-    ks_ref_temp_k: float = 298.15  # K, knot table reference
-    temp_doubling_k: float = 10.0  # K per doubling of corrosion speed
-    corrosion_threshold_v: float = 1.74  # V, regime switch potential
-    corrosion_exponent: float = 0.6  # sub-threshold growth exponent
-    c_soc0_per_h: float = 0.0125  # base time-since-full-charge weight
-    c_soc_min_per_h: float = 0.001  # low-soc extra weight
-    i_ref_a: float = 2.0  # A, reference discharge current
-    i_floor_a: float = 1e-3  # A, guard for the current weighting
-    eol_loss_fraction: float = 0.2  # of nominal capacity
+    ks_knots: tuple[tuple[float, float], ...] = declared(
+        DEFAULT_KS_KNOTS, None, "V, 1/h", "corrosion speed vs positive potential, sorted"
+    )
+    ks_ref_temp_k: float = declared(298.15, POSITIVE, "K", "temperature of the knot table")
+    temp_doubling_k: float = declared(10.0, POSITIVE, "K", "rise that doubles corrosion speed")
+    corrosion_threshold_v: float = declared(1.74, FINITE, "V", "potential of linear growth")
+    corrosion_exponent: float = declared(0.6, POSITIVE, "-", "sub-threshold growth exponent")
+    c_soc0_per_h: float = declared(0.0125, NON_NEGATIVE, "1/h", "base time-since-full weight")
+    c_soc_min_per_h: float = declared(0.001, NON_NEGATIVE, "1/h", "extra weight at low soc")
+    i_ref_a: float = declared(2.0, POSITIVE, "A", "reference discharge current")
+    i_floor_a: float = declared(1e-3, POSITIVE, "A", "least current of the current weighting")
+    eol_loss_fraction: float = declared(0.2, OPEN_UNIT, "-", "end-of-life loss, of nominal")
 
     def __post_init__(self) -> None:
+        check_fields(self, ValueError)
         if len(self.ks_knots) < 2:
             raise ValueError("ks_knots needs at least two points")
-        # negated comparisons, so that nan fails them too
         for i, (v, k) in enumerate(self.ks_knots):
-            if not -math.inf < v < math.inf:
-                raise ValueError(f"ks_knots[{i}]: potential must be finite: {v}")
-            if not 0.0 < k < math.inf:
-                raise ValueError(
-                    f"ks_knots[{i}]: corrosion speed must be positive and finite: {k}"
-                )
+            if not FINITE.accepts(v):
+                raise ValueError(f"ks_knots[{i}]: potential must {FINITE.rule}: {v}")
+            if not POSITIVE.accepts(k):
+                raise ValueError(f"ks_knots[{i}]: corrosion speed must {POSITIVE.rule}: {k}")
         vs = [v for v, _ in self.ks_knots]
         if vs != sorted(vs):
             raise ValueError("ks_knots must be sorted by potential")
-        # a negative weight can shrink the weighted throughput below 0
-        for key in ("c_soc0_per_h", "c_soc_min_per_h"):
-            value = getattr(self, key)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{key} must be non-negative and finite: {value}")
-        # the current weighting takes a square root of i_ref_a, and the
-        # corrosion law divides by the other two
-        for key in ("i_ref_a", "corrosion_exponent", "temp_doubling_k"):
-            value = getattr(self, key)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{key} must be positive and finite: {value}")
-        # below 1 the end-of-life loss leaves some capacity, which the
-        # ohmic ageing term (Battery.effective_b0) divides by
-        if not 0.0 < self.eol_loss_fraction < 1.0:
-            raise ValueError(
-                f"eol_loss_fraction must lie in (0, 1): {self.eol_loss_fraction}"
-            )
 
     @functools.cached_property
     def ks_potentials(self) -> tuple[float, ...]:

@@ -16,6 +16,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from ._domains import HALF_OPEN_UNIT, POSITIVE, UNIT, check_fields, declared
 from .battery import (
     POSITIVE_OCV_COEFFS,
     SOC_CAP,
@@ -43,7 +44,8 @@ from .degradation import (
     DegradationParams,
     corrosion_temperature_factor,
 )
-from .profiles import SECONDS_PER_DAY, StressAccumulator, TimeSeries, TraceRecord
+from .profiles import DEFAULT_DT_S, SECONDS_PER_DAY, StressAccumulator, TimeSeries, TraceRecord
+from .profiles import divides_day
 
 
 class EngineError(RuntimeError):
@@ -72,28 +74,16 @@ class Scenario:
     battery: BatteryParams = field(default_factory=BatteryParams)
     degradation: DegradationParams = field(default_factory=DegradationParams)
     datasheet: Datasheet = field(default_factory=Datasheet)
-    dt_s: float = 900.0
-    max_years: float = 15.0
-    initial_soc: float = 0.9
-    converter_efficiency: float = 0.95
+    dt_s: float = declared(DEFAULT_DT_S, POSITIVE, "s", "simulation step, dividing a day")
+    max_years: float = declared(15.0, POSITIVE, "years", "horizon; later end of life is censored")
+    initial_soc: float = declared(0.9, UNIT, "-", "state of charge at the start")
+    converter_efficiency: float = declared(0.95, HALF_OPEN_UNIT, "-", "panel to battery bus")
     record_trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.dt_s <= 0:
-            raise EngineError("dt_s must be positive")
-        if not math.isfinite(self.dt_s):
-            raise EngineError(f"dt_s must be finite: {self.dt_s}")
-        steps_per_day = SECONDS_PER_DAY / self.dt_s
-        if abs(steps_per_day - round(steps_per_day)) > 1e-9:
+        check_fields(self, EngineError)
+        if not divides_day(self.dt_s):
             raise EngineError("dt_s must divide a day evenly")
-        if not 0.0 <= self.initial_soc <= 1.0:
-            raise EngineError("initial_soc must lie in [0, 1]")
-        if not 0.0 < self.converter_efficiency <= 1.0:
-            raise EngineError("converter_efficiency must lie in (0, 1]")
-        if self.max_years <= 0:
-            raise EngineError("max_years must be positive")
-        if not math.isfinite(self.max_years):
-            raise EngineError(f"max_years must be finite: {self.max_years}")
 
 
 @dataclass(frozen=True)

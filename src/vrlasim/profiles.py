@@ -14,12 +14,19 @@ import csv
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from datetime import datetime, timedelta
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
+from ._domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT
+from ._domains import check_fields, declared
+
 SECONDS_PER_DAY = 86400.0
+
+# Defaults of the step (s) and panel rating (W), for profiles, scenarios and config.
+DEFAULT_DT_S = 900.0
+DEFAULT_PANEL_RATING_W = 50.0
 
 # Plausible ambient temperatures (degC).  A log in kelvin read as degC
 # (298.15) lies far above the top and would scale corrosion by about 1e8.
@@ -29,6 +36,12 @@ TEMP_MAX_C = 80.0
 
 class ProfileError(ValueError):
     """Bad profile data or parameters; message carries the location."""
+
+
+def divides_day(dt_s: float) -> bool:
+    """Whether dt_s (s) is positive and fits a whole number of times in a day."""
+    steps_per_day = SECONDS_PER_DAY / dt_s if dt_s > 0.0 else math.nan
+    return 0.0 < steps_per_day < math.inf and abs(steps_per_day - round(steps_per_day)) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,20 +63,18 @@ class TimeSeries:
 
     Attributes:
         start: Timestamp of the first sample.
-        dt_s: Sample spacing (s).
         load_w: Load power demand (W).
         solar_w: Solar power available at the panel output (W).
         temp_c: Ambient temperature (degC), used directly as battery
             temperature (no thermal model).
-        panel_rating_w: Upper bound the solar column must respect.
     """
 
     start: datetime
-    dt_s: float
+    dt_s: float = declared(MISSING, POSITIVE, "s", "sample spacing")
     load_w: list[float]
     solar_w: list[float]
     temp_c: list[float]
-    panel_rating_w: float = 50.0
+    panel_rating_w: float = declared(DEFAULT_PANEL_RATING_W, POSITIVE, "W", "rated panel output")
     gap_report: GapReport | None = None
 
     def __post_init__(self) -> None:
@@ -72,8 +83,7 @@ class TimeSeries:
             raise ProfileError("load, solar and temperature lengths differ")
         if n == 0:
             raise ProfileError("empty profile")
-        if not 0.0 < self.dt_s < math.inf:
-            raise ProfileError(f"dt_s must be positive and finite: {self.dt_s}")
+        check_fields(self, ProfileError)
         # A finite sum rules out nan and +-inf, so C-level passes accept
         # a good column; only a column they reject (or whose finite
         # samples overflow the sum) is searched, sample by sample, for
@@ -119,6 +129,13 @@ class TimeSeries:
         return total / self.duration_days()
 
 
+# Within-day load placement (fractions of the day's energy).
+PREDAWN_WINDOW = (5.0, 6.0)
+PREDAWN_SHARE = 0.10
+DAYTIME_WINDOW = (9.0, 17.0)
+EVENING_WINDOW = (18.0, 23.0)
+
+
 @dataclass(frozen=True)
 class UseArchetype:
     """Synthetic household consumption pattern.
@@ -128,17 +145,16 @@ class UseArchetype:
     """
 
     name: str
-    daily_energy_wh: float
-    evening_fraction: float = 0.7  # share of daily energy after sunset
-    nonuse_run_days: int = 0
-    active_run_days: int = 7
-    stochastic_seed: int = 0
+    daily_energy_wh: float = declared(MISSING, NON_NEGATIVE, "Wh", "mean load energy of a day")
+    evening_fraction: float = declared(0.7, UNIT, "-", "share after sunset, at most 0.9")
+    nonuse_run_days: int = declared(0, NON_NEGATIVE_INT, "days", "length of an idle run")
+    active_run_days: int = declared(7, POSITIVE_INT, "days", "mean length of an active run")
+    stochastic_seed: int = declared(0, NON_NEGATIVE_INT, "-", "RNG seed when none is given")
 
     def __post_init__(self) -> None:
-        if self.daily_energy_wh < 0:
-            raise ProfileError("daily_energy_wh cannot be negative")
-        if not 0.0 <= self.evening_fraction <= 0.9:
-            raise ProfileError("evening_fraction must lie in [0, 0.9]")
+        check_fields(self, ProfileError)
+        if self.evening_fraction > 1.0 - PREDAWN_SHARE:  # the predawn block's share comes first
+            raise ProfileError(f"evening_fraction must be at most 0.9: {self.evening_fraction!r}")
 
 
 HIGH_USE = UseArchetype("high", 120.0)
@@ -160,12 +176,6 @@ STORM_FACTOR = (0.30, 0.45)
 
 SUNRISE_H = 6.0
 SUNSET_H = 18.0
-
-# Within-day load placement (fractions of the day's energy).
-PREDAWN_WINDOW = (5.0, 6.0)
-PREDAWN_SHARE = 0.10
-DAYTIME_WINDOW = (9.0, 17.0)
-EVENING_WINDOW = (18.0, 23.0)
 
 
 def solar_power(hour: float, peak_w: float) -> float:
@@ -201,9 +211,9 @@ def generate_archetype(
     archetype: UseArchetype,
     days: int,
     seed: int | None = None,
-    dt_s: float = 900.0,
+    dt_s: float = DEFAULT_DT_S,
     start: datetime = datetime(2023, 1, 1),
-    panel_rating_w: float = 50.0,
+    panel_rating_w: float = DEFAULT_PANEL_RATING_W,
 ) -> TimeSeries:
     """Build a synthetic profile for an archetype.
 
@@ -218,12 +228,9 @@ def generate_archetype(
     """
     if days <= 0:
         raise ProfileError("days must be positive")
-    if not 0.0 < panel_rating_w < math.inf:
-        raise ProfileError(f"panel_rating_w must be positive and finite: {panel_rating_w}")
-    steps_per_day = SECONDS_PER_DAY / dt_s
-    if abs(steps_per_day - round(steps_per_day)) > 1e-9:
+    if not divides_day(dt_s):
         raise ProfileError("dt_s must divide a day evenly")
-    steps_per_day = int(round(steps_per_day))
+    steps_per_day = int(round(SECONDS_PER_DAY / dt_s))
     rng = random.Random(archetype.stochastic_seed if seed is None else seed)
 
     # day-level draws: weather factor and whether the household uses power
@@ -352,7 +359,7 @@ def ingest_csv(
     dt_s: float | None = None,
     column_map: dict[str, str] | None = None,
     max_fill_fraction: float = 0.2,
-    panel_rating_w: float = 50.0,
+    panel_rating_w: float = DEFAULT_PANEL_RATING_W,
 ) -> TimeSeries:
     """Read a logged profile CSV onto a uniform grid.
 

@@ -7,9 +7,29 @@ import hashlib
 import json
 from datetime import datetime
 
-from vrlasim.profiles import TimeSeries
+from vrlasim.battery import BatteryParams, GassingParams
+from vrlasim.config import ControlSettings, SimSettings
+from vrlasim.control import ControlParams, VoltageLimits
+from vrlasim.degradation import Datasheet, DegradationParams
+from vrlasim.engine import Scenario
+from vrlasim.profiles import TimeSeries, UseArchetype
 
 START = datetime(2023, 1, 1)
+
+# The classes whose numeric fields each carry a declared domain.
+PARAMETER_CLASSES = (
+    BatteryParams,
+    GassingParams,
+    VoltageLimits,
+    ControlParams,
+    Datasheet,
+    DegradationParams,
+    SimSettings,
+    ControlSettings,
+    Scenario,
+    UseArchetype,
+    TimeSeries,
+)
 
 
 def constant_profile(

@@ -213,6 +213,41 @@ class TestSimulate:
                 "degradation: {temp_doubling_k: 0.0}",
                 "degradation: temp_doubling_k must be positive and finite: 0.0",
             ),
+            ("control: {cutoff_soc: .nan}", "control: cutoff_soc must lie in [0, 1]: nan"),
+            (
+                "degradation: {corrosion_threshold_v: .nan}",
+                "degradation: corrosion_threshold_v must be finite: nan",
+            ),
+            (
+                "degradation: {ks_ref_temp_k: .nan}",
+                "degradation: ks_ref_temp_k must be positive and finite: nan",
+            ),
+            (
+                "battery: {gassing: {i_gas_0: .inf}}",
+                "battery.gassing: i_gas_0 must be non-negative and finite: inf",
+            ),
+            ("battery: {v_water: x}", "battery: v_water must be positive and finite: 'x'"),
+            (
+                "datasheet: {float_life_years: .nan}",
+                "datasheet: float_life_years must be non-negative and finite: nan",
+            ),
+            (
+                "control: {full_limits: {v_limit: .nan, v_float: 13.5}}",
+                "control.full_limits: v_limit must be finite: nan",
+            ),
+            (
+                "archetypes: {infrequent: {active_run_days: -3}}",
+                "archetypes.infrequent: active_run_days must be a positive integer: -3",
+            ),
+            ("sim: {dt_s: 7}", "sim.dt_s must divide a day evenly: 7"),
+            (
+                "degradation: {ks_knots: [[1.5, x], [1.8, 2.0]]}",
+                "degradation: ks_knots[0]: corrosion speed must be positive and finite: x",
+            ),
+            (
+                "control: {cutoff_soc: 0.99}",
+                "control: cutoff_soc + reconnect_hysteresis exceeds 1: 1.04",
+            ),
         ],
     )
     def test_bad_setting_exits_1_naming_the_key(self, tmp_path, capsys, section, message):
@@ -242,6 +277,21 @@ class TestSimulate:
 
     def test_failing_scenario_isolated_in_parallel(self, tmp_path, capsys):
         self._run_good_and_bad(tmp_path, capsys, "2")
+
+    def test_zero_days_fails_its_own_scenario(self, tmp_path, capsys):
+        """days: 0 is a bad length, not an unset one that means the horizon."""
+        cfg = tmp_path / "zero.yaml"
+        cfg.write_text(
+            "sim: {max_years: 0.01, seed: 1}\n"
+            "scenarios:\n"
+            "  - {name: good, archetype: low, days: 4}\n"
+            "  - {name: empty, archetype: low, days: 0}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "scenario 'empty' failed: days must be positive" in capsys.readouterr().err
+        assert os.path.exists(out / "good.json")
+        assert not os.path.exists(out / "empty.json")
 
     def test_profile_csv_scenario(self, tmp_path):
         series = generate_archetype(LOW_USE, 3, seed=4)

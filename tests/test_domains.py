@@ -1,0 +1,138 @@
+"""Each declared field of each parameter class, against its domain.
+
+A value outside the domain (nan, +-inf, a str, a bool, or a number just
+outside) raises the class's own error naming the key; the edges the
+domain allows construct, unless a rule across fields rejects them.
+"""
+
+import dataclasses
+import math
+import re
+import sys
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import PARAMETER_CLASSES, constant_profile
+from vrlasim import _domains as d
+from vrlasim.battery import BatteryParamError, BatteryParams, GassingParams
+from vrlasim.config import ConfigError, ControlSettings, SimSettings
+from vrlasim.control import FULL_LIMITS, ControlParams, VoltageLimits
+from vrlasim.degradation import Datasheet, DegradationParams
+from vrlasim.engine import EngineError, Scenario
+from vrlasim.profiles import LOW_USE, ProfileError, TimeSeries, UseArchetype
+
+MAX = sys.float_info.max
+TINY = 5e-324  # the least positive float
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+# A valid instance of each class, and the error the class raises.
+BASES = {
+    BatteryParams: (BatteryParams(), BatteryParamError),
+    GassingParams: (GassingParams(), BatteryParamError),
+    VoltageLimits: (FULL_LIMITS, ValueError),
+    ControlParams: (ControlParams(), ValueError),
+    Datasheet: (Datasheet(), ValueError),
+    DegradationParams: (DegradationParams(), ValueError),
+    SimSettings: (SimSettings(), ConfigError),
+    ControlSettings: (ControlSettings(), ValueError),
+    Scenario: (Scenario("s", constant_profile(1)), EngineError),
+    UseArchetype: (LOW_USE, ProfileError),
+    TimeSeries: (constant_profile(1), ProfileError),
+}
+
+# Per domain: the value just outside it, values outside it, and the
+# edges it allows.
+JUST_OUTSIDE = {
+    d.FINITE: -math.inf,
+    d.NON_NEGATIVE: -TINY,
+    d.POSITIVE: 0.0,
+    d.UNIT: ABOVE_ONE,
+    d.OPEN_UNIT: 1.0,
+    d.HALF_OPEN_UNIT: 0.0,
+    d.POSITIVE_INT: 0,
+    d.NON_NEGATIVE_INT: -1,
+}
+OUTSIDE = {
+    d.FINITE: st.sampled_from([math.nan, math.inf, -math.inf]),
+    d.NON_NEGATIVE: st.floats(max_value=-TINY) | st.just(math.inf),
+    d.POSITIVE: st.floats(max_value=0.0) | st.just(math.inf),
+    d.UNIT: st.floats(max_value=-TINY) | st.floats(min_value=ABOVE_ONE),
+    d.OPEN_UNIT: st.floats(max_value=0.0) | st.floats(min_value=1.0),
+    d.HALF_OPEN_UNIT: st.floats(max_value=0.0) | st.floats(min_value=ABOVE_ONE),
+    d.POSITIVE_INT: st.integers(max_value=0) | st.floats(),  # a float is no int
+    d.NON_NEGATIVE_INT: st.integers(max_value=-1) | st.floats(),
+}
+EDGES = {
+    d.FINITE: (-MAX, MAX),
+    d.NON_NEGATIVE: (0.0, -0.0, MAX),
+    d.POSITIVE: (TINY, MAX),
+    d.UNIT: (0.0, 1.0),
+    d.OPEN_UNIT: (TINY, BELOW_ONE),
+    d.HALF_OPEN_UNIT: (TINY, 1.0),
+    d.POSITIVE_INT: (1, 10**30),
+    d.NON_NEGATIVE_INT: (0, 10**30),
+}
+# What the rules across fields say when an edge breaks one of them.
+CROSS_FIELD_RULES = re.compile(
+    "electrolyte too small|acid volume fraction >= 1|v_float cannot exceed v_limit"
+    r"|cutoff_soc \+ reconnect_hysteresis exceeds 1"
+    "|dt_s must divide a day evenly|evening_fraction must be at most 0.9"
+    r"|solar_w sample \d+ outside \[0, "
+)
+
+FIELDS = [
+    (cls, f.name, f.metadata["domain"])
+    for cls in PARAMETER_CLASSES
+    for f in dataclasses.fields(cls)
+    if f.metadata.get("domain") is not None
+]
+IDS = [f"{cls.__name__}.{key}" for cls, key, _ in FIELDS]
+
+
+def test_every_class_has_a_base():
+    assert set(BASES) == set(PARAMETER_CLASSES)
+
+
+def rejection(cls: type, key: str, value) -> str:
+    """The message of the class's own error for `key` set to `value`."""
+    base, error = BASES[cls]
+    with pytest.raises(error) as excinfo:
+        dataclasses.replace(base, **{key: value})
+    assert excinfo.type is error
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("cls, key, domain", FIELDS, ids=IDS)
+def test_fixed_bad_values_rejected_naming_the_key(cls, key, domain):
+    for value in (math.nan, math.inf, -math.inf, "x", True, JUST_OUTSIDE[domain]):
+        message = rejection(cls, key, value)
+        assert message.endswith(f"{key} must {domain.rule}: {value!r}")
+
+
+@pytest.mark.parametrize("cls, key, domain", FIELDS, ids=IDS)
+@given(data=st.data())
+def test_values_outside_the_domain_rejected(cls, key, domain, data):
+    value = data.draw(OUTSIDE[domain])
+    assert rejection(cls, key, value).endswith(f"{key} must {domain.rule}: {value!r}")
+
+
+@pytest.mark.parametrize("cls, key, domain", FIELDS, ids=IDS)
+def test_allowed_edges_construct(cls, key, domain):
+    base, _ = BASES[cls]
+    for value in EDGES[domain]:
+        try:
+            built = dataclasses.replace(base, **{key: value})
+        except (ValueError, EngineError) as exc:
+            assert CROSS_FIELD_RULES.search(str(exc)), (value, exc)
+        else:
+            assert getattr(built, key) is value  # checked, never converted
+
+
+@pytest.mark.parametrize("cls", PARAMETER_CLASSES, ids=lambda c: c.__name__)
+def test_default_instance_constructs(cls):
+    base, _ = BASES[cls]
+    assert dataclasses.replace(base) == base
+

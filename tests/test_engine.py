@@ -80,7 +80,7 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("key", ["dt_s", "max_years"])
     def test_horizon_and_step_must_be_finite(self, key, value):
-        with pytest.raises(EngineError, match=f"{key} must be finite"):
+        with pytest.raises(EngineError, match=f"{key} must be positive and finite"):
             low_use_scenario(**{key: value})
 
     def test_profile_dt_must_match(self):

@@ -1,11 +1,18 @@
 """Static checks of the package source."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+import yaml
+
+from helpers import PARAMETER_CLASSES
+from vrlasim._domains import Domain
+from vrlasim.cli import main
+from vrlasim.config import SECTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vrlasim"
@@ -109,3 +116,44 @@ def test_finds_engine_imports():
 
 def test_reference_loop_imports_no_part_of_the_fused_step():
     assert engine_imports(REFERENCE.read_text()) <= REFERENCE_ENGINE_IMPORTS
+
+
+@pytest.mark.parametrize("cls", PARAMETER_CLASSES, ids=lambda c: c.__name__)
+def test_every_numeric_field_declares_its_domain(cls):
+    """An int or float field without a domain would skip the checker."""
+    for f in dataclasses.fields(cls):
+        if f.type in ("int", "float"):
+            assert isinstance(f.metadata.get("domain"), Domain), f.name
+            assert f.metadata["unit"] and f.metadata["doc"], f.name
+
+
+def declared_keys(obj, path: str):
+    """(path, default, metadata) of every field under a section, with
+    nested parameter sets walked."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from declared_keys(value, f"{path}.{f.name}")
+        else:
+            yield f"{path}.{f.name}", value, f.metadata
+
+
+def test_init_config_lists_every_key_with_its_default(capsys):
+    assert main(["init-config"]) == 0
+    text = capsys.readouterr().out
+    parsed = yaml.safe_load(text)
+    lines = text.splitlines()
+    for section, cls in SECTIONS.items():
+        for path, default, metadata in declared_keys(cls(), section):
+            node = parsed
+            for part in path.split("."):
+                node = node[part]
+            expected = [list(pair) for pair in default] if isinstance(default, tuple) else default
+            assert node == expected and type(node) is type(expected), path
+            if metadata.get("domain") is not None:
+                key = path.rsplit(".", 1)[1]
+                comment = f"[{metadata['unit']}] {metadata['doc']}; must {metadata['domain'].rule}"
+                assert any(
+                    line.strip().startswith(f"{key}: ") and line.endswith(comment)
+                    for line in lines
+                ), path
