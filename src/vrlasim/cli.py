@@ -13,17 +13,18 @@ Exit codes: 0 success, 1 configuration or input validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime
+from typing import Iterator
 
-from .battery import BatteryParams, battery_ocv
+from .battery import Battery, BatteryParams
 from .config import ConfigError, RunConfig, ScenarioSpec, default_config_yaml, load_config
 from .control import Policy
 from .degradation import (
@@ -38,6 +39,7 @@ from .engine import (
     VOLTAGE_BIN_LOW,
     VOLTAGE_BIN_WIDTH,
     ComparisonResult,
+    DayRecord,
     EngineError,
     Scenario,
     SimResult,
@@ -50,12 +52,18 @@ from .profiles import (
     ingest_csv,
     read_trace_csv,
     stress_factors,
+    write_csv,
     write_profile_csv,
     write_trace_csv,
 )
 
-# Wall-clock time of a run's first step in the trace CSVs.
-TRACE_START = datetime(2023, 1, 1)
+# The errors of bad input: a command failing with one of them exits 1.
+INPUT_ERRORS = (ConfigError, ProfileError, EngineError, ValueError)
+
+# The trajectory file's columns, which are DayRecord's fields.
+TRAJECTORY_COLUMNS = (
+    "day", "c_corr_ah", "c_deg_ah", "c_total_ah", "soh_pct", "min_soc", "full_charges"
+)
 
 
 def build_scenario(
@@ -64,15 +72,12 @@ def build_scenario(
     seed: int | None = None,
     dt_s: float | None = None,
     record_trace: bool = False,
-    policy: Policy | None = None,
-    name_suffix: str = "",
 ) -> Scenario:
     """Resolve a scenario spec into a runnable Scenario."""
     sim = config.sim
     dt = dt_s if dt_s is not None else sim.dt_s
     if seed is None:
         seed = spec.seed if spec.seed is not None else sim.seed
-    pol = policy if policy is not None else spec.policy
     if spec.archetype is not None:
         horizon_days = int(math.ceil(sim.max_years * DAYS_PER_YEAR)) + 1
         days = horizon_days if spec.days is None else spec.days
@@ -90,9 +95,9 @@ def build_scenario(
     # the settings SimSettings shares with Scenario, under the same names
     shared = {f.name: getattr(sim, f.name) for f in dataclasses.fields(Scenario) if f.metadata}
     return Scenario(
-        name=spec.name + name_suffix,
+        name=spec.name,
         profile=profile,
-        control=config.control.params(pol),
+        control=config.control.params(spec.policy),
         battery=config.battery,
         degradation=config.degradation,
         datasheet=config.datasheet,
@@ -133,52 +138,40 @@ def result_payload(result: SimResult) -> dict:
     return payload
 
 
+def _bin_rows(low: float, width: float, hours: list[float]) -> Iterator[tuple]:
+    """(low edge, high edge, hours) of each histogram bin, edges rounded to 0.01."""
+    for i, h in enumerate(hours):
+        lo = low + i * width
+        yield round(lo, 2), round(lo + width, 2), h
+
+
 def write_result_files(result: SimResult, out_dir: str, start: datetime) -> list[str]:
+    """Write a result's JSON and CSV files, its trace stamped from `start`."""
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, result.name)
     written = [base + ".json"]
     _write_json(base + ".json", result_payload(result))
-
-    with open(base + "_trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ("day", "c_corr_ah", "c_deg_ah", "c_total_ah", "soh_pct", "min_soc", "full_charges")
-        )
-        for row in result.trajectory:
-            writer.writerow(
-                (
-                    row.day,
-                    repr(row.c_corr_ah),
-                    repr(row.c_deg_ah),
-                    repr(row.c_total_ah),
-                    repr(row.soh_pct),
-                    repr(row.min_soc),
-                    row.full_charges,
-                )
-            )
-    written.append(base + "_trajectory.csv")
-
-    with open(base + "_soc_hist.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("soc_bin_low", "soc_bin_high", "hours"))
-        for i, hours in enumerate(result.soc_hist_h):
-            writer.writerow(
-                (round(i * SOC_BIN_WIDTH, 2), round((i + 1) * SOC_BIN_WIDTH, 2), repr(hours))
-            )
-    written.append(base + "_soc_hist.csv")
-
-    with open(base + "_voltage_hist.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("voltage_bin_low", "voltage_bin_high", "hours"))
-        for i, hours in enumerate(result.voltage_hist_h):
-            lo = VOLTAGE_BIN_LOW + i * VOLTAGE_BIN_WIDTH
-            writer.writerow((round(lo, 2), round(lo + VOLTAGE_BIN_WIDTH, 2), repr(hours)))
-    written.append(base + "_voltage_hist.csv")
-
+    for suffix, columns, row_format, rows in (
+        ("trajectory", TRAJECTORY_COLUMNS, "%d,%r,%r,%r,%r,%r,%d",
+         map(operator.attrgetter(*TRAJECTORY_COLUMNS), result.trajectory)),
+        ("soc_hist", ("soc_bin_low", "soc_bin_high", "hours"), "%r,%r,%r",
+         _bin_rows(0.0, SOC_BIN_WIDTH, result.soc_hist_h)),
+        ("voltage_hist", ("voltage_bin_low", "voltage_bin_high", "hours"), "%r,%r,%r",
+         _bin_rows(VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH, result.voltage_hist_h)),
+    ):
+        written.append(f"{base}_{suffix}.csv")
+        write_csv(written[-1], columns, row_format, rows)
     if result.trace is not None:
         write_trace_csv(base + "_trace.csv", result.trace, start)
         written.append(base + "_trace.csv")
     return written
+
+
+def write_overlay_csv(path: str, base: list[DayRecord], alt: list[DayRecord]) -> None:
+    """Two runs' daily capacity loss and SOH side by side, for the days both ran."""
+    rows = ((b.day, b.c_total_ah, b.soh_pct, a.c_total_ah, a.soh_pct) for b, a in zip(base, alt))
+    columns = ("day", "base_c_total_ah", "base_soh_pct", "alt_c_total_ah", "alt_soh_pct")
+    write_csv(path, columns, "%d,%r,%r,%r,%r", rows)
 
 
 def _print_summary_table(results: list[SimResult]) -> None:
@@ -231,7 +224,7 @@ def _worker(args: tuple) -> SimResult:
         write_profile_csv(
             scenario.profile, os.path.join(out_dir, f"{spec.name}_profile.csv")
         )
-    write_result_files(result, out_dir, TRACE_START)
+    write_result_files(result, out_dir, scenario.profile.start)
     return dataclasses.replace(result, trace=None)
 
 
@@ -282,8 +275,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for name, exc in failures:
         print(f"scenario {name!r} failed: {exc}", file=sys.stderr)
     if failures:
-        validation = (ConfigError, ProfileError, EngineError, ValueError)
-        return 1 if all(isinstance(e, validation) for _, e in failures) else 2
+        return 1 if all(isinstance(e, INPUT_ERRORS) for _, e in failures) else 2
     return 0
 
 
@@ -314,41 +306,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not config.scenarios:
         raise ConfigError(f"{args.config}: no scenarios defined")
     spec = config.scenario(args.scenario) if args.scenario else config.scenarios[0]
-    base_policy = Policy(args.base_policy)
-    alt_policy = Policy(args.alt_policy)
-
-    base = build_scenario(
-        config,
-        spec,
-        seed=args.seed,
-        dt_s=args.dt,
-        record_trace=args.emit_trace,
-        policy=base_policy,
-        name_suffix=f"_{base_policy.value}",
+    scenario = build_scenario(
+        config, spec, seed=args.seed, dt_s=args.dt, record_trace=args.emit_trace
     )
-    alt = dataclasses.replace(
-        base,
-        name=spec.name + f"_{alt_policy.value}",
-        control=config.control.params(alt_policy),
+    base, alt = (
+        dataclasses.replace(
+            scenario, name=f"{spec.name}_{p.value}", control=config.control.params(p)
+        )
+        for p in (Policy(args.base_policy), Policy(args.alt_policy))
     )
     cmp_result = compare_strategies(base, alt)
 
     out_dir = args.out or config.output_dir
-    write_result_files(cmp_result.base, out_dir, TRACE_START)
-    write_result_files(cmp_result.alt, out_dir, TRACE_START)
-    overlay = os.path.join(out_dir, f"{spec.name}_comparison_trajectory.csv")
-    with open(overlay, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ("day", "base_c_total_ah", "base_soh_pct", "alt_c_total_ah", "alt_soh_pct")
-        )
-        common = min(len(cmp_result.base.trajectory), len(cmp_result.alt.trajectory))
-        for b, a in zip(
-            cmp_result.base.trajectory[:common], cmp_result.alt.trajectory[:common]
-        ):
-            writer.writerow(
-                (b.day, repr(b.c_total_ah), repr(b.soh_pct), repr(a.c_total_ah), repr(a.soh_pct))
-            )
+    write_result_files(cmp_result.base, out_dir, base.profile.start)
+    write_result_files(cmp_result.alt, out_dir, base.profile.start)
+    write_overlay_csv(
+        os.path.join(out_dir, f"{spec.name}_comparison_trajectory.csv"),
+        cmp_result.base.trajectory,
+        cmp_result.alt.trajectory,
+    )
     _write_json(
         os.path.join(out_dir, f"{spec.name}_comparison.json"), cmp_result.summary()
     )
@@ -388,9 +364,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     limits = model.limits
     v_p = float_positive_potential(battery, datasheet)
     speed, _ = corrosion_speed(v_p, datasheet.float_temp_c + 273.15, model.params)
+    electrical = Battery(battery)
     payload = {
-        "ocv_full_v": round(battery_ocv(1.0, battery), 4),
-        "ocv_empty_v": round(battery_ocv(0.0, battery), 4),
+        "ocv_full_v": round(electrical.v_full, 4),
+        "ocv_empty_v": round(electrical.v_empty, 4),
         "float_positive_potential_v": round(v_p, 4),
         "float_corrosion_speed": speed,
         "w_limit": limits.w_limit,
@@ -507,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ProfileError, EngineError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CalibrationError as exc:

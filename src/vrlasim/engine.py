@@ -74,7 +74,7 @@ class Scenario:
     battery: BatteryParams = field(default_factory=BatteryParams)
     degradation: DegradationParams = field(default_factory=DegradationParams)
     datasheet: Datasheet = field(default_factory=Datasheet)
-    dt_s: float = declared(DEFAULT_DT_S, POSITIVE, "s", "simulation step, dividing a day")
+    dt_s: float = declared(DEFAULT_DT_S, POSITIVE, "s", "step of 1 s or more, dividing a day")
     max_years: float = declared(15.0, POSITIVE, "years", "horizon; later end of life is censored")
     initial_soc: float = declared(0.9, UNIT, "-", "state of charge at the start")
     converter_efficiency: float = declared(0.95, HALF_OPEN_UNIT, "-", "panel to battery bus")

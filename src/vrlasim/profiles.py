@@ -38,9 +38,17 @@ class ProfileError(ValueError):
     """Bad profile data or parameters; message carries the location."""
 
 
+# The least step (s) a simulation or a generated profile may take.  Below
+# about 1e-11 s, steps per day are too many for a float to tell apart.
+MIN_DT_S = 1.0
+
+# The largest share of an ingested grid's slots that may be hold-filled.
+MAX_FILL_FRACTION = 0.2
+
+
 def divides_day(dt_s: float) -> bool:
-    """Whether dt_s (s) is positive and fits a whole number of times in a day."""
-    steps_per_day = SECONDS_PER_DAY / dt_s if dt_s > 0.0 else math.nan
+    """Whether dt_s (s) is at least MIN_DT_S and fits a whole number of times in a day."""
+    steps_per_day = SECONDS_PER_DAY / dt_s if dt_s >= MIN_DT_S else math.nan
     return 0.0 < steps_per_day < math.inf and abs(steps_per_day - round(steps_per_day)) <= 1e-9
 
 
@@ -304,16 +312,22 @@ def generate_archetype(
 PROFILE_COLUMNS = ("timestamp", "load_w", "solar_w", "temp_c")
 
 
+def write_csv(path: str, columns: Sequence[str], row_format: str, rows: Iterable[tuple]) -> None:
+    """Write the header, then ``row_format % row`` per row, in csv.writer's
+    CRLF dialect: no cell written (an isoformat timestamp, a float repr or
+    an int) needs quoting, so the bytes are those csv.writer would write."""
+    line = (row_format + "\r\n").__mod__
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(map(line, rows))
+
+
 def write_profile_csv(series: TimeSeries, path: str) -> None:
-    """Write a profile in the dialect :func:`ingest_csv` reads back: one
-    line per sample, as csv.writer writes it, since no cell (an
-    isoformat timestamp or a float repr) needs quoting."""
+    """Write a profile in the dialect :func:`ingest_csv` reads back."""
     step = timedelta(seconds=series.dt_s)
     stamps = accumulate(repeat(step, len(series) - 1), operator.add, initial=series.start)
-    columns = (map(datetime.isoformat, stamps), series.load_w, series.solar_w, series.temp_c)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(PROFILE_COLUMNS) + "\r\n")
-        fh.writelines(map("{},{!r},{!r},{!r}\r\n".format, *columns))
+    rows = zip(map(datetime.isoformat, stamps), series.load_w, series.solar_w, series.temp_c)
+    write_csv(path, PROFILE_COLUMNS, "%s,%r,%r,%r", rows)
 
 
 def _csv_cells(
@@ -357,8 +371,6 @@ def _csv_cells(
 def ingest_csv(
     path: str,
     dt_s: float | None = None,
-    column_map: dict[str, str] | None = None,
-    max_fill_fraction: float = 0.2,
     panel_rating_w: float = DEFAULT_PANEL_RATING_W,
 ) -> TimeSeries:
     """Read a logged profile CSV onto a uniform grid.
@@ -366,26 +378,17 @@ def ingest_csv(
     Rows must carry ISO-8601 timestamps in strictly increasing order.
     Values are resampled zero-order-hold onto the target grid; grid
     slots with no fresh sample count as filled, and a series needing
-    more than max_fill_fraction of its slots filled is rejected.
+    more than MAX_FILL_FRACTION of its slots filled is rejected.
 
     Args:
         dt_s: Target grid spacing; defaults to the first sample spacing.
-        column_map: Maps the canonical names (timestamp, load_w,
-            solar_w, temp_c) to the file's column names.
     """
     if dt_s is not None and not 0.0 < dt_s < math.inf:
         raise ProfileError(f"dt_s must be positive and finite: {dt_s}")
-    cmap = {name: name for name in PROFILE_COLUMNS}
-    if column_map:
-        unknown = sorted(set(column_map) - set(PROFILE_COLUMNS))
-        if unknown:
-            raise ProfileError(f"column_map: unknown names {unknown}")
-        cmap.update(column_map)
 
     times: list[datetime] = []
     rows: list[tuple[float, float, float]] = []
-    columns = [cmap[name] for name in PROFILE_COLUMNS]
-    for lineno, (stamp, load_w, solar_w, temp_c) in _csv_cells(path, columns):
+    for lineno, (stamp, load_w, solar_w, temp_c) in _csv_cells(path, PROFILE_COLUMNS):
         try:
             ts = datetime.fromisoformat(stamp.strip())
             vals = (float(load_w), float(solar_w), float(temp_c))
@@ -418,11 +421,9 @@ def ingest_csv(
     src = 0
     for i in range(total):
         grid_t = t0 + timedelta(seconds=i * dt_s)
-        fresh = False
+        fresh = i == 0
         while src + 1 < len(times) and times[src + 1] <= grid_t:
             src += 1
-            fresh = True
-        if i == 0:
             fresh = True
         if not fresh:
             filled += 1
@@ -436,10 +437,10 @@ def ingest_csv(
         temp.append(c)
 
     report = GapReport(total_slots=total, filled_slots=filled, longest_fill_run=longest)
-    if report.fill_fraction > max_fill_fraction:
+    if report.fill_fraction > MAX_FILL_FRACTION:
         raise ProfileError(
             f"{path}: {report.fill_fraction:.0%} of slots required hold-filling "
-            f"(limit {max_fill_fraction:.0%})"
+            f"(limit {MAX_FILL_FRACTION:.0%})"
         )
     return TimeSeries(
         start=t0,
@@ -587,16 +588,13 @@ def stress_factors(
 def write_trace_csv(
     path: str, records: Iterable[TraceRecord], start: datetime
 ) -> None:
-    """Write a trace: one line per record, as csv.writer writes it, since
-    no cell (an isoformat timestamp, a float repr or an int) needs quoting."""
+    """Write a trace, each record stamped `start` plus its t_h."""
     fields = operator.attrgetter("t_h", "current_a", "soc", "voltage", "full_charge", "floating")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        fh.writelines(
-            "%s,%r,%r,%r,%d,%d\r\n"
-            % ((start + timedelta(hours=t_h)).isoformat(), amps, soc, volts, full, flt)
-            for t_h, amps, soc, volts, full, flt in map(fields, records)
-        )
+    rows = (
+        ((start + timedelta(hours=t_h)).isoformat(), amps, soc, volts, full, flt)
+        for t_h, amps, soc, volts, full, flt in map(fields, records)
+    )
+    write_csv(path, TRACE_COLUMNS, "%s,%r,%r,%r,%d,%d", rows)
 
 
 def read_trace_csv(path: str) -> Iterator[TraceRecord]:

@@ -1,9 +1,10 @@
-"""The csv.writer forms of the trace and profile writers: the reference
-for profiles.write_trace_csv and profiles.write_profile_csv.
+"""The csv.writer forms of every CSV writer: the reference for
+profiles.write_trace_csv, profiles.write_profile_csv, and the trajectory,
+histogram and comparison overlay files the command line writes.
 
 These build every row as a tuple and hand it to csv.writer.writerow.
-The program's writers format each row into one line themselves; the
-tests check that both give the same bytes.
+The program formats each row into one line itself, through
+profiles.write_csv; the tests check that both give the same bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 from datetime import datetime, timedelta
 from typing import Iterable
 
+from vrlasim.engine import SOC_BIN_WIDTH, VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH, DayRecord
 from vrlasim.profiles import PROFILE_COLUMNS, TRACE_COLUMNS, TimeSeries, TraceRecord
 
 
@@ -50,4 +52,58 @@ def reference_write_trace_csv(
                     int(r.full_charge),
                     int(r.floating),
                 )
+            )
+
+
+def reference_write_trajectory_csv(path: str, trajectory: list[DayRecord]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ("day", "c_corr_ah", "c_deg_ah", "c_total_ah", "soh_pct", "min_soc", "full_charges")
+        )
+        for row in trajectory:
+            writer.writerow(
+                (
+                    row.day,
+                    repr(row.c_corr_ah),
+                    repr(row.c_deg_ah),
+                    repr(row.c_total_ah),
+                    repr(row.soh_pct),
+                    repr(row.min_soc),
+                    row.full_charges,
+                )
+            )
+
+
+def reference_write_soc_hist_csv(path: str, soc_hist_h: list[float]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("soc_bin_low", "soc_bin_high", "hours"))
+        for i, hours in enumerate(soc_hist_h):
+            writer.writerow(
+                (round(i * SOC_BIN_WIDTH, 2), round((i + 1) * SOC_BIN_WIDTH, 2), repr(hours))
+            )
+
+
+def reference_write_voltage_hist_csv(path: str, voltage_hist_h: list[float]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("voltage_bin_low", "voltage_bin_high", "hours"))
+        for i, hours in enumerate(voltage_hist_h):
+            lo = VOLTAGE_BIN_LOW + i * VOLTAGE_BIN_WIDTH
+            writer.writerow((round(lo, 2), round(lo + VOLTAGE_BIN_WIDTH, 2), repr(hours)))
+
+
+def reference_write_overlay_csv(
+    path: str, base: list[DayRecord], alt: list[DayRecord]
+) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ("day", "base_c_total_ah", "base_soh_pct", "alt_c_total_ah", "alt_soh_pct")
+        )
+        common = min(len(base), len(alt))
+        for b, a in zip(base[:common], alt[:common]):
+            writer.writerow(
+                (b.day, repr(b.c_total_ah), repr(b.soh_pct), repr(a.c_total_ah), repr(a.soh_pct))
             )

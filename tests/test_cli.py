@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import time
+from datetime import datetime
 
 import pytest
 
@@ -30,6 +31,23 @@ scenarios:
   - {name: first, archetype: low, days: 4}
   - {name: second, archetype: moderate, days: 4}
 """
+
+
+def logged_config(root, start):
+    """A config whose one scenario reads a 3-day logged profile from `start`."""
+    csv_path = root / "logged.csv"
+    write_profile_csv(generate_archetype(LOW_USE, 3, seed=4, start=start), str(csv_path))
+    cfg = root / "run.yaml"
+    cfg.write_text(
+        "sim: {max_years: 0.005, seed: 1}\n"
+        f"scenarios: [{{name: logged, profile_csv: {csv_path}}}]\n"
+    )
+    return cfg
+
+
+def first_stamp(trace_path):
+    with open(trace_path) as fh:
+        return fh.read().splitlines()[1].split(",")[0]
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +258,7 @@ class TestSimulate:
                 "archetypes.infrequent: active_run_days must be a positive integer: -3",
             ),
             ("sim: {dt_s: 7}", "sim.dt_s must divide a day evenly: 7"),
+            ("sim: {dt_s: 1.0e-300}", "sim.dt_s must divide a day evenly: 1e-300"),
             (
                 "degradation: {ks_knots: [[1.5, x], [1.8, 2.0]]}",
                 "degradation: ks_knots[0]: corrosion speed must be positive and finite: x",
@@ -306,6 +325,13 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert os.path.exists(out / "logged.json")
+
+    def test_trace_stamped_from_the_profile_start(self, tmp_path):
+        """A log that starts elsewhere than 2023-01-01 keeps its own clock."""
+        cfg = logged_config(tmp_path, datetime(2024, 6, 1, 6))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--emit-trace"]) == 0
+        assert first_stamp(out / "logged_trace.csv") == "2024-06-01T06:00:00"
 
     def test_profile_csv_alone_selects_the_source(self, tmp_path):
         series = generate_archetype(LOW_USE, 3, seed=4)
@@ -481,6 +507,13 @@ class TestCompare:
         rc = main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")])
         assert rc == 1
         assert "error: adaptive run failed" in capsys.readouterr().err
+
+    def test_traces_stamped_from_the_profile_start(self, tmp_path):
+        cfg = logged_config(tmp_path, datetime(2024, 6, 1, 6))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--out", str(out), "--emit-trace"]) == 0
+        for policy in ("bboxx_static", "adaptive"):
+            assert first_stamp(out / f"logged_{policy}_trace.csv") == "2024-06-01T06:00:00"
 
     def test_unknown_scenario(self, sim_run, tmp_path):
         _, cfg, _ = sim_run

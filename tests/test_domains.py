@@ -21,7 +21,14 @@ from vrlasim.config import ConfigError, ControlSettings, SimSettings
 from vrlasim.control import FULL_LIMITS, ControlParams, VoltageLimits
 from vrlasim.degradation import Datasheet, DegradationParams
 from vrlasim.engine import EngineError, Scenario
-from vrlasim.profiles import LOW_USE, ProfileError, TimeSeries, UseArchetype
+from vrlasim.profiles import (
+    LOW_USE,
+    MIN_DT_S,
+    ProfileError,
+    TimeSeries,
+    UseArchetype,
+    generate_archetype,
+)
 
 MAX = sys.float_info.max
 TINY = 5e-324  # the least positive float
@@ -136,3 +143,24 @@ def test_default_instance_constructs(cls):
     base, _ = BASES[cls]
     assert dataclasses.replace(base) == base
 
+
+
+# Steps that divide a day only because steps per day are too many for a
+# float to tell apart, and the float just below the least step.
+BELOW_THE_LEAST_STEP = [1e-300, 1e-11, math.nextafter(MIN_DT_S, 0.0)]
+
+
+@pytest.mark.parametrize("dt_s", BELOW_THE_LEAST_STEP)
+def test_step_below_the_least_rejected(dt_s):
+    with pytest.raises(EngineError, match="^dt_s must divide a day evenly$"):
+        dataclasses.replace(BASES[Scenario][0], dt_s=dt_s)
+    message = f"sim.dt_s must divide a day evenly: {dt_s!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SimSettings(dt_s=dt_s)
+    with pytest.raises(ProfileError, match="^dt_s must divide a day evenly$"):
+        generate_archetype(LOW_USE, 1, dt_s=dt_s)
+
+
+def test_the_least_step_allowed():
+    assert dataclasses.replace(BASES[Scenario][0], dt_s=MIN_DT_S).dt_s == MIN_DT_S
+    assert SimSettings(dt_s=MIN_DT_S).dt_s == MIN_DT_S

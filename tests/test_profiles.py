@@ -353,33 +353,6 @@ class TestProfileCsv:
         with pytest.raises(ProfileError, match="two samples"):
             ingest_csv(path)
 
-    def test_column_map(self, tmp_path):
-        path = str(tmp_path / "renamed.csv")
-        rows = [
-            "time,consumption,pv,ambient",
-            "2023-01-01T00:00:00,5.0,0.0,24.0",
-            "2023-01-01T00:15:00,6.0,1.0,24.5",
-        ]
-        open(path, "w").write("\n".join(rows) + "\n")
-        back = ingest_csv(
-            path,
-            column_map={
-                "timestamp": "time",
-                "load_w": "consumption",
-                "solar_w": "pv",
-                "temp_c": "ambient",
-            },
-        )
-        assert back.load_w == [5.0, 6.0]
-        assert back.dt_s == 900.0
-
-    def test_column_map_unknown_name_rejected(self, tmp_path):
-        series = generate_archetype(LOW_USE, 1, seed=9)
-        path = str(tmp_path / "profile.csv")
-        write_profile_csv(series, path)
-        with pytest.raises(ProfileError, match="unknown names \\['load'\\]"):
-            ingest_csv(path, column_map={"load": "load_w"})
-
 
 def toy_trace():
     """Three identical full-depth-0.5 cycles on a 20 Ah battery, dt 1 h.

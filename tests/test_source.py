@@ -50,6 +50,30 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_finds_imported_modules():
+    source = "import csv.x, os\nfrom json import dumps\nfrom .profiles import write_csv\n"
+    assert imported_modules(source) == {"csv", "os", "json"}
+
+
+def test_only_profiles_imports_csv():
+    """One module holds the CSV dialect, so every file is read and written alike."""
+    importers = sorted(
+        p.name for p in PACKAGE.glob("*.py") if "csv" in imported_modules(p.read_text())
+    )
+    assert importers == ["profiles.py"]
+
+
 def tracer_names() -> list[tuple[str, str]]:
     """Every (module, attribute) the benchmark's span tracer wraps."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACER)

@@ -1,4 +1,4 @@
-"""The trace and profile writers against their csv.writer references
+"""Every CSV writer against its csv.writer reference
 (tests/reference_writers.py), byte for byte, and the trace record type."""
 
 import dataclasses
@@ -11,7 +11,17 @@ from datetime import datetime, timedelta, timezone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_writers import reference_write_profile_csv, reference_write_trace_csv
+from helpers import constant_profile
+from reference_writers import (
+    reference_write_overlay_csv,
+    reference_write_profile_csv,
+    reference_write_soc_hist_csv,
+    reference_write_trace_csv,
+    reference_write_trajectory_csv,
+    reference_write_voltage_hist_csv,
+)
+from vrlasim.cli import write_overlay_csv, write_result_files
+from vrlasim.engine import N_SOC_BINS, N_VOLTAGE_BINS, DayRecord, Scenario, run_scenario
 from vrlasim.profiles import TimeSeries, TraceRecord, write_profile_csv, write_trace_csv
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2, 1.2345678901234567]
@@ -95,6 +105,44 @@ def test_profile_writer_matches_reference_on_a_long_series():
     )
     assert written_bytes(lambda path: write_profile_csv(series, path)) == written_bytes(
         lambda path: reference_write_profile_csv(series, path)
+    )
+
+
+# A real result, whose trajectory and histograms each test replaces.
+RESULT = run_scenario(Scenario("result", constant_profile(2), max_years=0.01))
+
+day_records = st.lists(
+    st.builds(DayRecord, st.integers(), *[any_float] * 5, st.integers()), max_size=12
+)
+
+
+def hours_per_bin(n):
+    return st.lists(any_float, min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(day_records, hours_per_bin(N_SOC_BINS), hours_per_bin(N_VOLTAGE_BINS))
+def test_result_files_match_reference(trajectory, soc_hist_h, voltage_hist_h):
+    result = dataclasses.replace(
+        RESULT, trajectory=trajectory, soc_hist_h=soc_hist_h, voltage_hist_h=voltage_hist_h
+    )
+    with tempfile.TemporaryDirectory() as root:
+        write_result_files(result, root, datetime(2023, 1, 1))
+        for suffix, reference, rows in (
+            ("trajectory", reference_write_trajectory_csv, trajectory),
+            ("soc_hist", reference_write_soc_hist_csv, soc_hist_h),
+            ("voltage_hist", reference_write_voltage_hist_csv, voltage_hist_h),
+        ):
+            with open(os.path.join(root, f"result_{suffix}.csv"), "rb") as fh:
+                expected = written_bytes(lambda path: reference(path, rows))
+                assert fh.read() == expected, suffix
+
+
+@settings(max_examples=200, deadline=None)
+@given(day_records, day_records)
+def test_overlay_matches_reference(base, alt):
+    assert written_bytes(lambda path: write_overlay_csv(path, base, alt)) == written_bytes(
+        lambda path: reference_write_overlay_csv(path, base, alt)
     )
 
 
