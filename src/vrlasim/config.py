@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-import yaml
-
 from ._domains import NON_NEGATIVE_INT, check_fields, declared, same_as
 from .battery import BatteryParams, GassingParams
 from .control import (
@@ -183,6 +181,8 @@ def _knots(value: Any, path: str) -> tuple[tuple[float, float], ...]:
 
 def load_config(path: str) -> RunConfig:
     """Parse a YAML config file into a RunConfig."""
+    import yaml  # here, not at the top: commands that read no config skip its import
+
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)

@@ -15,9 +15,9 @@ import math
 import operator
 import random
 from dataclasses import MISSING, dataclass
-from datetime import datetime, timedelta
-from itertools import accumulate, repeat
-from typing import Iterable, Iterator, Sequence
+from datetime import date, datetime, timedelta, timezone
+from itertools import accumulate, chain, count, islice, repeat
+from typing import Generator, Iterable, Iterator, Sequence
 
 from ._domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT
 from ._domains import check_fields, declared
@@ -325,9 +325,55 @@ def write_csv(path: str, columns: Sequence[str], row_format: str, rows: Iterable
 def write_profile_csv(series: TimeSeries, path: str) -> None:
     """Write a profile in the dialect :func:`ingest_csv` reads back."""
     step = timedelta(seconds=series.dt_s)
-    stamps = accumulate(repeat(step, len(series) - 1), operator.add, initial=series.start)
-    rows = zip(map(datetime.isoformat, stamps), series.load_w, series.solar_w, series.temp_c)
+    stamps = _grid_stamps(series.start, step, len(series))
+    if stamps is None:
+        times = accumulate(repeat(step, len(series) - 1), operator.add, initial=series.start)
+        stamps = map(datetime.isoformat, times)
+    rows = zip(stamps, series.load_w, series.solar_w, series.temp_c)
     write_csv(path, PROFILE_COLUMNS, "%s,%r,%r,%r", rows)
+
+
+_DAY = timedelta(days=1)
+
+
+def _grid_stamps(start: datetime, step: timedelta, n: int | None = None) -> Iterator[str] | None:
+    """``(start + k*step).isoformat()`` for k < n from a one-day template, or None.
+
+    The first day's stamps come from that arithmetic, each split into its
+    10-character date and its tail (time of day and offset).  Day q's are
+    ``(date + q days).isoformat() + tail``, made one day at a time.  None,
+    for the caller to use the arithmetic, unless `step` is positive and
+    divides a day, the start is naive or has a fixed ``timezone`` offset
+    (a zone's offset can change within the grid), and the n stamps end by
+    ``datetime.max``.  With n None they run to the last stamp that does.
+    """
+    if not (_NO_TIME < step and _DAY % step == _NO_TIME):
+        return None
+    if not (start.tzinfo is None or isinstance(start.tzinfo, timezone)):
+        return None
+    room = (datetime.max - start.replace(tzinfo=None)) // step + 1
+    if n is None:
+        n = room
+    elif n > room:
+        return None
+    return islice(_template_days(start, step), n)
+
+
+def _template_days(start: datetime, step: timedelta) -> Iterator[str]:
+    """The stamps of :func:`_grid_stamps` without end; the date arithmetic
+    raises past ``datetime.max``."""
+    days: list[tuple[date, list[str]]] = []  # the first day's dates, each with its tails
+    for k in range(_DAY // step):
+        t = start + k * step
+        stamp = t.isoformat()
+        yield stamp
+        if not days or days[-1][0] != t.date():
+            days.append((t.date(), []))
+        days[-1][1].append(stamp[10:])
+    for q in count(1):
+        shift = timedelta(days=q)
+        for day, tails in days:
+            yield from map((day + shift).isoformat().__add__, tails)
 
 
 def _csv_cells(
@@ -411,6 +457,13 @@ def ingest_csv(
     t0 = times[0]
     span_s = (times[-1] - t0).total_seconds()
     total = int(span_s // dt_s) + 1
+    # each row refreshes at most one slot, so at least total - rows are filled
+    least_filled = (total - len(times)) / total
+    if least_filled > MAX_FILL_FRACTION:
+        raise ProfileError(
+            f"{path}: at least {least_filled:.0%} of slots would need hold-filling "
+            f"(limit {MAX_FILL_FRACTION:.0%})"
+        )
 
     load: list[float] = []
     solar: list[float] = []
@@ -588,32 +641,68 @@ def stress_factors(
 def write_trace_csv(
     path: str, records: Iterable[TraceRecord], start: datetime
 ) -> None:
-    """Write a trace, each record stamped `start` plus its t_h."""
-    fields = operator.attrgetter("t_h", "current_a", "soc", "voltage", "full_charge", "floating")
-    rows = (
-        ((start + timedelta(hours=t_h)).isoformat(), amps, soc, volts, full, flt)
-        for t_h, amps, soc, volts, full, flt in map(fields, records)
-    )
-    write_csv(path, TRACE_COLUMNS, "%s,%r,%r,%r,%d,%d", rows)
+    """Write a trace, each record stamped `start` plus its t_h.
 
-
-def read_trace_csv(path: str) -> Iterator[TraceRecord]:
-    """Stream a trace CSV written by :func:`write_trace_csv`.
-
-    The rows must be evenly spaced: each timestamp is the first row's
-    interval after the one before it, so a gap, a repeated row or rows
-    out of order are a :class:`ProfileError` naming the line.  The
-    writer rounds each timestamp to the microsecond, so at a step that
-    is not a whole number of microseconds (86400 s / 7, say) intervals
-    may differ from the first by that microsecond, and no more.
+    The stamp is ``(start + timedelta(hours=t_h)).isoformat()``, taken
+    from :func:`_grid_stamps` where the records lie on a grid.  Let dt_h,
+    the second record's t_h, be m / 2**e in lowest terms and a whole
+    number s of microseconds, so that 2**e divides 3.6e9 = 2**10 * 3**2 *
+    5**8 and e <= 10.  Record k takes template stamp k when ``t_h == k *
+    dt_h`` and ``k * m < 2**53``.  The product k * dt_h is then exact, so
+    t_h is k*m / 2**e hours.  ``timedelta`` multiplies its whole hours as
+    integers and its fraction r / 2**e by 3.6e9 in floating point; that
+    product is a whole number below 2**53, so it is exact, nothing is
+    left to round, and the timedelta is k*s microseconds: the template's
+    ``k * step``.  Every other record takes the arithmetic, and so does
+    every record of a grid whose dt_h is no binary fraction (600 s or 96
+    s).
     """
-    t0: datetime | None = None
-    prev: datetime | None = None
-    step: timedelta | None = None
-    flags = ("1", "True", "true")
-    for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in _csv_cells(
-        path, TRACE_COLUMNS
-    ):
+    fields = operator.attrgetter("t_h", "current_a", "soc", "voltage", "full_charge", "floating")
+    rows = map(fields, records)
+    head = list(islice(rows, 2))
+    rows = chain(head, rows)
+    dt_h = head[1][0] if len(head) == 2 else None
+    stamps = None
+    if isinstance(dt_h, float) and 0.0 < dt_h < math.inf:  # else the arithmetic, errors and all
+        m, two_e = dt_h.as_integer_ratio()
+        step_us, inexact = divmod(m * 3_600_000_000, two_e)
+        if not inexact and step_us <= 86_400_000_000:
+            stamps = _grid_stamps(start, timedelta(microseconds=step_us))
+    if stamps is None:
+        lines = (
+            ((start + timedelta(hours=t_h)).isoformat(), amps, soc, volts, full, flt)
+            for t_h, amps, soc, volts, full, flt in rows
+        )
+    else:
+        k_max = (2**53 - 1) // m
+        # "" once the stamps end at datetime.max: those records take the
+        # arithmetic, which raises as it does for any record past it
+        lines = (
+            (
+                stamp if t_h == k * dt_h and k <= k_max and stamp
+                else (start + timedelta(hours=t_h)).isoformat(),
+                amps, soc, volts, full, flt,
+            )
+            for k, stamp, (t_h, amps, soc, volts, full, flt)
+            in zip(count(), chain(stamps, repeat("")), rows)
+        )
+    write_csv(path, TRACE_COLUMNS, "%s,%r,%r,%r,%d,%d", lines)
+
+
+_FLAGS = ("1", "True", "true")
+
+
+def _checked_trace_records(
+    path: str,
+    rows: Iterable[tuple[int, tuple[str, ...]]],
+    t0: datetime | None = None,
+    prev: datetime | None = None,
+    step: timedelta | None = None,
+) -> Generator[TraceRecord, None, tuple]:
+    """Records of `rows`, each timestamp parsed and checked against the
+    first row's time t0, the previous row's and the trace's interval
+    `step` (None until the second row sets them); returns (t0, prev, step)."""
+    for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in rows:
         try:
             ts = datetime.fromisoformat(stamp.strip())
             if prev is None:
@@ -635,9 +724,51 @@ def read_trace_csv(path: str) -> Iterator[TraceRecord]:
                 float(current_a),
                 float(soc),
                 float(voltage),
-                full_charge.strip() in flags,
-                floating.strip() in flags,
+                full_charge.strip() in _FLAGS,
+                floating.strip() in _FLAGS,
             )
         except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
             raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
         yield record
+    return t0, prev, step
+
+
+def read_trace_csv(path: str) -> Iterator[TraceRecord]:
+    """Stream a trace CSV written by :func:`write_trace_csv`.
+
+    The rows must be evenly spaced: each timestamp is the first row's
+    interval after the one before it, so a gap, a repeated row or rows
+    out of order are a :class:`ProfileError` naming the line.  The
+    writer rounds each timestamp to the microsecond, so at a step that
+    is not a whole number of microseconds (86400 s / 7, say) intervals
+    may differ from the first by that microsecond, and no more.
+    """
+    rows = _csv_cells(path, TRACE_COLUMNS)
+    t0, prev, step = yield from _checked_trace_records(path, islice(rows, 2))
+    stamps = _grid_stamps(t0, step) if step is not None else None
+    if stamps is not None:
+        # A stamp equal to the template's is t0 + k*step, one step after
+        # the row before it, and its (ts - t0).total_seconds() is the
+        # integer true division k*step_us / 10**6 made here.
+        step_us = step // _ONE_MICROSECOND
+        last = 1  # the index of the last row checked
+        for k, (expected, (lineno, cells)) in enumerate(zip(islice(stamps, 2, None), rows), 2):
+            stamp, current_a, soc, voltage, full_charge, floating = cells
+            if stamp != expected:
+                rows = chain(((lineno, cells),), rows)
+                break
+            try:
+                record = TraceRecord(
+                    k * step_us / 1_000_000 / 3600.0,
+                    float(current_a),
+                    float(soc),
+                    float(voltage),
+                    full_charge.strip() in _FLAGS,
+                    floating.strip() in _FLAGS,
+                )
+            except ValueError as exc:
+                raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
+            yield record
+            last = k
+        prev = t0 + last * step
+    yield from _checked_trace_records(path, rows, t0, prev, step)

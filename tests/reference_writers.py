@@ -1,20 +1,31 @@
 """The csv.writer forms of every CSV writer: the reference for
 profiles.write_trace_csv, profiles.write_profile_csv, and the trajectory,
-histogram and comparison overlay files the command line writes.
+histogram and comparison overlay files the command line writes.  Also
+the reference for profiles.read_trace_csv, which parses and checks every
+row's timestamp.
 
-These build every row as a tuple and hand it to csv.writer.writerow.
-The program formats each row into one line itself, through
-profiles.write_csv; the tests check that both give the same bytes.
+These build every row as a tuple and hand it to csv.writer.writerow, and
+stamp every row by datetime arithmetic.  The program formats each row
+into one line itself, through profiles.write_csv, and stamps and checks
+rows on an exact grid from a one-day template; the tests check that both
+give the same bytes, records and errors.
 """
 
 from __future__ import annotations
 
 import csv
 from datetime import datetime, timedelta
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from vrlasim.engine import SOC_BIN_WIDTH, VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH, DayRecord
-from vrlasim.profiles import PROFILE_COLUMNS, TRACE_COLUMNS, TimeSeries, TraceRecord
+from vrlasim.profiles import (
+    PROFILE_COLUMNS,
+    TRACE_COLUMNS,
+    ProfileError,
+    TimeSeries,
+    TraceRecord,
+    _csv_cells,
+)
 
 
 def reference_write_profile_csv(series: TimeSeries, path: str) -> None:
@@ -107,3 +118,40 @@ def reference_write_overlay_csv(
             writer.writerow(
                 (b.day, repr(b.c_total_ah), repr(b.soh_pct), repr(a.c_total_ah), repr(a.soh_pct))
             )
+
+
+def reference_read_trace_csv(path: str) -> Iterator[TraceRecord]:
+    t0: datetime | None = None
+    prev: datetime | None = None
+    step: timedelta | None = None
+    flags = ("1", "True", "true")
+    for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in _csv_cells(
+        path, TRACE_COLUMNS
+    ):
+        try:
+            ts = datetime.fromisoformat(stamp.strip())
+            if prev is None:
+                t0 = ts
+            else:
+                interval = ts - prev
+                if step is None:
+                    step = interval
+                if interval <= timedelta(0):
+                    raise ValueError("timestamps not strictly increasing")
+                if abs(interval - step) > timedelta(microseconds=1):
+                    raise ValueError(
+                        f"timestamp {ts.isoformat()} is {interval} after the "
+                        f"previous row, not the trace's interval of {step}"
+                    )
+            prev = ts
+            record = TraceRecord(
+                (ts - t0).total_seconds() / 3600.0,
+                float(current_a),
+                float(soc),
+                float(voltage),
+                full_charge.strip() in flags,
+                floating.strip() in flags,
+            )
+        except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
+            raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
+        yield record

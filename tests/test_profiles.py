@@ -2,6 +2,7 @@
 
 import math
 from datetime import datetime, timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -245,6 +246,38 @@ class TestProfileCsv:
         open(path, "w").write("\n".join(rows) + "\n")
         with pytest.raises(ProfileError, match="hold-filling"):
             ingest_csv(path, dt_s=900.0)
+
+    def test_sparse_log_rejected_before_the_grid_walk(self, tmp_path):
+        """96 rows on a 1 s grid leave at least 86,304 of 86,400 slots to
+        fill, which is known before any slot is walked."""
+        path = str(tmp_path / "day.csv")
+        write_profile_csv(generate_archetype(LOW_USE, 1, seed=9), path)
+        slots = []
+
+        def grid_time(*args, **kwargs):
+            slots.append(kwargs)
+            return timedelta(*args, **kwargs)
+
+        with mock.patch("vrlasim.profiles.timedelta", grid_time):
+            with pytest.raises(ProfileError) as err:
+                ingest_csv(path, dt_s=1.0)
+        assert str(err.value) == (
+            f"{path}: at least 100% of slots would need hold-filling (limit 20%)"
+        )
+        assert slots == []
+
+    def test_clumped_log_rejected_after_the_grid_walk(self, tmp_path):
+        """33 rows over 41 slots pass the bound, but 30 of them share the
+        first slot, so the walk finds most slots filled."""
+        path = str(tmp_path / "clumped.csv")
+        times = [START + timedelta(seconds=10 * i) for i in range(30)]
+        times += [START + timedelta(hours=h) for h in (4.0, 8.0, 10.0)]
+        rows = ["timestamp,load_w,solar_w,temp_c"]
+        rows += [f"{t.isoformat()},1.0,0.0,25.0" for t in times]
+        open(path, "w").write("\n".join(rows) + "\n")
+        with pytest.raises(ProfileError) as err:
+            ingest_csv(path, dt_s=900.0)
+        assert str(err.value) == f"{path}: 88% of slots required hold-filling (limit 20%)"
 
     def test_missing_file(self):
         with pytest.raises(ProfileError):

@@ -4,6 +4,9 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,21 @@ def imported_modules(source: str) -> set[str]:
 def test_finds_imported_modules():
     source = "import csv.x, os\nfrom json import dumps\nfrom .profiles import write_csv\n"
     assert imported_modules(source) == {"csv", "os", "json"}
+
+
+def test_cli_import_leaves_yaml_unloaded():
+    """Only load_config imports yaml, so analyze, init-config and calibrate
+    without a config never load it.  A fresh interpreter checks, because
+    this module imports yaml itself."""
+    path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ran = subprocess.run(
+        [sys.executable, "-c", "import sys, vrlasim.cli; print('yaml' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert ran.stdout == "False\n"
 
 
 def test_only_profiles_imports_csv():
