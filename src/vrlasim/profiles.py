@@ -17,7 +17,7 @@ import random
 from dataclasses import MISSING, dataclass
 from datetime import date, datetime, timedelta, timezone
 from itertools import accumulate, chain, count, islice, repeat
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT
 from ._domains import check_fields, declared
@@ -427,10 +427,14 @@ def ingest_csv(
     more than MAX_FILL_FRACTION of its slots filled is rejected.
 
     Args:
-        dt_s: Target grid spacing; defaults to the first sample spacing.
+        dt_s: Target grid spacing, at least MIN_DT_S; defaults to the
+            first sample spacing.
     """
-    if dt_s is not None and not 0.0 < dt_s < math.inf:
-        raise ProfileError(f"dt_s must be positive and finite: {dt_s}")
+    if dt_s is not None:
+        if not 0.0 < dt_s < math.inf:
+            raise ProfileError(f"dt_s must be positive and finite: {dt_s}")
+        if dt_s < MIN_DT_S:
+            raise ProfileError(f"dt_s must be at least {MIN_DT_S} s: {dt_s}")
 
     times: list[datetime] = []
     rows: list[tuple[float, float, float]] = []
@@ -552,6 +556,9 @@ class StressAccumulator:
     N_DEPTH_BINS = 10
 
     def __init__(self, capacity_ah: float, dt_h: float, low_soc: float = 0.5):
+        for name, value in (("capacity_ah", capacity_ah), ("dt_h", dt_h)):
+            if not POSITIVE.accepts(value):
+                raise ProfileError(f"{name} must {POSITIVE.rule}: {value!r}")
         self.capacity_ah = capacity_ah
         self.dt_h = dt_h
         self.low_soc = low_soc
@@ -662,75 +669,30 @@ def write_trace_csv(
     head = list(islice(rows, 2))
     rows = chain(head, rows)
     dt_h = head[1][0] if len(head) == 2 else None
-    stamps = None
+    # Record k may take template stamp k while k <= k_max; off a template
+    # grid k_max is -1.  The stamps are "" once they end at datetime.max,
+    # and those records take the arithmetic, which raises as it does for
+    # any record past datetime.max.
+    k_max, stamps = -1, repeat("")
     if isinstance(dt_h, float) and 0.0 < dt_h < math.inf:  # else the arithmetic, errors and all
         m, two_e = dt_h.as_integer_ratio()
         step_us, inexact = divmod(m * 3_600_000_000, two_e)
         if not inexact and step_us <= 86_400_000_000:
-            stamps = _grid_stamps(start, timedelta(microseconds=step_us))
-    if stamps is None:
-        lines = (
-            ((start + timedelta(hours=t_h)).isoformat(), amps, soc, volts, full, flt)
-            for t_h, amps, soc, volts, full, flt in rows
+            grid = _grid_stamps(start, timedelta(microseconds=step_us))
+            if grid is not None:
+                k_max, stamps = (2**53 - 1) // m, chain(grid, stamps)
+    lines = (
+        (
+            stamp if k <= k_max and t_h == k * dt_h and stamp
+            else (start + timedelta(hours=t_h)).isoformat(),
+            amps, soc, volts, full, flt,
         )
-    else:
-        k_max = (2**53 - 1) // m
-        # "" once the stamps end at datetime.max: those records take the
-        # arithmetic, which raises as it does for any record past it
-        lines = (
-            (
-                stamp if t_h == k * dt_h and k <= k_max and stamp
-                else (start + timedelta(hours=t_h)).isoformat(),
-                amps, soc, volts, full, flt,
-            )
-            for k, stamp, (t_h, amps, soc, volts, full, flt)
-            in zip(count(), chain(stamps, repeat("")), rows)
-        )
+        for k, stamp, (t_h, amps, soc, volts, full, flt) in zip(count(), stamps, rows)
+    )
     write_csv(path, TRACE_COLUMNS, "%s,%r,%r,%r,%d,%d", lines)
 
 
 _FLAGS = ("1", "True", "true")
-
-
-def _checked_trace_records(
-    path: str,
-    rows: Iterable[tuple[int, tuple[str, ...]]],
-    t0: datetime | None = None,
-    prev: datetime | None = None,
-    step: timedelta | None = None,
-) -> Generator[TraceRecord, None, tuple]:
-    """Records of `rows`, each timestamp parsed and checked against the
-    first row's time t0, the previous row's and the trace's interval
-    `step` (None until the second row sets them); returns (t0, prev, step)."""
-    for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in rows:
-        try:
-            ts = datetime.fromisoformat(stamp.strip())
-            if prev is None:
-                t0 = ts
-            else:
-                interval = ts - prev
-                if step is None:
-                    step = interval
-                if interval <= _NO_TIME:
-                    raise ValueError("timestamps not strictly increasing")
-                if abs(interval - step) > _ONE_MICROSECOND:
-                    raise ValueError(
-                        f"timestamp {ts.isoformat()} is {interval} after the "
-                        f"previous row, not the trace's interval of {step}"
-                    )
-            prev = ts
-            record = TraceRecord(
-                (ts - t0).total_seconds() / 3600.0,
-                float(current_a),
-                float(soc),
-                float(voltage),
-                full_charge.strip() in _FLAGS,
-                floating.strip() in _FLAGS,
-            )
-        except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
-            raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
-        yield record
-    return t0, prev, step
 
 
 def read_trace_csv(path: str) -> Iterator[TraceRecord]:
@@ -742,33 +704,52 @@ def read_trace_csv(path: str) -> Iterator[TraceRecord]:
     writer rounds each timestamp to the microsecond, so at a step that
     is not a whole number of microseconds (86400 s / 7, say) intervals
     may differ from the first by that microsecond, and no more.
+
+    Each row's timestamp is parsed and checked against the first row's
+    (t0), the previous row's and the interval, with one shortcut: while
+    every row from the third on has matched :func:`_grid_stamps` of t0
+    and the interval, a stamp string equal to the grid's next is not
+    parsed.  It is t0 + k*step, one step after the row before it, and
+    its ``(ts - t0).total_seconds()`` is the integer true division
+    k*step_us / 10**6 made here.
     """
-    rows = _csv_cells(path, TRACE_COLUMNS)
-    t0, prev, step = yield from _checked_trace_records(path, islice(rows, 2))
-    stamps = _grid_stamps(t0, step) if step is not None else None
-    if stamps is not None:
-        # A stamp equal to the template's is t0 + k*step, one step after
-        # the row before it, and its (ts - t0).total_seconds() is the
-        # integer true division k*step_us / 10**6 made here.
-        step_us = step // _ONE_MICROSECOND
-        last = 1  # the index of the last row checked
-        for k, (expected, (lineno, cells)) in enumerate(zip(islice(stamps, 2, None), rows), 2):
-            stamp, current_a, soc, voltage, full_charge, floating = cells
-            if stamp != expected:
-                rows = chain(((lineno, cells),), rows)
-                break
-            try:
-                record = TraceRecord(
-                    k * step_us / 1_000_000 / 3600.0,
-                    float(current_a),
-                    float(soc),
-                    float(voltage),
-                    full_charge.strip() in _FLAGS,
-                    floating.strip() in _FLAGS,
-                )
-            except ValueError as exc:
-                raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
-            yield record
-            last = k
-        prev = t0 + last * step
-    yield from _checked_trace_records(path, rows, t0, prev, step)
+    t0 = prev = step = stamps = None  # stamps: the grid's, while every row has matched
+    for k, (lineno, (stamp, current_a, soc, voltage, full_charge, floating)) in enumerate(
+        _csv_cells(path, TRACE_COLUMNS)
+    ):
+        try:
+            if stamps is not None and stamp == next(stamps, None):
+                t_h = k * step_us / 1_000_000 / 3600.0
+            else:
+                if stamps is not None:  # the first row off the grid, or past its end
+                    stamps, prev = None, t0 + (k - 1) * step
+                ts = datetime.fromisoformat(stamp.strip())
+                if prev is None:
+                    t0 = ts
+                else:
+                    interval = ts - prev
+                    if step is None:
+                        step = interval
+                    if interval <= _NO_TIME:
+                        raise ValueError("timestamps not strictly increasing")
+                    if abs(interval - step) > _ONE_MICROSECOND:
+                        raise ValueError(
+                            f"timestamp {ts.isoformat()} is {interval} after the "
+                            f"previous row, not the trace's interval of {step}"
+                        )
+                    if k == 1 and (stamps := _grid_stamps(t0, step)) is not None:
+                        stamps = islice(stamps, 2, None)
+                        step_us = step // _ONE_MICROSECOND
+                prev = ts
+                t_h = (ts - t0).total_seconds() / 3600.0
+            record = TraceRecord(
+                t_h,
+                float(current_a),
+                float(soc),
+                float(voltage),
+                full_charge.strip() in _FLAGS,
+                floating.strip() in _FLAGS,
+            )
+        except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
+            raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
+        yield record

@@ -544,6 +544,15 @@ class TestAnalyze:
     def test_missing_trace(self, tmp_path):
         assert main(["analyze", "--trace", str(tmp_path / "none.csv")]) == 1
 
+    @pytest.mark.parametrize("capacity", ["0", "-20", "nan", "inf"])
+    def test_bad_capacity_rejected(self, sim_run, capsys, capacity):
+        _, _, out = sim_run
+        trace = os.path.join(out, "tiny_trace.csv")
+        assert main(["analyze", "--trace", trace, "--capacity", capacity]) == 1
+        captured = capsys.readouterr()
+        message = f"capacity_ah must be positive and finite: {float(capacity)!r}"
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
     def test_single_record_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text(

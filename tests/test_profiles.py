@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_writers import reference_read_trace_csv, reference_write_trace_csv
 from vrlasim.profiles import (
     ARCHETYPES,
     CLEAR_FACTOR,
     INFREQUENT_USE,
     LOW_USE,
+    MIN_DT_S,
     ProfileError,
     StressAccumulator,
     TimeSeries,
@@ -378,6 +380,24 @@ class TestProfileCsv:
         with pytest.raises(ProfileError, match="dt_s must be positive and finite"):
             ingest_csv(path, dt_s=dt_s)
 
+    @pytest.mark.parametrize("dt_s", [5e-324, 1e-300, math.nextafter(MIN_DT_S, 0.0)])
+    def test_explicit_dt_below_the_least_step_rejected(self, tmp_path, dt_s):
+        series = generate_archetype(LOW_USE, 1, seed=9)
+        path = str(tmp_path / "profile.csv")
+        write_profile_csv(series, path)
+        with pytest.raises(ProfileError, match=f"^dt_s must be at least 1.0 s: {dt_s}$"):
+            ingest_csv(path, dt_s=dt_s)
+
+    def test_explicit_dt_of_the_least_step_accepted(self, tmp_path):
+        path = str(tmp_path / "log.csv")
+        open(path, "w").write(
+            "timestamp,load_w,solar_w,temp_c\n"
+            "2023-01-01T00:00:00,1.0,0.0,25.0\n"
+            "2023-01-01T00:00:01,2.0,0.0,25.0\n"
+        )
+        series = ingest_csv(path, dt_s=MIN_DT_S)
+        assert series.dt_s == MIN_DT_S and series.load_w == [1.0, 2.0]
+
     def test_too_few_samples(self, tmp_path):
         path = str(tmp_path / "one.csv")
         open(path, "w").write(
@@ -475,6 +495,13 @@ class TestStressFactors:
         assert sf.full_equivalent_cycles == 0.0
         assert sf.time_between_full_mean_h is None
         assert sf.time_between_full_max_h is None
+
+    @pytest.mark.parametrize("value", [0.0, -20.0, math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["capacity_ah", "dt_h"])
+    def test_capacity_and_step_must_be_positive_and_finite(self, key, value):
+        args = {"capacity_ah": 20.0, "dt_h": 1.0, key: value}
+        with pytest.raises(ProfileError, match=f"^{key} must be positive and finite: {value!r}$"):
+            stress_factors(toy_trace(), **args)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ProfileError, match="empty"):
@@ -596,3 +623,32 @@ class TestTraceCsv:
         back = list(read_trace_csv(path))
         assert len(back) == len(records)
         assert back[-1].t_h == pytest.approx(records[-1].t_h, rel=1e-12)
+
+    def test_grid_past_the_end_of_the_calendar_matches_reference(self, tmp_path):
+        """A 900 s grid that ends at its last stamp before datetime.max, then
+        the last row again: the reader's grid stamps run out, and the row is
+        parsed and checked as the reference does."""
+        start = datetime(9999, 12, 30, 10, 15, 0, 7)
+        step = timedelta(seconds=900)
+        n = (datetime.max - start) // step + 1
+        assert timedelta(0) <= datetime.max - (start + (n - 1) * step) < step
+        records = [TraceRecord(k * 0.25, -1.5, 0.75, 12.5, False, k % 3 == 0) for k in range(n)]
+        path = tmp_path / "trace.csv"
+        reference_write_trace_csv(str(path), records, start)
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines + lines[-1:])
+
+        def outcome(read):
+            out = []
+            try:
+                out.extend(map(repr, read(str(path))))
+            except ProfileError as exc:
+                out.append(str(exc))
+            return out
+
+        got = outcome(read_trace_csv)
+        assert got == outcome(reference_read_trace_csv)
+        assert got[:-1] == list(map(repr, records))
+        assert got[-1] == f"{path}: line {n + 2}: timestamps not strictly increasing"

@@ -7,6 +7,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,54 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level `_`-prefixed functions and classes of `sources` (module
+    name to source) that no code of theirs reads outside the definition."""
+    reads: Counter[str] = Counter()
+    helpers = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        reads.update(names_read(tree))
+        helpers += [
+            (module, node)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ]
+    return [
+        f"{module}: {node.name}"
+        for module, node in helpers
+        if reads[node.name] == names_read(node)[node.name]
+    ]
+
+
+def names_read(tree: ast.AST) -> Counter[str]:
+    """How often each name is read under `tree`, as a variable or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_finds_an_unused_private_helper():
+    sources = {
+        "a": "def _used(): pass\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "class _Unused: pass\n"
+        "def __getattr__(name): pass\n"
+        "def public(): return _used() + b._by_attribute()\n",
+        "b": "def _by_attribute(): pass\n_Unused = 1\n",
+    }
+    assert unused_private_helpers(sources) == ["a: _recursive", "a: _Unused"]
+
+
+def test_no_unused_private_helpers():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unused_private_helpers(sources) == []
 
 
 def imported_modules(source: str) -> set[str]:
