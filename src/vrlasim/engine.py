@@ -44,7 +44,8 @@ from .degradation import (
     DegradationParams,
     corrosion_temperature_factor,
 )
-from .profiles import DEFAULT_DT_S, SECONDS_PER_DAY, StressAccumulator, TimeSeries, TraceRecord
+from .profiles import DEFAULT_DT_S, SECONDS_PER_DAY, STRESS_LOW_SOC, StressAccumulator
+from .profiles import StressFactors, TimeSeries, TraceRecord
 from .profiles import divides_day
 
 
@@ -271,7 +272,7 @@ def _sim_result(
     eol_ah: float,
     c_corr: float,
     c_deg: float,
-    stress: StressAccumulator,
+    stress_result: StressFactors,
     **fields,
 ) -> SimResult:
     """The SimResult of a run that ended after lifetime_steps steps with
@@ -279,7 +280,6 @@ def _sim_result(
     capacity = scenario.battery.capacity_ah
     loss = c_corr + c_deg
     lifetime_days = lifetime_steps * scenario.dt_s / SECONDS_PER_DAY
-    stress_result = stress.result()
     return SimResult(
         name=scenario.name,
         policy=scenario.control.policy.value,
@@ -308,15 +308,17 @@ def run_scenario(scenario: Scenario) -> SimResult:
     limit selection and controller step (control.update_load_disconnect,
     select_limits, tscc_step), terminal voltage and hold current
     (Battery methods), gassing (battery.gassing_current), coulomb
-    counting (battery.step_soc) and the ageing step
-    (DegradationModel.step) are written out here with the float
-    operations of those functions, in their order; the terms that depend
-    on temperature alone come from a TemperatureTerms memo.  The
-    functions remain the single-step API, and tests/reference_engine.py
-    composes them, each evaluated afresh at the step's temperature, into
-    the loop whose results this one must equal bit for bit.  The
-    electrolyte chain stays in Battery.electrolyte, the OCV inversion in
-    Battery.invert_ocv and the adaptive schedule in _reschedule.
+    counting (battery.step_soc), the ageing step (DegradationModel.step)
+    and the stress sums (StressAccumulator.add) are written out here with
+    the float operations of those functions, in their order; the terms
+    that depend on temperature alone come from a TemperatureTerms memo,
+    and the stress factors from StressFactors.from_totals once, at the
+    end.  The functions remain the single-step API, and
+    tests/reference_engine.py composes them, each evaluated afresh at the
+    step's temperature, into the loop whose results this one must equal
+    bit for bit.  The electrolyte chain stays in Battery.electrolyte, the
+    OCV inversion in Battery.invert_ocv (called only where it can move
+    the state of charge) and the adaptive schedule in _reschedule.
     """
     started = time.perf_counter()
     params = scenario.battery
@@ -353,9 +355,15 @@ def run_scenario(scenario: Scenario) -> SimResult:
     soc_to_ah = 1.0 / (capacity * 3600.0)
     capacity_as = capacity * 3600.0  # step_soc's divisor
 
-    # per-run constants of the written-out layers
+    # per-run constants of the written-out layers, and the module names
+    # the step reads, as locals
+    exp, sqrt = math.exp, math.sqrt
+    soc_cap, soc_floor = SOC_CAP, SOC_FLOOR
+    soc_bin_width, soc_bin_last = SOC_BIN_WIDTH, N_SOC_BINS - 1
+    v_bin_low, v_bin_width, v_bin_last = VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH, N_VOLTAGE_BINS - 1
     cells, b0_ah, b1 = battery.cells, battery.b0_ah, battery.b1
-    electrolyte = battery.electrolyte
+    v_empty, v_full = battery.v_empty, battery.v_full
+    electrolyte, invert_ocv = battery.electrolyte, battery.invert_ocv
     p0, p1, p2, p3, p4 = POSITIVE_OCV_COEFFS
     gassing = params.gassing
     i_gas_0, c_v, v_ref = gassing.i_gas_0, gassing.c_v, gassing.v_ref
@@ -378,8 +386,6 @@ def run_scenario(scenario: Scenario) -> SimResult:
 
     soc_hist = [0.0] * N_SOC_BINS
     v_hist = [0.0] * N_VOLTAGE_BINS
-    stress = StressAccumulator(capacity, dt_h)
-    stress_add = stress.add
     trace: list[TraceRecord] | None = [] if scenario.record_trace else None
     trajectory: list[DayRecord] = []
 
@@ -394,6 +400,15 @@ def run_scenario(scenario: Scenario) -> SimResult:
     ks_clamp_events = 0
     c_deg_z_w = math.nan  # the z_w that c_deg was computed at; nan matches none
     el = (math.nan, math.nan, math.nan)  # the last Battery.electrolyte result
+
+    # StressAccumulator's running sums
+    charge_ah = discharge_ah = max_discharge_a = low_soc_h = float_h = 0.0
+    stress_low_soc, depth_bins_n = STRESS_LOW_SOC, StressAccumulator.N_DEPTH_BINS
+    depth_bin_last = depth_bins_n - 1
+    depth_bins = [0] * depth_bins_n
+    full_charge_times: list[float] = []
+    full_charge_days: set[int] = set()
+    cycle_min_soc = None  # lowest soc since the last full charge, None before one
 
     min_soc_run = soc
     min_soc_day = soc
@@ -468,7 +483,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
             phase = BULK
             applied = net_a
         else:
-            s = SOC_CAP if SOC_CAP < soc else soc
+            s = soc_cap if soc_cap < soc else soc
             s = 1e-6 if 1e-6 > s else s
             tapering = phase is ABSORPTION
             hold_v = v_float if phase is FLOAT else v_limit
@@ -476,7 +491,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
                 # terminal voltage if the whole surplus charged the battery
                 if el[0] != s:
                     el = electrolyte(s)
-                sc = SOC_CAP if SOC_CAP < s else s
+                sc = soc_cap if soc_cap < s else s
                 over = b0 * (net_a / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
                 if cells * el[2] + cells * over < v_limit:
                     hold_v = None
@@ -486,8 +501,8 @@ def run_scenario(scenario: Scenario) -> SimResult:
                 applied = net_a
             else:
                 # current that holds the terminal at hold_v
-                sh = SOC_CAP if SOC_CAP < s else s
-                sh = SOC_FLOOR if SOC_FLOOR > sh else sh
+                sh = soc_cap if soc_cap < s else s
+                sh = soc_floor if soc_floor > sh else sh
                 if el[0] != sh:
                     el = electrolyte(sh)
                 gain = b0 * (1.0 + b1 * sh / (1.0 - sh)) / capacity
@@ -511,30 +526,43 @@ def run_scenario(scenario: Scenario) -> SimResult:
                         full_set = wants_full_limits(ctrl, control)
                     # entering float collapses the current to the float hold level
                     hold = battery.hold_voltage_current(
-                        clamp(soc, SOC_FLOOR, SOC_CAP), v_float, loss
+                        clamp(soc, soc_floor, soc_cap), v_float, loss
                     )
                     applied = clamp(hold, 0.0, net_a)
 
         # terminal voltage under the applied current
-        soc_v = SOC_CAP if SOC_CAP < soc else soc
-        soc_v = SOC_FLOOR if SOC_FLOOR > soc_v else soc_v
+        soc_v = soc_cap if soc_cap < soc else soc
+        soc_v = soc_floor if soc_floor > soc_v else soc_v
         if el[0] != soc_v:
             el = electrolyte(soc_v)
         if applied == 0.0:
             over = 0.0
         elif applied > 0.0:
-            sc = SOC_CAP if SOC_CAP < soc_v else soc_v
+            sc = soc_cap if soc_cap < soc_v else soc_v
             over = b0 * (applied / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
         else:
-            sc = SOC_FLOOR if SOC_FLOOR > soc_v else soc_v
+            sc = soc_floor if soc_floor > soc_v else soc_v
             over = b0 * (applied / capacity) * (1.0 + b1 * ((1.0 - sc) / sc))
         voltage = cells * el[2] + cells * over
 
         # rest correction: only when the controller is not holding a
         # voltage, otherwise small hold currents look like rest while
-        # the terminal is still polarized
-        if phase is BULK and -rest_a < applied < rest_a:
-            corrected = battery.invert_ocv(voltage, seed=soc)[0]
+        # the terminal is still polarized.  The inversion cannot move soc
+        # where applied == 0.0, soc == soc_v (so soc lies within the rails
+        # [SOC_FLOOR, SOC_CAP]) and v_empty < voltage < v_full: then
+        # voltage == cells * el[2] + 0.0 == Battery.ocv(soc), the seed clamp
+        # to [1e-6, 1 - 1e-6] leaves soc as it is, and invert_ocv returns
+        # (soc, False) at its first abs(f) < 1e-12 test, with f == 0.0.
+        # Adding the jump of 0.0 leaves correction_jumps as it is, since
+        # that sum never holds -0.0.  The voltage test is needed: where the
+        # OCV polynomial turns down at a nearly spent electrolyte, the OCV
+        # near SOC_FLOOR can lie below v_empty, and the inversion clamps.
+        if (
+            phase is BULK
+            and -rest_a < applied < rest_a
+            and (applied != 0.0 or soc != soc_v or not v_empty < voltage < v_full)
+        ):
+            corrected = invert_ocv(voltage, soc)[0]
             jump = corrected - soc
             if abs(jump) > 1e-9:
                 correction_events += 1
@@ -542,7 +570,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
             soc = corrected
 
         # gassing, then coulomb counting without the gassing current
-        i_gas = i_gas_0 * math.exp(c_v * (voltage - v_ref) + gas_term)
+        i_gas = i_gas_0 * exp(c_v * (voltage - v_ref) + gas_term)
         charge = (applied - i_gas) * dt_s
         integral += charge * soc_to_ah
         new_soc = soc + charge / capacity_as
@@ -589,13 +617,13 @@ def run_scenario(scenario: Scenario) -> SimResult:
             m = 1.0 if 1.0 < min_soc_since_full else min_soc_since_full
             m = 0.0 if 0.0 > m else m
             i_w = i_floor if i_floor > discharge_a else discharge_a
-            f = 1.0 + (c_soc0 + c_soc_min * (1.0 - m)) * math.sqrt(
+            f = 1.0 + (c_soc0 + c_soc_min * (1.0 - m)) * sqrt(
                 i_ref / i_w
             ) * since_full_h
             z_w = z_w + discharge_a * f * dt_h / capacity
         c_corr = c_corr_limit * w / w_limit
         if z_w != c_deg_z_w:
-            c_deg = c_deg_limit * math.exp(-5.0 * (1.0 - z_w / nominal_cycles))
+            c_deg = c_deg_limit * exp(-5.0 * (1.0 - z_w / nominal_cycles))
             c_deg_z_w = z_w
         loss = c_corr + c_deg
         soc = new_soc
@@ -604,13 +632,36 @@ def run_scenario(scenario: Scenario) -> SimResult:
             min_soc_run = soc
         if soc < min_soc_day:
             min_soc_day = soc
-        soc_bin = int(soc_v / SOC_BIN_WIDTH)
-        soc_hist[soc_bin if soc_bin < N_SOC_BINS else N_SOC_BINS - 1] += dt_h
-        vbin = int((voltage - VOLTAGE_BIN_LOW) / VOLTAGE_BIN_WIDTH)
+        soc_bin = int(soc_v / soc_bin_width)
+        soc_hist[soc_bin if soc_bin < soc_bin_last else soc_bin_last] += dt_h
+        vbin = int((voltage - v_bin_low) / v_bin_width)
         vbin = 0 if vbin < 0 else vbin
-        v_hist[vbin if vbin < N_VOLTAGE_BINS else N_VOLTAGE_BINS - 1] += dt_h
+        v_hist[vbin if vbin < v_bin_last else v_bin_last] += dt_h
+
+        # stress sums, as StressAccumulator.add keeps them
+        if applied >= 0.0:
+            charge_ah += applied * dt_h
+        else:
+            drawn = -applied
+            discharge_ah += drawn * dt_h
+            if drawn > max_discharge_a:
+                max_discharge_a = drawn
+        if soc < stress_low_soc:
+            low_soc_h += dt_h
         floating = phase is FLOAT
-        stress_add(applied, soc, full_event, floating)
+        if floating:
+            float_h += dt_h
+        if cycle_min_soc is not None and soc < cycle_min_soc:
+            cycle_min_soc = soc
+        if full_event:
+            if cycle_min_soc is not None:
+                depth = 1.0 - cycle_min_soc
+                depth_bin = int(depth * depth_bins_n) if depth > 0.0 else 0
+                depth_bins[depth_bin if depth_bin < depth_bin_last else depth_bin_last] += 1
+            t_h = i * dt_h
+            full_charge_times.append(t_h)
+            full_charge_days.add(int(t_h // 24.0))
+            cycle_min_soc = soc
         if trace is not None:
             trace.append(TraceRecord(i * dt_h, applied, soc, voltage, full_event, floating))
         v_prev = voltage
@@ -633,7 +684,19 @@ def run_scenario(scenario: Scenario) -> SimResult:
         eol_ah,
         c_corr,
         c_deg,
-        stress,
+        StressFactors.from_totals(
+            capacity,
+            dt_h,
+            lifetime_steps,
+            charge_ah,
+            discharge_ah,
+            max_discharge_a,
+            low_soc_h,
+            float_h,
+            full_charge_times,
+            full_charge_days,
+            depth_bins,
+        ),
         censored=censored,
         min_soc=min_soc_run,
         disconnect_events=disconnect_events,

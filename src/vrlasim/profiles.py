@@ -113,9 +113,11 @@ class TimeSeries:
                         f"solar_w sample {i} outside [0, {self.panel_rating_w}]: {p}"
                     )
         temps = self.temp_c
-        if not all(map(math.isfinite, temps)):
-            i = next(i for i, t in enumerate(temps) if not math.isfinite(t))
-            raise ProfileError(f"temp_c sample {i} is not finite: {temps[i]}")
+        if not math.isfinite(sum(temps)):
+            for i, t in enumerate(temps):
+                if not -inf < t < inf:
+                    raise ProfileError(f"temp_c sample {i} is not finite: {t}")
+            # finite samples whose sum overflowed: the range check names one
         if min(temps) < TEMP_MIN_C or max(temps) > TEMP_MAX_C:
             i = next(i for i, t in enumerate(temps) if not TEMP_MIN_C <= t <= TEMP_MAX_C)
             raise ProfileError(
@@ -528,6 +530,9 @@ class TraceRecord:
     floating: bool
 
 
+STRESS_LOW_SOC = 0.5  # time below this state of charge counts as low
+
+
 @dataclass(frozen=True)
 class StressFactors:
     """Operating-stress summary of a battery trace."""
@@ -538,7 +543,7 @@ class StressFactors:
     charge_factor: float | None  # charged over discharged Ah
     full_equivalent_cycles: float
     highest_discharge_rate_a: float
-    time_at_low_soc_h: float  # below soc 0.5
+    time_at_low_soc_h: float  # below STRESS_LOW_SOC
     n_full_charges: int
     full_recharge_day_fraction: float
     time_between_full_mean_h: float | None
@@ -549,13 +554,52 @@ class StressFactors:
     def partial_cycle_count(self) -> int:
         return sum(self.partial_cycle_depths)
 
+    @classmethod
+    def from_totals(
+        cls,
+        capacity_ah: float,
+        dt_h: float,
+        steps: int,
+        charge_ah: float,
+        discharge_ah: float,
+        max_discharge_a: float,
+        low_soc_h: float,
+        float_h: float,
+        full_charge_times: list[float],
+        full_charge_days: set[int],
+        depth_bins: list[int],
+    ) -> StressFactors:
+        """The stress factors of a trace of `steps` records, from the running
+        sums that StressAccumulator.add keeps (run_scenario keeps the same
+        sums in its locals)."""
+        duration_days = steps * dt_h / 24.0
+        # a duration within 1e-9 day above a whole day is the rounding error
+        # of a dt_h such as 96 s / 3600, not a further day
+        whole_days = max(math.ceil(duration_days - 1e-9), 1)
+        gaps = [b - a for a, b in zip(full_charge_times, full_charge_times[1:])]
+        return cls(
+            duration_days=duration_days,
+            charge_ah=charge_ah,
+            discharge_ah=discharge_ah,
+            charge_factor=charge_ah / discharge_ah if discharge_ah > 0 else None,
+            full_equivalent_cycles=discharge_ah / capacity_ah,
+            highest_discharge_rate_a=max_discharge_a,
+            time_at_low_soc_h=low_soc_h,
+            n_full_charges=len(full_charge_times),
+            full_recharge_day_fraction=len(full_charge_days) / whole_days,
+            time_between_full_mean_h=(sum(gaps) / len(gaps)) if gaps else None,
+            time_between_full_max_h=max(gaps) if gaps else None,
+            partial_cycle_depths=tuple(depth_bins),
+            float_hours_per_day=float_h / duration_days if duration_days else 0.0,
+        )
+
 
 class StressAccumulator:
     """Streams per-step battery records into stress-factor statistics."""
 
     N_DEPTH_BINS = 10
 
-    def __init__(self, capacity_ah: float, dt_h: float, low_soc: float = 0.5):
+    def __init__(self, capacity_ah: float, dt_h: float, low_soc: float = STRESS_LOW_SOC):
         for name, value in (("capacity_ah", capacity_ah), ("dt_h", dt_h)):
             if not POSITIVE.accepts(value):
                 raise ProfileError(f"{name} must {POSITIVE.rule}: {value!r}")
@@ -606,30 +650,18 @@ class StressAccumulator:
             self._min_soc_since_full = soc
 
     def result(self) -> StressFactors:
-        duration_days = self.steps * self.dt_h / 24.0
-        # a duration within 1e-9 day above a whole day is the rounding error
-        # of a dt_h such as 96 s / 3600, not a further day
-        whole_days = max(math.ceil(duration_days - 1e-9), 1)
-        gaps = [
-            b - a
-            for a, b in zip(self.full_charge_times, self.full_charge_times[1:])
-        ]
-        return StressFactors(
-            duration_days=duration_days,
-            charge_ah=self.charge_ah,
-            discharge_ah=self.discharge_ah,
-            charge_factor=(
-                self.charge_ah / self.discharge_ah if self.discharge_ah > 0 else None
-            ),
-            full_equivalent_cycles=self.discharge_ah / self.capacity_ah,
-            highest_discharge_rate_a=self.max_discharge_a,
-            time_at_low_soc_h=self.low_soc_h,
-            n_full_charges=len(self.full_charge_times),
-            full_recharge_day_fraction=len(self.full_charge_days) / whole_days,
-            time_between_full_mean_h=(sum(gaps) / len(gaps)) if gaps else None,
-            time_between_full_max_h=max(gaps) if gaps else None,
-            partial_cycle_depths=tuple(self.depth_bins),
-            float_hours_per_day=self.float_h / duration_days if duration_days else 0.0,
+        return StressFactors.from_totals(
+            self.capacity_ah,
+            self.dt_h,
+            self.steps,
+            self.charge_ah,
+            self.discharge_ah,
+            self.max_discharge_a,
+            self.low_soc_h,
+            self.float_h,
+            self.full_charge_times,
+            self.full_charge_days,
+            self.depth_bins,
         )
 
 

@@ -3,10 +3,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vrlasim.battery import (
+    FARADAY,
     SOC_CAP,
     SOC_FLOOR,
     Battery,
@@ -27,6 +28,33 @@ from vrlasim.battery import (
 )
 
 PARAMS = BatteryParams()
+# An electrolyte that is nearly spent at soc 0: log10 molality falls below
+# the OCV polynomial's turning point (-1.611), so the OCV near SOC_FLOOR
+# lies below the OCV at soc 0.
+SPENT = BatteryParams(electrolyte_volume_m3=1.3755e-4)
+
+
+@st.composite
+def battery_params(draw):
+    """Valid BatteryParams, some with an electrolyte nearly spent at soc 0."""
+    capacity = draw(st.floats(1.0, 200.0))
+    c_max = draw(st.floats(500.0, 15000.0))
+    v_acid = draw(st.floats(10.0, 60.0))
+    # the electrolyte volume as a multiple of the least that keeps acid at soc 0
+    least = capacity * 3600.0 / (FARADAY * c_max)
+    margin = draw(st.one_of(st.floats(1.0, 1.01), st.floats(1.0, 3.0)))
+    try:
+        return BatteryParams(
+            capacity_ah=capacity,
+            cells_in_series=draw(st.integers(1, 24)),
+            c_max=c_max,
+            electrolyte_volume_m3=least * margin,
+            v_water=draw(st.floats(5.0, 40.0)),
+            v_acid=v_acid,
+            m_water=draw(st.floats(5.0, 40.0)),
+        )
+    except BatteryParamError:
+        assume(False)
 
 
 class TestAcidConcentration:
@@ -233,6 +261,36 @@ class TestOcvInversion:
         assert invert_battery_ocv(battery_ocv(1.0, PARAMS) + 0.5, PARAMS) == (1.0, True)
         assert invert_battery_ocv(battery_ocv(0.0, PARAMS) - 0.5, PARAMS) == (0.0, True)
 
+    @settings(max_examples=300)
+    @given(
+        battery_params(),
+        st.one_of(st.sampled_from([SOC_FLOOR, SOC_CAP]), st.floats(SOC_FLOOR, SOC_CAP)),
+    )
+    def test_rest_voltage_inverts_to_its_seed(self, params, s):
+        """What lets run_scenario skip the rest inversion: at zero current,
+        with soc on or within the rails and its OCV inside (v_empty,
+        v_full), the inversion returns the seed unchanged."""
+        battery = Battery(params)
+        v = battery.ocv(s)
+        if battery.v_empty < v < battery.v_full:
+            assert battery.invert_ocv(v, seed=s) == (s, False)
+        else:
+            assert battery.invert_ocv(v, seed=s) in ((0.0, True), (1.0, True))
+
+    def test_rails_inside_the_ocv_span(self):
+        battery = Battery(PARAMS)
+        for s in (SOC_FLOOR, SOC_CAP):
+            assert battery.v_empty < battery.ocv(s) < battery.v_full
+            assert battery.invert_ocv(battery.ocv(s), seed=s) == (s, False)
+
+    def test_spent_electrolyte_clamps_at_the_floor(self):
+        # why the engine's skip also tests the voltage: here the OCV at
+        # SOC_FLOOR lies below v_empty, and the inversion moves soc to 0
+        battery = Battery(SPENT)
+        assert battery.electrolyte(0.0)[1] < -1.611
+        assert battery.ocv(SOC_FLOOR) < battery.v_empty
+        assert battery.invert_ocv(battery.ocv(SOC_FLOOR), seed=SOC_FLOOR) == (0.0, True)
+
 
 class TestElectrolyteMemo:
     RAILS = [0.0, SOC_FLOOR, SOC_CAP, 1.0]
@@ -265,6 +323,23 @@ class TestElectrolyteMemo:
                 PARAMS
             ).positive_terminal_voltage(soc, 12.6)
             assert battery.ocv(soc) == fresh
+
+    @settings(max_examples=200)
+    @given(battery_params(), st.one_of(st.floats(0.0, 1.0), st.sampled_from(RAILS)))
+    def test_one_frame_chain_matches_the_steps(self, params, soc):
+        # Battery.electrolyte against acid_concentration -> log_molality
+        # -> cell_ocv, on batteries other than the default
+        battery = Battery(params)
+        y = battery.log_molality(battery.acid_concentration(soc))
+        assert battery.electrolyte(soc) == (soc, y, cell_ocv(y))
+
+    @pytest.mark.parametrize("soc", [-1e-12, 1.0 + 1e-12, math.nan, math.inf])
+    def test_one_frame_chain_rejects_what_the_steps_reject(self, soc):
+        battery = Battery(PARAMS)
+        with pytest.raises(ValueError, match="^soc out of range"):
+            battery.acid_concentration(soc)
+        with pytest.raises(ValueError, match="^soc out of range"):
+            battery.electrolyte(soc)
 
     def test_memo_lives_on_the_object(self):
         a, b = Battery(PARAMS), Battery(PARAMS)

@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 
 from helpers import START, result_digest
 from reference_engine import reference_run
-from vrlasim.battery import BatteryParams
+from vrlasim.battery import SOC_FLOOR, BatteryParams
 from vrlasim.control import ControlParams, adaptive_params
 from vrlasim.degradation import Datasheet
 from vrlasim.engine import Scenario, run_scenario
 from vrlasim.profiles import TimeSeries, ambient_temperature, solar_power
 
 POLICIES = {"static": ControlParams(), "adaptive": adaptive_params()}
+# three days without load or sun: the battery rests on every step
+IDLE = TimeSeries(START, 900.0, [0.0] * 288, [0.0] * 288, [25.0] * 288, panel_rating_w=60.0)
 
 
 @st.composite
@@ -79,8 +81,18 @@ def test_fused_step_matches_reference_loop(scenario):
     [
         # the rest voltage below every OCV clamps the inverted soc
         {"battery": BatteryParams(rest_current_a=5.0), "initial_soc": 0.0},
+        # at rest outside the rails: the inversion must still run
+        {"profile": IDLE, "initial_soc": 1.0},
+        {"profile": IDLE, "initial_soc": 0.0},
+        # at rest on the floor, whose OCV lies below the OCV at soc 0 on
+        # a nearly spent electrolyte: the inversion clamps soc to 0
+        {
+            "profile": IDLE,
+            "battery": BatteryParams(electrolyte_volume_m3=1.3755e-4),
+            "initial_soc": SOC_FLOOR,
+        },
     ],
-    ids=["rest_clamp"],
+    ids=["rest_clamp", "idle_full", "idle_empty", "idle_spent_floor"],
 )
 def test_fused_step_matches_reference_on_edge_parameters(policy, change):
     base = Scenario(

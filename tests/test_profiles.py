@@ -152,6 +152,20 @@ class TestTimeSeriesValidation:
         with pytest.raises(ProfileError, match="temp_c sample 2"):
             TimeSeries(START, 900.0, [0.0] * 3, [0.0] * 3, [25.0, 25.0, bad])
 
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_nan_temperature_message(self, k):
+        temps = [25.0] * 5
+        temps[k] = math.nan
+        with pytest.raises(ProfileError, match=f"^temp_c sample {k} is not finite: nan$"):
+            TimeSeries(START, 900.0, [0.0] * 5, [0.0] * 5, temps)
+
+    def test_finite_temperatures_whose_sum_overflows_reach_the_range_check(self):
+        # the finite-sum pass fails, the search finds no non-finite sample
+        with pytest.raises(
+            ProfileError, match=r"^temp_c sample 0 outside \[-40.0, 80.0\] degC: 1e\+308$"
+        ):
+            TimeSeries(START, 900.0, [0.0] * 3, [0.0] * 3, [1e308] * 3)
+
     @pytest.mark.parametrize("bad", [298.15, -40.01])
     def test_implausible_temperature_names_column_sample_and_range(self, bad):
         with pytest.raises(ProfileError, match=r"temp_c sample 2 outside \[-40.0, 80.0\]"):

@@ -209,6 +209,95 @@ def test_reference_loop_imports_no_part_of_the_fused_step():
     assert engine_imports(REFERENCE.read_text()) <= REFERENCE_ENGINE_IMPORTS
 
 
+def function_def(source: str, name: str) -> ast.FunctionDef:
+    """The module-level function `name` of a source."""
+    (node,) = (
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+    return node
+
+
+def loop_lines(function: ast.FunctionDef) -> set[int]:
+    """The lines of a function's for loops."""
+    return {
+        line
+        for node in ast.walk(function)
+        if isinstance(node, ast.For)
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
+def loop_reads(function: ast.FunctionDef) -> Counter[str]:
+    """How often each name is read in the for loops of a function."""
+    reads: Counter[str] = Counter()
+    for node in ast.walk(function):
+        if isinstance(node, ast.For):
+            reads.update(names_read(node))
+    return reads
+
+
+def accumulator_adds(function: ast.FunctionDef) -> list[int]:
+    """Lines of a function that read `.add` of a StressAccumulator: of a
+    name bound to `StressAccumulator(...)` in it, or of such a call itself."""
+    made = {
+        target.id
+        for node in ast.walk(function)
+        if isinstance(node, ast.Assign) and is_accumulator(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "add"
+        and (
+            is_accumulator(node.value)
+            or isinstance(node.value, ast.Name) and node.value.id in made
+        )
+    )
+
+
+def is_accumulator(node: ast.AST) -> bool:
+    """Whether a node is a call of StressAccumulator, by name or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "StressAccumulator"
+
+
+def test_finds_accumulator_adds():
+    source = (
+        "def run(xs):\n"
+        "    acc = profiles.StressAccumulator(1.0, 1.0)\n"
+        "    add = acc.add\n"
+        "    days = set()\n"
+        "    for x in xs:\n"
+        "        days.add(x)\n"
+        "        acc.add(x, 0.5, False, False)\n"
+        "    StressAccumulator(1.0, 1.0).add(0.0, 0.5, False, False)\n"
+    )
+    run = function_def(source, "run")
+    assert accumulator_adds(run) == [3, 7, 8]
+    assert loop_lines(run) == {5, 6, 7}
+    assert loop_reads(run)["add"] == 2
+    assert accumulator_adds(function_def("def f(days):\n    days.add(1)\n", "f")) == []
+
+
+def test_fused_step_keeps_the_stress_sums_itself():
+    """run_scenario adds to no StressAccumulator, while the reference loop
+    calls StressAccumulator.add and Battery.invert_ocv on its steps, so
+    the differential test compares two independent forms of each."""
+    fused = function_def((PACKAGE / "engine.py").read_text(), "run_scenario")
+    assert accumulator_adds(fused) == []
+    reference = function_def(REFERENCE.read_text(), "reference_run")
+    assert set(accumulator_adds(reference)) & loop_lines(reference)
+    assert loop_reads(reference)["invert_ocv"]
+
+
 @pytest.mark.parametrize("cls", PARAMETER_CLASSES, ids=lambda c: c.__name__)
 def test_every_numeric_field_declares_its_domain(cls):
     """An int or float field without a domain would skip the checker."""
