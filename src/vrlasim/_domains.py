@@ -41,6 +41,6 @@ def same_as(cls: type, name: str) -> Any:
 def check_fields(obj: Any, error: type[Exception], prefix: str = "") -> None:
     """Raise `error` naming the first declared field of `obj` out of its domain."""
     for f in dataclasses.fields(obj):
-        domain, value = f.metadata.get("domain"), getattr(obj, f.name)
-        if domain is not None and not domain.accepts(value):
+        domain = f.metadata.get("domain")  # read only declared fields' values
+        if domain is not None and not domain.accepts(value := getattr(obj, f.name)):
             raise error(f"{prefix}{f.name} must {domain.rule}: {value!r}")

@@ -24,6 +24,12 @@ OCV_COEFFS = (1.92, 0.15, 0.06, 0.07, 0.03)
 # Positive-electrode potential polynomial, same argument.
 POSITIVE_OCV_COEFFS = (1.628, 0.074, 0.033, 0.043, 0.022)
 
+# The log10 molality below which the per-cell OCV falls as molality rises:
+# the one real root of the OCV polynomial's slope a1 + 2 a2 y + 3 a3 y^2 +
+# 4 a4 y^3, whose own extremes (at y = -2/3 and -1/2) are both positive.
+# The slope is not positive here and is positive at the next float up.
+OCV_TURNING_POINT = -1.6109204436994384
+
 SOC_CAP = 0.9999  # keeps the charge overpotential term finite
 SOC_FLOOR = 0.0001  # same guard for the discharge side
 
@@ -81,6 +87,18 @@ class BatteryParams:
             raise BatteryParamError(
                 "electrolyte too small: acid concentration reaches zero "
                 "before soc 0 (raise c_max or electrolyte_volume_m3)"
+            )
+        # Battery.invert_ocv needs the OCV to rise with soc.  Molality rises
+        # with soc, so that holds where it stays above the turning point.
+        try:
+            y0 = Battery(self).electrolyte(0.0)[1]
+        except ValueError:  # math.log10 of a molality that underflowed to 0
+            y0 = -math.inf
+        if not y0 > OCV_TURNING_POINT:
+            raise BatteryParamError(
+                f"electrolyte too small: log10 molality at soc 0 is {y0:.6g}, not above "
+                f"the OCV's turning point {OCV_TURNING_POINT:.6g}, so the OCV would fall "
+                "with soc (raise electrolyte_volume_m3 or c_max)"
             )
 
     def concentration_swing(self) -> float:

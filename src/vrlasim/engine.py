@@ -15,6 +15,7 @@ import threading
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ._domains import HALF_OPEN_UNIT, POSITIVE, UNIT, check_fields, declared
 from .battery import (
@@ -211,8 +212,8 @@ class TemperatureTerms:
     exact temp_c float (0.0 and -0.0 share one, and give the same terms),
     so the memo cannot change a result.  It stops inserting at
     TEMPERATURE_MEMO_ENTRIES, so a profile whose temperatures never repeat
-    costs bounded memory; further temperatures are evaluated afresh on
-    every step.
+    costs bounded memory; further temperatures are evaluated afresh each
+    time a day's terms are made.
     """
 
     __slots__ = ("control", "degradation", "gassing", "entries")
@@ -240,6 +241,20 @@ class TemperatureTerms:
             if len(self.entries) < TEMPERATURE_MEMO_ENTRIES:
                 self.entries[temp_c] = terms
         return terms
+
+    def day(self, temps: Sequence[float]) -> list[tuple[float, float, CompensatedLimits] | None]:
+        """The terms at each of a day's temperatures, None where evaluating
+        them raised.  The step evaluates those again, so the error comes at
+        the step it always came at, and a sample after the run's last step
+        raises nothing."""
+        get = self.entries.get
+        return [get(t) or self._or_none(t) for t in temps]  # terms are non-empty tuples
+
+    def _or_none(self, temp_c: float) -> tuple[float, float, CompensatedLimits] | None:
+        try:
+            return self(temp_c)
+        except Exception:
+            return None
 
 
 def _reschedule(
@@ -313,12 +328,16 @@ def run_scenario(scenario: Scenario) -> SimResult:
     the float operations of those functions, in their order; the terms
     that depend on temperature alone come from a TemperatureTerms memo,
     and the stress factors from StressFactors.from_totals once, at the
-    end.  The functions remain the single-step API, and
-    tests/reference_engine.py composes them, each evaluated afresh at the
-    step's temperature, into the loop whose results this one must equal
-    bit for bit.  The electrolyte chain stays in Battery.electrolyte, the
-    OCV inversion in Battery.invert_ocv (called only where it can move
-    the state of charge) and the adaptive schedule in _reschedule.
+    end.  The loop runs over days, then over the steps of each day: the
+    profile gives a day's samples (TimeSeries.day), and the day's
+    temperature terms are made once for all its steps, afresh only when
+    its temperatures are not the same object as the day before's.  The
+    functions remain the single-step API, and tests/reference_engine.py
+    composes them, each evaluated afresh at the step's temperature, into
+    the loop whose results this one must equal bit for bit.  The
+    electrolyte chain stays in Battery.electrolyte, the OCV inversion in
+    Battery.invert_ocv (called only where it can move the state of
+    charge) and the adaptive schedule in _reschedule.
     """
     started = time.perf_counter()
     params = scenario.battery
@@ -334,18 +353,17 @@ def run_scenario(scenario: Scenario) -> SimResult:
     control = scenario.control
     adaptive = control.policy is Policy.ADAPTIVE
     temperature_terms = TemperatureTerms(control, scenario.degradation, params.gassing)
-    memoised_terms = temperature_terms.entries.get
+    terms_of_day = temperature_terms.day
 
     dt_s = scenario.dt_s
     dt_h = dt_s / 3600.0
     steps_per_day = int(round(SECONDS_PER_DAY / dt_s))
     max_steps = int(round(scenario.max_years * DAYS_PER_YEAR * steps_per_day))
-    n_profile = len(profile)
-    load_col, solar_col, temp_col = profile.load_w, profile.solar_w, profile.temp_c
     if profile.dt_s != dt_s:
         raise EngineError(
             f"profile dt {profile.dt_s}s does not match scenario dt {dt_s}s"
         )
+    profile_day = profile.day
 
     capacity = params.capacity_ah
     rest_a = params.rest_current_a
@@ -418,8 +436,6 @@ def run_scenario(scenario: Scenario) -> SimResult:
     load_lost_wh = 0.0
     clamp_events = 0
     correction_events = 0
-    day = 0
-    midnight = steps_per_day
     last_full_event_day = -1
     day_start_c_corr = 0.0
     day_start_total = 0.0
@@ -428,11 +444,11 @@ def run_scenario(scenario: Scenario) -> SimResult:
     loss = c_corr + c_deg  # refreshed once per step, after the ageing step
     b0 = b0_ah / (capacity - loss)  # Battery.effective_b0 at loss
 
-    for i in range(max_steps):
-        if i == midnight:
+    days = -(-max_steps // steps_per_day)  # the last may be partial
+    day_temps = None  # the temperatures day_terms holds the terms of
+    for day in range(days):
+        if day:
             # close out yesterday, refresh the adaptive target
-            day += 1
-            midnight += steps_per_day
             trajectory.append(
                 _day_record(day, c_corr, c_deg, capacity, min_soc_day, day_full_events)
             )
@@ -450,227 +466,231 @@ def run_scenario(scenario: Scenario) -> SimResult:
             day_start_c_corr = c_corr
             day_start_total = loss
 
-        idx = i % n_profile
-        load_w = load_col[idx]
-        solar_w = solar_col[idx]
-        temp_c = temp_col[idx]
-        terms = memoised_terms(temp_c)  # the memo hit, without a method call
-        if terms is None:
-            terms = temperature_terms(temp_c)
-        corrosion_factor, gas_term, limits = terms
+        loads, solars, temps = profile_day(day)
+        if temps is not day_temps:  # a template day reuses its terms
+            day_temps, day_terms = temps, terms_of_day(temps)
+        first = day * steps_per_day
+        steps = range(first, min(first + steps_per_day, max_steps))
+        for i, load_w, solar_w, temp_c, terms in zip(steps, loads, solars, temps, day_terms):
+            if terms is None:  # evaluating them raised: raise it at this step
+                terms = temperature_terms(temp_c)
+            corrosion_factor, gas_term, limits = terms
 
-        # load disconnect with reconnect hysteresis
-        if disconnected:
-            if soc >= reconnect_soc:
-                disconnected = False
-        elif soc < cutoff_soc:
-            disconnected = True
-            disconnect_events += 1
-        if disconnected:
-            hours_disconnected += dt_h
-            load_lost_wh += load_w * dt_h
-            load_a = 0.0
-        else:
-            load_a = load_w / v_prev
-        avail_a = solar_w * eff / v_prev
-        net_a = avail_a - load_a
-        v_limit, v_float = limits[0] if full_set else limits[1]
+            # load disconnect with reconnect hysteresis
+            if disconnected:
+                if soc >= reconnect_soc:
+                    disconnected = False
+            elif soc < cutoff_soc:
+                disconnected = True
+                disconnect_events += 1
+            if disconnected:
+                hours_disconnected += dt_h
+                load_lost_wh += load_w * dt_h
+                load_a = 0.0
+            else:
+                load_a = load_w / v_prev
+            avail_a = solar_w * eff / v_prev
+            net_a = avail_a - load_a
+            v_limit, v_float = limits[0] if full_set else limits[1]
 
-        # controller step: pick the battery current and advance the phase
-        full_event = False
-        if net_a <= 0.0:
-            # deficit or nothing available: battery serves the load, re-arm
-            phase = BULK
-            applied = net_a
-        else:
-            s = soc_cap if soc_cap < soc else soc
-            s = 1e-6 if 1e-6 > s else s
-            tapering = phase is ABSORPTION
-            hold_v = v_float if phase is FLOAT else v_limit
-            if phase is BULK:
-                # terminal voltage if the whole surplus charged the battery
-                if el[0] != s:
-                    el = electrolyte(s)
-                sc = soc_cap if soc_cap < s else s
-                over = b0 * (net_a / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
-                if cells * el[2] + cells * over < v_limit:
-                    hold_v = None
-                else:
-                    phase = ABSORPTION
-            if hold_v is None:
+            # controller step: pick the battery current and advance the phase
+            full_event = False
+            if net_a <= 0.0:
+                # deficit or nothing available: battery serves the load, re-arm
+                phase = BULK
                 applied = net_a
             else:
-                # current that holds the terminal at hold_v
-                sh = soc_cap if soc_cap < s else s
-                sh = soc_floor if soc_floor > sh else sh
-                if el[0] != sh:
-                    el = electrolyte(sh)
-                gain = b0 * (1.0 + b1 * sh / (1.0 - sh)) / capacity
-                i_hold = (hold_v / cells - el[2]) / gain
-                applied = net_a if net_a < i_hold else i_hold
-                applied = 0.0 if 0.0 > applied else applied
-                if tapering and i_hold <= taper_a and net_a >= i_hold:
-                    # taper finished and the source could actually sustain it
-                    phase = FLOAT
-                    if full_set:
-                        # full recharge declared: trust the controller and
-                        # snap the coulomb counter to full
-                        full_reset_jumps += 1.0 - soc
-                        soc = 1.0
-                        since_full_h = 0.0
-                        min_soc_since_full = 1.0
-                        full_event = True
-                        day_full_events += 1
-                        last_full_event_day = day
-                        ctrl.days_since_full_recharge = 0
-                        full_set = wants_full_limits(ctrl, control)
-                    # entering float collapses the current to the float hold level
-                    hold = battery.hold_voltage_current(
-                        clamp(soc, soc_floor, soc_cap), v_float, loss
-                    )
-                    applied = clamp(hold, 0.0, net_a)
+                s = soc_cap if soc_cap < soc else soc
+                s = 1e-6 if 1e-6 > s else s
+                tapering = phase is ABSORPTION
+                hold_v = v_float if phase is FLOAT else v_limit
+                if phase is BULK:
+                    # terminal voltage if the whole surplus charged the battery
+                    if el[0] != s:
+                        el = electrolyte(s)
+                    sc = soc_cap if soc_cap < s else s
+                    over = b0 * (net_a / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
+                    if cells * el[2] + cells * over < v_limit:
+                        hold_v = None
+                    else:
+                        phase = ABSORPTION
+                if hold_v is None:
+                    applied = net_a
+                else:
+                    # current that holds the terminal at hold_v
+                    sh = soc_cap if soc_cap < s else s
+                    sh = soc_floor if soc_floor > sh else sh
+                    if el[0] != sh:
+                        el = electrolyte(sh)
+                    gain = b0 * (1.0 + b1 * sh / (1.0 - sh)) / capacity
+                    i_hold = (hold_v / cells - el[2]) / gain
+                    applied = net_a if net_a < i_hold else i_hold
+                    applied = 0.0 if 0.0 > applied else applied
+                    if tapering and i_hold <= taper_a and net_a >= i_hold:
+                        # taper finished and the source could actually sustain it
+                        phase = FLOAT
+                        if full_set:
+                            # full recharge declared: trust the controller and
+                            # snap the coulomb counter to full
+                            full_reset_jumps += 1.0 - soc
+                            soc = 1.0
+                            since_full_h = 0.0
+                            min_soc_since_full = 1.0
+                            full_event = True
+                            day_full_events += 1
+                            last_full_event_day = day
+                            ctrl.days_since_full_recharge = 0
+                            full_set = wants_full_limits(ctrl, control)
+                        # entering float collapses the current to the float hold level
+                        hold = battery.hold_voltage_current(
+                            clamp(soc, soc_floor, soc_cap), v_float, loss
+                        )
+                        applied = clamp(hold, 0.0, net_a)
 
-        # terminal voltage under the applied current
-        soc_v = soc_cap if soc_cap < soc else soc
-        soc_v = soc_floor if soc_floor > soc_v else soc_v
-        if el[0] != soc_v:
-            el = electrolyte(soc_v)
-        if applied == 0.0:
-            over = 0.0
-        elif applied > 0.0:
-            sc = soc_cap if soc_cap < soc_v else soc_v
-            over = b0 * (applied / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
+            # terminal voltage under the applied current
+            soc_v = soc_cap if soc_cap < soc else soc
+            soc_v = soc_floor if soc_floor > soc_v else soc_v
+            if el[0] != soc_v:
+                el = electrolyte(soc_v)
+            if applied == 0.0:
+                over = 0.0
+            elif applied > 0.0:
+                sc = soc_cap if soc_cap < soc_v else soc_v
+                over = b0 * (applied / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
+            else:
+                sc = soc_floor if soc_floor > soc_v else soc_v
+                over = b0 * (applied / capacity) * (1.0 + b1 * ((1.0 - sc) / sc))
+            voltage = cells * el[2] + cells * over
+
+            # rest correction: only when the controller is not holding a
+            # voltage, otherwise small hold currents look like rest while
+            # the terminal is still polarized.  The inversion cannot move soc
+            # where applied == 0.0, soc == soc_v (so soc lies within the rails
+            # [SOC_FLOOR, SOC_CAP]) and v_empty < voltage < v_full: then
+            # voltage == cells * el[2] + 0.0 == Battery.ocv(soc), the seed clamp
+            # to [1e-6, 1 - 1e-6] leaves soc as it is, and invert_ocv returns
+            # (soc, False) at its first abs(f) < 1e-12 test, with f == 0.0.
+            # Adding the jump of 0.0 leaves correction_jumps as it is, since
+            # that sum never holds -0.0.  The voltage test stays: invert_ocv
+            # clamps at or outside the span, and BatteryParams keeps the OCV
+            # rising with soc only in real arithmetic, not ulp by ulp.
+            if (
+                phase is BULK
+                and -rest_a < applied < rest_a
+                and (applied != 0.0 or soc != soc_v or not v_empty < voltage < v_full)
+            ):
+                corrected = invert_ocv(voltage, soc)[0]
+                jump = corrected - soc
+                if abs(jump) > 1e-9:
+                    correction_events += 1
+                correction_jumps += jump
+                soc = corrected
+
+            # gassing, then coulomb counting without the gassing current
+            i_gas = i_gas_0 * exp(c_v * (voltage - v_ref) + gas_term)
+            charge = (applied - i_gas) * dt_s
+            integral += charge * soc_to_ah
+            new_soc = soc + charge / capacity_as
+            if new_soc > 1.0 or new_soc < 0.0:
+                bound = 1.0 if new_soc > 1.0 else 0.0
+                clamp_events += 1
+                clamp_jumps += bound - (soc + charge * soc_to_ah)
+                new_soc = bound
+
+            # ageing: corrosion from the positive-electrode potential ...
+            sd = 1.0 if 1.0 < soc else soc
+            sd = 0.0 if 0.0 > sd else sd
+            if el[0] != sd:
+                el = electrolyte(sd)
+            y = el[1]
+            v_p = p0 + y * (p1 + y * (p2 + y * (p3 + y * p4))) + 0.5 * (
+                voltage / cells - el[2]
+            )
+            if v_p <= v_first:
+                speed = k_first * corrosion_factor
+                if v_p < v_first:
+                    ks_clamp_events += 1
+            elif v_p < v_last:
+                # the segment ends at the first knot at or above v_p
+                v0, k0, dk, dv = ks_segments[bisect_left(ks_potentials, v_p) - 1]
+                speed = (k0 + dk * (v_p - v0) / dv) * corrosion_factor
+            else:  # at or above the last knot, or nan
+                speed = k_last * corrosion_factor
+                if v_p > v_last:
+                    ks_clamp_events += 1
+            if speed <= 0.0:
+                pass  # no growth
+            elif v_p >= threshold_v:
+                w = w + speed * dt_h
+            else:
+                tau_eff = (w / speed) ** (1.0 / exponent) if w > 0.0 else 0.0
+                w = speed * (tau_eff + dt_h) ** exponent
+            # ... and weighted discharge throughput
+            since_full_h += dt_h
+            if soc < min_soc_since_full:
+                min_soc_since_full = soc
+            if applied < 0.0:
+                discharge_a = -applied
+                m = 1.0 if 1.0 < min_soc_since_full else min_soc_since_full
+                m = 0.0 if 0.0 > m else m
+                i_w = i_floor if i_floor > discharge_a else discharge_a
+                f = 1.0 + (c_soc0 + c_soc_min * (1.0 - m)) * sqrt(
+                    i_ref / i_w
+                ) * since_full_h
+                z_w = z_w + discharge_a * f * dt_h / capacity
+            c_corr = c_corr_limit * w / w_limit
+            if z_w != c_deg_z_w:
+                c_deg = c_deg_limit * exp(-5.0 * (1.0 - z_w / nominal_cycles))
+                c_deg_z_w = z_w
+            loss = c_corr + c_deg
+            soc = new_soc
+
+            if soc < min_soc_run:
+                min_soc_run = soc
+            if soc < min_soc_day:
+                min_soc_day = soc
+            soc_bin = int(soc_v / soc_bin_width)
+            soc_hist[soc_bin if soc_bin < soc_bin_last else soc_bin_last] += dt_h
+            vbin = int((voltage - v_bin_low) / v_bin_width)
+            vbin = 0 if vbin < 0 else vbin
+            v_hist[vbin if vbin < v_bin_last else v_bin_last] += dt_h
+
+            # stress sums, as StressAccumulator.add keeps them
+            if applied >= 0.0:
+                charge_ah += applied * dt_h
+            else:
+                drawn = -applied
+                discharge_ah += drawn * dt_h
+                if drawn > max_discharge_a:
+                    max_discharge_a = drawn
+            if soc < stress_low_soc:
+                low_soc_h += dt_h
+            floating = phase is FLOAT
+            if floating:
+                float_h += dt_h
+            if cycle_min_soc is not None and soc < cycle_min_soc:
+                cycle_min_soc = soc
+            if full_event:
+                if cycle_min_soc is not None:
+                    depth = 1.0 - cycle_min_soc
+                    depth_bin = int(depth * depth_bins_n) if depth > 0.0 else 0
+                    depth_bins[depth_bin if depth_bin < depth_bin_last else depth_bin_last] += 1
+                t_h = i * dt_h
+                full_charge_times.append(t_h)
+                full_charge_days.add(int(t_h // 24.0))
+                cycle_min_soc = soc
+            if trace is not None:
+                trace.append(TraceRecord(i * dt_h, applied, soc, voltage, full_event, floating))
+            v_prev = voltage
+
+            if loss >= eol_ah:
+                lifetime_steps = i + 1
+                censored = False
+                break
+            b0 = b0_ah / (capacity - loss)
         else:
-            sc = soc_floor if soc_floor > soc_v else soc_v
-            over = b0 * (applied / capacity) * (1.0 + b1 * ((1.0 - sc) / sc))
-        voltage = cells * el[2] + cells * over
-
-        # rest correction: only when the controller is not holding a
-        # voltage, otherwise small hold currents look like rest while
-        # the terminal is still polarized.  The inversion cannot move soc
-        # where applied == 0.0, soc == soc_v (so soc lies within the rails
-        # [SOC_FLOOR, SOC_CAP]) and v_empty < voltage < v_full: then
-        # voltage == cells * el[2] + 0.0 == Battery.ocv(soc), the seed clamp
-        # to [1e-6, 1 - 1e-6] leaves soc as it is, and invert_ocv returns
-        # (soc, False) at its first abs(f) < 1e-12 test, with f == 0.0.
-        # Adding the jump of 0.0 leaves correction_jumps as it is, since
-        # that sum never holds -0.0.  The voltage test is needed: where the
-        # OCV polynomial turns down at a nearly spent electrolyte, the OCV
-        # near SOC_FLOOR can lie below v_empty, and the inversion clamps.
-        if (
-            phase is BULK
-            and -rest_a < applied < rest_a
-            and (applied != 0.0 or soc != soc_v or not v_empty < voltage < v_full)
-        ):
-            corrected = invert_ocv(voltage, soc)[0]
-            jump = corrected - soc
-            if abs(jump) > 1e-9:
-                correction_events += 1
-            correction_jumps += jump
-            soc = corrected
-
-        # gassing, then coulomb counting without the gassing current
-        i_gas = i_gas_0 * exp(c_v * (voltage - v_ref) + gas_term)
-        charge = (applied - i_gas) * dt_s
-        integral += charge * soc_to_ah
-        new_soc = soc + charge / capacity_as
-        if new_soc > 1.0 or new_soc < 0.0:
-            bound = 1.0 if new_soc > 1.0 else 0.0
-            clamp_events += 1
-            clamp_jumps += bound - (soc + charge * soc_to_ah)
-            new_soc = bound
-
-        # ageing: corrosion from the positive-electrode potential ...
-        sd = 1.0 if 1.0 < soc else soc
-        sd = 0.0 if 0.0 > sd else sd
-        if el[0] != sd:
-            el = electrolyte(sd)
-        y = el[1]
-        v_p = p0 + y * (p1 + y * (p2 + y * (p3 + y * p4))) + 0.5 * (
-            voltage / cells - el[2]
-        )
-        if v_p <= v_first:
-            speed = k_first * corrosion_factor
-            if v_p < v_first:
-                ks_clamp_events += 1
-        elif v_p < v_last:
-            # the segment ends at the first knot at or above v_p
-            v0, k0, dk, dv = ks_segments[bisect_left(ks_potentials, v_p) - 1]
-            speed = (k0 + dk * (v_p - v0) / dv) * corrosion_factor
-        else:  # at or above the last knot, or nan
-            speed = k_last * corrosion_factor
-            if v_p > v_last:
-                ks_clamp_events += 1
-        if speed <= 0.0:
-            pass  # no growth
-        elif v_p >= threshold_v:
-            w = w + speed * dt_h
-        else:
-            tau_eff = (w / speed) ** (1.0 / exponent) if w > 0.0 else 0.0
-            w = speed * (tau_eff + dt_h) ** exponent
-        # ... and weighted discharge throughput
-        since_full_h += dt_h
-        if soc < min_soc_since_full:
-            min_soc_since_full = soc
-        if applied < 0.0:
-            discharge_a = -applied
-            m = 1.0 if 1.0 < min_soc_since_full else min_soc_since_full
-            m = 0.0 if 0.0 > m else m
-            i_w = i_floor if i_floor > discharge_a else discharge_a
-            f = 1.0 + (c_soc0 + c_soc_min * (1.0 - m)) * sqrt(
-                i_ref / i_w
-            ) * since_full_h
-            z_w = z_w + discharge_a * f * dt_h / capacity
-        c_corr = c_corr_limit * w / w_limit
-        if z_w != c_deg_z_w:
-            c_deg = c_deg_limit * exp(-5.0 * (1.0 - z_w / nominal_cycles))
-            c_deg_z_w = z_w
-        loss = c_corr + c_deg
-        soc = new_soc
-
-        if soc < min_soc_run:
-            min_soc_run = soc
-        if soc < min_soc_day:
-            min_soc_day = soc
-        soc_bin = int(soc_v / soc_bin_width)
-        soc_hist[soc_bin if soc_bin < soc_bin_last else soc_bin_last] += dt_h
-        vbin = int((voltage - v_bin_low) / v_bin_width)
-        vbin = 0 if vbin < 0 else vbin
-        v_hist[vbin if vbin < v_bin_last else v_bin_last] += dt_h
-
-        # stress sums, as StressAccumulator.add keeps them
-        if applied >= 0.0:
-            charge_ah += applied * dt_h
-        else:
-            drawn = -applied
-            discharge_ah += drawn * dt_h
-            if drawn > max_discharge_a:
-                max_discharge_a = drawn
-        if soc < stress_low_soc:
-            low_soc_h += dt_h
-        floating = phase is FLOAT
-        if floating:
-            float_h += dt_h
-        if cycle_min_soc is not None and soc < cycle_min_soc:
-            cycle_min_soc = soc
-        if full_event:
-            if cycle_min_soc is not None:
-                depth = 1.0 - cycle_min_soc
-                depth_bin = int(depth * depth_bins_n) if depth > 0.0 else 0
-                depth_bins[depth_bin if depth_bin < depth_bin_last else depth_bin_last] += 1
-            t_h = i * dt_h
-            full_charge_times.append(t_h)
-            full_charge_days.add(int(t_h // 24.0))
-            cycle_min_soc = soc
-        if trace is not None:
-            trace.append(TraceRecord(i * dt_h, applied, soc, voltage, full_event, floating))
-        v_prev = voltage
-
-        if loss >= eol_ah:
-            lifetime_steps = i + 1
-            censored = False
-            break
-        b0 = b0_ah / (capacity - loss)
+            continue
+        break  # end of life
 
     # close out the final (possibly partial) day
     last_day = lifetime_steps // steps_per_day + (1 if lifetime_steps % steps_per_day else 0)
@@ -760,11 +780,7 @@ def compare_strategies(base: Scenario, alt: Scenario) -> ComparisonResult:
     Raises EngineError unless profile, battery, ageing parameters and
     time step all match; the comparison is only meaningful paired.
     """
-    if base.profile is not alt.profile and (
-        base.profile.load_w != alt.profile.load_w
-        or base.profile.solar_w != alt.profile.solar_w
-        or base.profile.temp_c != alt.profile.temp_c
-    ):
+    if base.profile is not alt.profile and not base.profile.same_samples(alt.profile):
         raise EngineError("compared scenarios must share the same input profile")
     if (
         base.battery != alt.battery

@@ -65,9 +65,50 @@ class GapReport:
         return self.filled_slots / self.total_slots if self.total_slots else 0.0
 
 
+COLUMNS = ("load_w", "solar_w", "temp_c")
+
+
+@dataclass(frozen=True)
+class ProfileDays:
+    """A profile held as whole days: one-day templates and per-day values.
+
+    Day q's load at step k is ``powers[q][block_of_step[k]]``, its solar
+    ``peaks[q] * shape[k]`` and its temperature ``day_temp[k]``.
+    """
+
+    block_of_step: list[int]
+    shape: list[float]
+    day_temp: list[float]
+    powers: list[list[float]]  # per day, the load power of each block
+    peaks: list[float]  # per day, the solar power where shape is 1
+
+    def __post_init__(self) -> None:
+        if not len(self.block_of_step) == len(self.shape) == len(self.day_temp):
+            raise ProfileError("load, solar and temperature lengths differ")
+        if len(self.powers) != len(self.peaks):
+            raise ProfileError("load and solar day counts differ")
+        if not self.shape or not self.peaks:
+            raise ProfileError("empty profile")
+
+    def load(self, q: int) -> list[float]:
+        return list(map(self.powers[q].__getitem__, self.block_of_step))
+
+    def solar(self, q: int) -> list[float]:
+        peak = self.peaks[q]
+        return [peak * s for s in self.shape]
+
+    def temp(self, q: int) -> list[float]:
+        return self.day_temp  # the same object every day
+
+
 @dataclass
 class TimeSeries:
     """Uniform profile of system inputs.
+
+    A profile is held either as flat columns, as the constructor takes
+    them, or as whole days (:meth:`from_days`, which the generator uses).
+    A day-form profile builds a column on its first read and keeps it;
+    :meth:`day`, :meth:`samples`, ``len`` and the daily means build none.
 
     Attributes:
         start: Timestamp of the first sample.
@@ -85,6 +126,9 @@ class TimeSeries:
     panel_rating_w: float = declared(DEFAULT_PANEL_RATING_W, POSITIVE, "W", "rated panel output")
     gap_report: GapReport | None = None
 
+    # the ProfileDays of a day-form profile; unannotated, so not a field
+    _days = None
+
     def __post_init__(self) -> None:
         n = len(self.load_w)
         if len(self.solar_w) != n or len(self.temp_c) != n:
@@ -92,27 +136,64 @@ class TimeSeries:
         if n == 0:
             raise ProfileError("empty profile")
         check_fields(self, ProfileError)
-        # A finite sum rules out nan and +-inf, so C-level passes accept
-        # a good column; only a column they reject (or whose finite
-        # samples overflow the sum) is searched, sample by sample, for
-        # the one to name.  Negated comparisons, so that nan fails them.
+        load, solar = self.load_w, self.solar_w
+        self._check_samples(
+            math.isfinite(sum(load)) and min(load) >= 0.0,
+            math.isfinite(sum(solar)) and min(solar) >= 0.0
+            and max(solar) <= self.panel_rating_w + 1e-9,
+            self.temp_c,
+        )
+
+    @classmethod
+    def from_days(
+        cls,
+        start: datetime,
+        dt_s: float,
+        days: ProfileDays,
+        panel_rating_w: float = DEFAULT_PANEL_RATING_W,
+    ) -> TimeSeries:
+        """A profile held as days, checked on its per-day values and templates."""
+        series = cls.__new__(cls)  # no columns: __getattr__ builds them
+        series.start, series.dt_s, series.panel_rating_w = start, dt_s, panel_rating_w
+        series.gap_report = None
+        series._days = days
+        check_fields(series, ProfileError)
+        # every load sample is one of the powers; every solar sample is a
+        # peak times a shape value in [0, 1], so it lies in [0, peak]
+        powers, peaks, shape = days.powers, days.peaks, days.shape
+        series._check_samples(
+            math.isfinite(sum(map(sum, powers))) and min(map(min, powers)) >= 0.0,
+            math.isfinite(sum(peaks)) and min(peaks) >= 0.0
+            and max(peaks) <= panel_rating_w + 1e-9
+            and min(shape) >= 0.0 and max(shape) <= 1.0,
+            days.day_temp,
+        )
+        return series
+
+    def _check_samples(self, load_ok: bool, solar_ok: bool, temps: Sequence[float]) -> None:
+        """Raise ProfileError naming the first bad sample.
+
+        load_ok and solar_ok are C-level verdicts that hold only where every
+        sample of their column is good, so a good column costs no search; a
+        column whose verdict fails is searched sample by sample for the one
+        to name, and may hold none (finite samples whose sum overflowed).
+        temps are the profile's first temperatures and hold every one it
+        has.  Negated comparisons, so that nan fails them.
+        """
         inf = math.inf
-        load = self.load_w
-        if not (math.isfinite(sum(load)) and min(load) >= 0.0):
-            for i, p in enumerate(load):
+        if not load_ok:
+            for i, p in enumerate(self.samples("load_w")):
                 if not 0.0 <= p < inf:
                     raise ProfileError(
                         f"load_w sample {i} is negative or not finite: {p}"
                     )
-        top = self.panel_rating_w + 1e-9
-        solar = self.solar_w
-        if not (math.isfinite(sum(solar)) and min(solar) >= 0.0 and max(solar) <= top):
-            for i, p in enumerate(solar):
+        if not solar_ok:
+            top = self.panel_rating_w + 1e-9
+            for i, p in enumerate(self.samples("solar_w")):
                 if not p >= 0 or p > top:
                     raise ProfileError(
                         f"solar_w sample {i} outside [0, {self.panel_rating_w}]: {p}"
                     )
-        temps = self.temp_c
         if not math.isfinite(sum(temps)):
             for i, t in enumerate(temps):
                 if not -inf < t < inf:
@@ -124,18 +205,67 @@ class TimeSeries:
                 f"temp_c sample {i} outside [{TEMP_MIN_C}, {TEMP_MAX_C}] degC: {temps[i]}"
             )
 
+    def __getattr__(self, name: str) -> list[float]:
+        # reached only for an attribute the instance lacks: a column of a
+        # day-form profile before its first read, which builds and keeps it
+        days = self.__dict__.get("_days")
+        if days is None or name not in COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        column = self.__dict__[name] = list(self.samples(name))
+        return column
+
+    def samples(self, column: str) -> Iterable[float]:
+        """The samples of a column ("load_w", "solar_w" or "temp_c") in
+        order; a day-form profile makes them a day at a time."""
+        days = self._days
+        if days is None:
+            return getattr(self, column)
+        of_day = {"load_w": days.load, "solar_w": days.solar, "temp_c": days.temp}[column]
+        return chain.from_iterable(map(of_day, range(len(days.peaks))))
+
+    def day(self, d: int) -> tuple[Sequence[float], Sequence[float], Sequence[float]]:
+        """The load, solar and temperature samples of day d of the profile
+        repeated end to end: samples ``(d * steps_per_day + k) % len(self)``
+        for k < steps_per_day.  A flat profile that is not whole days
+        wraps within a day; a day-form one repeats its days, and gives the
+        same temperature object every day.
+        """
+        days = self._days
+        if days is not None:
+            q = d % len(days.peaks)
+            return days.load(q), days.solar(q), days.temp(q)
+        if not divides_day(self.dt_s):
+            raise ProfileError("dt_s must divide a day evenly")
+        steps_per_day = int(round(SECONDS_PER_DAY / self.dt_s))
+        columns = self.load_w, self.solar_w, self.temp_c
+        n = len(self.load_w)
+        first = d * steps_per_day % n
+        if first + steps_per_day <= n:
+            return tuple(c[first : first + steps_per_day] for c in columns)
+        at = [(first + k) % n for k in range(steps_per_day)]
+        return tuple(list(map(c.__getitem__, at)) for c in columns)
+
+    def same_samples(self, other: TimeSeries) -> bool:
+        """Whether both profiles hold the same samples: at once where both
+        hold the same days, else sample by sample up to the first that differs."""
+        if self._days is not None and self._days == other._days:
+            return True
+        ours, theirs = (zip(*map(p.samples, COLUMNS)) for p in (self, other))
+        return len(self) == len(other) and all(map(operator.eq, ours, theirs))
+
     def __len__(self) -> int:
-        return len(self.load_w)
+        days = self._days
+        return len(self.load_w) if days is None else len(days.peaks) * len(days.shape)
 
     def duration_days(self) -> float:
         return len(self) * self.dt_s / SECONDS_PER_DAY
 
     def mean_daily_load_wh(self) -> float:
-        total = sum(self.load_w) * self.dt_s / 3600.0
+        total = sum(self.samples("load_w")) * self.dt_s / 3600.0
         return total / self.duration_days()
 
     def mean_daily_solar_wh(self) -> float:
-        total = sum(self.solar_w) * self.dt_s / 3600.0
+        total = sum(self.samples("solar_w")) * self.dt_s / 3600.0
         return total / self.duration_days()
 
 
@@ -272,11 +402,13 @@ def generate_archetype(
         for d in range(days)
     ]
 
-    # One-day templates.  The load windows depend on evening_fraction
-    # alone, so every day has the same blocks with its own powers; the
-    # last index stands for "no block".  solar_power(hour, 1.0) is the
-    # exact sine (or 0.0 at night), so for a positive finite peak,
-    # peak * shape has the bits of solar_power(hour, peak).
+    # One-day templates, which the profile keeps with each day's block
+    # powers and solar peak instead of building columns.  The load windows
+    # depend on evening_fraction alone, so every day has the same blocks
+    # with its own powers; the last index stands for "no block".
+    # solar_power(hour, 1.0) is the exact sine (or 0.0 at night), so for a
+    # positive finite peak, peak * shape has the bits of
+    # solar_power(hour, peak).
     dt_h = dt_s / 3600.0
     hours = [k * dt_h for k in range(steps_per_day)]
     windows = [(h0, h1) for h0, h1, _ in _day_load_blocks(0.0, archetype.evening_fraction)]
@@ -287,31 +419,20 @@ def generate_archetype(
     shape = [solar_power(hour, 1.0) for hour in hours]
     day_temp = [ambient_temperature(hour) for hour in hours]
 
-    load: list[float] = []
-    solar: list[float] = []
-    temp: list[float] = []
-    for d in range(days):
-        powers = [w for _, _, w in _day_load_blocks(energy[d], archetype.evening_fraction)]
-        powers.append(0.0)
-        load.extend(map(powers.__getitem__, block_of_step))
-        peak = panel_rating_w * weather[d]
-        solar.extend([peak * s for s in shape])
-        temp.extend(day_temp)
-
-    return TimeSeries(
-        start=start,
-        dt_s=dt_s,
-        load_w=load,
-        solar_w=solar,
-        temp_c=temp,
-        panel_rating_w=panel_rating_w,
+    powers = [
+        [w for _, _, w in _day_load_blocks(e, archetype.evening_fraction)] + [0.0]
+        for e in energy
+    ]
+    peaks = [panel_rating_w * w for w in weather]
+    return TimeSeries.from_days(
+        start, dt_s, ProfileDays(block_of_step, shape, day_temp, powers, peaks), panel_rating_w
     )
 
 
 # ---------------------------------------------------------------------------
 # CSV input and output
 
-PROFILE_COLUMNS = ("timestamp", "load_w", "solar_w", "temp_c")
+PROFILE_COLUMNS = ("timestamp", *COLUMNS)
 
 
 def write_csv(path: str, columns: Sequence[str], row_format: str, rows: Iterable[tuple]) -> None:
@@ -331,7 +452,7 @@ def write_profile_csv(series: TimeSeries, path: str) -> None:
     if stamps is None:
         times = accumulate(repeat(step, len(series) - 1), operator.add, initial=series.start)
         stamps = map(datetime.isoformat, times)
-    rows = zip(stamps, series.load_w, series.solar_w, series.temp_c)
+    rows = zip(stamps, *map(series.samples, COLUMNS))
     write_csv(path, PROFILE_COLUMNS, "%s,%r,%r,%r", rows)
 
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from vrlasim.battery import (
     FARADAY,
+    OCV_COEFFS,
+    OCV_TURNING_POINT,
     SOC_CAP,
     SOC_FLOOR,
     Battery,
@@ -28,10 +30,18 @@ from vrlasim.battery import (
 )
 
 PARAMS = BatteryParams()
-# An electrolyte that is nearly spent at soc 0: log10 molality falls below
-# the OCV polynomial's turning point (-1.611), so the OCV near SOC_FLOOR
-# lies below the OCV at soc 0.
-SPENT = BatteryParams(electrolyte_volume_m3=1.3755e-4)
+# An electrolyte that is nearly spent at soc 0: log10 molality there
+# (-1.6165) lies below the OCV polynomial's turning point (-1.6109), so the
+# OCV near SOC_FLOOR would lie below the OCV at soc 0.
+SPENT_VOLUME_M3 = 1.3755e-4
+
+
+def least_volume_m3(capacity, c_max, v_water, v_acid, m_water):
+    """The electrolyte volume at which log10 molality at soc 0 is the OCV's
+    turning point: the least that keeps the OCV rising with soc."""
+    molality = 10.0**OCV_TURNING_POINT
+    c_turn = 1e6 * molality * m_water / (1e3 * v_water + molality * m_water * v_acid)
+    return capacity * 3600.0 / (FARADAY * (c_max - c_turn))
 
 
 @st.composite
@@ -39,9 +49,12 @@ def battery_params(draw):
     """Valid BatteryParams, some with an electrolyte nearly spent at soc 0."""
     capacity = draw(st.floats(1.0, 200.0))
     c_max = draw(st.floats(500.0, 15000.0))
+    v_water = draw(st.floats(5.0, 40.0))
     v_acid = draw(st.floats(10.0, 60.0))
-    # the electrolyte volume as a multiple of the least that keeps acid at soc 0
-    least = capacity * 3600.0 / (FARADAY * c_max)
+    m_water = draw(st.floats(5.0, 40.0))
+    # the electrolyte volume as a multiple of the least that keeps the OCV
+    # rising with soc
+    least = least_volume_m3(capacity, c_max, v_water, v_acid, m_water)
     margin = draw(st.one_of(st.floats(1.0, 1.01), st.floats(1.0, 3.0)))
     try:
         return BatteryParams(
@@ -49,9 +62,9 @@ def battery_params(draw):
             cells_in_series=draw(st.integers(1, 24)),
             c_max=c_max,
             electrolyte_volume_m3=least * margin,
-            v_water=draw(st.floats(5.0, 40.0)),
+            v_water=v_water,
             v_acid=v_acid,
-            m_water=draw(st.floats(5.0, 40.0)),
+            m_water=m_water,
         )
     except BatteryParamError:
         assume(False)
@@ -283,13 +296,15 @@ class TestOcvInversion:
             assert battery.v_empty < battery.ocv(s) < battery.v_full
             assert battery.invert_ocv(battery.ocv(s), seed=s) == (s, False)
 
-    def test_spent_electrolyte_clamps_at_the_floor(self):
-        # why the engine's skip also tests the voltage: here the OCV at
-        # SOC_FLOOR lies below v_empty, and the inversion moves soc to 0
-        battery = Battery(SPENT)
-        assert battery.electrolyte(0.0)[1] < -1.611
-        assert battery.ocv(SOC_FLOOR) < battery.v_empty
-        assert battery.invert_ocv(battery.ocv(SOC_FLOOR), seed=SOC_FLOOR) == (0.0, True)
+    def test_spent_electrolyte_rejected(self):
+        # its OCV at SOC_FLOOR would lie below v_empty, and a battery
+        # resting there would be snapped to soc 0 by the inversion
+        with pytest.raises(
+            BatteryParamError,
+            match=r"^electrolyte too small: log10 molality at soc 0 is -1\.6165, not above "
+            r"the OCV's turning point -1\.61092, .*\(raise electrolyte_volume_m3 or c_max\)$",
+        ):
+            BatteryParams(electrolyte_volume_m3=SPENT_VOLUME_M3)
 
 
 class TestElectrolyteMemo:
@@ -348,6 +363,37 @@ class TestElectrolyteMemo:
         assert a.ocv(0.3) == battery_ocv(0.3, PARAMS)
         assert a.electrolyte(0.3)[0] == 0.3
         assert b.electrolyte(0.6)[0] == 0.6
+
+
+class TestOcvTurningPoint:
+    def test_is_the_root_of_the_slope(self):
+        _, a1, a2, a3, a4 = OCV_COEFFS
+
+        def slope(y):
+            return a1 + 2 * a2 * y + 3 * a3 * y**2 + 4 * a4 * y**3
+
+        assert OCV_TURNING_POINT == pytest.approx(-1.6109204437, abs=1e-10)
+        assert slope(OCV_TURNING_POINT) <= 0.0 < slope(math.nextafter(OCV_TURNING_POINT, 0.0))
+        assert cell_ocv(OCV_TURNING_POINT - 0.1) > cell_ocv(OCV_TURNING_POINT)
+
+    @pytest.mark.parametrize("margin, accepted", [(0.999, False), (1.001, True)])
+    def test_least_volume_keeps_the_ocv_rising(self, margin, accepted):
+        least = least_volume_m3(20.0, 5450.0, 17.5, 45.0, 18.0)
+        assert SPENT_VOLUME_M3 < least < PARAMS.electrolyte_volume_m3
+        if not accepted:
+            with pytest.raises(BatteryParamError, match="^electrolyte too small: log10 molality"):
+                BatteryParams(electrolyte_volume_m3=least * margin)
+            return
+        battery = Battery(BatteryParams(electrolyte_volume_m3=least * margin))
+        socs = [0.0, SOC_FLOOR, 0.001, 0.01, 0.1, 0.5, SOC_CAP, 1.0]
+        ocvs = [battery.ocv(s) for s in socs]
+        assert ocvs == sorted(set(ocvs))
+        assert battery.invert_ocv(ocvs[1], seed=SOC_FLOOR) == (SOC_FLOOR, False)
+
+    def test_molality_that_underflows_rejected(self):
+        # math.log10 of the molality 0.0 raises; the rule reads it as -inf
+        with pytest.raises(BatteryParamError, match="^electrolyte too small: .* is -inf, "):
+            BatteryParams(v_water=5e-324)
 
 
 class TestParamValidation:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import START, result_digest
 from reference_engine import reference_run
-from vrlasim.battery import SOC_FLOOR, BatteryParams
+from vrlasim.battery import SOC_FLOOR, BatteryParamError, BatteryParams
 from vrlasim.control import ControlParams, adaptive_params
 from vrlasim.degradation import Datasheet
 from vrlasim.engine import Scenario, run_scenario
@@ -84,15 +84,15 @@ def test_fused_step_matches_reference_loop(scenario):
         # at rest outside the rails: the inversion must still run
         {"profile": IDLE, "initial_soc": 1.0},
         {"profile": IDLE, "initial_soc": 0.0},
-        # at rest on the floor, whose OCV lies below the OCV at soc 0 on
-        # a nearly spent electrolyte: the inversion clamps soc to 0
+        # at rest on the floor of the most nearly spent electrolyte that
+        # keeps the OCV rising with soc (log10 molality -1.6097 at soc 0)
         {
             "profile": IDLE,
-            "battery": BatteryParams(electrolyte_volume_m3=1.3755e-4),
+            "battery": BatteryParams(electrolyte_volume_m3=1.3756e-4),
             "initial_soc": SOC_FLOOR,
         },
     ],
-    ids=["rest_clamp", "idle_full", "idle_empty", "idle_spent_floor"],
+    ids=["rest_clamp", "idle_full", "idle_empty", "idle_least_electrolyte_floor"],
 )
 def test_fused_step_matches_reference_on_edge_parameters(policy, change):
     base = Scenario(
@@ -110,6 +110,13 @@ def test_fused_step_matches_reference_on_edge_parameters(policy, change):
     )
     scenario = dataclasses.replace(base, **change)
     assert outcome(run_scenario, scenario) == outcome(reference_run, scenario)
+
+
+def test_spent_floor_battery_rejected():
+    # the edge case of a battery at rest on SOC_FLOOR whose OCV there lies
+    # below the OCV at soc 0: such a battery is no longer accepted
+    with pytest.raises(BatteryParamError, match="^electrolyte too small: log10 molality"):
+        BatteryParams(electrolyte_volume_m3=1.3755e-4)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,285 @@
+"""Day-form profiles against their flat-column forms.
+
+generate_archetype holds a profile as days and builds no column until
+one is read; tests/reference_profiles.py builds the same profile as flat
+columns.  These tests check that both forms give the same samples,
+lengths, daily means, errors, written bytes and simulation results, and
+that the simulation, the writer and the comparison build no column.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+import sys
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import START, result_digest
+from reference_engine import reference_run
+from reference_profiles import reference_generate_archetype
+from reference_writers import reference_write_profile_csv
+from vrlasim.control import ControlParams, adaptive_params
+from vrlasim.degradation import Datasheet, DegradationParams
+from vrlasim.engine import EngineError, Scenario, compare_strategies, run_scenario
+from vrlasim.profiles import (
+    ARCHETYPES,
+    COLUMNS,
+    LOW_USE,
+    ProfileDays,
+    ProfileError,
+    TimeSeries,
+    UseArchetype,
+    generate_archetype,
+    write_profile_csv,
+)
+
+DT_S = [900.0, 3600.0, 96.0, 337.5, 86400.0]
+POLICIES = {"static": ControlParams(), "adaptive": adaptive_params()}
+# ages to end of life within a few days
+FAST_AGEING = Datasheet(float_life_years=0.005, nominal_cycles=1.0)
+
+
+def built_columns(series: TimeSeries) -> list[str]:
+    return [c for c in COLUMNS if c in vars(series)]
+
+
+def flat(series: TimeSeries, n: int | None = None) -> TimeSeries:
+    """The flat-column rebuild of a profile, of its first n samples."""
+    return TimeSeries(
+        series.start,
+        series.dt_s,
+        list(series.load_w)[:n],
+        list(series.solar_w)[:n],
+        list(series.temp_c)[:n],
+        panel_rating_w=series.panel_rating_w,
+    )
+
+
+archetypes = st.sampled_from(sorted(ARCHETYPES)).map(ARCHETYPES.__getitem__) | st.builds(
+    UseArchetype,
+    st.just("drawn"),
+    st.floats(0.0, 200.0),
+    st.floats(0.0, 0.9),
+    st.integers(0, 5),
+    st.integers(1, 9),
+)
+
+
+class TestAgainstTheFlatGenerator:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        archetypes,
+        st.integers(1, 40),
+        st.integers(0, 2**32),
+        st.sampled_from(DT_S),
+        st.floats(5.0, 150.0),
+    )
+    def test_same_samples_length_and_means(self, archetype, days, seed, dt_s, panel_w):
+        series = generate_archetype(archetype, days, seed=seed, dt_s=dt_s, panel_rating_w=panel_w)
+        ref = reference_generate_archetype(
+            archetype, days, seed=seed, dt_s=dt_s, panel_rating_w=panel_w
+        )
+        assert len(series) == len(ref)
+        assert series.duration_days() == ref.duration_days()
+        assert series.mean_daily_load_wh() == ref.mean_daily_load_wh()
+        assert series.mean_daily_solar_wh() == ref.mean_daily_solar_wh()
+        assert built_columns(series) == []
+        for column in COLUMNS:
+            assert list(series.samples(column)) == getattr(ref, column)
+        assert built_columns(series) == []
+        assert series.load_w == ref.load_w
+        assert series.solar_w == ref.solar_w
+        assert series.temp_c == ref.temp_c
+        assert built_columns(series) == list(COLUMNS)
+        assert series.load_w is series.load_w  # built once, then kept
+        assert series == ref
+
+    def test_idle_runs_of_the_infrequent_archetype(self):
+        series = generate_archetype(ARCHETYPES["infrequent"], 40, seed=7)
+        idle = [d for d in range(40) if not any(series.day(d)[0])]
+        assert idle  # the profile holds idle days, each all zero load
+        ref = reference_generate_archetype(ARCHETYPES["infrequent"], 40, seed=7)
+        assert series.load_w == ref.load_w
+
+    def test_check_names_the_sample_of_the_day(self):
+        # at seed 0, day 2 is the first whose energy overflows to inf; its
+        # first loaded step is k = 20 (05:00, the predawn block)
+        huge = UseArchetype("huge", sys.float_info.max, nonuse_run_days=2)
+        message = f"^load_w sample {2 * 96 + 20} is negative or not finite: inf$"
+        with pytest.raises(ProfileError, match=message):
+            reference_generate_archetype(huge, 6, seed=0)
+        with pytest.raises(ProfileError, match=message):
+            generate_archetype(huge, 6, seed=0)
+
+    def test_bad_powers_no_step_reads_pass(self):
+        # at 86400 s the one step of a day, at midnight, lies in no load
+        # block, so inf block powers reach no sample
+        huge = UseArchetype("huge", sys.float_info.max)
+        series = generate_archetype(huge, 6, seed=0, dt_s=86400.0)
+        assert series.load_w == [0.0] * 6
+        assert reference_generate_archetype(huge, 6, seed=0, dt_s=86400.0).load_w == [0.0] * 6
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, float("inf")])
+    def test_bad_panel_rating_named(self, value):
+        with pytest.raises(ProfileError, match="^panel_rating_w must be positive and finite"):
+            generate_archetype(LOW_USE, 2, panel_rating_w=value)
+
+
+class TestDays:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(-95, 0), st.integers(0, 12), st.sampled_from(DT_S[:4]))
+    def test_a_day_is_the_repeated_columns(self, days, cut, d, dt_s):
+        series = generate_archetype(LOW_USE, days, seed=days, dt_s=dt_s)
+        steps_per_day = round(86400.0 / dt_s)
+        n = max(len(series) + cut, 1)
+        shorter = flat(series, n)  # a flat profile need not be whole days
+        for profile in (series, shorter):
+            size = len(profile)
+            want = [
+                [getattr(profile, c)[(d * steps_per_day + k) % size] for k in range(steps_per_day)]
+                for c in COLUMNS
+            ]
+            assert [list(s) for s in profile.day(d)] == want
+
+    def test_a_generated_day_shares_its_temperatures(self):
+        series = generate_archetype(LOW_USE, 3)
+        assert series.day(0)[2] is series.day(2)[2] is series.day(5)[2]
+        assert built_columns(series) == []
+
+    def test_flat_day_needs_a_step_that_divides_a_day(self):
+        series = TimeSeries(START, 7.0, [0.0] * 3, [0.0] * 3, [25.0] * 3)
+        with pytest.raises(ProfileError, match="^dt_s must divide a day evenly$"):
+            series.day(0)
+
+    def test_pickle_and_replace(self):
+        series = generate_archetype(LOW_USE, 3, seed=1)
+        back = pickle.loads(pickle.dumps(series))
+        assert built_columns(back) == []
+        assert back.same_samples(series)
+        copy = dataclasses.replace(series)
+        assert copy == series and copy.load_w == series.load_w
+
+
+class TestSameSamples:
+    def test_equal_days_compare_without_columns(self, monkeypatch):
+        a, b = (generate_archetype(LOW_USE, 30, seed=5) for _ in range(2))
+        for name in ("load", "solar"):  # compared on the per-day values alone
+            monkeypatch.setattr(ProfileDays, name, None)
+        assert a.same_samples(b)
+        assert built_columns(a) == built_columns(b) == []
+
+    def test_other_seed_differs(self):
+        a, b = generate_archetype(LOW_USE, 3, seed=5), generate_archetype(LOW_USE, 3, seed=6)
+        assert not a.same_samples(b)
+
+    def test_forms_and_layouts_with_the_same_samples(self):
+        # no energy: every load is 0.0 whatever the block layout
+        a = generate_archetype(UseArchetype("a", 0.0, evening_fraction=0.2), 3, seed=5)
+        b = generate_archetype(UseArchetype("b", 0.0, evening_fraction=0.8), 3, seed=5)
+        assert a.same_samples(b) and b.same_samples(flat(a)) and flat(a).same_samples(b)
+        assert not a.same_samples(flat(a, len(a) - 1))
+
+    def test_compare_checks_the_samples(self):
+        a, b = generate_archetype(LOW_USE, 3, seed=5), generate_archetype(LOW_USE, 3, seed=6)
+        base = Scenario("base", a, max_years=1 / 365.0)
+        alt = dataclasses.replace(base, profile=b, control=adaptive_params())
+        with pytest.raises(EngineError, match="must share the same input profile"):
+            compare_strategies(base, alt)
+        same = generate_archetype(LOW_USE, 3, seed=5)
+        compare_strategies(base, dataclasses.replace(alt, profile=same))
+        assert built_columns(a) == built_columns(same) == []
+
+
+class TestEngineOnBothForms:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize(
+        "days, horizon_days, datasheet",
+        [
+            (3, 3, Datasheet()),  # the horizon at the profile's end
+            (2, 4.5, Datasheet()),  # whole days repeated, then half a day
+            (5, 5, FAST_AGEING),  # end of life within a day
+        ],
+        ids=["whole", "repeated", "end_of_life"],
+    )
+    def test_generated_and_flat_match(self, policy, days, horizon_days, datasheet):
+        series = generate_archetype(ARCHETYPES["infrequent"], days, seed=3)
+        scenario = Scenario(
+            "both",
+            series,
+            control=POLICIES[policy],
+            datasheet=datasheet,
+            max_years=horizon_days / 365.0,
+            record_trace=True,
+        )
+        result = run_scenario(scenario)
+        assert built_columns(series) == []
+        steps = result.lifetime_days * 96
+        if datasheet is FAST_AGEING:
+            assert not result.censored and steps % 96
+        assert result_digest(result) == result_digest(
+            run_scenario(dataclasses.replace(scenario, profile=flat(series)))
+        )
+        assert result_digest(result) == result_digest(reference_run(scenario))
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_flat_profile_wraps_within_a_day(self, policy):
+        series = flat(generate_archetype(LOW_USE, 2, seed=3), 96 + 37)
+        scenario = Scenario(
+            "wrap", series, control=POLICIES[policy], max_years=4 / 365.0, record_trace=True
+        )
+        assert result_digest(run_scenario(scenario)) == result_digest(reference_run(scenario))
+
+    @staticmethod
+    def hot_tail(steps: int) -> Scenario:
+        """A day at 25 degC whose samples from 50 on are at 60 degC, where
+        the corrosion temperature factor overflows: 2.0 ** (35 / 0.01)."""
+        temps = [25.0] * 50 + [60.0] * 46
+        series = TimeSeries(START, 900.0, [5.0] * 96, [0.0] * 96, temps)
+        return Scenario(
+            "hot",
+            series,
+            degradation=DegradationParams(temp_doubling_k=0.01),
+            max_years=steps / (365.0 * 96),
+        )
+
+    def test_terms_after_the_last_step_raise_nothing(self):
+        scenario = self.hot_tail(40)
+        assert result_digest(run_scenario(scenario)) == result_digest(reference_run(scenario))
+
+    def test_terms_raise_at_their_step(self):
+        scenario = self.hot_tail(60)
+        with pytest.raises(OverflowError) as engine:
+            run_scenario(scenario)
+        with pytest.raises(OverflowError) as reference:
+            reference_run(scenario)
+        assert str(engine.value) == str(reference.value)
+
+
+class TestNoColumns:
+    def test_generated_profile_memory(self):
+        tracemalloc.start()
+        try:
+            series = generate_archetype(LOW_USE, 15 * 365 + 2, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+        assert len(series) == (15 * 365 + 2) * 96
+
+    def test_a_run_to_end_of_life_builds_no_column(self):
+        series = generate_archetype(LOW_USE, 15 * 365 + 2, seed=42)
+        result = run_scenario(Scenario("low", series, max_years=15.0))
+        assert not result.censored
+        assert built_columns(series) == []
+
+    @pytest.mark.parametrize("dt_s", [900.0, 337.5])
+    def test_written_bytes_without_columns(self, tmp_path, dt_s):
+        series = generate_archetype(ARCHETYPES["infrequent"], 4, seed=2, dt_s=dt_s)
+        write_profile_csv(series, str(tmp_path / "day.csv"))
+        assert built_columns(series) == []
+        reference_write_profile_csv(flat(series), str(tmp_path / "flat.csv"))
+        assert (tmp_path / "day.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()
