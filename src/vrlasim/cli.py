@@ -7,12 +7,13 @@ Subcommands:
     calibrate  derive and print the degradation normalisation constants
 
 Exit codes: 0 success, 1 configuration or input validation error,
-2 runtime failure.
+2 runtime failure or a command line argparse cannot parse.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -48,6 +49,7 @@ from .engine import (
 )
 from .profiles import (
     ProfileError,
+    TraceWriter,
     generate_archetype,
     ingest_csv,
     read_trace_csv,
@@ -210,25 +212,50 @@ def _print_summary_table(results: list[SimResult]) -> None:
 # Subcommands
 
 
+@contextlib.contextmanager
+def _streamed_trace(path: str, start: datetime) -> Iterator[TraceWriter]:
+    """A TraceWriter on a temporary file beside `path`, stamped from
+    `start`: renamed to `path` when the with block ends, and deleted if
+    it raises, so that a failed run leaves no trace and an earlier file
+    at `path` as it was."""
+    partial = path + ".partial"
+    try:
+        with TraceWriter(partial, start) as writer:
+            yield writer
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
 def _worker(args: tuple) -> SimResult:
-    """Build and run one scenario and write its files to out_dir: with
-    emit_profile its profile CSV, then its result files.  Returns the
-    result without its trace, which the caller needs only for reporting."""
+    """Build and run one scenario and write its files to out_dir: a traced
+    run streams its trace CSV while it runs; then, with emit_profile, the
+    profile CSV, then the result files.  Returns the result, which holds
+    no trace."""
     config, spec, seed, dt_s, record_trace, emit_profile, out_dir = args
     scenario = build_scenario(
         config, spec, seed=seed, dt_s=dt_s, record_trace=record_trace
     )
-    result = run_scenario(scenario)
-    if emit_profile:
-        os.makedirs(out_dir, exist_ok=True)
-        write_profile_csv(
-            scenario.profile, os.path.join(out_dir, f"{spec.name}_profile.csv")
-        )
-    write_result_files(result, out_dir, scenario.profile.start)
-    return dataclasses.replace(result, trace=None)
+    os.makedirs(out_dir, exist_ok=True)
+    trace = contextlib.nullcontext()
+    if scenario.record_trace:
+        path = os.path.join(out_dir, f"{spec.name}_trace.csv")
+        trace = _streamed_trace(path, scenario.profile.start)
+    with trace as writer:
+        result = run_scenario(scenario, trace=writer)
+        if emit_profile:
+            write_profile_csv(
+                scenario.profile, os.path.join(out_dir, f"{spec.name}_profile.csv")
+            )
+        write_result_files(result, out_dir, scenario.profile.start)
+    return result
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1: {args.jobs}")
     config = load_config(args.config)
     if not config.scenarios:
         raise ConfigError(f"{args.config}: no scenarios defined")
@@ -243,7 +270,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Each worker writes its own scenario's files as soon as its run has
     # ended, so the results of finished scenarios survive a later failure.
     out_dir = args.out or config.output_dir
-    jobs = max(args.jobs, 1)
+    jobs = args.jobs
     tasks = [
         (config, spec, args.seed, args.dt, args.emit_trace, args.emit_profile, out_dir)
         for spec in specs

@@ -46,7 +46,7 @@ from .degradation import (
     corrosion_temperature_factor,
 )
 from .profiles import DEFAULT_DT_S, SECONDS_PER_DAY, STRESS_LOW_SOC, StressAccumulator
-from .profiles import StressFactors, TimeSeries, TraceRecord
+from .profiles import StressFactors, TimeSeries, TraceRecord, TraceWriter
 from .profiles import divides_day
 
 
@@ -156,7 +156,7 @@ class SimResult:
     voltage_hist_h: list[float]
     stress: "object"  # StressFactors
     runtime_s: float
-    trace: list[TraceRecord] | None = None
+    trace: list[TraceRecord] | None = None  # None unless run_scenario kept it
 
     def soh_at_day(self, day: int) -> float:
         """SOH at the end of a given day, from the daily trajectory."""
@@ -316,7 +316,9 @@ def _sim_result(
     )
 
 
-def run_scenario(scenario: Scenario) -> SimResult:
+def run_scenario(
+    scenario: Scenario, *, trace: list[TraceRecord] | TraceWriter | None = None
+) -> SimResult:
     """Simulate one scenario to end of life or the horizon.
 
     The whole step runs in this function's locals.  The load disconnect,
@@ -338,6 +340,12 @@ def run_scenario(scenario: Scenario) -> SimResult:
     electrolyte chain stays in Battery.electrolyte, the OCV inversion in
     Battery.invert_ocv (called only where it can move the state of
     charge) and the adaptive schedule in _reschedule.
+
+    A traced run (scenario.record_trace) appends one TraceRecord per step
+    to `trace`: by default a new list, kept in SimResult.trace.  Given any
+    object with an ``append`` method, such as a profiles.TraceWriter, the
+    records go there as the run makes them, SimResult.trace is None, and
+    runtime_s includes what the appends cost.
     """
     started = time.perf_counter()
     params = scenario.battery
@@ -404,7 +412,12 @@ def run_scenario(scenario: Scenario) -> SimResult:
 
     soc_hist = [0.0] * N_SOC_BINS
     v_hist = [0.0] * N_VOLTAGE_BINS
-    trace: list[TraceRecord] | None = [] if scenario.record_trace else None
+    kept = None  # the trace SimResult keeps
+    if trace is None and scenario.record_trace:
+        trace = kept = []
+    elif trace is not None and not scenario.record_trace:
+        raise EngineError(f"{scenario.name}: a trace destination needs record_trace")
+    record = None if trace is None else trace.append
     trajectory: list[DayRecord] = []
 
     # controller state: phase, load switch and limit set; the adaptive
@@ -679,8 +692,8 @@ def run_scenario(scenario: Scenario) -> SimResult:
                 full_charge_times.append(t_h)
                 full_charge_days.add(int(t_h // 24.0))
                 cycle_min_soc = soc
-            if trace is not None:
-                trace.append(TraceRecord(i * dt_h, applied, soc, voltage, full_event, floating))
+            if record is not None:
+                record(TraceRecord(i * dt_h, applied, soc, voltage, full_event, floating))
             v_prev = voltage
 
             if loss >= eol_ah:
@@ -736,7 +749,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
         trajectory=trajectory,
         soc_hist_h=soc_hist,
         voltage_hist_h=v_hist,
-        trace=trace,
+        trace=kept,
     )
 
 

@@ -14,6 +14,7 @@ import csv
 import math
 import operator
 import random
+from array import array
 from dataclasses import MISSING, dataclass
 from datetime import date, datetime, timedelta, timezone
 from itertools import accumulate, chain, count, islice, repeat
@@ -537,6 +538,16 @@ def _csv_cells(
             yield reader.line_num, cells
 
 
+class _CellFloats(dict):
+    """float(cell) for each distinct cell string, made once: a log repeats
+    most of its values, so its rows share their float objects.  The keys
+    are the strings, so "-0.0" and "0.0" stay apart."""
+
+    def __missing__(self, cell: str) -> float:
+        value = self[cell] = float(cell)
+        return value
+
+
 def ingest_csv(
     path: str,
     dt_s: float | None = None,
@@ -559,50 +570,72 @@ def ingest_csv(
         if dt_s < MIN_DT_S:
             raise ProfileError(f"dt_s must be at least {MIN_DT_S} s: {dt_s}")
 
-    times: list[datetime] = []
-    rows: list[tuple[float, float, float]] = []
+    # per row only its offset from the first row in microseconds and its
+    # three values, each the one float made for its cell's string
+    floats = _CellFloats()
+    offsets = array("q")
+    loads: list[float] = []
+    solars: list[float] = []
+    temps: list[float] = []
+    t0 = prev = None
     for lineno, (stamp, load_w, solar_w, temp_c) in _csv_cells(path, PROFILE_COLUMNS):
         try:
             ts = datetime.fromisoformat(stamp.strip())
-            vals = (float(load_w), float(solar_w), float(temp_c))
-            increasing = not times or ts > times[-1]
+            l, s, c = floats[load_w], floats[solar_w], floats[temp_c]
+            increasing = prev is None or ts > prev
         except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
             raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
         if not increasing:
             raise ProfileError(
                 f"{path}: line {lineno}: timestamps not strictly increasing"
             )
-        times.append(ts)
-        rows.append(vals)
+        if t0 is None:
+            t0 = ts
+        offsets.append((ts - t0) // _ONE_MICROSECOND)
+        prev = ts
+        loads.append(l)
+        solars.append(s)
+        temps.append(c)
 
-    if len(times) < 2:
+    n = len(offsets)
+    if n < 2:
         raise ProfileError(f"{path}: need at least two samples")
 
+    # a timedelta's total_seconds() is its microseconds / 10**6
     if dt_s is None:
-        dt_s = (times[1] - times[0]).total_seconds()
+        dt_s = offsets[1] / 1_000_000
 
-    t0 = times[0]
-    span_s = (times[-1] - t0).total_seconds()
+    span_s = offsets[-1] / 1_000_000
     total = int(span_s // dt_s) + 1
     # each row refreshes at most one slot, so at least total - rows are filled
-    least_filled = (total - len(times)) / total
+    least_filled = (total - n) / total
     if least_filled > MAX_FILL_FRACTION:
         raise ProfileError(
             f"{path}: at least {least_filled:.0%} of slots would need hold-filling "
             f"(limit {MAX_FILL_FRACTION:.0%})"
         )
 
-    load: list[float] = []
-    solar: list[float] = []
-    temp: list[float] = []
+    # Slot i is t0 + timedelta(seconds=i * dt_s), here in microseconds from
+    # t0.  Where dt_s is m / 2**e with 2**e dividing m * 10**6 and
+    # (total - 1) * m < 2**53, each i * dt_s is exact, so is its fraction
+    # times 10**6, a whole number, and timedelta rounds nothing: slot i is
+    # i * step_us.  Each slot holds the last row at or before it, and
+    # counts[j] slots hold row j.
+    m, two_e = dt_s.as_integer_ratio()
+    step_us, inexact = divmod(m * 1_000_000, two_e)
+    if not inexact and (total - 1) * m < 2**53:
+        slots: Iterable[int] = range(0, total * step_us, step_us)
+    else:
+        slots = (timedelta(seconds=i * dt_s) // _ONE_MICROSECOND for i in range(total))
+    counts = [0] * n
     filled = 0
     longest = 0
     run = 0
     src = 0
-    for i in range(total):
-        grid_t = t0 + timedelta(seconds=i * dt_s)
+    last = n - 1
+    for i, slot in enumerate(slots):
         fresh = i == 0
-        while src + 1 < len(times) and times[src + 1] <= grid_t:
+        while src < last and offsets[src + 1] <= slot:
             src += 1
             fresh = True
         if not fresh:
@@ -611,10 +644,11 @@ def ingest_csv(
             longest = max(longest, run)
         else:
             run = 0
-        l, s, c = rows[src]
-        load.append(l)
-        solar.append(s)
-        temp.append(c)
+        counts[src] += 1
+    load, solar, temp = (
+        list(chain.from_iterable(map(repeat, column, counts)))
+        for column in (loads, solars, temps)
+    )
 
     report = GapReport(total_slots=total, filled_slots=filled, longest_fill_run=longest)
     if report.fill_fraction > MAX_FILL_FRACTION:
@@ -798,14 +832,23 @@ def stress_factors(
     return acc.result()
 
 
-def write_trace_csv(
-    path: str, records: Iterable[TraceRecord], start: datetime
-) -> None:
-    """Write a trace, each record stamped `start` plus its t_h.
+_TRACE_FIELDS = operator.attrgetter("t_h", "current_a", "soc", "voltage", "full_charge", "floating")
+_TRACE_LINE = "%s,%r,%r,%r,%d,%d\r\n".__mod__
 
-    The stamp is ``(start + timedelta(hours=t_h)).isoformat()``, taken
-    from :func:`_grid_stamps` where the records lie on a grid.  Let dt_h,
-    the second record's t_h, be m / 2**e in lowest terms and a whole
+# Records a TraceWriter holds before it writes them out.
+TRACE_BLOCK = 1024
+
+
+class TraceWriter:
+    """Writes a trace CSV record by record: :meth:`append` each record,
+    then :meth:`close`.  Records are written in blocks of TRACE_BLOCK, so
+    a run that streams its trace here holds no more than one block.  As
+    a context manager it closes the file on leaving: by :meth:`close`
+    when the block ends normally, and as it stands on an exception.
+
+    Each record is stamped ``(start + timedelta(hours=t_h)).isoformat()``,
+    taken from :func:`_grid_stamps` where the records lie on a grid.  Let
+    dt_h, the second record's t_h, be m / 2**e in lowest terms and a whole
     number s of microseconds, so that 2**e divides 3.6e9 = 2**10 * 3**2 *
     5**8 and e <= 10.  Record k takes template stamp k when ``t_h == k *
     dt_h`` and ``k * m < 2**53``.  The product k * dt_h is then exact, so
@@ -817,32 +860,81 @@ def write_trace_csv(
     every record of a grid whose dt_h is no binary fraction (600 s or 96
     s).
     """
-    fields = operator.attrgetter("t_h", "current_a", "soc", "voltage", "full_charge", "floating")
-    rows = map(fields, records)
-    head = list(islice(rows, 2))
-    rows = chain(head, rows)
-    dt_h = head[1][0] if len(head) == 2 else None
-    # Record k may take template stamp k while k <= k_max; off a template
-    # grid k_max is -1.  The stamps are "" once they end at datetime.max,
-    # and those records take the arithmetic, which raises as it does for
-    # any record past datetime.max.
-    k_max, stamps = -1, repeat("")
-    if isinstance(dt_h, float) and 0.0 < dt_h < math.inf:  # else the arithmetic, errors and all
-        m, two_e = dt_h.as_integer_ratio()
-        step_us, inexact = divmod(m * 3_600_000_000, two_e)
-        if not inexact and step_us <= 86_400_000_000:
-            grid = _grid_stamps(start, timedelta(microseconds=step_us))
-            if grid is not None:
-                k_max, stamps = (2**53 - 1) // m, chain(grid, stamps)
-    lines = (
-        (
-            stamp if k <= k_max and t_h == k * dt_h and stamp
-            else (start + timedelta(hours=t_h)).isoformat(),
-            amps, soc, volts, full, flt,
+
+    def __init__(self, path: str, start: datetime) -> None:
+        self.start = start
+        self._block: list[TraceRecord] = []
+        self._written = 0  # records written before the block
+        # Record k may take template stamp k while k <= k_max; off a
+        # template grid k_max is -1.  Set by the first block, which holds
+        # the second record if there is one.
+        self._dt_h = None
+        self._k_max = -1
+        self._stamps: Iterator[str] | None = None
+        self._fh = open(path, "w", newline="")
+        self._fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+
+    def append(self, record: TraceRecord) -> None:
+        block = self._block
+        block.append(record)
+        if len(block) == TRACE_BLOCK:
+            self._write_block()
+
+    def close(self) -> None:
+        """Write the records still held and close the file."""
+        with self._fh:
+            if self._block:
+                self._write_block()
+
+    def __enter__(self) -> TraceWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
+
+    def _write_block(self) -> None:
+        block, self._block = self._block, []
+        start = self.start
+        if self._stamps is None:
+            # The stamps are "" once they end at datetime.max, and those
+            # records take the arithmetic, which raises as it does for any
+            # record past datetime.max.
+            self._stamps = repeat("")
+            dt_h = self._dt_h = block[1].t_h if len(block) > 1 else None
+            if isinstance(dt_h, float) and 0.0 < dt_h < math.inf:  # else the arithmetic
+                m, two_e = dt_h.as_integer_ratio()
+                step_us, inexact = divmod(m * 3_600_000_000, two_e)
+                if not inexact and step_us <= 86_400_000_000:
+                    grid = _grid_stamps(start, timedelta(microseconds=step_us))
+                    if grid is not None:
+                        self._k_max, self._stamps = (2**53 - 1) // m, chain(grid, self._stamps)
+        dt_h, k_max = self._dt_h, self._k_max
+        lines = (
+            (
+                stamp if k <= k_max and t_h == k * dt_h and stamp
+                else (start + timedelta(hours=t_h)).isoformat(),
+                amps, soc, volts, full, flt,
+            )
+            # the block first, so that zip takes no stamp past its end
+            for (t_h, amps, soc, volts, full, flt), k, stamp in zip(
+                map(_TRACE_FIELDS, block), count(self._written), self._stamps
+            )
         )
-        for k, stamp, (t_h, amps, soc, volts, full, flt) in zip(count(), stamps, rows)
-    )
-    write_csv(path, TRACE_COLUMNS, "%s,%r,%r,%r,%d,%d", lines)
+        self._written += len(block)
+        self._fh.writelines(map(_TRACE_LINE, lines))
+
+
+def write_trace_csv(
+    path: str, records: Iterable[TraceRecord], start: datetime
+) -> None:
+    """Write a trace, each record stamped `start` plus its t_h, through a
+    :class:`TraceWriter`."""
+    with TraceWriter(path, start) as writer:
+        for record in records:
+            writer.append(record)
 
 
 _FLAGS = ("1", "True", "true")

@@ -2,14 +2,19 @@
 
 import csv
 import dataclasses
+import gc
+import io
 import json
 import os
 import time
+import tracemalloc
+import warnings
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
-from vrlasim import cli, engine
+from vrlasim import cli, engine, profiles
 from vrlasim.cli import main
 from vrlasim.config import RunConfig, default_config_yaml, load_config
 from vrlasim.engine import EngineError
@@ -43,6 +48,11 @@ def logged_config(root, start):
         f"scenarios: [{{name: logged, profile_csv: {csv_path}}}]\n"
     )
     return cfg
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return path
 
 
 def first_stamp(trace_path):
@@ -421,9 +431,9 @@ class TestSimulate:
         marker = tmp_path / "second_ran"
         run = cli.run_scenario
 
-        def first_waits_for_second(scenario):
+        def first_waits_for_second(scenario, **kwargs):
             # the pool workers are forked, so they run this patched function
-            result = run(scenario)
+            result = run(scenario, **kwargs)
             if scenario.name == "second":
                 marker.touch()
             deadline = time.monotonic() + 60.0
@@ -456,6 +466,85 @@ class TestSimulate:
         assert len(list(read_trace_csv(os.path.join(out, "first_trace.csv")))) == round(
             0.01 * 365 * 96
         )
+
+
+    @pytest.mark.parametrize("jobs", ["-5", "0"])
+    def test_jobs_below_one_exits_1_naming_the_option(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text(TWO_SCENARIOS)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1: {jobs}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_failed_traced_run_leaves_no_trace_and_the_earlier_one(
+        self, tmp_path, monkeypatch
+    ):
+        """A run that fails part-way, after some blocks of its trace were
+        written, removes its partial file, keeps the trace an earlier run
+        wrote, and leaves no file open."""
+        config = load_config(str(write_text(tmp_path / "two.yaml", TWO_SCENARIOS)))
+        out = tmp_path / "o"
+        out.mkdir()
+        earlier = write_text(out / "first_trace.csv", "timestamp\r\nan earlier trace\r\n")
+        before = earlier.read_bytes()
+        run = cli.run_scenario
+
+        class FailsAfter:
+            def __init__(self, destination, n):
+                self.destination, self.n = destination, n
+
+            def append(self, record):
+                if self.n == 0:
+                    raise RuntimeError("destination failed")
+                self.n -= 1
+                self.destination.append(record)
+
+        def failing_run(scenario, *, trace):
+            return run(scenario, trace=FailsAfter(trace, 200))
+
+        monkeypatch.setattr(profiles, "TRACE_BLOCK", 16)
+        monkeypatch.setattr(cli, "run_scenario", failing_run)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(RuntimeError, match="destination failed"):
+                cli._worker((config, config.scenarios[0], None, None, True, True, str(out)))
+            # before a collection would close them
+            still_open = [
+                f.name for f in gc.get_objects()
+                if isinstance(f, io.IOBase) and not f.closed
+                and str(out) in str(getattr(f, "name", ""))
+            ]
+            gc.collect()
+        assert still_open == []
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert os.listdir(out) == ["first_trace.csv"]
+        assert earlier.read_bytes() == before
+
+    def test_traced_worker_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        """The trace streams to its file, so a traced run over ten times
+        the days peaks within 1 MB of the shorter one (it held about 184 B
+        per step, 4.8 MB more over 300 days, when the run kept its trace)."""
+
+        def traced_peak(days):
+            cfg = write_text(
+                tmp_path / f"run{days}.yaml",
+                f"sim: {{max_years: {days / 365.0!r}, seed: 3}}\n"
+                "scenarios: [{name: low, archetype: low, policy: adaptive}]\n",
+            )
+            config = load_config(str(cfg))
+            out = str(tmp_path / f"o{days}")
+            tracemalloc.start()
+            try:
+                cli._worker((config, config.scenarios[0], None, None, True, True, out))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(2)  # first-call memos and imports
+        short, long = traced_peak(30), traced_peak(300)
+        assert abs(long - short) < 1_000_000, (short, long)
 
 
 class TestCompare:
@@ -589,3 +678,28 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "line 4" in err
         assert "internal error" not in err
+
+
+class TestUsageErrors:
+    """argparse rejects a command line it cannot parse with its usage
+    message and exit code 2, before any subcommand runs; README says so."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "run.yaml", "--jobs", "x"],
+            ["simulate", "--jobs", "2"],
+            ["simulate", "--config", "run.yaml", "--no-such-option"],
+            [],
+        ],
+    )
+    def test_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: vrlasim" in capsys.readouterr().err
+
+    def test_readme_states_it(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        paragraph = readme.split("\nExit codes:", 1)[1].split("\n\n", 1)[0]
+        assert "usage error" in paragraph and "exits 2" in " ".join(paragraph.split())

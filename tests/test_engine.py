@@ -54,6 +54,23 @@ def low_run():
     return run_scenario(low_use_scenario())
 
 
+class TestTraceDestination:
+    def test_records_go_to_the_destination_not_the_result(self):
+        scenario = low_use_scenario(max_years=3 / 365)
+        kept = run_scenario(scenario)
+        destination = []
+        streamed = run_scenario(scenario, trace=destination)
+        assert streamed.trace is None
+        assert destination == kept.trace and len(destination) == 3 * 96
+        assert result_digest(dataclasses.replace(streamed, trace=destination)) == result_digest(
+            kept
+        )
+
+    def test_a_destination_needs_a_traced_scenario(self):
+        with pytest.raises(EngineError, match="low60: a trace destination needs record_trace"):
+            run_scenario(low_use_scenario(record_trace=False), trace=[])
+
+
 class TestScenarioValidation:
     def test_dt_must_divide_day(self):
         with pytest.raises(EngineError):

@@ -32,6 +32,7 @@ from vrlasim.profiles import (
     ProfileError,
     TimeSeries,
     TraceRecord,
+    TraceWriter,
     read_trace_csv,
     write_profile_csv,
     write_trace_csv,
@@ -178,6 +179,53 @@ def test_trace_writer_stamps_only_an_off_grid_record_by_arithmetic(grid, start, 
         written = trace_bytes(write_trace_csv, records, start)
     assert written == trace_bytes(reference_write_trace_csv, records, start)
     assert hours == [moved]
+
+
+@settings(max_examples=50, deadline=None)
+@given(multi_day(TEMPLATE_DT_S), starts, st.integers(2, 7))
+def test_trace_writer_blocks_keep_every_template_stamp(grid, start, block):
+    """Written in blocks of 2 to 7 records, the bytes are those of one
+    pass, with no record stamped by arithmetic: a block that took one
+    template stamp past its end would give every later record the stamp
+    of the record after it."""
+    records = grid_records(*grid)
+    with mock.patch("vrlasim.profiles.TRACE_BLOCK", block), arithmetic_stamps() as hours:
+        written = trace_bytes(write_trace_csv, records, start)
+    assert written == trace_bytes(reference_write_trace_csv, records, start)
+    assert hours == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.builds(TraceRecord, hours, any_float, any_float, any_float, flags, flags),
+        max_size=20,
+    ),
+    starts,
+    st.integers(2, 5),
+)
+def test_trace_writer_in_blocks_matches_reference(records, start, block):
+    with mock.patch("vrlasim.profiles.TRACE_BLOCK", block):
+        written = trace_bytes(write_trace_csv, records, start)
+    assert written == trace_bytes(reference_write_trace_csv, records, start)
+
+
+def test_streamed_run_writes_the_trace_it_would_keep():
+    """run_scenario appending to a TraceWriter writes the bytes of
+    write_trace_csv on the trace the run keeps, across many blocks."""
+    scenario = Scenario("traced", constant_profile(4), max_years=0.01, record_trace=True)
+    start = datetime(2023, 6, 1, 7, 30)
+    kept = run_scenario(scenario)
+
+    def streamed(path):
+        with TraceWriter(path, start) as writer:
+            result = run_scenario(scenario, trace=writer)
+        assert result.trace is None
+
+    with mock.patch("vrlasim.profiles.TRACE_BLOCK", 97):
+        written = written_bytes(streamed)
+    assert len(kept.trace) > 3 * 97
+    assert written == trace_bytes(reference_write_trace_csv, kept.trace, start)
 
 
 @settings(max_examples=20, deadline=None)
