@@ -8,104 +8,51 @@ predict battery lifetime under different usage patterns and control
 policies.
 """
 
-from .battery import (
-    Battery,
-    BatteryParamError,
-    BatteryParams,
-    GassingParams,
-    battery_ocv,
-    gassing_current,
-    terminal_voltage,
-)
-from .config import ConfigError, RunConfig, ScenarioSpec, load_config
-from .control import (
-    BBOXX_LIMITS,
-    FULL_LIMITS,
-    PARTIAL_LIMITS,
-    ControlParams,
-    ControllerState,
-    Policy,
-    VoltageLimits,
-    adaptive_params,
-)
-from .degradation import (
-    CalibrationError,
-    Datasheet,
-    DegradationModel,
-    DegradationParams,
-    DegradationState,
-    calibrate_limits,
-)
-from .engine import (
-    ComparisonResult,
-    EngineError,
-    Scenario,
-    SimResult,
-    compare_strategies,
-    run_scenario,
-)
-from .profiles import (
-    ARCHETYPES,
-    HIGH_USE,
-    INFREQUENT_USE,
-    LOW_USE,
-    MODERATE_USE,
-    ProfileError,
-    StressAccumulator,
-    StressFactors,
-    TimeSeries,
-    UseArchetype,
-    generate_archetype,
-    ingest_csv,
-    stress_factors,
-)
+import importlib
+
+# Each export and the module that holds it.  Exports are imported on
+# first access (PEP 562), so importing the package, or one of its
+# modules, loads no module that is not used.
+_EXPORTS = {
+    "battery": (
+        "Battery", "BatteryParamError", "BatteryParams", "GassingParams",
+        "battery_ocv", "gassing_current", "terminal_voltage",
+    ),
+    "config": ("ConfigError", "RunConfig", "ScenarioSpec", "load_config"),
+    "control": (
+        "BBOXX_LIMITS", "FULL_LIMITS", "PARTIAL_LIMITS", "ControlParams",
+        "ControllerState", "Policy", "VoltageLimits", "adaptive_params",
+    ),
+    "degradation": (
+        "CalibrationError", "Datasheet", "DegradationModel", "DegradationParams",
+        "DegradationState", "calibrate_limits",
+    ),
+    "engine": (
+        "ComparisonResult", "EngineError", "Scenario", "SimResult",
+        "compare_strategies", "run_scenario",
+    ),
+    "profiles": (
+        "ARCHETYPES", "HIGH_USE", "INFREQUENT_USE", "LOW_USE", "MODERATE_USE",
+        "ProfileError", "StressAccumulator", "StressFactors", "TimeSeries",
+        "UseArchetype", "generate_archetype", "ingest_csv", "stress_factors",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import an export's module and bind the export here, once."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARCHETYPES",
-    "BBOXX_LIMITS",
-    "Battery",
-    "BatteryParamError",
-    "BatteryParams",
-    "CalibrationError",
-    "ComparisonResult",
-    "ConfigError",
-    "ControlParams",
-    "ControllerState",
-    "Datasheet",
-    "DegradationModel",
-    "DegradationParams",
-    "DegradationState",
-    "EngineError",
-    "FULL_LIMITS",
-    "GassingParams",
-    "HIGH_USE",
-    "INFREQUENT_USE",
-    "LOW_USE",
-    "MODERATE_USE",
-    "PARTIAL_LIMITS",
-    "Policy",
-    "ProfileError",
-    "RunConfig",
-    "Scenario",
-    "ScenarioSpec",
-    "SimResult",
-    "StressAccumulator",
-    "StressFactors",
-    "TimeSeries",
-    "UseArchetype",
-    "VoltageLimits",
-    "adaptive_params",
-    "battery_ocv",
-    "calibrate_limits",
-    "compare_strategies",
-    "gassing_current",
-    "generate_archetype",
-    "ingest_csv",
-    "load_config",
-    "run_scenario",
-    "stress_factors",
-    "terminal_voltage",
-    "__version__",
-]
+__all__ = [*sorted(_MODULE_OF), "__version__"]

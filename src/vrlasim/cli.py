@@ -23,44 +23,37 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
+# config, engine and degradation are imported by the commands that use
+# them, so that analyze loads none of them.
 from .battery import Battery, BatteryParams
-from .config import ConfigError, RunConfig, ScenarioSpec, default_config_yaml, load_config
 from .control import Policy
-from .degradation import (
-    DAYS_PER_YEAR,
-    CalibrationError,
-    DegradationModel,
-    corrosion_speed,
-    float_positive_potential,
-)
-from .engine import (
-    SOC_BIN_WIDTH,
-    VOLTAGE_BIN_LOW,
-    VOLTAGE_BIN_WIDTH,
-    ComparisonResult,
-    DayRecord,
-    EngineError,
-    Scenario,
-    SimResult,
-    compare_strategies,
-    run_scenario,
-)
 from .profiles import (
     ProfileError,
+    StressAccumulator,
     TraceWriter,
     generate_archetype,
     ingest_csv,
-    read_trace_csv,
-    stress_factors,
+    read_trace_columns,
     write_csv,
     write_profile_csv,
     write_trace_csv,
 )
 
-# The errors of bad input: a command failing with one of them exits 1.
-INPUT_ERRORS = (ConfigError, ProfileError, EngineError, ValueError)
+if TYPE_CHECKING:
+    from .config import RunConfig, ScenarioSpec
+    from .engine import ComparisonResult, DayRecord, Scenario, SimResult
+
+
+def input_errors() -> tuple[type[Exception], ...]:
+    """The errors of bad input: a command failing with one of them exits 1.
+    ConfigError and ProfileError are ValueErrors; EngineError is imported
+    here, as the commands that run the engine import it."""
+    from .engine import EngineError
+
+    return ValueError, EngineError
+
 
 # The trajectory file's columns, which are DayRecord's fields.
 TRAJECTORY_COLUMNS = (
@@ -76,6 +69,9 @@ def build_scenario(
     record_trace: bool = False,
 ) -> Scenario:
     """Resolve a scenario spec into a runnable Scenario."""
+    from .degradation import DAYS_PER_YEAR
+    from .engine import Scenario
+
     sim = config.sim
     dt = dt_s if dt_s is not None else sim.dt_s
     if seed is None:
@@ -149,6 +145,8 @@ def _bin_rows(low: float, width: float, hours: list[float]) -> Iterator[tuple]:
 
 def write_result_files(result: SimResult, out_dir: str, start: datetime) -> list[str]:
     """Write a result's JSON and CSV files, its trace stamped from `start`."""
+    from .engine import SOC_BIN_WIDTH, VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH
+
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, result.name)
     written = [base + ".json"]
@@ -234,6 +232,8 @@ def _worker(args: tuple) -> SimResult:
     run streams its trace CSV while it runs; then, with emit_profile, the
     profile CSV, then the result files.  Returns the result, which holds
     no trace."""
+    from .engine import run_scenario
+
     config, spec, seed, dt_s, record_trace, emit_profile, out_dir = args
     scenario = build_scenario(
         config, spec, seed=seed, dt_s=dt_s, record_trace=record_trace
@@ -254,6 +254,8 @@ def _worker(args: tuple) -> SimResult:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .config import ConfigError, load_config
+
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1: {args.jobs}")
     config = load_config(args.config)
@@ -302,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for name, exc in failures:
         print(f"scenario {name!r} failed: {exc}", file=sys.stderr)
     if failures:
-        return 1 if all(isinstance(e, INPUT_ERRORS) for _, e in failures) else 2
+        return 1 if all(isinstance(e, input_errors()) for _, e in failures) else 2
     return 0
 
 
@@ -329,6 +331,9 @@ def _print_comparison(cmp_result: ComparisonResult) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .config import ConfigError, load_config
+    from .engine import compare_strategies
+
     config = load_config(args.config)
     if not config.scenarios:
         raise ConfigError(f"{args.config}: no scenarios defined")
@@ -361,15 +366,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    records = read_trace_csv(args.trace)
-    first_two = list(itertools.islice(records, 2))
+    # the trace's blocks of columns, of which `ahead` reads the first two t_h
+    blocks, ahead = itertools.tee(read_trace_columns(args.trace))
+    first_two = list(itertools.islice(itertools.chain.from_iterable(b[0] for b in ahead), 2))
+    del ahead  # so that the tee holds no block that `blocks` has passed
     if len(first_two) < 2:
         raise ProfileError(f"{args.trace}: need at least two records")
-    # read_trace_csv has checked that this interval is positive
-    dt_h = first_two[1].t_h - first_two[0].t_h
-    stress = stress_factors(itertools.chain(first_two, records), args.capacity, dt_h)
-
-    payload = dataclasses.asdict(stress)
+    # read_trace_columns has checked that this interval is positive
+    stress = StressAccumulator(args.capacity, first_two[1] - first_two[0])
+    for _, current_a, soc, _, full_charge, floating in blocks:
+        stress.add_columns(current_a, soc, full_charge, floating)
+    payload = dataclasses.asdict(stress.result())
     payload["capacity_ah"] = args.capacity
     for key, value in sorted(payload.items()):
         if isinstance(value, float):
@@ -385,6 +392,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from .config import RunConfig, load_config
+    from .degradation import DegradationModel, corrosion_speed, float_positive_potential
+
     config = load_config(args.config) if args.config else RunConfig()
     model = DegradationModel(config.battery, config.degradation, config.datasheet)
     battery, datasheet = model.battery, model.datasheet
@@ -413,6 +423,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_init_config(args: argparse.Namespace) -> int:
+    from .config import ConfigError, default_config_yaml
+
     text = default_config_yaml()
     if args.out:
         if os.path.exists(args.out) and not args.force:
@@ -511,13 +523,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CalibrationError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - last-resort guard
+    except Exception as exc:
+        from .degradation import CalibrationError
+
+        if isinstance(exc, input_errors()):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if isinstance(exc, CalibrationError):
+            print(f"calibration failed: {exc}", file=sys.stderr)
+            return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
+
+from hypothesis import strategies as st
 
 from vrlasim.battery import BatteryParams, GassingParams
 from vrlasim.config import ControlSettings, SimSettings
@@ -15,6 +17,20 @@ from vrlasim.engine import Scenario
 from vrlasim.profiles import TimeSeries, UseArchetype
 
 START = datetime(2023, 1, 1)
+
+# Grids whose stamps come from the one-day template in both writers
+# (dt_h a binary fraction of whole microseconds), and grids on which the
+# trace writer stamps each record by timedelta arithmetic.
+TEMPLATE_DT_S = [900.0, 1800.0, 3600.0, 450.0]
+ARITHMETIC_DT_S = [600.0, 96.0]
+
+# naive, UTC and fixed-offset starts, with room for any drawn hour offset
+offsets = st.timedeltas(min_value=timedelta(hours=-23), max_value=timedelta(hours=23))
+starts = st.datetimes(
+    min_value=datetime(1990, 1, 1),
+    max_value=datetime(2100, 1, 1),
+    timezones=st.one_of(st.none(), st.just(timezone.utc), st.builds(timezone, offsets)),
+)
 
 # The classes whose numeric fields each carry a declared domain.
 PARAMETER_CLASSES = (

@@ -429,7 +429,7 @@ class TestSimulate:
         self, tmp_path, monkeypatch, capsys
     ):
         marker = tmp_path / "second_ran"
-        run = cli.run_scenario
+        run = engine.run_scenario
 
         def first_waits_for_second(scenario, **kwargs):
             # the pool workers are forked, so they run this patched function
@@ -443,7 +443,7 @@ class TestSimulate:
                 time.sleep(0.01)
             return result
 
-        monkeypatch.setattr(cli, "run_scenario", first_waits_for_second)
+        monkeypatch.setattr(engine, "run_scenario", first_waits_for_second)
         cfg = tmp_path / "two.yaml"
         cfg.write_text(TWO_SCENARIOS)
         argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "2"]
@@ -489,7 +489,7 @@ class TestSimulate:
         out.mkdir()
         earlier = write_text(out / "first_trace.csv", "timestamp\r\nan earlier trace\r\n")
         before = earlier.read_bytes()
-        run = cli.run_scenario
+        run = engine.run_scenario
 
         class FailsAfter:
             def __init__(self, destination, n):
@@ -505,7 +505,7 @@ class TestSimulate:
             return run(scenario, trace=FailsAfter(trace, 200))
 
         monkeypatch.setattr(profiles, "TRACE_BLOCK", 16)
-        monkeypatch.setattr(cli, "run_scenario", failing_run)
+        monkeypatch.setattr(engine, "run_scenario", failing_run)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             with pytest.raises(RuntimeError, match="destination failed"):

@@ -10,15 +10,18 @@ that the simulation, the writer and the comparison build no column.
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 import sys
+import tempfile
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import START, result_digest
+from helpers import ARITHMETIC_DT_S, START, TEMPLATE_DT_S, result_digest, starts
 from reference_engine import reference_run
 from reference_profiles import reference_generate_archetype
 from reference_writers import reference_write_profile_csv
@@ -45,6 +48,21 @@ FAST_AGEING = Datasheet(float_life_years=0.005, nominal_cycles=1.0)
 
 def built_columns(series: TimeSeries) -> list[str]:
     return [c for c in COLUMNS if c in vars(series)]
+
+
+def written_bytes(series: TimeSeries, write=None) -> bytes:
+    """The bytes write_profile_csv writes of a day-form profile, which it
+    writes without building a column; or those `write` writes of its
+    flat-column rebuild."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "profile.csv")
+        if write is None:
+            write_profile_csv(series, path)
+            assert built_columns(series) == []
+        else:
+            write(flat(series), path)
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 def flat(series: TimeSeries, n: int | None = None) -> TimeSeries:
@@ -276,10 +294,31 @@ class TestNoColumns:
         assert not result.censored
         assert built_columns(series) == []
 
-    @pytest.mark.parametrize("dt_s", [900.0, 337.5])
-    def test_written_bytes_without_columns(self, tmp_path, dt_s):
-        series = generate_archetype(ARCHETYPES["infrequent"], 4, seed=2, dt_s=dt_s)
-        write_profile_csv(series, str(tmp_path / "day.csv"))
-        assert built_columns(series) == []
-        reference_write_profile_csv(flat(series), str(tmp_path / "flat.csv"))
-        assert (tmp_path / "day.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(ARCHETYPES)),
+        st.integers(0, 2**32),
+        st.sampled_from([*TEMPLATE_DT_S, *ARITHMETIC_DT_S, 337.5]),
+        st.integers(1, 3),
+        starts,
+    )
+    def test_written_bytes_without_columns(self, name, seed, dt_s, days, start):
+        series = generate_archetype(ARCHETYPES[name], days, seed=seed, dt_s=dt_s, start=start)
+        assert written_bytes(series) == written_bytes(series, reference_write_profile_csv)
+
+    @pytest.mark.parametrize(
+        "start",
+        [datetime(2023, 6, 1, 7, 30), datetime(2023, 6, 1, tzinfo=timezone(timedelta(hours=-5)))],
+    )
+    def test_written_edge_values_without_columns(self, start):
+        """Block powers of -0.0, the least subnormal and 1e308, a day whose
+        peak is 0.0, and temperatures at the ends of their range."""
+        days = ProfileDays(
+            block_of_step=[0, 1, 2, 3, 1, 0],
+            shape=[0.0, 0.25, 1.0, 5e-324, 0.5, 1.0],
+            day_temp=[-0.0, 25.0, -40.0, 80.0, 1.2345678901234567, 0.1],
+            powers=[[-0.0, 5e-324, 1e308, 0.0], [1e308, -0.0, 5e-324, 0.0], [0.0] * 4],
+            peaks=[0.0, 1e308, 5e-324],
+        )
+        series = TimeSeries.from_days(start, 14400.0, days, panel_rating_w=1e308)
+        assert written_bytes(series) == written_bytes(series, reference_write_profile_csv)

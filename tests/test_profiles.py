@@ -1,7 +1,9 @@
 """Synthetic profiles, CSV ingest, and trace stress statistics."""
 
 import math
+import operator
 from datetime import datetime, timedelta
+from functools import reduce
 from unittest import mock
 
 import pytest
@@ -543,13 +545,36 @@ class TestStressFactors:
     )
     def test_add_matches_min_max_reference(self, steps):
         """The accumulator's conditionals choose as min and max do, on ties,
-        signed zeros and nan included."""
+        signed zeros and nan included: step by step, and as columns in two
+        parts, whose second goes on from the first's state."""
         acc = StressAccumulator(20.0, 0.25)
         ref = MinMaxAccumulator(20.0, 0.25)
         for step in steps:
             acc.add(*step)
             ref.add(*step)
         assert repr(acc.result()) == repr(ref.result())
+        columns = StressAccumulator(20.0, 0.25)
+        half = len(steps) // 2
+        for part in (steps[:half], steps[half:]):
+            columns.add_columns(*([step[i] for step in part] for i in range(4)))
+        assert repr(columns.result()) == repr(ref.result())
+
+    def test_mean_gap_between_full_charges_sums_left_to_right(self):
+        """The mean of the gaps between full charges sums them left to
+        right, so that it has the same bits on every Python version:
+        Python 3.12's builtin sum compensates, and on these gaps gives the
+        correctly rounded sum, which differs from the left fold in the last
+        bit."""
+        dt_h = 96 / 3600
+        n = 4664
+        fulls = {517, 1101, 2090, 4663}
+        acc = StressAccumulator(20.0, dt_h)
+        acc.add_columns([0.0] * n, [0.9] * n, [k in fulls for k in range(n)], [False] * n)
+        times = [k * dt_h for k in sorted(fulls)]
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        left_fold = reduce(operator.add, gaps)
+        assert left_fold != math.fsum(gaps)
+        assert acc.result().time_between_full_mean_h == left_fold / 3
 
 
 class TestTraceCsv:

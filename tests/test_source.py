@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from helpers import PARAMETER_CLASSES
 from vrlasim._domains import Domain
 from vrlasim.cli import main
 from vrlasim.config import SECTIONS
+from vrlasim.profiles import TraceRecord, write_trace_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vrlasim"
@@ -131,6 +133,47 @@ def test_cli_import_leaves_yaml_unloaded():
         check=True,
     )
     assert ran.stdout == "False\n"
+
+
+def test_analyze_leaves_engine_config_and_degradation_unloaded(tmp_path):
+    """analyze imports only what it runs.  cli imports config, engine and
+    degradation inside the commands that use them; concurrent.futures
+    stays loaded on purpose, because the benchmark's tracer replaces
+    cli.ProcessPoolExecutor by attribute.  A fresh interpreter checks,
+    because this module imports the whole package."""
+    trace = str(tmp_path / "trace.csv")
+    records = [TraceRecord(k * 0.25, 1.0 - k % 3, 0.8, 12.5, k == 4, k > 4) for k in range(9)]
+    write_trace_csv(trace, records, datetime(2023, 1, 1))
+    path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    code = (
+        "import sys; from vrlasim.cli import main; code = main(sys.argv[1:]); "
+        "print(code, sorted({'vrlasim.engine', 'vrlasim.config', 'vrlasim.degradation'} "
+        "& set(sys.modules)))"
+    )
+    ran = subprocess.run(
+        [sys.executable, "-c", code, "analyze", "--trace", trace],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert "n_full_charges: 1\n" in ran.stdout
+    assert ran.stdout.splitlines()[-1] == "0 []"
+
+
+def test_every_export_resolves():
+    """The package's exports are imported on first access: each name in
+    __all__ must resolve, be listed by dir() and be bound by a star import."""
+    import vrlasim
+
+    star: dict = {}
+    exec("from vrlasim import *", star)
+    listed = dir(vrlasim)
+    for name in vrlasim.__all__:
+        assert star[name] is getattr(vrlasim, name)
+        assert name in listed
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        vrlasim.no_such_name
 
 
 def test_only_profiles_imports_csv():
