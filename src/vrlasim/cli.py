@@ -31,11 +31,11 @@ from .battery import Battery, BatteryParams
 from .control import Policy
 from .profiles import (
     ProfileError,
-    StressAccumulator,
     TraceWriter,
     generate_archetype,
     ingest_csv,
-    read_trace_columns,
+    read_trace_csv,
+    stress_factors,
     write_csv,
     write_profile_csv,
     write_trace_csv,
@@ -366,17 +366,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    # the trace's blocks of columns, of which `ahead` reads the first two t_h
-    blocks, ahead = itertools.tee(read_trace_columns(args.trace))
-    first_two = list(itertools.islice(itertools.chain.from_iterable(b[0] for b in ahead), 2))
-    del ahead  # so that the tee holds no block that `blocks` has passed
+    records = read_trace_csv(args.trace)
+    first_two = list(itertools.islice(records, 2))
     if len(first_two) < 2:
         raise ProfileError(f"{args.trace}: need at least two records")
-    # read_trace_columns has checked that this interval is positive
-    stress = StressAccumulator(args.capacity, first_two[1] - first_two[0])
-    for _, current_a, soc, _, full_charge, floating in blocks:
-        stress.add_columns(current_a, soc, full_charge, floating)
-    payload = dataclasses.asdict(stress.result())
+    # read_trace_csv has checked that this interval is positive
+    dt_h = first_two[1].t_h - first_two[0].t_h
+    stress = stress_factors(itertools.chain(first_two, records), args.capacity, dt_h)
+
+    payload = dataclasses.asdict(stress)
     payload["capacity_ah"] = args.capacity
     for key, value in sorted(payload.items()):
         if isinstance(value, float):

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import MISSING, dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import reduce
-from itertools import accumulate, chain, count, islice, repeat, tee
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from ._domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT
@@ -464,19 +464,18 @@ def write_profile_csv(series: TimeSeries, path: str) -> None:
         rows = zip(stamps, *map(series.samples, COLUMNS))
         write_csv(path, PROFILE_COLUMNS, "%s,%r,%r,%r", rows)
         return
-    temps = list(map(repr, days.day_temp))
+    temps = list(map(repr, days.temp(0)))  # the same temperatures every day
 
-    def day_rows(powers: list[float], peak: float) -> Iterator[tuple]:
-        # the samples of ProfileDays.load, .solar and .temp of the day
-        loads = list(map(repr, powers))
+    def day_rows(q: int) -> Iterator[tuple]:
+        loads = list(map(repr, days.powers[q]))  # ProfileDays.load(q), one repr per block
         return zip(
             islice(stamps, len(temps)),
             map(loads.__getitem__, days.block_of_step),
-            map(operator.mul, repeat(peak), days.shape),
+            days.solar(q),
             temps,
         )
 
-    rows = chain.from_iterable(map(day_rows, days.powers, days.peaks))
+    rows = chain.from_iterable(map(day_rows, range(len(days.peaks))))
     write_csv(path, PROFILE_COLUMNS, "%s,%s,%r,%s", rows)
 
 
@@ -523,29 +522,16 @@ def _template_days(start: datetime, step: timedelta) -> Iterator[str]:
             yield from map((day + shift).isoformat().__add__, tails)
 
 
-def _csv_header(reader, path: str, columns: Sequence[str]) -> tuple[list[str], list[int]]:
-    """Read a CSV's header from `reader`: the header and the index of each
-    of `columns` in it (for a repeated name, the last one, as
-    csv.DictReader does)."""
-    header = next(reader, None)
-    if header is None:
-        raise ProfileError(f"{path}: empty file")
-    index = {name: i for i, name in enumerate(header)}
-    missing = [c for c in columns if c not in index]
-    if missing:
-        raise ProfileError(f"{path}: missing columns {missing}")
-    return header, [index[c] for c in columns]
-
-
 def _csv_cells(
     path: str, columns: Sequence[str]
 ) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Yield (line number, cells of `columns`) for each data row of a CSV.
 
-    The header is read once and each column resolved to its index there;
-    there must be at least two columns.  Blank lines are skipped; line
-    numbers are the file's own (csv.reader.line_num), so they count blank
-    lines too, and a row whose quoted cell spans lines gets its last line.
+    The header is read once and each column resolved to its index there
+    (for a repeated name, the last one, as csv.DictReader does); there
+    must be at least two columns.  Blank lines are skipped; line numbers
+    are the file's own (csv.reader.line_num), so they count blank lines
+    too, and a row whose quoted cell spans lines gets its last line.
     """
     try:
         fh = open(path, newline="")
@@ -553,8 +539,14 @@ def _csv_cells(
         raise ProfileError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header, at = _csv_header(reader, path, columns)
-        pick = operator.itemgetter(*at)
+        header = next(reader, None)
+        if header is None:
+            raise ProfileError(f"{path}: empty file")
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            raise ProfileError(f"{path}: missing columns {missing}")
+        pick = operator.itemgetter(*(index[c] for c in columns))
         for row in reader:
             if not row:
                 continue
@@ -566,65 +558,6 @@ def _csv_cells(
                     f"header has {len(header)}"
                 ) from None
             yield reader.line_num, cells
-
-
-def _csv_blocks(
-    path: str, columns: Sequence[str]
-) -> Iterator[tuple[list[tuple[str, ...]], Sequence[int]]]:
-    """Yield the data rows of a CSV in blocks of at most TRACE_BLOCK, each
-    as (the cells of each of `columns`, one per row; each row's line number).
-
-    The rows, their line numbers and the errors are those of
-    :func:`_csv_cells`; a row too short to hold every column, or a line
-    the csv module rejects, raises after the rows before it are yielded.
-    """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ProfileError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        lines, again = tee(fh)  # `again` gives each block's lines once more
-        reader = csv.reader(lines)
-        header, at = _csv_header(reader, path, columns)
-        width = max(at) + 1  # a row of fewer cells lacks a column
-        done = reader.line_num  # the lines read before the block
-        list(islice(again, done))  # the header's
-        while True:
-            try:
-                rows = list(islice(reader, TRACE_BLOCK))
-            except csv.Error:  # a line the csv module rejects: read again below
-                rows = None
-            text = list(islice(again, reader.line_num - done))
-            error: Exception | None = None
-            if rows is not None and len(rows) == len(text):  # one line per row
-                numbers: Sequence[int] = range(done + 1, reader.line_num + 1)
-            else:  # read the block's lines again, row by row, to number its rows
-                rows, numbers, block = [], [], csv.reader(text)
-                try:
-                    for row in block:
-                        rows.append(row)
-                        numbers.append(done + block.line_num)
-                except csv.Error as exc:  # raised after the rows before it
-                    error = exc
-            done = reader.line_num
-            if not rows and error is None:
-                return
-            if rows and min(map(len, rows)) < width:  # a blank or short row
-                kept = []
-                for row, line in zip(rows, numbers):
-                    if len(row) >= width:
-                        kept.append((row, line))
-                    elif row:
-                        error = ProfileError(
-                            f"{path}: line {line}: {len(row)} fields, header has {len(header)}"
-                        )
-                        break
-                rows, numbers = zip(*kept) if kept else ((), ())
-            if rows:
-                cells = list(zip(*rows))  # as many columns as the shortest row has
-                yield [cells[i] for i in at], numbers
-            if error is not None:
-                raise error
 
 
 class _CellFloats(dict):
@@ -814,10 +747,10 @@ class StressFactors:
         depth_bins: list[int],
     ) -> StressFactors:
         """The stress factors of a trace of `steps` records, from the running
-        sums that StressAccumulator.add_columns keeps (run_scenario keeps
-        the same sums in its locals).  The mean gap between full charges
-        sums the gaps left to right, which the builtin sum does not do on
-        every Python version (3.12 compensates it)."""
+        sums that StressAccumulator.add keeps (run_scenario keeps the same
+        sums in its locals).  The mean gap between full charges sums the
+        gaps left to right, which the builtin sum does not do on every
+        Python version (3.12 compensates it)."""
         duration_days = steps * dt_h / 24.0
         # a duration within 1e-9 day above a whole day is the rounding error
         # of a dt_h such as 96 s / 3600, not a further day
@@ -866,52 +799,34 @@ class StressAccumulator:
     def add(
         self, current_a: float, soc: float, full_charge: bool, floating: bool
     ) -> None:
-        """Add one step's record."""
-        self.add_columns((current_a,), (soc,), (full_charge,), (floating,))
-
-    def add_columns(
-        self,
-        current_a: Iterable[float],
-        soc: Iterable[float],
-        full_charge: Iterable[bool],
-        floating: Iterable[bool],
-    ) -> None:
-        """Add the records of columns of equal length, row by row."""
-        dt_h, low_soc, n_bins = self.dt_h, self.low_soc, self.N_DEPTH_BINS
-        steps, charge_ah, discharge_ah = self.steps, self.charge_ah, self.discharge_ah
-        max_discharge_a, low_soc_h, float_h = self.max_discharge_a, self.low_soc_h, self.float_h
-        low = self._min_soc_since_full
         # runs every step: conditionals in place of the min/max builtins,
         # keeping their choice on ties and nan (the first argument wins)
-        for amps, s, full, flt in zip(current_a, soc, full_charge, floating):
-            if amps >= 0.0:
-                charge_ah += amps * dt_h
-            else:
-                drawn = -amps
-                discharge_ah += drawn * dt_h
-                if drawn > max_discharge_a:
-                    max_discharge_a = drawn
-            if s < low_soc:
-                low_soc_h += dt_h
-            if flt:
-                float_h += dt_h
-            if low is not None and s < low:
-                low = s
-            if full:
-                if low is not None:
-                    depth = 1.0 - low
-                    idx = int(depth * n_bins) if depth > 0.0 else 0
-                    if idx > n_bins - 1:
-                        idx = n_bins - 1
-                    self.depth_bins[idx] += 1
-                t_h = steps * dt_h
-                self.full_charge_times.append(t_h)
-                self.full_charge_days.add(int(t_h // 24.0))
-                low = s
-            steps += 1
-        self.steps, self.charge_ah, self.discharge_ah = steps, charge_ah, discharge_ah
-        self.max_discharge_a, self.low_soc_h, self.float_h = max_discharge_a, low_soc_h, float_h
-        self._min_soc_since_full = low
+        t_h = self.steps * self.dt_h
+        self.steps += 1
+        if current_a >= 0.0:
+            self.charge_ah += current_a * self.dt_h
+        else:
+            drawn = -current_a
+            self.discharge_ah += drawn * self.dt_h
+            if drawn > self.max_discharge_a:
+                self.max_discharge_a = drawn
+        if soc < self.low_soc:
+            self.low_soc_h += self.dt_h
+        if floating:
+            self.float_h += self.dt_h
+        low = self._min_soc_since_full
+        if low is not None and soc < low:
+            self._min_soc_since_full = low = soc
+        if full_charge:
+            if low is not None:
+                depth = 1.0 - low
+                idx = int(depth * self.N_DEPTH_BINS) if depth > 0.0 else 0
+                if idx > self.N_DEPTH_BINS - 1:
+                    idx = self.N_DEPTH_BINS - 1
+                self.depth_bins[idx] += 1
+            self.full_charge_times.append(t_h)
+            self.full_charge_days.add(int(t_h // 24.0))
+            self._min_soc_since_full = soc
 
     def result(self) -> StressFactors:
         return StressFactors.from_totals(
@@ -944,9 +859,9 @@ def stress_factors(
 _TRACE_FIELDS = operator.attrgetter("t_h", "current_a", "soc", "voltage", "full_charge", "floating")
 _TRACE_LINE = "%s,%r,%r,%r,%d,%d\r\n".__mod__
 
-# The records a TraceWriter holds before it writes them out, and the
-# rows read_trace_columns reads at a time.
+# Records a TraceWriter holds before it writes them out.
 TRACE_BLOCK = 1024
+
 
 class TraceWriter:
     """Writes a trace CSV record by record: :meth:`append` each record,
@@ -1050,24 +965,14 @@ _FLAGS = ("1", "True", "true")
 
 
 def read_trace_csv(path: str) -> Iterator[TraceRecord]:
-    """Stream a trace CSV written by :func:`write_trace_csv`: the records
-    of :func:`read_trace_columns`."""
-    for columns in read_trace_columns(path):
-        yield from map(TraceRecord, *columns)
-
-
-def read_trace_columns(path: str) -> Iterator[tuple[Sequence, ...]]:
-    """Stream a trace CSV a block of rows at a time, each block as the
-    columns of its records: t_h, current_a, soc, voltage, full_charge and
-    floating, in TraceRecord's order.
+    """Stream a trace CSV written by :func:`write_trace_csv`.
 
     The rows must be evenly spaced: each timestamp is the first row's
     interval after the one before it, so a gap, a repeated row or rows
     out of order are a :class:`ProfileError` naming the line.  The
     writer rounds each timestamp to the microsecond, so at a step that
     is not a whole number of microseconds (86400 s / 7, say) intervals
-    may differ from the first by that microsecond, and no more.  A bad
-    row raises after the rows before it are yielded.
+    may differ from the first by that microsecond, and no more.
 
     Each row's timestamp is parsed and checked against the first row's
     (t0), the previous row's and the interval, with one shortcut: while
@@ -1075,77 +980,45 @@ def read_trace_columns(path: str) -> Iterator[tuple[Sequence, ...]]:
     and the interval, a stamp string equal to the grid's next is not
     parsed.  It is t0 + k*step, one step after the row before it, and
     its ``(ts - t0).total_seconds()`` is the integer true division
-    k*step_us / 10**6 made here.  Such rows are taken a block at a
-    time: where every stamp of a block equals the grid's next and every
-    value cell converts, its columns are made with one map each.  The
-    first block goes row by row, and so does every row from the first
-    block where that fails (a stamp off the grid or past its end, a bad
-    cell), with every stamp parsed: which gives the same records and
-    errors as the shortcut would, since a stamp that equals the grid's
-    parses to it.
+    k*step_us / 10**6 made here.
     """
     t0 = prev = step = stamps = None  # stamps: the grid's, while every row has matched
-    k = 0  # the rows before the block
-    for cells, lines in _csv_blocks(path, TRACE_COLUMNS):
-        n = len(lines)
-        if stamps is not None:
-            stamp_cells, *value_cells = cells
-            if stamp_cells == tuple(islice(stamps, n)):
-                try:
-                    values = [list(map(float, c)) for c in value_cells[:3]]
-                except ValueError:
-                    pass
+    for k, (lineno, (stamp, current_a, soc, voltage, full_charge, floating)) in enumerate(
+        _csv_cells(path, TRACE_COLUMNS)
+    ):
+        try:
+            if stamps is not None and stamp == next(stamps, None):
+                t_h = k * step_us / 1_000_000 / 3600.0
+            else:
+                if stamps is not None:  # the first row off the grid, or past its end
+                    stamps, prev = None, t0 + (k - 1) * step
+                ts = datetime.fromisoformat(stamp.strip())
+                if prev is None:
+                    t0 = ts
                 else:
-                    t_h = [i * step_us / 1_000_000 / 3600.0 for i in range(k, k + n)]
-                    flags = (
-                        list(map(_FLAGS.__contains__, map(str.strip, c))) for c in value_cells[3:]
-                    )
-                    k += n
-                    yield t_h, *values, *flags
-                    continue
-            stamps, prev = None, t0 + (k - 1) * step  # this block on: row by row, parsed
-        records: list[tuple] = []
-        error = None
-        for lineno, stamp, current_a, soc, voltage, full_charge, floating in zip(lines, *cells):
-            try:
-                if stamps is not None and stamp == next(stamps, None):
-                    t_h = k * step_us / 1_000_000 / 3600.0
-                else:
-                    if stamps is not None:  # the first row off the grid, or past its end
-                        stamps, prev = None, t0 + (k - 1) * step
-                    ts = datetime.fromisoformat(stamp.strip())
-                    if prev is None:
-                        t0 = ts
-                    else:
-                        interval = ts - prev
-                        if step is None:
-                            step = interval
-                        if interval <= _NO_TIME:
-                            raise ValueError("timestamps not strictly increasing")
-                        if abs(interval - step) > _ONE_MICROSECOND:
-                            raise ValueError(
-                                f"timestamp {ts.isoformat()} is {interval} after the "
-                                f"previous row, not the trace's interval of {step}"
-                            )
-                        if k == 1 and (stamps := _grid_stamps(t0, step)) is not None:
-                            stamps = islice(stamps, 2, None)
-                            step_us = step // _ONE_MICROSECOND
-                    prev = ts
-                    t_h = (ts - t0).total_seconds() / 3600.0
-                records.append((
-                    t_h,
-                    float(current_a),
-                    float(soc),
-                    float(voltage),
-                    full_charge.strip() in _FLAGS,
-                    floating.strip() in _FLAGS,
-                ))
-            except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
-                error = ProfileError(f"{path}: line {lineno}: {exc}")
-                error.__cause__ = exc
-                break
-            k += 1
-        if records:
-            yield tuple(zip(*records))
-        if error is not None:
-            raise error
+                    interval = ts - prev
+                    if step is None:
+                        step = interval
+                    if interval <= _NO_TIME:
+                        raise ValueError("timestamps not strictly increasing")
+                    if abs(interval - step) > _ONE_MICROSECOND:
+                        raise ValueError(
+                            f"timestamp {ts.isoformat()} is {interval} after the "
+                            f"previous row, not the trace's interval of {step}"
+                        )
+                    if k == 1 and (stamps := _grid_stamps(t0, step)) is not None:
+                        stamps = islice(stamps, 2, None)
+                        step_us = step // _ONE_MICROSECOND
+                prev = ts
+                t_h = (ts - t0).total_seconds() / 3600.0
+            record = TraceRecord(
+                t_h,
+                float(current_a),
+                float(soc),
+                float(voltage),
+                full_charge.strip() in _FLAGS,
+                floating.strip() in _FLAGS,
+            )
+        except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
+            raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
+        yield record

@@ -21,7 +21,6 @@ import math
 import random
 from datetime import datetime, timedelta
 
-from reference_writers import reference_csv_cells
 from vrlasim.profiles import (
     CLEAR_FACTOR,
     DEFAULT_DT_S,
@@ -37,6 +36,7 @@ from vrlasim.profiles import (
     ProfileError,
     TimeSeries,
     UseArchetype,
+    _csv_cells,
     _day_load_blocks,
     ambient_temperature,
     divides_day,
@@ -142,7 +142,7 @@ def reference_ingest_csv(
 
     times: list[datetime] = []
     rows: list[tuple[float, float, float]] = []
-    for lineno, (stamp, load_w, solar_w, temp_c) in reference_csv_cells(path, PROFILE_COLUMNS):
+    for lineno, (stamp, load_w, solar_w, temp_c) in _csv_cells(path, PROFILE_COLUMNS):
         try:
             ts = datetime.fromisoformat(stamp.strip())
             vals = (float(load_w), float(solar_w), float(temp_c))

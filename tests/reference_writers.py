@@ -9,18 +9,13 @@ stamp every row by datetime arithmetic.  The program formats each row
 into one line itself, through profiles.write_csv, and stamps and checks
 rows on an exact grid from a one-day template; the tests check that both
 give the same bytes, records and errors.
-
-reference_csv_cells reads a CSV row by row, as the program did before it
-read CSVs in blocks; the reference reader and reference_profiles'
-reference_ingest_csv read through it.
 """
 
 from __future__ import annotations
 
 import csv
-import operator
 from datetime import datetime, timedelta
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from vrlasim.engine import SOC_BIN_WIDTH, VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH, DayRecord
 from vrlasim.profiles import (
@@ -29,45 +24,8 @@ from vrlasim.profiles import (
     ProfileError,
     TimeSeries,
     TraceRecord,
+    _csv_cells,
 )
-
-
-def reference_csv_cells(
-    path: str, columns: Sequence[str]
-) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (line number, cells of `columns`) for each data row of a CSV.
-
-    The header is read once and each column resolved to its index there
-    (for a repeated name, the last one, as csv.DictReader does); there
-    must be at least two columns.  Blank lines are skipped; line numbers
-    are the file's own (csv.reader.line_num), so they count blank lines
-    too, and a row whose quoted cell spans lines gets its last line.
-    """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ProfileError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ProfileError(f"{path}: empty file")
-        index = {name: i for i, name in enumerate(header)}
-        missing = [c for c in columns if c not in index]
-        if missing:
-            raise ProfileError(f"{path}: missing columns {missing}")
-        pick = operator.itemgetter(*(index[c] for c in columns))
-        for row in reader:
-            if not row:
-                continue
-            try:
-                cells = pick(row)
-            except IndexError:
-                raise ProfileError(
-                    f"{path}: line {reader.line_num}: {len(row)} fields, "
-                    f"header has {len(header)}"
-                ) from None
-            yield reader.line_num, cells
 
 
 def reference_write_profile_csv(series: TimeSeries, path: str) -> None:
@@ -167,7 +125,7 @@ def reference_read_trace_csv(path: str) -> Iterator[TraceRecord]:
     prev: datetime | None = None
     step: timedelta | None = None
     flags = ("1", "True", "true")
-    for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in reference_csv_cells(
+    for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in _csv_cells(
         path, TRACE_COLUMNS
     ):
         try:

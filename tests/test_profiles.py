@@ -545,19 +545,13 @@ class TestStressFactors:
     )
     def test_add_matches_min_max_reference(self, steps):
         """The accumulator's conditionals choose as min and max do, on ties,
-        signed zeros and nan included: step by step, and as columns in two
-        parts, whose second goes on from the first's state."""
+        signed zeros and nan included."""
         acc = StressAccumulator(20.0, 0.25)
         ref = MinMaxAccumulator(20.0, 0.25)
         for step in steps:
             acc.add(*step)
             ref.add(*step)
         assert repr(acc.result()) == repr(ref.result())
-        columns = StressAccumulator(20.0, 0.25)
-        half = len(steps) // 2
-        for part in (steps[:half], steps[half:]):
-            columns.add_columns(*([step[i] for step in part] for i in range(4)))
-        assert repr(columns.result()) == repr(ref.result())
 
     def test_mean_gap_between_full_charges_sums_left_to_right(self):
         """The mean of the gaps between full charges sums them left to
@@ -569,7 +563,8 @@ class TestStressFactors:
         n = 4664
         fulls = {517, 1101, 2090, 4663}
         acc = StressAccumulator(20.0, dt_h)
-        acc.add_columns([0.0] * n, [0.9] * n, [k in fulls for k in range(n)], [False] * n)
+        for k in range(n):
+            acc.add(0.0, 0.9, k in fulls, False)
         times = [k * dt_h for k in sorted(fulls)]
         gaps = [b - a for a, b in zip(times, times[1:])]
         left_fold = reduce(operator.add, gaps)

@@ -29,7 +29,6 @@ from reference_writers import (
 from vrlasim.cli import write_overlay_csv, write_result_files
 from vrlasim.engine import N_SOC_BINS, N_VOLTAGE_BINS, DayRecord, Scenario, run_scenario
 from vrlasim.profiles import (
-    TRACE_BLOCK,
     ProfileError,
     TimeSeries,
     TraceRecord,
@@ -349,100 +348,6 @@ def test_trace_reader_matches_reference(dt_s, start, edit, data):
         with open(path, "w", newline="") as fh:
             fh.write("\r\n".join(edit_rows(lines, edit, j)))
         assert read_outcome(read_trace_csv, path) == read_outcome(reference_read_trace_csv, path)
-
-
-def edited_trace(root, dt_s, start, n, edit, j):
-    """The path of a reference trace of n grid records with `edit` at data row j."""
-    path = os.path.join(root, "trace.csv")
-    reference_write_trace_csv(path, grid_records(dt_s, n), start)
-    with open(path, newline="") as fh:
-        lines = fh.read().split("\r\n")
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(edit_rows(lines, edit, j)))
-    return path
-
-
-@pytest.mark.parametrize("edit", EDITS)
-def test_trace_reader_matches_reference_across_blocks(edit):
-    """A trace longer than two blocks, with the edit at the rows just
-    before, at and just after each block boundary, and at the last row:
-    the same records, then the same error, as the reference."""
-    n = 2 * TRACE_BLOCK + 50
-    start = datetime(2023, 6, 1, 7, 30, tzinfo=timezone(timedelta(hours=3)))
-    rows = [b + d for b in (TRACE_BLOCK, 2 * TRACE_BLOCK) for d in (-1, 0, 1)] + [n - 1]
-    for j in rows:
-        with tempfile.TemporaryDirectory() as root:
-            path = edited_trace(root, 900.0, start, n, edit, j)
-            ours = read_outcome(read_trace_csv, path)
-            assert ours == read_outcome(reference_read_trace_csv, path), j
-            assert len(ours) >= j  # the records before the edit, at least
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(READ_DT_S), starts, st.sampled_from(EDITS), st.integers(2, 7), st.data())
-def test_trace_reader_in_small_blocks_matches_reference(dt_s, start, edit, block, data):
-    """Read in blocks of 2 to 7 rows, so that a day's trace spans many
-    blocks and an edit falls anywhere within one."""
-    per_day = math.ceil(86400 / dt_s)
-    n = data.draw(st.integers(per_day + 1, per_day + 40), label="n")
-    j = data.draw(st.integers(0, n - 1), label="j")
-    with tempfile.TemporaryDirectory() as root:
-        path = edited_trace(root, dt_s, start, n, edit, j)
-        with mock.patch("vrlasim.profiles.TRACE_BLOCK", block):
-            ours = read_outcome(read_trace_csv, path)
-        assert ours == read_outcome(reference_read_trace_csv, path)
-
-
-@pytest.mark.parametrize("block", [2, 3, 7])
-def test_trace_reader_finds_a_block_of_deleted_rows(block):
-    """A whole block of rows deleted from a block boundary: the block read
-    there holds the grid stamps that follow those the reader expects, and
-    the gap must still raise where the reference raises it."""
-    start = datetime(2023, 6, 1, 7, 30)
-    with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "trace.csv")
-        reference_write_trace_csv(path, grid_records(900.0, 10 * block), start)
-        with open(path, newline="") as fh:
-            lines = fh.read().split("\r\n")
-        del lines[1 + 2 * block : 1 + 3 * block]  # data rows 2*block to 3*block - 1
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines))
-        with mock.patch("vrlasim.profiles.TRACE_BLOCK", block):
-            ours = read_outcome(read_trace_csv, path)
-        assert ours == read_outcome(reference_read_trace_csv, path)
-        assert len(ours) == 2 * block + 1 and ours[-1][0] == "ProfileError"
-
-
-def outcome_of_reading(read, path):
-    """Every record a reader yields, then the type and text of the error it raises."""
-    out = []
-    try:
-        for record in read(path):
-            out.append(dataclasses.astuple(record))
-    except Exception as exc:
-        out.append((type(exc).__name__, str(exc)))
-    return out
-
-
-@pytest.mark.parametrize("block", [3, TRACE_BLOCK])
-@pytest.mark.parametrize("j", [2, 5, 40])
-@pytest.mark.parametrize("bad", ["x" * 140_000, '"\r\n'], ids=["over the field limit", "open quote"])
-def test_trace_reader_matches_reference_on_lines_the_csv_module_rejects_or_joins(block, j, bad):
-    """A cell longer than the csv module's field limit, which it rejects
-    with csv.Error, or an opened quote, which joins the following lines
-    into one cell: the records before it, then the same error, as the
-    reference."""
-    with tempfile.TemporaryDirectory() as root:
-        path = edited_trace(root, 900.0, datetime(2023, 1, 1), 60, "none", 0)
-        with open(path, newline="") as fh:
-            lines = fh.read().split("\r\n")
-        lines[j + 1] = lines[j + 1].replace(",", "," + bad, 1)
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines))
-        with mock.patch("vrlasim.profiles.TRACE_BLOCK", block):
-            ours = outcome_of_reading(read_trace_csv, path)
-        assert ours == outcome_of_reading(reference_read_trace_csv, path)
-        assert len(ours) == j + 1
 
 
 # A real result, whose trajectory and histograms each test replaces.
