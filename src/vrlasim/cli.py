@@ -38,7 +38,6 @@ from .profiles import (
     stress_factors,
     write_csv,
     write_profile_csv,
-    write_trace_csv,
 )
 
 if TYPE_CHECKING:
@@ -66,7 +65,6 @@ def build_scenario(
     spec: ScenarioSpec,
     seed: int | None = None,
     dt_s: float | None = None,
-    record_trace: bool = False,
 ) -> Scenario:
     """Resolve a scenario spec into a runnable Scenario."""
     from .degradation import DAYS_PER_YEAR
@@ -99,7 +97,6 @@ def build_scenario(
         battery=config.battery,
         degradation=config.degradation,
         datasheet=config.datasheet,
-        record_trace=record_trace or spec.record_trace,
         **{**shared, "dt_s": dt},
     )
 
@@ -143,8 +140,8 @@ def _bin_rows(low: float, width: float, hours: list[float]) -> Iterator[tuple]:
         yield round(lo, 2), round(lo + width, 2), h
 
 
-def write_result_files(result: SimResult, out_dir: str, start: datetime) -> list[str]:
-    """Write a result's JSON and CSV files, its trace stamped from `start`."""
+def write_result_files(result: SimResult, out_dir: str) -> list[str]:
+    """Write a result's JSON and CSV files."""
     from .engine import SOC_BIN_WIDTH, VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH
 
     os.makedirs(out_dir, exist_ok=True)
@@ -161,9 +158,6 @@ def write_result_files(result: SimResult, out_dir: str, start: datetime) -> list
     ):
         written.append(f"{base}_{suffix}.csv")
         write_csv(written[-1], columns, row_format, rows)
-    if result.trace is not None:
-        write_trace_csv(base + "_trace.csv", result.trace, start)
-        written.append(base + "_trace.csv")
     return written
 
 
@@ -235,12 +229,10 @@ def _worker(args: tuple) -> SimResult:
     from .engine import run_scenario
 
     config, spec, seed, dt_s, record_trace, emit_profile, out_dir = args
-    scenario = build_scenario(
-        config, spec, seed=seed, dt_s=dt_s, record_trace=record_trace
-    )
+    scenario = build_scenario(config, spec, seed=seed, dt_s=dt_s)
     os.makedirs(out_dir, exist_ok=True)
     trace = contextlib.nullcontext()
-    if scenario.record_trace:
+    if record_trace:
         path = os.path.join(out_dir, f"{spec.name}_trace.csv")
         trace = _streamed_trace(path, scenario.profile.start)
     with trace as writer:
@@ -249,8 +241,27 @@ def _worker(args: tuple) -> SimResult:
             write_profile_csv(
                 scenario.profile, os.path.join(out_dir, f"{spec.name}_profile.csv")
             )
-        write_result_files(result, out_dir, scenario.profile.start)
+        write_result_files(result, out_dir)
     return result
+
+
+def _run_tasks(tasks: list[tuple], jobs: int) -> list[SimResult | Exception]:
+    """_worker's outcome of each task, in task order: its result or the
+    exception it raised.  With more than one task and more than one job,
+    the tasks run in a pool of `jobs` processes."""
+    outcomes: list[SimResult | Exception] = []
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_worker, t) for t in tasks]
+            for future in futures:
+                outcomes.append(future.exception() or future.result())
+    else:
+        for task in tasks:
+            try:
+                outcomes.append(_worker(task))
+            except Exception as exc:
+                outcomes.append(exc)
+    return outcomes
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -272,23 +283,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Each worker writes its own scenario's files as soon as its run has
     # ended, so the results of finished scenarios survive a later failure.
     out_dir = args.out or config.output_dir
-    jobs = args.jobs
     tasks = [
         (config, spec, args.seed, args.dt, args.emit_trace, args.emit_profile, out_dir)
         for spec in specs
     ]
-    outcomes: list[SimResult | Exception] = []
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_worker, t) for t in tasks]
-            for future in futures:
-                outcomes.append(future.exception() or future.result())
-    else:
-        for task in tasks:
-            try:
-                outcomes.append(_worker(task))
-            except Exception as exc:
-                outcomes.append(exc)
+    outcomes = _run_tasks(tasks, args.jobs)
 
     results: list[SimResult] = []
     failures: list[tuple[str, Exception]] = []
@@ -332,26 +331,29 @@ def _print_comparison(cmp_result: ComparisonResult) -> None:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from .config import ConfigError, load_config
-    from .engine import compare_strategies
+    from .engine import ComparisonResult
 
+    if args.base_policy == args.alt_policy:
+        raise ConfigError(
+            f"--base-policy and --alt-policy must differ: both are {args.base_policy!r}"
+        )
     config = load_config(args.config)
     if not config.scenarios:
         raise ConfigError(f"{args.config}: no scenarios defined")
     spec = config.scenario(args.scenario) if args.scenario else config.scenarios[0]
-    scenario = build_scenario(
-        config, spec, seed=args.seed, dt_s=args.dt, record_trace=args.emit_trace
-    )
-    base, alt = (
-        dataclasses.replace(
-            scenario, name=f"{spec.name}_{p.value}", control=config.control.params(p)
-        )
-        for p in (Policy(args.base_policy), Policy(args.alt_policy))
-    )
-    cmp_result = compare_strategies(base, alt)
 
     out_dir = args.out or config.output_dir
-    write_result_files(cmp_result.base, out_dir, base.profile.start)
-    write_result_files(cmp_result.alt, out_dir, base.profile.start)
+    tasks = [
+        (config, dataclasses.replace(spec, name=f"{spec.name}_{p.value}", policy=p),
+         args.seed, args.dt, args.emit_trace, False, out_dir)
+        for p in (Policy(args.base_policy), Policy(args.alt_policy))
+    ]
+    outcomes = _run_tasks(tasks, jobs=2)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    cmp_result = ComparisonResult.of(*outcomes)
+
     write_overlay_csv(
         os.path.join(out_dir, f"{spec.name}_comparison_trajectory.csv"),
         cmp_result.base.trajectory,

@@ -82,7 +82,6 @@ class ScenarioSpec:
     profile_csv: str | None = None
     days: int | None = None  # profile length; defaults to the horizon
     seed: int | None = None  # falls back to the shared seed
-    record_trace: bool = False
 
     def __post_init__(self) -> None:
         if (self.archetype is None) == (self.profile_csv is None):

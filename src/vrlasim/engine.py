@@ -341,11 +341,11 @@ def run_scenario(
     Battery.invert_ocv (called only where it can move the state of
     charge) and the adaptive schedule in _reschedule.
 
-    A traced run (scenario.record_trace) appends one TraceRecord per step
-    to `trace`: by default a new list, kept in SimResult.trace.  Given any
-    object with an ``append`` method, such as a profiles.TraceWriter, the
-    records go there as the run makes them, SimResult.trace is None, and
-    runtime_s includes what the appends cost.
+    Given a `trace` destination, any object with an ``append`` method
+    such as a profiles.TraceWriter, the run appends one TraceRecord per
+    step to it as it makes them, SimResult.trace is None, and runtime_s
+    includes what the appends cost.  Without one, a scenario with
+    record_trace keeps its records in a new list, SimResult.trace.
     """
     started = time.perf_counter()
     params = scenario.battery
@@ -415,8 +415,6 @@ def run_scenario(
     kept = None  # the trace SimResult keeps
     if trace is None and scenario.record_trace:
         trace = kept = []
-    elif trace is not None and not scenario.record_trace:
-        raise EngineError(f"{scenario.name}: a trace destination needs record_trace")
     record = None if trace is None else trace.append
     trajectory: list[DayRecord] = []
 
@@ -768,6 +766,43 @@ class ComparisonResult:
     soh_never_worse: bool  # alt SOH >= base SOH on every common day
     max_soh_deficit_pct: float
 
+    @classmethod
+    def of(cls, base_result: SimResult, alt_result: SimResult) -> ComparisonResult:
+        """The comparison of two finished runs, `alt_result` against `base_result`."""
+        lifetime_ratio = (
+            base_result.lifetime_years
+            and alt_result.lifetime_years / base_result.lifetime_years
+        )
+
+        base_eol_day = len(base_result.trajectory)
+        alt_at_base_eol = alt_result.trajectory[
+            min(base_eol_day, len(alt_result.trajectory)) - 1
+        ]
+        base_end = base_result.trajectory[-1]
+
+        corr_red = _reduction_pct(base_result.c_corr_ah, alt_result.c_corr_ah)
+        corr_red_base_eol = _reduction_pct(base_end.c_corr_ah, alt_at_base_eol.c_corr_ah)
+
+        common = min(len(base_result.trajectory), len(alt_result.trajectory))
+        deficit = 0.0
+        for b, a in zip(base_result.trajectory[:common], alt_result.trajectory[:common]):
+            deficit = max(deficit, b.soh_pct - a.soh_pct)
+
+        return cls(
+            base=base_result,
+            alt=alt_result,
+            lifetime_ratio=lifetime_ratio,
+            corrosion_reduction_pct=corr_red,
+            corrosion_reduction_at_base_eol_pct=corr_red_base_eol,
+            active_mass_loss_ratio=_ratio(alt_result.c_deg_ah, base_result.c_deg_ah),
+            active_mass_loss_ratio_at_base_eol=_ratio(
+                alt_at_base_eol.c_deg_ah, base_end.c_deg_ah
+            ),
+            alt_soh_at_base_eol_pct=alt_at_base_eol.soh_pct,
+            soh_never_worse=deficit <= 1e-9,
+            max_soh_deficit_pct=deficit,
+        )
+
     def summary(self) -> dict:
         return {
             "base": self.base.summary(),
@@ -805,41 +840,7 @@ def compare_strategies(base: Scenario, alt: Scenario) -> ComparisonResult:
     ):
         raise EngineError("compared scenarios must differ only in control policy")
 
-    base_result, alt_result = _run_pair(base, alt)
-
-    lifetime_ratio = (
-        base_result.lifetime_years
-        and alt_result.lifetime_years / base_result.lifetime_years
-    )
-
-    base_eol_day = len(base_result.trajectory)
-    alt_at_base_eol = alt_result.trajectory[
-        min(base_eol_day, len(alt_result.trajectory)) - 1
-    ]
-    base_end = base_result.trajectory[-1]
-
-    corr_red = _reduction_pct(base_result.c_corr_ah, alt_result.c_corr_ah)
-    corr_red_base_eol = _reduction_pct(base_end.c_corr_ah, alt_at_base_eol.c_corr_ah)
-
-    common = min(len(base_result.trajectory), len(alt_result.trajectory))
-    deficit = 0.0
-    for b, a in zip(base_result.trajectory[:common], alt_result.trajectory[:common]):
-        deficit = max(deficit, b.soh_pct - a.soh_pct)
-
-    return ComparisonResult(
-        base=base_result,
-        alt=alt_result,
-        lifetime_ratio=lifetime_ratio,
-        corrosion_reduction_pct=corr_red,
-        corrosion_reduction_at_base_eol_pct=corr_red_base_eol,
-        active_mass_loss_ratio=_ratio(alt_result.c_deg_ah, base_result.c_deg_ah),
-        active_mass_loss_ratio_at_base_eol=_ratio(
-            alt_at_base_eol.c_deg_ah, base_end.c_deg_ah
-        ),
-        alt_soh_at_base_eol_pct=alt_at_base_eol.soh_pct,
-        soh_never_worse=deficit <= 1e-9,
-        max_soh_deficit_pct=deficit,
-    )
+    return ComparisonResult.of(*_run_pair(base, alt))
 
 
 def should_fork_alt(alt: Scenario) -> bool:

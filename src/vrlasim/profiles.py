@@ -262,14 +262,6 @@ class TimeSeries:
     def duration_days(self) -> float:
         return len(self) * self.dt_s / SECONDS_PER_DAY
 
-    def mean_daily_load_wh(self) -> float:
-        total = sum(self.samples("load_w")) * self.dt_s / 3600.0
-        return total / self.duration_days()
-
-    def mean_daily_solar_wh(self) -> float:
-        total = sum(self.samples("solar_w")) * self.dt_s / 3600.0
-        return total / self.duration_days()
-
 
 # Within-day load placement (fractions of the day's energy).
 PREDAWN_WINDOW = (5.0, 6.0)
@@ -778,13 +770,12 @@ class StressAccumulator:
 
     N_DEPTH_BINS = 10
 
-    def __init__(self, capacity_ah: float, dt_h: float, low_soc: float = STRESS_LOW_SOC):
+    def __init__(self, capacity_ah: float, dt_h: float):
         for name, value in (("capacity_ah", capacity_ah), ("dt_h", dt_h)):
             if not POSITIVE.accepts(value):
                 raise ProfileError(f"{name} must {POSITIVE.rule}: {value!r}")
         self.capacity_ah = capacity_ah
         self.dt_h = dt_h
-        self.low_soc = low_soc
         self.steps = 0
         self.charge_ah = 0.0
         self.discharge_ah = 0.0
@@ -810,7 +801,7 @@ class StressAccumulator:
             self.discharge_ah += drawn * self.dt_h
             if drawn > self.max_discharge_a:
                 self.max_discharge_a = drawn
-        if soc < self.low_soc:
+        if soc < STRESS_LOW_SOC:
             self.low_soc_h += self.dt_h
         if floating:
             self.float_h += self.dt_h

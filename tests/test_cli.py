@@ -17,6 +17,7 @@ import pytest
 from vrlasim import cli, engine, profiles
 from vrlasim.cli import main
 from vrlasim.config import RunConfig, default_config_yaml, load_config
+from vrlasim.control import Policy
 from vrlasim.engine import EngineError
 from vrlasim.profiles import LOW_USE, generate_archetype, read_trace_csv, ingest_csv, write_profile_csv
 
@@ -58,6 +59,19 @@ def write_text(path, text):
 def first_stamp(trace_path):
     with open(trace_path) as fh:
         return fh.read().splitlines()[1].split(",")[0]
+
+
+class FailsAfter:
+    """A trace destination that takes `n` records, then raises."""
+
+    def __init__(self, destination, n):
+        self.destination, self.n = destination, n
+
+    def append(self, record):
+        if self.n == 0:
+            raise RuntimeError("destination failed")
+        self.n -= 1
+        self.destination.append(record)
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +370,15 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert os.path.exists(out / "logged.json")
 
+    def test_scenario_record_trace_key_rejected(self, tmp_path, capsys):
+        """--emit-trace is the one way to ask simulate for a trace."""
+        cfg = write_text(
+            tmp_path / "traced.yaml",
+            "scenarios: [{name: x, archetype: low, days: 2, record_trace: true}]\n",
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "error: scenarios[0].record_trace: unknown key" in capsys.readouterr().err
+
     def test_scenario_without_source_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("scenarios: [{name: nowhere, policy: adaptive}]\n")
@@ -491,16 +514,6 @@ class TestSimulate:
         before = earlier.read_bytes()
         run = engine.run_scenario
 
-        class FailsAfter:
-            def __init__(self, destination, n):
-                self.destination, self.n = destination, n
-
-            def append(self, record):
-                if self.n == 0:
-                    raise RuntimeError("destination failed")
-                self.n -= 1
-                self.destination.append(record)
-
         def failing_run(scenario, *, trace):
             return run(scenario, trace=FailsAfter(trace, 200))
 
@@ -586,10 +599,10 @@ class TestCompare:
         _, cfg, _ = sim_run
         run = engine.run_scenario
 
-        def failing_alt(scenario):
+        def failing_alt(scenario, **kwargs):
             if scenario.control.policy.value == "adaptive":
                 raise EngineError("adaptive run failed")
-            return run(scenario)
+            return run(scenario, **kwargs)
 
         monkeypatch.setattr(engine, "run_scenario", failing_alt)
         monkeypatch.setattr(engine, "should_fork_alt", lambda alt: True)
@@ -610,6 +623,100 @@ class TestCompare:
             ["compare", "--config", cfg, "--scenario", "ghost", "--out", str(tmp_path)]
         )
         assert rc == 1
+
+    def test_same_policy_twice_exits_1_naming_both_flags(self, sim_run, tmp_path, capsys):
+        """Two runs of one policy would write the same files at once."""
+        _, cfg, _ = sim_run
+        out = tmp_path / "cmp"
+        argv = ["compare", "--config", cfg, "--out", str(out),
+                "--base-policy", "adaptive", "--alt-policy", "adaptive"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --base-policy and --alt-policy must differ: both are 'adaptive'\n"
+        )
+        assert not out.exists()
+
+    def test_traces_match_compare_strategies(self, sim_run, tmp_path):
+        """Each streamed trace has the bytes write_trace_csv gives the
+        trace compare_strategies keeps of the same run."""
+        _, cfg, _ = sim_run
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", cfg, "--out", str(out), "--emit-trace"]) == 0
+        config = load_config(cfg)
+        scenario = dataclasses.replace(
+            cli.build_scenario(config, config.scenarios[0]), record_trace=True
+        )
+        base, alt = (
+            dataclasses.replace(
+                scenario, name=f"tiny_{p.value}", control=config.control.params(p)
+            )
+            for p in (Policy.BBOXX_STATIC, Policy.ADAPTIVE)
+        )
+        cmp_result = engine.compare_strategies(base, alt)
+        for result in (cmp_result.base, cmp_result.alt):
+            expected = tmp_path / f"{result.name}_expected.csv"
+            profiles.write_trace_csv(str(expected), result.trace, scenario.profile.start)
+            written = out / f"{result.name}_trace.csv"
+            assert written.read_bytes() == expected.read_bytes(), result.name
+
+    def test_failed_adaptive_run_leaves_no_trace_and_the_earlier_one(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The adaptive run fails part-way, after some blocks of its trace
+        were written: its partial file is removed, the trace an earlier run
+        wrote at its path keeps its bytes, and the finished static run's
+        files stay."""
+        cfg = write_text(tmp_path / "two.yaml", TWO_SCENARIOS)
+        out = tmp_path / "o"
+        out.mkdir()
+        earlier = write_text(
+            out / "first_adaptive_trace.csv", "timestamp\r\nan earlier trace\r\n"
+        )
+        before = earlier.read_bytes()
+        run = engine.run_scenario
+
+        def adaptive_fails(scenario, *, trace):
+            if scenario.control.policy is Policy.ADAPTIVE:
+                trace = FailsAfter(trace, 200)
+            return run(scenario, trace=trace)
+
+        monkeypatch.setattr(profiles, "TRACE_BLOCK", 16)
+        monkeypatch.setattr(engine, "run_scenario", adaptive_fails)
+        argv = ["compare", "--config", str(cfg), "--out", str(out), "--emit-trace"]
+        assert main(argv) == 2
+        assert "destination failed" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == [
+            "first_adaptive_trace.csv", "first_bboxx_static.json",
+            "first_bboxx_static_soc_hist.csv", "first_bboxx_static_trace.csv",
+            "first_bboxx_static_trajectory.csv", "first_bboxx_static_voltage_hist.csv",
+        ]
+        assert earlier.read_bytes() == before
+
+    def test_traced_parent_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        """The workers stream both traces to their files, so the parent of
+        a traced compare over ten times the days peaks within 1 MB of the
+        shorter one (it held both runs' traces, about 184 B per step each,
+        2.4 MB more over 300 days of hourly steps, when it ran them
+        itself).  Hourly steps, as the forked workers are traced too."""
+
+        def parent_peak(days):
+            cfg = write_text(
+                tmp_path / f"run{days}.yaml",
+                f"sim: {{max_years: {days / 365.0!r}, seed: 3}}\n"
+                "scenarios: [{name: low, archetype: low}]\n",
+            )
+            argv = ["compare", "--config", str(cfg), "--out", str(tmp_path / f"o{days}"),
+                    "--dt", "3600", "--emit-trace"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        parent_peak(2)  # first-call memos and imports
+        short, long = parent_peak(30), parent_peak(300)
+        assert abs(long - short) < 1_000_000, (short, long)
 
 
 class TestAnalyze:

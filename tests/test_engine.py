@@ -66,9 +66,14 @@ class TestTraceDestination:
             kept
         )
 
-    def test_a_destination_needs_a_traced_scenario(self):
-        with pytest.raises(EngineError, match="low60: a trace destination needs record_trace"):
-            run_scenario(low_use_scenario(record_trace=False), trace=[])
+    def test_a_destination_alone_traces_the_run(self):
+        kept = run_scenario(low_use_scenario(max_years=3 / 365))
+        destination = []
+        streamed = run_scenario(
+            low_use_scenario(max_years=3 / 365, record_trace=False), trace=destination
+        )
+        assert streamed.trace is None
+        assert destination == kept.trace and len(destination) == 3 * 96
 
 
 class TestScenarioValidation:

@@ -103,8 +103,6 @@ class TestAgainstTheFlatGenerator:
         )
         assert len(series) == len(ref)
         assert series.duration_days() == ref.duration_days()
-        assert series.mean_daily_load_wh() == ref.mean_daily_load_wh()
-        assert series.mean_daily_solar_wh() == ref.mean_daily_solar_wh()
         assert built_columns(series) == []
         for column in COLUMNS:
             assert list(series.samples(column)) == getattr(ref, column)

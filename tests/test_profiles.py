@@ -17,6 +17,7 @@ from vrlasim.profiles import (
     INFREQUENT_USE,
     LOW_USE,
     MIN_DT_S,
+    STRESS_LOW_SOC,
     ProfileError,
     StressAccumulator,
     TimeSeries,
@@ -101,7 +102,7 @@ class TestArchetypeGeneration:
     def test_solar_covers_load_on_average(self):
         for arch in ARCHETYPES.values():
             series = generate_archetype(arch, 90, seed=11)
-            assert series.mean_daily_solar_wh() > series.mean_daily_load_wh()
+            assert sum(series.samples("solar_w")) > sum(series.samples("load_w"))
 
     def test_weather_caps_solar(self):
         series = generate_archetype(LOW_USE, 90, seed=2)
@@ -458,7 +459,7 @@ class MinMaxAccumulator(StressAccumulator):
             drawn = -current_a
             self.discharge_ah += drawn * self.dt_h
             self.max_discharge_a = max(self.max_discharge_a, drawn)
-        if soc < self.low_soc:
+        if soc < STRESS_LOW_SOC:
             self.low_soc_h += self.dt_h
         if floating:
             self.float_h += self.dt_h

@@ -204,6 +204,62 @@ def test_traced_name_exists(module, attribute):
     assert callable(target)
 
 
+# The CLI runs and writes a scenario in one place, _worker, which streams
+# a trace through the TraceWriter it opens there: no command may name the
+# run-and-write functions elsewhere, or the library's kept-trace path.
+CLI_WORKER_ONLY = {"run_scenario", "write_result_files", "_streamed_trace"}
+CLI_NEVER = {"compare_strategies", "write_trace_csv"}
+
+
+def second_run_paths(source: str) -> list[str]:
+    """Each place a CLI source names a CLI_WORKER_ONLY function outside
+    _worker, or a CLI_NEVER one at all, with its line."""
+    tree = ast.parse(source)
+    in_worker = {
+        id(node)
+        for worker in tree.body
+        if isinstance(worker, ast.FunctionDef) and worker.name == "_worker"
+        for node in ast.walk(worker)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in CLI_NEVER or (name in CLI_WORKER_ONLY and id(node) not in in_worker):
+            found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_finds_second_run_paths():
+    source = (
+        "from .profiles import write_trace_csv\n"
+        "def _worker(args):\n"
+        "    from .engine import run_scenario\n"
+        "    write_result_files(run_scenario(args), 'out')\n"
+        "def cmd_compare(args):\n"
+        "    engine.compare_strategies(args)\n"
+        "    pool.submit(_streamed_trace, args)\n"
+        "    write_result_files(engine.run_scenario(args), 'out')\n"
+    )
+    assert second_run_paths(source) == [
+        "write_trace_csv (line 1)",
+        "compare_strategies (line 6)",
+        "_streamed_trace (line 7)",
+        "run_scenario (line 8)",
+        "write_result_files (line 8)",
+    ]
+
+
+def test_cli_has_one_run_and_write_path():
+    assert second_run_paths((PACKAGE / "cli.py").read_text()) == []
+
+
 # What the reference loop may take from the engine: the scenario and
 # result types and the histogram layout.  A piece of the fused step, such
 # as its TemperatureTerms memo, would make the differential test compare

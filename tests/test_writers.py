@@ -369,7 +369,7 @@ def test_result_files_match_reference(trajectory, soc_hist_h, voltage_hist_h):
         RESULT, trajectory=trajectory, soc_hist_h=soc_hist_h, voltage_hist_h=voltage_hist_h
     )
     with tempfile.TemporaryDirectory() as root:
-        write_result_files(result, root, datetime(2023, 1, 1))
+        write_result_files(result, root)
         for suffix, reference, rows in (
             ("trajectory", reference_write_trajectory_csv, trajectory),
             ("soc_hist", reference_write_soc_hist_csv, soc_hist_h),
