@@ -21,7 +21,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime
 from typing import TYPE_CHECKING, Iterator
 
@@ -43,6 +42,18 @@ from .profiles import (
 if TYPE_CHECKING:
     from .config import RunConfig, ScenarioSpec
     from .engine import ComparisonResult, DayRecord, Scenario, SimResult
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor`` is imported on first use, so that analyze
+    loads no multiprocessing.  It stays a module attribute, which can be
+    read and replaced like any other."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def input_errors() -> tuple[type[Exception], ...]:
@@ -251,7 +262,7 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[SimResult | Exception]:
     the tasks run in a pool of `jobs` processes."""
     outcomes: list[SimResult | Exception] = []
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_worker, t) for t in tasks]
             for future in futures:
                 outcomes.append(future.exception() or future.result())

@@ -11,14 +11,16 @@ which is how simulated operation is summarised and compared.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import random
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import reduce
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from ._domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT
@@ -514,16 +516,75 @@ def _template_days(start: datetime, step: timedelta) -> Iterator[str]:
             yield from map((day + shift).isoformat().__add__, tails)
 
 
-def _csv_cells(
+# Characters read per block of a CSV's data rows.
+CSV_BLOCK_CHARS = 1 << 16
+
+
+def _text_blocks(fh) -> Iterator[str]:
+    """The rest of `fh`, read CSV_BLOCK_CHARS characters at a time, in
+    blocks that each end after a "\n" (the last where the file ends), so
+    no line and no "\r\n" is split between two blocks."""
+    carry = ""
+    while text := fh.read(CSV_BLOCK_CHARS):
+        text = carry + text
+        cut = text.rfind("\n") + 1
+        carry = text[cut:]
+        if cut:
+            yield text[:cut]
+    if carry:
+        yield carry
+
+
+def _plain_cells(block: str, width: int) -> list[str] | None:
+    """The cells of a block of lines that csv.reader would split at each
+    "," into `width` cells, each line's followed by a "\n" cell, with an
+    empty cell at the end; None for any other block.
+
+    Such a block has no quote, no NUL, no "\r" but in "\r\n", no field
+    as long as csv.field_size_limit(), and `width` cells on every line,
+    so no blank line, since `width` is at least two.
+    """
+    if '"' in block or "\0" in block or len(block) > csv.field_size_limit():
+        return None
+    if not block.endswith("\n"):
+        block += "\n"  # the last line; a bare "\r" then ends it as "\r\n" does
+    if "\r" in block:
+        text = block.replace("\r\n", ",\n,")
+        if "\r" in text:
+            return None
+    else:
+        text = block.replace("\n", ",\n,")
+    cells = text.split(",")
+    # every "\n" is a cell of its own at the end of a line, unless the
+    # block mixes "\n" and "\r\n" endings: then the counts differ
+    rows = block.count("\n")
+    if len(cells) != (width + 1) * rows + 1 or cells[width :: width + 1].count("\n") != rows:
+        return None
+    return cells
+
+
+def _undecodable(path: str, lineno: int, exc: UnicodeDecodeError) -> ProfileError:
+    return ProfileError(f"{path}: {f'after line {lineno}: ' if lineno else ''}{exc}")
+
+
+def _csv_blocks(
     path: str, columns: Sequence[str]
-) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (line number, cells of `columns`) for each data row of a CSV.
+) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """Yield, for each block of a CSV's data rows, the rows' line numbers
+    and a list of cells for each of `columns`.
 
     The header is read once and each column resolved to its index there
     (for a repeated name, the last one, as csv.DictReader does); there
     must be at least two columns.  Blank lines are skipped; line numbers
     are the file's own (csv.reader.line_num), so they count blank lines
     too, and a row whose quoted cell spans lines gets its last line.
+    Text that does not decode is a ProfileError naming the last line read.
+
+    Rows are read CSV_BLOCK_CHARS characters at a time.  A plain block
+    (see :func:`_plain_cells`) is split with str.split, where csv.reader
+    would split it.  From the first block that is not plain on, csv.reader
+    reads the rest of the file, so cells, line numbers and errors are
+    always csv.reader's.
     """
     try:
         fh = open(path, newline="")
@@ -531,25 +592,66 @@ def _csv_cells(
         raise ProfileError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, reader.line_num, exc) from exc
         if header is None:
             raise ProfileError(f"{path}: empty file")
         index = {name: i for i, name in enumerate(header)}
         missing = [c for c in columns if c not in index]
         if missing:
             raise ProfileError(f"{path}: missing columns {missing}")
-        pick = operator.itemgetter(*(index[c] for c in columns))
-        for row in reader:
-            if not row:
-                continue
-            try:
-                cells = pick(row)
-            except IndexError:
-                raise ProfileError(
-                    f"{path}: line {reader.line_num}: {len(row)} fields, "
-                    f"header has {len(header)}"
-                ) from None
-            yield reader.line_num, cells
+        picks = [index[c] for c in columns]
+        width = len(header)
+        lineno = reader.line_num
+        blocks = _text_blocks(fh)
+        try:
+            for block in blocks:
+                cells = _plain_cells(block, width)
+                if cells is None:
+                    break
+                rows = len(cells) // (width + 1)
+                yield (
+                    range(lineno + 1, lineno + rows + 1),
+                    [cells[i : -1 : width + 1] for i in picks],
+                )
+                lineno += rows
+            else:
+                return
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, lineno, exc) from exc
+
+        # the lines of each block, split as a newline="" file splits them
+        lines = map(io.StringIO, chain((block,), blocks), repeat(""))
+        reader = csv.reader(chain.from_iterable(lines))
+        pick = operator.itemgetter(*picks)
+        batch = max(1, CSV_BLOCK_CHARS // 64)  # rows per block from here on, 64 characters a row
+        linenos: list[int] = []
+        picked: list[tuple[str, ...]] = []
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    picked.append(pick(row))
+                except IndexError:
+                    raise ProfileError(
+                        f"{path}: line {lineno + reader.line_num}: {len(row)} fields, "
+                        f"header has {width}"
+                    ) from None
+                linenos.append(lineno + reader.line_num)
+                if len(linenos) == batch:
+                    yield linenos, list(map(list, zip(*picked)))
+                    linenos, picked = [], []
+        except (ProfileError, csv.Error, UnicodeDecodeError) as exc:
+            if linenos:  # the rows before the fault come first
+                yield linenos, list(map(list, zip(*picked)))
+            if isinstance(exc, UnicodeDecodeError):
+                raise _undecodable(path, lineno + reader.line_num, exc) from exc
+            raise
+        if linenos:
+            yield linenos, list(map(list, zip(*picked)))
 
 
 class _CellFloats(dict):
@@ -560,6 +662,87 @@ class _CellFloats(dict):
     def __missing__(self, cell: str) -> float:
         value = self[cell] = float(cell)
         return value
+
+
+def _profile_rows(
+    path: str,
+) -> tuple[datetime | None, array, list[float], list[float], list[float]]:
+    """The rows of a profile CSV: the first row's timestamp, each row's
+    offset from it in whole microseconds, and the load, solar and
+    temperature columns, each value the one float made for its cell's
+    string.  The cells and their floats' index go when this returns."""
+    floats = _CellFloats()
+    offsets = array("q")
+    loads: list[float] = []
+    solars: list[float] = []
+    temps: list[float] = []
+    t0 = None
+    for linenos, (stamps, load_w, solar_w, temp_c) in _csv_blocks(path, PROFILE_COLUMNS):
+        try:
+            times = list(map(datetime.fromisoformat, map(str.strip, stamps)))
+            start = times[0] if t0 is None else t0
+            deltas = map(operator.sub, times, repeat(start))
+            offs = list(map(operator.floordiv, deltas, repeat(_ONE_MICROSECOND)))
+            values = [list(map(floats.__getitem__, cells)) for cells in (load_w, solar_w, temp_c)]
+            earlier = [offsets[-1], *offs] if offsets else offs
+            if not all(map(operator.lt, earlier, islice(earlier, 1, None))):
+                raise ValueError("timestamps not strictly increasing")
+        except (ValueError, TypeError):
+            # the block again, row by row: the first bad row raises, naming its line
+            prev = t0 + timedelta(microseconds=offsets[-1]) if offsets else None
+            for lineno, stamp, load_cell, solar_cell, temp_cell in zip(
+                linenos, stamps, load_w, solar_w, temp_c
+            ):
+                try:
+                    ts = datetime.fromisoformat(stamp.strip())
+                    l, s, c = floats[load_cell], floats[solar_cell], floats[temp_cell]
+                    increasing = prev is None or ts > prev
+                except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
+                    raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
+                if not increasing:
+                    raise ProfileError(
+                        f"{path}: line {lineno}: timestamps not strictly increasing"
+                    )
+                if t0 is None:
+                    t0 = ts
+                offsets.append((ts - t0) // _ONE_MICROSECOND)
+                prev = ts
+                loads.append(l)
+                solars.append(s)
+                temps.append(c)
+            continue
+        t0 = start
+        offsets.extend(offs)
+        loads += values[0]
+        solars += values[1]
+        temps += values[2]
+
+    return t0, offsets, loads, solars, temps
+
+
+def _slots_held(offsets: array, dt_s: float, total: int) -> list[int]:
+    """How many of a grid's `total` slots each row holds, for rows at
+    `offsets` microseconds from the first.
+
+    Slot i is t0 + timedelta(seconds=i * dt_s), here in microseconds from
+    t0, and holds the last row at or before it.  So row j holds the slots
+    from the first at or after it up to the next row's first: the first of
+    them fresh and the rest hold-filled.  Where dt_s is m / 2**e with 2**e
+    dividing m * 10**6 and (total - 1) * m < 2**53, each i * dt_s is exact,
+    so is its fraction times 10**6, a whole number, and timedelta rounds
+    nothing: slot i is i * step_us.
+    """
+    m, two_e = dt_s.as_integer_ratio()
+    step_us, inexact = divmod(m * 1_000_000, two_e)
+    if not inexact and (total - 1) * m < 2**53:
+        # ceil(offset / step_us); rows past the last slot hold none
+        firsts = array("q", map(operator.neg, map(operator.floordiv, offsets, repeat(-step_us))))
+        past = bisect_right(firsts, total)
+        firsts[past:] = array("q", repeat(total, len(firsts) - past))
+    else:
+        slots = array("q", (timedelta(seconds=i * dt_s) // _ONE_MICROSECOND for i in range(total)))
+        firsts = array("q", map(bisect_left, repeat(slots), offsets))
+    return list(map(operator.sub, chain(islice(firsts, 1, None), (total,)), firsts))
 
 
 def ingest_csv(
@@ -584,33 +767,7 @@ def ingest_csv(
         if dt_s < MIN_DT_S:
             raise ProfileError(f"dt_s must be at least {MIN_DT_S} s: {dt_s}")
 
-    # per row only its offset from the first row in microseconds and its
-    # three values, each the one float made for its cell's string
-    floats = _CellFloats()
-    offsets = array("q")
-    loads: list[float] = []
-    solars: list[float] = []
-    temps: list[float] = []
-    t0 = prev = None
-    for lineno, (stamp, load_w, solar_w, temp_c) in _csv_cells(path, PROFILE_COLUMNS):
-        try:
-            ts = datetime.fromisoformat(stamp.strip())
-            l, s, c = floats[load_w], floats[solar_w], floats[temp_c]
-            increasing = prev is None or ts > prev
-        except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
-            raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
-        if not increasing:
-            raise ProfileError(
-                f"{path}: line {lineno}: timestamps not strictly increasing"
-            )
-        if t0 is None:
-            t0 = ts
-        offsets.append((ts - t0) // _ONE_MICROSECOND)
-        prev = ts
-        loads.append(l)
-        solars.append(s)
-        temps.append(c)
-
+    t0, offsets, loads, solars, temps = _profile_rows(path)
     n = len(offsets)
     if n < 2:
         raise ProfileError(f"{path}: need at least two samples")
@@ -629,53 +786,36 @@ def ingest_csv(
             f"(limit {MAX_FILL_FRACTION:.0%})"
         )
 
-    # Slot i is t0 + timedelta(seconds=i * dt_s), here in microseconds from
-    # t0.  Where dt_s is m / 2**e with 2**e dividing m * 10**6 and
-    # (total - 1) * m < 2**53, each i * dt_s is exact, so is its fraction
-    # times 10**6, a whole number, and timedelta rounds nothing: slot i is
-    # i * step_us.  Each slot holds the last row at or before it, and
-    # counts[j] slots hold row j.
-    m, two_e = dt_s.as_integer_ratio()
-    step_us, inexact = divmod(m * 1_000_000, two_e)
-    if not inexact and (total - 1) * m < 2**53:
-        slots: Iterable[int] = range(0, total * step_us, step_us)
-    else:
-        slots = (timedelta(seconds=i * dt_s) // _ONE_MICROSECOND for i in range(total))
-    counts = [0] * n
-    filled = 0
-    longest = 0
-    run = 0
-    src = 0
-    last = n - 1
-    for i, slot in enumerate(slots):
-        fresh = i == 0
-        while src < last and offsets[src + 1] <= slot:
-            src += 1
-            fresh = True
-        if not fresh:
-            filled += 1
-            run += 1
-            longest = max(longest, run)
-        else:
-            run = 0
-        counts[src] += 1
-    load, solar, temp = (
-        list(chain.from_iterable(map(repeat, column, counts)))
-        for column in (loads, solars, temps)
-    )
-
-    report = GapReport(total_slots=total, filled_slots=filled, longest_fill_run=longest)
+    # a row holding slots refreshes the first and hold-fills a run of the
+    # rest, so each fresh slot is a row holding any
+    counts = _slots_held(offsets, dt_s, total)
+    filled = total - n + counts.count(0)
+    report = GapReport(total_slots=total, filled_slots=filled, longest_fill_run=max(counts) - 1)
     if report.fill_fraction > MAX_FILL_FRACTION:
         raise ProfileError(
             f"{path}: {report.fill_fraction:.0%} of slots required hold-filling "
             f"(limit {MAX_FILL_FRACTION:.0%})"
         )
+
+    # rows holding other than one slot are few: copy the runs between them
+    uneven = list(compress(range(n), map(operator.ne, counts, repeat(1))))
+
+    def hold(column: list[float]) -> list[float]:
+        held: list[float] = []
+        j = 0
+        for k in uneven:
+            held += column[j:k]
+            held += repeat(column[k], counts[k])
+            j = k + 1
+        held += column[j:]
+        return held
+
     return TimeSeries(
         start=t0,
         dt_s=dt_s,
-        load_w=load,
-        solar_w=solar,
-        temp_c=temp,
+        load_w=hold(loads),
+        solar_w=hold(solars),
+        temp_c=hold(temps),
         panel_rating_w=panel_rating_w,
         gap_report=report,
     )
@@ -974,9 +1114,10 @@ def read_trace_csv(path: str) -> Iterator[TraceRecord]:
     k*step_us / 10**6 made here.
     """
     t0 = prev = step = stamps = None  # stamps: the grid's, while every row has matched
-    for k, (lineno, (stamp, current_a, soc, voltage, full_charge, floating)) in enumerate(
-        _csv_cells(path, TRACE_COLUMNS)
-    ):
+    rows = chain.from_iterable(
+        zip(linenos, zip(*cells)) for linenos, cells in _csv_blocks(path, TRACE_COLUMNS)
+    )
+    for k, (lineno, (stamp, current_a, soc, voltage, full_charge, floating)) in enumerate(rows):
         try:
             if stamps is not None and stamp == next(stamps, None):
                 t_h = k * step_us / 1_000_000 / 3600.0

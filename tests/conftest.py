@@ -14,6 +14,7 @@ import pytest
 from helpers import constant_profile, cycling_profile
 from vrlasim.control import ControlParams, Policy, adaptive_params
 from vrlasim.engine import Scenario, compare_strategies, run_scenario
+from vrlasim import profiles
 from vrlasim.profiles import ARCHETYPES, generate_archetype
 
 SEED = 42
@@ -33,6 +34,13 @@ def _archetype_scenario(name: str, dt_s: float = DT_S) -> Scenario:
 
 def _run(scenario: Scenario):
     return run_scenario(scenario)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """The CSV readers read a few rows per block, so that a log of a few
+    dozen rows spans many blocks."""
+    monkeypatch.setattr(profiles, "CSV_BLOCK_CHARS", 128)
 
 
 @pytest.fixture(scope="session")

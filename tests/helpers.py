@@ -1,12 +1,14 @@
-"""Profile builders and result digests shared by the test modules."""
+"""Profile builders, result digests and file contents shared by the test modules."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import locale
 from datetime import datetime, timedelta, timezone
 
+import pytest
 from hypothesis import strategies as st
 
 from vrlasim.battery import BatteryParams, GassingParams
@@ -103,3 +105,14 @@ def result_digest(result) -> str:
             part.pop("runtime_s", None)
     payload = json.dumps(d, sort_keys=True, allow_nan=True)
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def undecodable() -> bytes:
+    """Bytes that are no text in the locale's encoding, which open() reads by."""
+    encoding = locale.getpreferredencoding(False)
+    for data in (b"\xff\xfe", b"\x81\xff"):
+        try:
+            data.decode(encoding)
+        except UnicodeDecodeError:
+            return data
+    pytest.skip(f"{encoding} decodes any bytes")

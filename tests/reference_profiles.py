@@ -13,13 +13,20 @@ for every row, and walks the grid by datetime arithmetic.  The program
 keeps per row an integer-microsecond offset and its three values, one
 float per distinct cell string, and walks the grid in microseconds; the
 tests check that both give the same columns, start, gap report and errors.
+
+csv_cells reads a CSV one row at a time through csv.reader.  The program
+reads it in blocks (profiles._csv_blocks); the references read their rows
+here, so they do not share the reader they check.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import operator
 import random
 from datetime import datetime, timedelta
+from typing import Iterator, Sequence
 
 from vrlasim.profiles import (
     CLEAR_FACTOR,
@@ -36,12 +43,49 @@ from vrlasim.profiles import (
     ProfileError,
     TimeSeries,
     UseArchetype,
-    _csv_cells,
     _day_load_blocks,
     ambient_temperature,
     divides_day,
     solar_power,
 )
+
+
+def csv_cells(
+    path: str, columns: Sequence[str]
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line number, cells of `columns`) for each data row of a CSV.
+
+    The header is read once and each column resolved to its index there
+    (for a repeated name, the last one, as csv.DictReader does); there
+    must be at least two columns.  Blank lines are skipped; line numbers
+    are the file's own (csv.reader.line_num), so they count blank lines
+    too, and a row whose quoted cell spans lines gets its last line.
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ProfileError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ProfileError(f"{path}: empty file")
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            raise ProfileError(f"{path}: missing columns {missing}")
+        pick = operator.itemgetter(*(index[c] for c in columns))
+        for row in reader:
+            if not row:
+                continue
+            try:
+                cells = pick(row)
+            except IndexError:
+                raise ProfileError(
+                    f"{path}: line {reader.line_num}: {len(row)} fields, "
+                    f"header has {len(header)}"
+                ) from None
+            yield reader.line_num, cells
 
 
 def reference_generate_archetype(
@@ -142,7 +186,7 @@ def reference_ingest_csv(
 
     times: list[datetime] = []
     rows: list[tuple[float, float, float]] = []
-    for lineno, (stamp, load_w, solar_w, temp_c) in _csv_cells(path, PROFILE_COLUMNS):
+    for lineno, (stamp, load_w, solar_w, temp_c) in csv_cells(path, PROFILE_COLUMNS):
         try:
             ts = datetime.fromisoformat(stamp.strip())
             vals = (float(load_w), float(solar_w), float(temp_c))

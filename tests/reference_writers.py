@@ -17,6 +17,7 @@ import csv
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator
 
+from reference_profiles import csv_cells
 from vrlasim.engine import SOC_BIN_WIDTH, VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH, DayRecord
 from vrlasim.profiles import (
     PROFILE_COLUMNS,
@@ -24,7 +25,6 @@ from vrlasim.profiles import (
     ProfileError,
     TimeSeries,
     TraceRecord,
-    _csv_cells,
 )
 
 
@@ -125,7 +125,7 @@ def reference_read_trace_csv(path: str) -> Iterator[TraceRecord]:
     prev: datetime | None = None
     step: timedelta | None = None
     flags = ("1", "True", "true")
-    for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in _csv_cells(
+    for lineno, (stamp, current_a, soc, voltage, full_charge, floating) in csv_cells(
         path, TRACE_COLUMNS
     ):
         try:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import undecodable
 from vrlasim import cli, engine, profiles
 from vrlasim.cli import main
 from vrlasim.config import RunConfig, default_config_yaml, load_config
@@ -349,6 +350,15 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert os.path.exists(out / "logged.json")
+
+    def test_undecodable_profile_csv_exits_1_naming_it(self, tmp_path, capsys):
+        cfg = logged_config(tmp_path, datetime(2023, 1, 1))
+        csv_path = tmp_path / "logged.csv"
+        csv_path.write_bytes(undecodable() + csv_path.read_bytes())
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"scenario 'logged' failed: {csv_path}: " in err
+        assert "internal error" not in err
 
     def test_trace_stamped_from_the_profile_start(self, tmp_path):
         """A log that starts elsewhere than 2023-01-01 keeps its own clock."""
@@ -772,6 +782,12 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "line 11" in err
         assert "internal error" not in err
+
+    def test_undecodable_trace_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(undecodable() + b"timestamp,current_a,soc,voltage,full_charge,floating\n")
+        assert main(["analyze", "--trace", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_short_row_names_line(self, tmp_path, capsys):
         path = tmp_path / "short.csv"

@@ -137,18 +137,17 @@ def test_cli_import_leaves_yaml_unloaded():
 
 def test_analyze_leaves_engine_config_and_degradation_unloaded(tmp_path):
     """analyze imports only what it runs.  cli imports config, engine and
-    degradation inside the commands that use them; concurrent.futures
-    stays loaded on purpose, because the benchmark's tracer replaces
-    cli.ProcessPoolExecutor by attribute.  A fresh interpreter checks,
-    because this module imports the whole package."""
+    degradation inside the commands that use them, and the process pool's
+    modules on the first read of cli.ProcessPoolExecutor.  A fresh
+    interpreter checks, because this module imports the whole package."""
     trace = str(tmp_path / "trace.csv")
     records = [TraceRecord(k * 0.25, 1.0 - k % 3, 0.8, 12.5, k == 4, k > 4) for k in range(9)]
     write_trace_csv(trace, records, datetime(2023, 1, 1))
     path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     code = (
         "import sys; from vrlasim.cli import main; code = main(sys.argv[1:]); "
-        "print(code, sorted({'vrlasim.engine', 'vrlasim.config', 'vrlasim.degradation'} "
-        "& set(sys.modules)))"
+        "print(code, sorted({'vrlasim.engine', 'vrlasim.config', 'vrlasim.degradation', "
+        "'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
     )
     ran = subprocess.run(
         [sys.executable, "-c", code, "analyze", "--trace", trace],
@@ -177,11 +176,43 @@ def test_every_export_resolves():
 
 
 def test_only_profiles_imports_csv():
-    """One module holds the CSV dialect, so every file is read and written alike."""
+    """One module holds the CSV dialect, so every file is read and written
+    alike, and in it one function reads CSV: no second reading path grows
+    beside the block reader."""
     importers = sorted(
         p.name for p in PACKAGE.glob("*.py") if "csv" in imported_modules(p.read_text())
     )
     assert importers == ["profiles.py"]
+    assert csv_reader_users((PACKAGE / "profiles.py").read_text()) == {"_csv_blocks"}
+
+
+def csv_reader_users(source: str) -> set[str]:
+    """The module-level functions of a source that use csv.reader, with
+    "<module>" for a use outside them and "<import>" for a `from csv import`."""
+    users = set()
+    for node in ast.parse(source).body:
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.ImportFrom) and inner.module == "csv":
+                users.add("<import>")
+            elif (
+                isinstance(inner, ast.Attribute)
+                and inner.attr == "reader"
+                and isinstance(inner.value, ast.Name)
+                and inner.value.id == "csv"
+            ):
+                users.add(name)
+    return users
+
+
+def test_finds_csv_reader_users():
+    source = (
+        "import csv\nfrom csv import reader\n"
+        "def a(fh):\n    def inner():\n        return csv.reader(fh)\n"
+        "class B:\n    read = csv.reader\n"
+        "rows = csv.reader([])\ndef c(fh):\n    return csv.writer(fh)\n"
+    )
+    assert csv_reader_users(source) == {"<import>", "a", "B", "<module>"}
 
 
 def tracer_names() -> list[tuple[str, str]]:

@@ -350,6 +350,12 @@ def test_trace_reader_matches_reference(dt_s, start, edit, data):
         assert read_outcome(read_trace_csv, path) == read_outcome(reference_read_trace_csv, path)
 
 
+def test_trace_reader_matches_reference_in_small_blocks(small_blocks):
+    """The same with a few rows per block, so an edit is often in a later
+    block than the first, and a block's first row follows another block."""
+    test_trace_reader_matches_reference()
+
+
 # A real result, whose trajectory and histograms each test replaces.
 RESULT = run_scenario(Scenario("result", constant_profile(2), max_years=0.01))
 
