@@ -39,8 +39,12 @@ def same_as(cls: type, name: str) -> Any:
 
 
 def check_fields(obj: Any, error: type[Exception], prefix: str = "") -> None:
-    """Raise `error` naming the first declared field of `obj` out of its domain."""
+    """Raise `error` naming the first declared field of `obj` out of its
+    domain; a field whose default is None may also be None."""
     for f in dataclasses.fields(obj):
         domain = f.metadata.get("domain")  # read only declared fields' values
-        if domain is not None and not domain.accepts(value := getattr(obj, f.name)):
+        if domain is None:
+            continue
+        value = getattr(obj, f.name)
+        if not domain.accepts(value) and not (value is None and f.default is None):
             raise error(f"{prefix}{f.name} must {domain.rule}: {value!r}")

@@ -280,6 +280,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1: {args.jobs}")
+    _check_seed(args.seed)
     config = load_config(args.config)
     if not config.scenarios:
         raise ConfigError(f"{args.config}: no scenarios defined")
@@ -348,6 +349,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--base-policy and --alt-policy must differ: both are {args.base_policy!r}"
         )
+    _check_seed(args.seed)
     config = load_config(args.config)
     if not config.scenarios:
         raise ConfigError(f"{args.config}: no scenarios defined")
@@ -450,6 +452,15 @@ def cmd_init_config(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+
+def _check_seed(seed: int | None) -> None:
+    """Reject a --seed that sim.seed's domain rejects."""
+    from .config import ConfigError, SimSettings
+
+    domain = SimSettings.__dataclass_fields__["seed"].metadata["domain"]
+    if seed is not None and not domain.accepts(seed):
+        raise ConfigError(f"--seed must {domain.rule}: {seed}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

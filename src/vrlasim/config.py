@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from ._domains import NON_NEGATIVE_INT, check_fields, declared, same_as
+from ._domains import NON_NEGATIVE_INT, POSITIVE_INT, check_fields, declared, same_as
 from .battery import BatteryParams, GassingParams
 from .control import (
     BBOXX_LIMITS,
@@ -80,8 +80,8 @@ class ScenarioSpec:
     policy: Policy = Policy.BBOXX_STATIC
     archetype: str | None = None
     profile_csv: str | None = None
-    days: int | None = None  # profile length; defaults to the horizon
-    seed: int | None = None  # falls back to the shared seed
+    days: int | None = declared(None, POSITIVE_INT, "days", "profile length; None: the horizon")
+    seed: int | None = declared(None, NON_NEGATIVE_INT, "-", "RNG seed; None: sim.seed")
 
     def __post_init__(self) -> None:
         if (self.archetype is None) == (self.profile_csv is None):
@@ -233,7 +233,9 @@ def config_from_dict(raw: dict, source: str = "config") -> RunConfig:
     for i, entry in enumerate(raw_scen):
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError(f"scenarios[{i}]: each entry needs a name")
-        scenarios.append(_build(ScenarioSpec, entry, f"scenarios[{i}]"))
+        spec = _build(ScenarioSpec, entry, f"scenarios[{i}]")
+        check_fields(spec, ConfigError, prefix=f"scenarios[{i}].")
+        scenarios.append(spec)
     names = [s.name for s in scenarios]
     if len(names) != len(set(names)):
         raise ConfigError("scenarios: names must be unique")

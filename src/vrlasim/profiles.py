@@ -51,9 +51,9 @@ MAX_FILL_FRACTION = 0.2
 
 
 def divides_day(dt_s: float) -> bool:
-    """Whether dt_s (s) is at least MIN_DT_S and fits a whole number of times in a day."""
+    """Whether dt_s (s) is at least MIN_DT_S and a day holds a whole number, at least 1, of it."""
     steps_per_day = SECONDS_PER_DAY / dt_s if dt_s >= MIN_DT_S else math.nan
-    return 0.0 < steps_per_day < math.inf and abs(steps_per_day - round(steps_per_day)) <= 1e-9
+    return 0.5 < steps_per_day < math.inf and abs(steps_per_day - round(steps_per_day)) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ class ProfileDays:
         return list(map(self.powers[q].__getitem__, self.block_of_step))
 
     def solar(self, q: int) -> list[float]:
-        peak = self.peaks[q]
-        return [peak * s for s in self.shape]
+        return list(map(operator.mul, repeat(self.peaks[q]), self.shape))
 
     def temp(self, q: int) -> list[float]:
         return self.day_temp  # the same object every day
@@ -166,7 +165,8 @@ class TimeSeries:
         # peak times a shape value in [0, 1], so it lies in [0, peak]
         powers, peaks, shape = days.powers, days.peaks, days.shape
         series._check_samples(
-            math.isfinite(sum(map(sum, powers))) and min(map(min, powers)) >= 0.0,
+            math.isfinite(sum(chain.from_iterable(powers)))
+            and min(chain.from_iterable(powers)) >= 0.0,
             math.isfinite(sum(peaks)) and min(peaks) >= 0.0
             and max(peaks) <= panel_rating_w + 1e-9
             and min(shape) >= 0.0 and max(shape) <= 1.0,
@@ -265,11 +265,28 @@ class TimeSeries:
         return len(self) * self.dt_s / SECONDS_PER_DAY
 
 
-# Within-day load placement (fractions of the day's energy).
+# Within-day load placement (fractions of the day's energy), read by _load_blocks alone.
 PREDAWN_WINDOW = (5.0, 6.0)
 PREDAWN_SHARE = 0.10
 DAYTIME_WINDOW = (9.0, 17.0)
 EVENING_WINDOW = (18.0, 23.0)
+
+
+def _load_blocks(evening_fraction: float) -> list[tuple[float, float, float]]:
+    """(start_h, end_h, share) of each block of a day's load whose share is above
+    0.0; a block's power is the day's energy (Wh) times its share over its hours."""
+    if evening_fraction > 1.0 - PREDAWN_SHARE:
+        raise ProfileError(f"evening_fraction must be at most 0.9: {evening_fraction!r}")
+    daytime_share = 1.0 - evening_fraction - PREDAWN_SHARE
+    return [
+        (h0, h1, share)
+        for (h0, h1), share in (
+            (PREDAWN_WINDOW, PREDAWN_SHARE),
+            (DAYTIME_WINDOW, daytime_share),
+            (EVENING_WINDOW, evening_fraction),
+        )
+        if share > 0.0
+    ]
 
 
 @dataclass(frozen=True)
@@ -289,8 +306,7 @@ class UseArchetype:
 
     def __post_init__(self) -> None:
         check_fields(self, ProfileError)
-        if self.evening_fraction > 1.0 - PREDAWN_SHARE:  # the predawn block's share comes first
-            raise ProfileError(f"evening_fraction must be at most 0.9: {self.evening_fraction!r}")
+        _load_blocks(self.evening_fraction)
 
 
 HIGH_USE = UseArchetype("high", 120.0)
@@ -327,22 +343,6 @@ def ambient_temperature(hour: float) -> float:
     return 27.0 + 5.0 * math.sin(2.0 * math.pi * (hour - 9.0) / 24.0)
 
 
-def _day_load_blocks(daily_wh: float, evening_fraction: float) -> list[tuple[float, float, float]]:
-    """(start_h, end_h, power_w) blocks for one day's consumption."""
-    daytime_share = 1.0 - evening_fraction - PREDAWN_SHARE
-    blocks = []
-    for (h0, h1), share in (
-        (PREDAWN_WINDOW, PREDAWN_SHARE),
-        (DAYTIME_WINDOW, daytime_share),
-        (EVENING_WINDOW, evening_fraction),
-    ):
-        if share <= 0.0:
-            continue
-        power = daily_wh * share / (h1 - h0)
-        blocks.append((h0, h1, power))
-    return blocks
-
-
 def generate_archetype(
     archetype: UseArchetype,
     days: int,
@@ -362,20 +362,24 @@ def generate_archetype(
         panel_rating_w: Noon solar output at a weather factor of 1 (W);
             must be positive and finite.
     """
-    if days <= 0:
-        raise ProfileError("days must be positive")
+    if not POSITIVE_INT.accepts(days):
+        raise ProfileError(f"days must be a positive integer: {days!r}")
     if not divides_day(dt_s):
         raise ProfileError("dt_s must divide a day evenly")
     steps_per_day = int(round(SECONDS_PER_DAY / dt_s))
     rng = random.Random(archetype.stochastic_seed if seed is None else seed)
+    draw = rng.random
 
-    # day-level draws: weather factor and whether the household uses power
+    # Day-level draws, in order: per day the storm test and weather factor; at
+    # each run boundary a run length; per active day its energy.  A factor is
+    # random.uniform's own lo + (hi - lo) * r, written out to save a call a day.
+    (storm_lo, storm_hi), (clear_lo, clear_hi) = STORM_FACTOR, CLEAR_FACTOR
+    storm_span, clear_span = storm_hi - storm_lo, clear_hi - clear_lo
     weather: list[float] = []
     storm = False
     for _ in range(days):
-        storm = rng.random() < (STORM_STAY_P if storm else STORM_ENTER_P)
-        lo, hi = STORM_FACTOR if storm else CLEAR_FACTOR
-        weather.append(rng.uniform(lo, hi))
+        storm = draw() < (STORM_STAY_P if storm else STORM_ENTER_P)
+        weather.append(storm_lo + storm_span * draw() if storm else clear_lo + clear_span * draw())
 
     active: list[bool] = []
     if archetype.nonuse_run_days > 0:
@@ -387,16 +391,12 @@ def generate_archetype(
             remaining -= 1
             if remaining <= 0:
                 run_active = not run_active
-                remaining = (
-                    rng.randint(*spread) if run_active else archetype.nonuse_run_days
-                )
+                remaining = rng.randint(*spread) if run_active else archetype.nonuse_run_days
     else:
         active = [True] * days
 
-    energy = [
-        archetype.daily_energy_wh * rng.uniform(0.9, 1.1) if active[d] else 0.0
-        for d in range(days)
-    ]
+    daily_wh, energy_span = archetype.daily_energy_wh, 1.1 - 0.9
+    energy = [daily_wh * (0.9 + energy_span * draw()) if a else 0.0 for a in active]
 
     # One-day templates, which the profile keeps with each day's block
     # powers and solar peak instead of building columns.  The load windows
@@ -407,19 +407,19 @@ def generate_archetype(
     # solar_power(hour, peak).
     dt_h = dt_s / 3600.0
     hours = [k * dt_h for k in range(steps_per_day)]
-    windows = [(h0, h1) for h0, h1, _ in _day_load_blocks(0.0, archetype.evening_fraction)]
+    blocks = _load_blocks(archetype.evening_fraction)
     block_of_step = [
-        next((b for b, (h0, h1) in enumerate(windows) if h0 <= hour < h1), len(windows))
+        next((b for b, (h0, h1, _) in enumerate(blocks) if h0 <= hour < h1), len(blocks))
         for hour in hours
     ]
     shape = [solar_power(hour, 1.0) for hour in hours]
     day_temp = [ambient_temperature(hour) for hour in hours]
 
-    powers = [
-        [w for _, _, w in _day_load_blocks(e, archetype.evening_fraction)] + [0.0]
-        for e in energy
-    ]
-    peaks = [panel_rating_w * w for w in weather]
+    # each day's powers, e * share / (h1 - h0) per block, then "no block"
+    coefficients = [(share, h1 - h0) for h0, h1, share in blocks]
+    per_block = [[e * share / width for e in energy] for share, width in coefficients]
+    powers = list(map(list, zip(*per_block, repeat(0.0))))
+    peaks = list(map(operator.mul, repeat(panel_rating_w), weather))
     return TimeSeries.from_days(
         start, dt_s, ProfileDays(block_of_step, shape, day_temp, powers, peaks), panel_rating_w
     )

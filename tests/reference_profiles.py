@@ -30,10 +30,14 @@ from typing import Iterator, Sequence
 
 from vrlasim.profiles import (
     CLEAR_FACTOR,
+    DAYTIME_WINDOW,
     DEFAULT_DT_S,
     DEFAULT_PANEL_RATING_W,
+    EVENING_WINDOW,
     MAX_FILL_FRACTION,
     MIN_DT_S,
+    PREDAWN_SHARE,
+    PREDAWN_WINDOW,
     PROFILE_COLUMNS,
     SECONDS_PER_DAY,
     STORM_ENTER_P,
@@ -43,7 +47,6 @@ from vrlasim.profiles import (
     ProfileError,
     TimeSeries,
     UseArchetype,
-    _day_load_blocks,
     ambient_temperature,
     divides_day,
     solar_power,
@@ -86,6 +89,25 @@ def csv_cells(
                     f"header has {len(header)}"
                 ) from None
             yield reader.line_num, cells
+
+
+def day_load_blocks(daily_wh: float, evening_fraction: float) -> list[tuple[float, float, float]]:
+    """(start_h, end_h, power_w) blocks for one day's consumption.
+
+    The predawn window takes PREDAWN_SHARE of the day's energy, the
+    evening window evening_fraction, and the daytime window the rest; a
+    window whose share is not above 0.0 has no block.  A block's power
+    is the energy (Wh) times its share, over its length (h).
+    """
+    blocks = []
+    for (h0, h1), share in (
+        (PREDAWN_WINDOW, PREDAWN_SHARE),
+        (DAYTIME_WINDOW, 1.0 - evening_fraction - PREDAWN_SHARE),
+        (EVENING_WINDOW, evening_fraction),
+    ):
+        if share > 0.0:
+            blocks.append((h0, h1, daily_wh * share / (h1 - h0)))
+    return blocks
 
 
 def reference_generate_archetype(
@@ -133,7 +155,7 @@ def reference_generate_archetype(
 
     dt_h = dt_s / 3600.0
     hours = [k * dt_h for k in range(steps_per_day)]
-    windows = [(h0, h1) for h0, h1, _ in _day_load_blocks(0.0, archetype.evening_fraction)]
+    windows = [(h0, h1) for h0, h1, _ in day_load_blocks(0.0, archetype.evening_fraction)]
     block_of_step = [
         next((b for b, (h0, h1) in enumerate(windows) if h0 <= hour < h1), len(windows))
         for hour in hours
@@ -145,7 +167,7 @@ def reference_generate_archetype(
     solar: list[float] = []
     temp: list[float] = []
     for d in range(days):
-        powers = [w for _, _, w in _day_load_blocks(energy[d], archetype.evening_fraction)]
+        powers = [w for _, _, w in day_load_blocks(energy[d], archetype.evening_fraction)]
         powers.append(0.0)
         load.extend(map(powers.__getitem__, block_of_step))
         peak = panel_rating_w * weather[d]

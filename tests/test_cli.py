@@ -306,7 +306,7 @@ class TestSimulate:
             "sim: {max_years: 0.01, seed: 1}\n"
             "scenarios:\n"
             "  - {name: good, archetype: low, days: 4}\n"
-            "  - {name: bad, archetype: low, days: -5}\n"
+            f"  - {{name: bad, profile_csv: {tmp_path / 'missing.csv'}}}\n"
         )
         out = tmp_path / "o"
         rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
@@ -322,20 +322,60 @@ class TestSimulate:
     def test_failing_scenario_isolated_in_parallel(self, tmp_path, capsys):
         self._run_good_and_bad(tmp_path, capsys, "2")
 
-    def test_zero_days_fails_its_own_scenario(self, tmp_path, capsys):
-        """days: 0 is a bad length, not an unset one that means the horizon."""
-        cfg = tmp_path / "zero.yaml"
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("days: 2.5", "scenarios[1].days must be a positive integer: 2.5"),
+            ("days: true", "scenarios[1].days must be a positive integer: True"),
+            ("days: 0", "scenarios[1].days must be a positive integer: 0"),
+            ("days: -5", "scenarios[1].days must be a positive integer: -5"),
+            ("seed: -3", "scenarios[1].seed must be a non-negative integer: -3"),
+            ("seed: 1.5", "scenarios[1].seed must be a non-negative integer: 1.5"),
+            ("seed: '7'", "scenarios[1].seed must be a non-negative integer: '7'"),
+        ],
+    )
+    def test_bad_days_or_seed_exits_1_at_load_naming_the_key(
+        self, tmp_path, capsys, entry, message
+    ):
+        """A scenario's days and seed are checked when the config loads,
+        so no scenario runs; days: 0 is a bad length, not an unset one."""
+        cfg = tmp_path / "bad.yaml"
         cfg.write_text(
             "sim: {max_years: 0.01, seed: 1}\n"
             "scenarios:\n"
             "  - {name: good, archetype: low, days: 4}\n"
-            "  - {name: empty, archetype: low, days: 0}\n"
+            f"  - {{name: bad, archetype: low, {entry}}}\n"
         )
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "scenario 'empty' failed: days must be positive" in capsys.readouterr().err
-        assert os.path.exists(out / "good.json")
-        assert not os.path.exists(out / "empty.json")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unset_days_and_seed_fall_back(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "sim: {max_years: 0.01, seed: 3}\n"
+            "scenarios: [{name: a, archetype: low, days: null, seed: null}]\n"
+        )
+        spec = load_config(str(cfg)).scenarios[0]
+        assert spec.days is None and spec.seed is None
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_negative_seed_option_exits_1_as_sim_seed_does(
+        self, tmp_path, capsys, command, seed
+    ):
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text(TWO_SCENARIOS)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", seed]) == 1
+        assert capsys.readouterr().err == f"error: --seed must be a non-negative integer: {seed}\n"
+        assert not out.exists()
+        cfg.write_text(TWO_SCENARIOS.replace("seed: 1", f"seed: {seed}"))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: sim.seed must be a non-negative integer: {seed}\n"
+        )
 
     def test_profile_csv_scenario(self, tmp_path):
         series = generate_archetype(LOW_USE, 3, seed=4)

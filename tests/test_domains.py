@@ -20,6 +20,7 @@ from vrlasim.battery import BatteryParamError, BatteryParams, GassingParams
 from vrlasim.config import ConfigError, ControlSettings, SimSettings
 from vrlasim.control import FULL_LIMITS, ControlParams, VoltageLimits
 from vrlasim.degradation import Datasheet, DegradationParams
+from vrlasim.cli import main
 from vrlasim.engine import EngineError, Scenario
 from vrlasim.profiles import (
     LOW_USE,
@@ -27,7 +28,9 @@ from vrlasim.profiles import (
     ProfileError,
     TimeSeries,
     UseArchetype,
+    divides_day,
     generate_archetype,
+    write_profile_csv,
 )
 
 MAX = sys.float_info.max
@@ -164,3 +167,42 @@ def test_step_below_the_least_rejected(dt_s):
 def test_the_least_step_allowed():
     assert dataclasses.replace(BASES[Scenario][0], dt_s=MIN_DT_S).dt_s == MIN_DT_S
     assert SimSettings(dt_s=MIN_DT_S).dt_s == MIN_DT_S
+
+
+# Steps longer than a day: two days, and steps so long that a day's step
+# count, 86400 / dt_s, lies within 1e-9 of 0.
+ABOVE_THE_LARGEST_STEP = [172800.0, 8.64e13, 1e14, 1e308]
+
+
+@pytest.mark.parametrize("dt_s", ABOVE_THE_LARGEST_STEP)
+def test_step_above_a_day_rejected(dt_s):
+    assert not divides_day(dt_s)
+    with pytest.raises(EngineError, match="^dt_s must divide a day evenly$"):
+        dataclasses.replace(BASES[Scenario][0], dt_s=dt_s)
+    message = f"sim.dt_s must divide a day evenly: {dt_s!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SimSettings(dt_s=dt_s)
+    with pytest.raises(ProfileError, match="^dt_s must divide a day evenly$"):
+        generate_archetype(LOW_USE, 1, dt_s=dt_s)
+
+
+@pytest.mark.parametrize("source", ["archetype: low, days: 2", "profile_csv: {csv}"])
+@pytest.mark.parametrize("dt_s", ["8.64e13", "1e14", "1e308"])
+def test_step_above_a_day_exits_1_from_the_cli(tmp_path, capsys, source, dt_s):
+    csv_path = tmp_path / "logged.csv"
+    write_profile_csv(generate_archetype(LOW_USE, 2, seed=4), str(csv_path))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "sim: {max_years: 0.005}\n"
+        f"scenarios: [{{name: a, {source.format(csv=csv_path)}}}]\n"
+    )
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--dt", dt_s]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "scenario 'a' failed: dt_s must divide a day evenly\n"
+
+
+def test_the_largest_step_allowed():
+    assert divides_day(86400.0)
+    assert dataclasses.replace(BASES[Scenario][0], dt_s=86400.0).dt_s == 86400.0
+    assert SimSettings(dt_s=86400.0).dt_s == 86400.0
+    assert len(generate_archetype(LOW_USE, 3, dt_s=86400.0)) == 3

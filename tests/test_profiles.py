@@ -2,6 +2,8 @@
 
 import math
 import operator
+import random
+import re
 from datetime import datetime, timedelta
 from functools import reduce
 from unittest import mock
@@ -17,12 +19,14 @@ from vrlasim.profiles import (
     INFREQUENT_USE,
     LOW_USE,
     MIN_DT_S,
+    STORM_FACTOR,
     STRESS_LOW_SOC,
     ProfileError,
     StressAccumulator,
     TimeSeries,
     TraceRecord,
     UseArchetype,
+    _load_blocks,
     ambient_temperature,
     generate_archetype,
     ingest_csv,
@@ -123,6 +127,46 @@ class TestArchetypeGeneration:
     def test_panel_rating_must_be_positive_and_finite(self, rating):
         with pytest.raises(ProfileError, match="panel_rating_w must be positive and finite"):
             generate_archetype(LOW_USE, 2, seed=1, panel_rating_w=rating)
+
+    @pytest.mark.parametrize("days", [0, -3, 2.5, 3.0, True, "3", None])
+    def test_days_must_be_a_positive_int(self, days):
+        message = f"^days must be a positive integer: {re.escape(repr(days))}$"
+        with pytest.raises(ProfileError, match=message):
+            generate_archetype(LOW_USE, days, seed=1)
+
+    def test_int_rating_and_energy_give_the_float_profile(self):
+        """An int panel rating or daily energy, as YAML reads `60` or `40`,
+        gives the same days as the float: its products are float products."""
+        ints = generate_archetype(UseArchetype("i", 40), 30, seed=9, panel_rating_w=60)
+        floats = generate_archetype(UseArchetype("f", 40.0), 30, seed=9, panel_rating_w=60.0)
+        assert ints._days == floats._days
+        assert ints.solar_w == floats.solar_w and ints.load_w == floats.load_w
+        assert {type(v) for v in [*ints._days.peaks, *ints.solar_w, *ints.load_w]} == {float}
+
+    @pytest.mark.parametrize("bounds", [(0.9, 1.1), STORM_FACTOR, CLEAR_FACTOR])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 1234, 2**32 - 1])
+    def test_uniform_is_the_written_out_draw(self, bounds, seed):
+        """The generator draws its factors as lo + (hi - lo) * random(),
+        which is random.uniform's own expression; if a Python changes
+        uniform, this names the cause before the profile digests move."""
+        lo, hi = bounds
+        rng, raw = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert rng.uniform(lo, hi) == lo + (hi - lo) * raw.random()
+
+    def test_a_block_whose_share_rounds_below_zero_is_dropped(self):
+        """At evening_fraction 0.9, the daytime share 1 - 0.9 - 0.1 is
+        -2.8e-17, so the day has a predawn and an evening block only."""
+        assert 1.0 - 0.9 - 0.1 == pytest.approx(-2.8e-17, rel=0.01)
+        assert _load_blocks(0.9) == [(5.0, 6.0, 0.1), (18.0, 23.0, 0.9)]
+        series = generate_archetype(UseArchetype("late", 40.0, evening_fraction=0.9), 3, seed=2)
+        days = series._days
+        assert sorted(set(days.block_of_step)) == [0, 1, 2]
+        daytime = [k for k, b in enumerate(days.block_of_step) if 9 * 4 <= k < 17 * 4]
+        assert all(days.block_of_step[k] == 2 for k in daytime)  # no block
+        for e_day, powers in zip(self._daily_energies(series), days.powers):
+            assert powers[2] == 0.0
+            assert powers[0] * 1.0 + powers[1] * 5.0 == pytest.approx(e_day)
 
 
 class TestTimeSeriesValidation:

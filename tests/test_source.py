@@ -215,6 +215,52 @@ def test_finds_csv_reader_users():
     assert csv_reader_users(source) == {"<import>", "a", "B", "<module>"}
 
 
+# The load windows and shares: one function of the package reads them.
+BLOCK_RULE = {"PREDAWN_WINDOW", "DAYTIME_WINDOW", "EVENING_WINDOW", "PREDAWN_SHARE"}
+BLOCK_HELPER = "_load_blocks"
+
+
+def block_rule_readers(source: str) -> set[str]:
+    """The module-level functions and classes of a source that read a name
+    of BLOCK_RULE, as a variable or an attribute, with "<module>" for a
+    read outside them and "<import>" for an import of one."""
+    readers = set()
+    for node in ast.parse(source).body:
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.ImportFrom):
+                if BLOCK_RULE & {alias.name for alias in inner.names}:
+                    readers.add("<import>")
+            elif isinstance(inner, (ast.Name, ast.Attribute)) and isinstance(inner.ctx, ast.Load):
+                if (inner.id if isinstance(inner, ast.Name) else inner.attr) in BLOCK_RULE:
+                    readers.add(name)
+    return readers
+
+
+def test_finds_block_rule_readers():
+    source = (
+        "PREDAWN_SHARE = 0.1\n"
+        "def _load_blocks(f):\n    return [(PREDAWN_WINDOW, PREDAWN_SHARE)]\n"
+        "def generate(f):\n    return 1.0 - f - PREDAWN_SHARE\n"
+        "class A:\n    def check(self):\n        return profiles.EVENING_WINDOW\n"
+        "from .profiles import DAYTIME_WINDOW\n"
+        "WIDTH = DAYTIME_WINDOW[1] - DAYTIME_WINDOW[0]\n"
+    )
+    assert block_rule_readers(source) == {"_load_blocks", "generate", "A", "<import>", "<module>"}
+
+
+def test_one_function_reads_the_load_blocks():
+    """The load windows and shares are read in one place, the helper that
+    both the block layout and the block powers come from: a second copy
+    of the rule, say inlined into the generator, would drift from it."""
+    readers = {
+        path.name: found
+        for path in PACKAGE.glob("*.py")
+        if (found := block_rule_readers(path.read_text()))
+    }
+    assert readers == {"profiles.py": {BLOCK_HELPER}}
+
+
 def tracer_names() -> list[tuple[str, str]]:
     """Every (module, attribute) the benchmark's span tracer wraps."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACER)
