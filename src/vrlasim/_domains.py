@@ -25,6 +25,13 @@ HALF_OPEN_UNIT = Domain("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
 POSITIVE_INT = Domain("be a positive integer", lambda v: isinstance(v, int) and v >= 1)
 NON_NEGATIVE_INT = Domain("be a non-negative integer", lambda v: isinstance(v, int) and v >= 0)
 
+# Plausible ambient temperatures (degC).  A log in kelvin read as degC
+# (298.15) lies far above the top and would scale corrosion by about 1e8.
+TEMP_MIN_C, TEMP_MAX_C = -40.0, 80.0
+TEMPERATURE = Domain(
+    f"lie in [{TEMP_MIN_C}, {TEMP_MAX_C}]", lambda v: TEMP_MIN_C <= v <= TEMP_MAX_C
+)
+
 
 def declared(default: Any, domain: Domain | None, unit: str, doc: str) -> Any:
     """A dataclass field with its default (dataclasses.MISSING for none), its

@@ -32,6 +32,10 @@ class ConfigError(ValueError):
     """Bad configuration; message names the offending key."""
 
 
+class _FieldError(ConfigError):
+    """A key out of its domain, named alone; _build adds the key's place."""
+
+
 @dataclass(frozen=True)
 class SimSettings:
     """Simulation settings shared by every scenario in a run."""
@@ -93,6 +97,7 @@ class ScenarioSpec:
                 f"scenario {self.name!r}: unknown archetype {self.archetype!r} "
                 f"(choose from {sorted(ARCHETYPES)})"
             )
+        check_fields(self, _FieldError)
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,8 @@ def _build(cls, data: Any, path: str):
         kwargs[key] = _convert(names[key].type, value, f"{path}.{key}")
     try:
         return cls(**kwargs)
+    except _FieldError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -233,9 +240,7 @@ def config_from_dict(raw: dict, source: str = "config") -> RunConfig:
     for i, entry in enumerate(raw_scen):
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError(f"scenarios[{i}]: each entry needs a name")
-        spec = _build(ScenarioSpec, entry, f"scenarios[{i}]")
-        check_fields(spec, ConfigError, prefix=f"scenarios[{i}].")
-        scenarios.append(spec)
+        scenarios.append(_build(ScenarioSpec, entry, f"scenarios[{i}]"))
     names = [s.name for s in scenarios]
     if len(names) != len(set(names)):
         raise ConfigError("scenarios: names must be unique")

@@ -20,7 +20,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from ._domains import FINITE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, check_fields, declared
+from ._domains import FINITE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, TEMP_MAX_C, TEMPERATURE
+from ._domains import check_fields, declared
 from .battery import Battery, BatteryParams, clamp
 
 HOURS_PER_YEAR = 8760.0
@@ -58,7 +59,7 @@ class Datasheet:
     float_life_years: float = declared(4.0, NON_NEGATIVE, "years", "rated life held at float")
     nominal_cycles: float = declared(600.0, POSITIVE, "cycles", "rated full cycles to end of life")
     float_voltage: float = declared(13.5, FINITE, "V", "battery-level float setpoint rated")
-    float_temp_c: float = declared(25.0, FINITE, "degC", "temperature of the rating")
+    float_temp_c: float = declared(25.0, TEMPERATURE, "degC", "temperature of the rating")
 
     def __post_init__(self) -> None:
         check_fields(self, ValueError)
@@ -93,6 +94,15 @@ class DegradationParams:
         vs = [v for v, _ in self.ks_knots]
         if vs != sorted(vs):
             raise ValueError("ks_knots must be sorted by potential")
+        try:  # the factor rises with temperature, so finite at the top is finite below
+            finite = math.isfinite(corrosion_temperature_factor(TEMP_MAX_C + 273.15, self))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"temp_doubling_k {self.temp_doubling_k!r} with ks_ref_temp_k "
+                f"{self.ks_ref_temp_k!r} overflows the corrosion speed at {TEMP_MAX_C} degC"
+            )
 
     @functools.cached_property
     def ks_potentials(self) -> tuple[float, ...]:

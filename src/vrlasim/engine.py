@@ -15,7 +15,6 @@ import threading
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ._domains import HALF_OPEN_UNIT, POSITIVE, UNIT, check_fields, declared
 from .battery import (
@@ -158,13 +157,6 @@ class SimResult:
     runtime_s: float
     trace: list[TraceRecord] | None = None  # None unless run_scenario kept it
 
-    def soh_at_day(self, day: int) -> float:
-        """SOH at the end of a given day, from the daily trajectory."""
-        if not self.trajectory:
-            raise EngineError("empty trajectory")
-        idx = min(max(day - 1, 0), len(self.trajectory) - 1)
-        return self.trajectory[idx].soh_pct
-
     def summary(self) -> dict:
         return {
             "name": self.name,
@@ -208,7 +200,9 @@ class TemperatureTerms:
 
     Called with a temperature in degC, returns (corrosion temperature
     factor, gassing temperature term, compensated limits of both sets),
-    each from the one function that defines it.  Entries are keyed on the
+    each from the one function that defines it; none raises at an admitted
+    temperature (DegradationParams rejects a corrosion factor that
+    overflows there).  Entries are keyed on the
     exact temp_c float (0.0 and -0.0 share one, and give the same terms),
     so the memo cannot change a result.  It stops inserting at
     TEMPERATURE_MEMO_ENTRIES, so a profile whose temperatures never repeat
@@ -242,19 +236,10 @@ class TemperatureTerms:
                 self.entries[temp_c] = terms
         return terms
 
-    def day(self, temps: Sequence[float]) -> list[tuple[float, float, CompensatedLimits] | None]:
-        """The terms at each of a day's temperatures, None where evaluating
-        them raised.  The step evaluates those again, so the error comes at
-        the step it always came at, and a sample after the run's last step
-        raises nothing."""
+    def day(self, temps: list[float]) -> list[tuple[float, float, CompensatedLimits]]:
+        """The terms at each of a day's temperatures."""
         get = self.entries.get
-        return [get(t) or self._or_none(t) for t in temps]  # terms are non-empty tuples
-
-    def _or_none(self, temp_c: float) -> tuple[float, float, CompensatedLimits] | None:
-        try:
-            return self(temp_c)
-        except Exception:
-            return None
+        return [get(t) or self(t) for t in temps]  # terms are non-empty tuples
 
 
 def _reschedule(
@@ -332,14 +317,14 @@ def run_scenario(
     and the stress factors from StressFactors.from_totals once, at the
     end.  The loop runs over days, then over the steps of each day: the
     profile gives a day's samples (TimeSeries.day), and the day's
-    temperature terms are made once for all its steps, afresh only when
-    its temperatures are not the same object as the day before's.  The
-    functions remain the single-step API, and tests/reference_engine.py
-    composes them, each evaluated afresh at the step's temperature, into
-    the loop whose results this one must equal bit for bit.  The
-    electrolyte chain stays in Battery.electrolyte, the OCV inversion in
-    Battery.invert_ocv (called only where it can move the state of
-    charge) and the adaptive schedule in _reschedule.
+    temperature terms, which cannot raise (see TemperatureTerms), are made
+    before its first step, afresh only when its temperatures are not the
+    same object as the day before's.  The functions remain the single-step
+    API, and tests/reference_engine.py composes them, each evaluated afresh
+    at the step's temperature, into the loop whose results this one must
+    equal bit for bit.  The electrolyte chain stays in Battery.electrolyte,
+    the OCV inversion in Battery.invert_ocv (called only where it can move
+    the state of charge) and the adaptive schedule in _reschedule.
 
     Given a `trace` destination, any object with an ``append`` method
     such as a profiles.TraceWriter, the run appends one TraceRecord per
@@ -360,8 +345,7 @@ def run_scenario(
     ctrl = ControllerState()
     control = scenario.control
     adaptive = control.policy is Policy.ADAPTIVE
-    temperature_terms = TemperatureTerms(control, scenario.degradation, params.gassing)
-    terms_of_day = temperature_terms.day
+    terms_of_day = TemperatureTerms(control, scenario.degradation, params.gassing).day
 
     dt_s = scenario.dt_s
     dt_h = dt_s / 3600.0
@@ -482,11 +466,9 @@ def run_scenario(
             day_temps, day_terms = temps, terms_of_day(temps)
         first = day * steps_per_day
         steps = range(first, min(first + steps_per_day, max_steps))
-        for i, load_w, solar_w, temp_c, terms in zip(steps, loads, solars, temps, day_terms):
-            if terms is None:  # evaluating them raised: raise it at this step
-                terms = temperature_terms(temp_c)
-            corrosion_factor, gas_term, limits = terms
-
+        for i, load_w, solar_w, (corrosion_factor, gas_term, limits) in zip(
+            steps, loads, solars, day_terms
+        ):
             # load disconnect with reconnect hysteresis
             if disconnected:
                 if soc >= reconnect_soc:

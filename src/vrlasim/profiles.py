@@ -24,18 +24,13 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from ._domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT
-from ._domains import check_fields, declared
+from ._domains import TEMP_MAX_C, TEMP_MIN_C, check_fields, declared
 
 SECONDS_PER_DAY = 86400.0
 
 # Defaults of the step (s) and panel rating (W), for profiles, scenarios and config.
 DEFAULT_DT_S = 900.0
 DEFAULT_PANEL_RATING_W = 50.0
-
-# Plausible ambient temperatures (degC).  A log in kelvin read as degC
-# (298.15) lies far above the top and would scale corrosion by about 1e8.
-TEMP_MIN_C = -40.0
-TEMP_MAX_C = 80.0
 
 
 class ProfileError(ValueError):
@@ -181,6 +176,8 @@ class TimeSeries:
         sample of their column is good, so a good column costs no search; a
         column whose verdict fails is searched sample by sample for the one
         to name, and may hold none (finite samples whose sum overflowed).
+        A column's sum decides only whether it overflows, so the compensated
+        builtin sum of Python 3.12 and later cannot change a verdict.
         temps are the profile's first temperatures and hold every one it
         has.  Negated comparisons, so that nan fails them.
         """
@@ -859,9 +856,6 @@ class StressFactors:
     time_between_full_max_h: float | None
     partial_cycle_depths: tuple[int, ...]  # counts in 0.1-wide depth bins
     float_hours_per_day: float
-
-    def partial_cycle_count(self) -> int:
-        return sum(self.partial_cycle_depths)
 
     @classmethod
     def from_totals(

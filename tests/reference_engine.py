@@ -5,9 +5,10 @@ gassing, SOC update, ageing step) one by one with the step's
 temperature, so every formula, the temperature terms included, comes
 from its one definition and is evaluated afresh.  run_scenario writes
 the same step out in its own locals and takes the temperature terms from
-its TemperatureTerms memo; the differential tests check that its result
-equals this loop's, bit for bit, and that it raises what this loop
-raises.
+its TemperatureTerms memo, a day's at a time before the day's first
+step, which no parameter set that constructs can make raise; the
+differential tests check that its result equals this loop's, bit for
+bit, and that it raises what this loop raises.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import re
 import time
 import tracemalloc
 import warnings
@@ -17,7 +18,7 @@ import pytest
 from helpers import undecodable
 from vrlasim import cli, engine, profiles
 from vrlasim.cli import main
-from vrlasim.config import RunConfig, default_config_yaml, load_config
+from vrlasim.config import ConfigError, RunConfig, ScenarioSpec, default_config_yaml, load_config
 from vrlasim.control import Policy
 from vrlasim.engine import EngineError
 from vrlasim.profiles import LOW_USE, generate_archetype, read_trace_csv, ingest_csv, write_profile_csv
@@ -350,6 +351,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"seed": -3}, "seed must be a non-negative integer: -3"),
+            ({"days": 2.5}, "days must be a positive integer: 2.5"),
+        ],
+    )
+    def test_bad_days_or_seed_rejected_when_built_directly(self, change, message):
+        """A spec built without a config, as build_scenario accepts it, is
+        checked too: Random(-3) would silently draw as Random(3) does."""
+        spec = {"name": "a", "archetype": "low", "days": 2, **change}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec(**spec)
 
     def test_unset_days_and_seed_fall_back(self, tmp_path):
         cfg = tmp_path / "run.yaml"

@@ -37,6 +37,8 @@ MAX = sys.float_info.max
 TINY = 5e-324  # the least positive float
 ABOVE_ONE = math.nextafter(1.0, 2.0)
 BELOW_ONE = math.nextafter(1.0, 0.0)
+ABOVE_TEMP_MAX = math.nextafter(d.TEMP_MAX_C, math.inf)
+BELOW_TEMP_MIN = math.nextafter(d.TEMP_MIN_C, -math.inf)
 
 # A valid instance of each class, and the error the class raises.
 BASES = {
@@ -64,6 +66,7 @@ JUST_OUTSIDE = {
     d.HALF_OPEN_UNIT: 0.0,
     d.POSITIVE_INT: 0,
     d.NON_NEGATIVE_INT: -1,
+    d.TEMPERATURE: ABOVE_TEMP_MAX,
 }
 OUTSIDE = {
     d.FINITE: st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -74,6 +77,7 @@ OUTSIDE = {
     d.HALF_OPEN_UNIT: st.floats(max_value=0.0) | st.floats(min_value=ABOVE_ONE),
     d.POSITIVE_INT: st.integers(max_value=0) | st.floats(),  # a float is no int
     d.NON_NEGATIVE_INT: st.integers(max_value=-1) | st.floats(),
+    d.TEMPERATURE: st.floats(max_value=BELOW_TEMP_MIN) | st.floats(min_value=ABOVE_TEMP_MAX),
 }
 EDGES = {
     d.FINITE: (-MAX, MAX),
@@ -84,6 +88,7 @@ EDGES = {
     d.HALF_OPEN_UNIT: (TINY, 1.0),
     d.POSITIVE_INT: (1, 10**30),
     d.NON_NEGATIVE_INT: (0, 10**30),
+    d.TEMPERATURE: (d.TEMP_MIN_C, d.TEMP_MAX_C),
 }
 # What the rules across fields say when an edge breaks one of them.
 CROSS_FIELD_RULES = re.compile(
@@ -91,6 +96,7 @@ CROSS_FIELD_RULES = re.compile(
     r"|cutoff_soc \+ reconnect_hysteresis exceeds 1"
     "|dt_s must divide a day evenly|evening_fraction must be at most 0.9"
     r"|solar_w sample \d+ outside \[0, "
+    "|overflows the corrosion speed"
 )
 
 FIELDS = [

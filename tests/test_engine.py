@@ -155,9 +155,11 @@ class TestBookkeeping:
         ):
             assert key in s
 
-    def test_soh_at_day_matches_trajectory(self, low_run):
-        assert low_run.soh_at_day(5) == low_run.trajectory[4].soh_pct
-        assert low_run.soh_at_day(10_000) == low_run.trajectory[-1].soh_pct
+    def test_day_soh_matches_its_losses(self, low_run):
+        capacity = low_run.capacity_ah
+        for r in (low_run.trajectory[4], low_run.trajectory[-1]):
+            assert r.soh_pct == 100.0 * (capacity - r.c_total_ah) / capacity
+        assert low_run.trajectory[-1].soh_pct == low_run.soh_end_pct
 
     def test_full_event_days_match_stress(self, low_run):
         # the stress accumulator's count against the engine's own per-day

@@ -10,24 +10,35 @@ that the simulation, the writer and the comparison build no column.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import pickle
+import re
 import sys
 import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import ARITHMETIC_DT_S, START, TEMPLATE_DT_S, result_digest, starts
 from reference_engine import reference_run
 from reference_profiles import reference_generate_archetype
 from reference_writers import reference_write_profile_csv
-from vrlasim.control import ControlParams, adaptive_params
-from vrlasim.degradation import Datasheet, DegradationParams
-from vrlasim.engine import EngineError, Scenario, compare_strategies, run_scenario
+from vrlasim._domains import TEMP_MAX_C, TEMP_MIN_C
+from vrlasim.battery import BatteryParams, GassingParams
+from vrlasim.cli import main
+from vrlasim.control import ControlParams, VoltageLimits, adaptive_params
+from vrlasim.degradation import CalibrationError, Datasheet, DegradationParams, calibrate_limits
+from vrlasim.engine import (
+    EngineError,
+    Scenario,
+    TemperatureTerms,
+    compare_strategies,
+    run_scenario,
+)
 from vrlasim.profiles import (
     ARCHETYPES,
     COLUMNS,
@@ -44,6 +55,18 @@ DT_S = [900.0, 3600.0, 96.0, 337.5, 86400.0]
 POLICIES = {"static": ControlParams(), "adaptive": adaptive_params()}
 # ages to end of life within a few days
 FAST_AGEING = Datasheet(float_life_years=0.005, nominal_cycles=1.0)
+MAX = sys.float_info.max
+FINITE = st.floats(-MAX, MAX)
+POSITIVE = st.floats(5e-324, MAX)
+
+
+@st.composite
+def built(draw, cls, **fields):
+    """An instance of cls with the given fields drawn, from draws that construct."""
+    try:
+        return cls(**{key: draw(values) for key, values in fields.items()})
+    except ValueError:
+        reject()
 
 
 def built_columns(series: TimeSeries) -> list[str]:
@@ -249,30 +272,58 @@ class TestEngineOnBothForms:
         )
         assert result_digest(run_scenario(scenario)) == result_digest(reference_run(scenario))
 
-    @staticmethod
-    def hot_tail(steps: int) -> Scenario:
-        """A day at 25 degC whose samples from 50 on are at 60 degC, where
-        the corrosion temperature factor overflows: 2.0 ** (35 / 0.01)."""
-        temps = [25.0] * 50 + [60.0] * 46
-        series = TimeSeries(START, 900.0, [5.0] * 96, [0.0] * 96, temps)
-        return Scenario(
-            "hot",
-            series,
-            degradation=DegradationParams(temp_doubling_k=0.01),
-            max_years=steps / (365.0 * 96),
+    def test_overflowing_corrosion_factor_rejected(self):
+        """2.0 ** ((80 + 273.15 - 298.15) / 0.01) overflows, so no run
+        could evaluate its terms at 80 degC: the parameters are refused."""
+        message = (
+            "temp_doubling_k 0.01 with ks_ref_temp_k 298.15 overflows the corrosion"
+            " speed at 80.0 degC"
         )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DegradationParams(temp_doubling_k=0.01)
 
-    def test_terms_after_the_last_step_raise_nothing(self):
-        scenario = self.hot_tail(40)
-        assert result_digest(run_scenario(scenario)) == result_digest(reference_run(scenario))
+    def test_overflowing_corrosion_factor_exits_1_at_load(self, tmp_path, capsys):
+        cfg = tmp_path / "hot.yaml"
+        cfg.write_text(
+            "degradation: {temp_doubling_k: 0.01}\n"
+            "scenarios: [{name: a, archetype: low, days: 20}]\n"
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: degradation: temp_doubling_k 0.01 with ks_ref_temp_k")
+        assert not out.exists()
 
-    def test_terms_raise_at_their_step(self):
-        scenario = self.hot_tail(60)
-        with pytest.raises(OverflowError) as engine:
-            run_scenario(scenario)
-        with pytest.raises(OverflowError) as reference:
-            reference_run(scenario)
-        assert str(engine.value) == str(reference.value)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_terms_finite_at_every_admitted_temperature(self, data):
+        """What lets a day's terms be made before its first step: for
+        parameters that construct, at any temperature a profile admits,
+        the terms raise nothing, the corrosion factor is finite and
+        calibration raises no OverflowError."""
+        temperature = st.floats(TEMP_MIN_C, TEMP_MAX_C)
+        limits = st.builds(
+            lambda pair, *rest: VoltageLimits(*sorted(pair, reverse=True), *rest),
+            st.tuples(FINITE, FINITE), FINITE, FINITE,
+        )
+        degradation = data.draw(
+            built(DegradationParams, ks_ref_temp_k=POSITIVE, temp_doubling_k=POSITIVE)
+        )
+        terms = TemperatureTerms(
+            data.draw(built(ControlParams, full_limits=limits, partial_limits=limits)),
+            degradation,
+            data.draw(built(GassingParams, c_t=st.floats(0.0, MAX), t_ref=POSITIVE)),
+        )
+        for temp_c in data.draw(st.lists(temperature, min_size=1, max_size=4)):
+            corrosion_factor, _, _ = terms(temp_c)
+            assert corrosion_factor < math.inf
+        datasheet = data.draw(
+            built(Datasheet, float_life_years=st.floats(0.0, 0.01), float_temp_c=temperature)
+        )
+        try:
+            calibrate_limits(BatteryParams(), degradation, datasheet)
+        except CalibrationError:  # no layer grew, or the factor underflowed to 0
+            pass
 
 
 class TestNoColumns:

@@ -539,7 +539,7 @@ class TestStressFactors:
         sf = stress_factors(toy_trace(), capacity_ah=20.0, dt_h=1.0)
         # the first full charge has no preceding cycle to close
         assert sf.partial_cycle_depths[5] == 2
-        assert sf.partial_cycle_count() == 2
+        assert sum(sf.partial_cycle_depths) == 2
 
     def test_low_soc_strictly_below(self):
         records = [

@@ -474,6 +474,93 @@ def test_fused_step_keeps_the_stress_sums_itself():
     assert loop_reads(reference)["invert_ocv"]
 
 
+def temperature_memos(function: ast.FunctionDef) -> set[str]:
+    """Names a function binds to a TemperatureTerms(...) call, or to an
+    attribute of one or of such a name."""
+    memos: set[str] = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign) and is_temperature_memo(node.value, memos):
+            memos.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return memos
+
+
+def is_temperature_memo(node: ast.AST, memos: set[str]) -> bool:
+    """Whether a node is a TemperatureTerms call, a name of `memos`, or an attribute of either."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == "TemperatureTerms"
+    return isinstance(node, ast.Name) and node.id in memos
+
+
+def step_loop_faults(function: ast.FunctionDef) -> list[int]:
+    """Lines in a function's step loops (for loops inside a for loop) of a
+    `try` or of a call of a TemperatureTerms memo."""
+    memos = temperature_memos(function)
+    steps = [
+        inner
+        for outer in ast.walk(function)
+        if isinstance(outer, ast.For)
+        for inner in ast.walk(outer)
+        if isinstance(inner, ast.For) and inner is not outer
+    ]
+    return sorted(
+        {
+            node.lineno
+            for step in steps
+            for node in ast.walk(step)
+            if isinstance(node, ast.Try)
+            or isinstance(node, ast.Call) and is_temperature_memo(node.func, memos)
+        }
+    )
+
+
+def handler_lines(source: str, name: str) -> list[int]:
+    """Lines of the except clauses of the module-level class `name` of a source."""
+    (cls,) = (n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == name)
+    return [node.lineno for node in ast.walk(cls) if isinstance(node, ast.ExceptHandler)]
+
+
+def test_finds_step_loop_faults():
+    source = (
+        "class TemperatureTerms:\n"
+        "    def _or_none(self, t):\n"
+        "        try:\n"
+        "            return self(t)\n"
+        "        except Exception:\n"
+        "            return None\n"
+        "def run(days):\n"
+        "    temperature_terms = TemperatureTerms(1, 2, 3)\n"
+        "    terms_of_day = temperature_terms.day\n"
+        "    for temps in days:\n"
+        "        day_terms = terms_of_day(temps)\n"
+        "        for t, terms in zip(temps, day_terms):\n"
+        "            if terms is None:\n"
+        "                terms = temperature_terms(t)\n"
+        "            try:\n"
+        "                print(terms_of_day(temps))\n"
+        "            except ValueError:\n"
+        "                pass\n"
+    )
+    run = function_def(source, "run")
+    assert temperature_memos(run) == {"temperature_terms", "terms_of_day"}
+    assert step_loop_faults(run) == [14, 15, 16]
+    assert handler_lines(source, "TemperatureTerms") == [5]
+
+
+def test_step_loop_has_no_fault_path():
+    """A day's temperature terms are made before its first step and no
+    parameter set that constructs can make them raise, so neither the
+    step loop nor the memo keeps a path for an error."""
+    source = (PACKAGE / "engine.py").read_text()
+    run = function_def(source, "run_scenario")
+    assert temperature_memos(run) == {"terms_of_day"}
+    assert step_loop_faults(run) == []
+    assert handler_lines(source, "TemperatureTerms") == []
+
+
 @pytest.mark.parametrize("cls", PARAMETER_CLASSES, ids=lambda c: c.__name__)
 def test_every_numeric_field_declares_its_domain(cls):
     """An int or float field without a domain would skip the checker."""
