@@ -33,6 +33,15 @@ TEMPERATURE = Domain(
 )
 
 
+# The longest rated float life (years).  calibrate_limits steps it an hour
+# at a time, so its time grows with it: about 0.25 s at the bound and 0.02 s
+# at the default 4 years (CPython 3.11, one core of a 2-core x86-64 VM).
+MAX_FLOAT_LIFE_YEARS = 50.0
+FLOAT_LIFE = Domain(
+    f"lie in [0, {MAX_FLOAT_LIFE_YEARS:g}]", lambda v: 0.0 <= v <= MAX_FLOAT_LIFE_YEARS
+)
+
+
 def declared(default: Any, domain: Domain | None, unit: str, doc: str) -> Any:
     """A dataclass field with its default (dataclasses.MISSING for none), its
     domain (None for a field only documented), unit ("-" for none) and doc."""

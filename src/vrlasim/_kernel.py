@@ -1,0 +1,172 @@
+"""The compiled day loop of engine.run_scenario (_step.c), and its loader.
+
+:func:`load` builds _step.c once with the C compiler ``cc`` into a
+per-user cache directory (``$XDG_CACHE_HOME/vrlasim``, or
+``~/.cache/vrlasim``), under a name keyed by the sha256 of the source,
+the compiler and the flags, and opens it with ctypes.  A build writes a
+temporary file and renames it into place, so processes that build at
+once each load a complete library.  Where no compiler is found or the
+build or load fails, :func:`load` returns None and run_scenario runs
+every day in Python.
+
+The flags keep every result bit-identical to the Python loop: ``-O2``
+reorders no floating-point operation, ``-ffp-contract=off`` forbids
+fusing a multiply and an add into one rounding, and neither
+``-ffast-math`` nor a ``-march`` that would change the instructions is
+given.  :class:`Params` and :class:`State` mirror _step.c's structs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+
+from .engine import N_SOC_BINS, N_VOLTAGE_BINS
+from .profiles import StressAccumulator
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
+COMPILER = "cc"
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+LIBS = ("-lm",)
+BUILD_TIMEOUT_S = 120
+
+# vrlasim_run_day's outcomes
+FLAGGED, DAY_DONE, END_OF_LIFE = -1, 0, 1
+
+
+def _doubles(names: str) -> list[tuple[str, type]]:
+    return [(name, ctypes.c_double) for name in names.split()]
+
+
+def _ints(names: str) -> list[tuple[str, type]]:
+    return [(name, ctypes.c_int64) for name in names.split()]
+
+
+class Params(ctypes.Structure):
+    """The constants of one run, as _step.c's Params."""
+
+    _fields_ = [
+        *_doubles(
+            "dt_s dt_h capacity capacity_as soc_to_ah eff rest_a taper_a eol_ah"
+            " soc_cap soc_floor soc_bin_width v_bin_low v_bin_width stress_low_soc"
+            " cells b0_ah b1 v_empty v_full c_max swing v_acid v_water m_water"
+        ),
+        ("ocv_coeffs", ctypes.c_double * 5),
+        ("positive_coeffs", ctypes.c_double * 5),
+        *_doubles(
+            "i_gas_0 c_v v_ref cutoff_soc reconnect_soc max_interval_days"
+            " v_first v_last k_first k_last threshold_v exponent"
+            " c_soc0 c_soc_min i_ref i_floor nominal_cycles w_limit c_corr_limit c_deg_limit"
+        ),
+        ("ks_potentials", ctypes.c_void_p),
+        ("ks_segments", ctypes.c_void_p),
+        *_ints("n_knots adaptive"),
+    ]
+
+
+class State(ctypes.Structure):
+    """The state a run carries from step to step, as _step.c's State.
+
+    phase is the index of a control.Phase in definition order; a flag
+    is 0 or 1; cycle_min_soc holds a value only once cycling is 1.
+    """
+
+    _fields_ = [
+        *_doubles(
+            "soc v_prev b0 loss w z_w since_full_h min_soc_since_full c_corr c_deg c_deg_z_w"
+            " el_soc el_y el_ocv integral correction_jumps full_reset_jumps clamp_jumps"
+            " charge_ah discharge_ah max_discharge_a low_soc_h float_h cycle_min_soc"
+            " min_soc_run min_soc_day hours_disconnected load_lost_wh interval_days"
+        ),
+        ("soc_hist", ctypes.c_double * N_SOC_BINS),
+        ("v_hist", ctypes.c_double * N_VOLTAGE_BINS),
+        ("depth_bins", ctypes.c_int64 * StressAccumulator.N_DEPTH_BINS),
+        *_ints(
+            "phase disconnected full_set cycling disconnect_events clamp_events"
+            " correction_events ks_clamp_events day_full_events last_full_event_day"
+            " lifetime_steps"
+        ),
+    ]
+
+
+def cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "vrlasim")
+
+
+def compiler_id(path: str) -> str:
+    """What tells one compiler install from another: its resolved path, size and mtime."""
+    real = os.path.realpath(path)
+    st = os.stat(real)
+    return f"{real}\0{st.st_size}\0{st.st_mtime_ns}"
+
+
+def cache_key(source: bytes, compiler: str, flags: tuple[str, ...]) -> str:
+    """sha256 of the source, the compiler's id and the build flags."""
+    h = hashlib.sha256()
+    for part in (source, compiler.encode(), "\0".join(flags).encode()):
+        h.update(len(part).to_bytes(8, "little") + part)
+    return h.hexdigest()
+
+
+def build(cc: str, source: bytes, path: str) -> None:
+    """Compile `source` with `cc` into the shared library `path`, by way of
+    a temporary file in its directory that is renamed into place."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *FLAGS, "-o", tmp, "-x", "c", "-", *LIBS],
+            input=source, capture_output=True, check=True, timeout=BUILD_TIMEOUT_S,
+        )
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def _open():
+    """vrlasim_run_day of the cached library, built first where missing;
+    None where there is no compiler or the build or load fails."""
+    cc = shutil.which(COMPILER)
+    if cc is None:
+        return None
+    try:
+        with open(SOURCE, "rb") as fh:
+            source = fh.read()
+        key = cache_key(source, compiler_id(cc), FLAGS + LIBS)
+        path = os.path.join(cache_dir(), f"step-{key}.so")
+        if not os.path.exists(path):
+            build(cc, source, path)
+        lib = ctypes.CDLL(path)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    for name in ("vrlasim_params_size", "vrlasim_state_size"):
+        getattr(lib, name).restype = ctypes.c_int64
+    if (lib.vrlasim_params_size(), lib.vrlasim_state_size()) != (
+        ctypes.sizeof(Params), ctypes.sizeof(State)
+    ):
+        return None
+    run_day = lib.vrlasim_run_day
+    run_day.argtypes = [ctypes.POINTER(Params), ctypes.POINTER(State)] + [ctypes.c_int64] * 3 + [
+        ctypes.c_void_p
+    ] * 6
+    run_day.restype = ctypes.c_int64
+    return run_day
+
+
+_loaded: list = []  # the outcome of the first load() in this process
+
+
+def load():
+    """The compiled day loop, or None; built or opened once per process."""
+    if not _loaded:
+        _loaded.append(_open())
+    return _loaded[0]

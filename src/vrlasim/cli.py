@@ -260,6 +260,9 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[SimResult | Exception]:
     """_worker's outcome of each task, in task order: its result or the
     exception it raised.  With more than one task and more than one job,
     the tasks run in a pool of `jobs` processes."""
+    from . import _kernel
+
+    _kernel.load()  # built here once, not by each worker
     outcomes: list[SimResult | Exception] = []
     if jobs > 1 and len(tasks) > 1:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -17,15 +17,19 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from ._domains import FINITE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, TEMP_MAX_C, TEMPERATURE
+from ._domains import FINITE, FLOAT_LIFE, MAX_FLOAT_LIFE_YEARS, NON_NEGATIVE, OPEN_UNIT
+from ._domains import POSITIVE, TEMP_MAX_C, TEMP_MIN_C, TEMPERATURE
 from ._domains import check_fields, declared
 from .battery import Battery, BatteryParams, clamp
 
 HOURS_PER_YEAR = 8760.0
 DAYS_PER_YEAR = 365.0
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+LONGEST_STEP_H = 24.0  # a step of a day or more is rejected
 
 # Parameter sets whose calibration calibrate_limits keeps; a sweep of
 # scenarios shares one or a few.
@@ -56,7 +60,7 @@ class CalibrationError(RuntimeError):
 class Datasheet:
     """Manufacturer anchors used to scale both degradation channels."""
 
-    float_life_years: float = declared(4.0, NON_NEGATIVE, "years", "rated life held at float")
+    float_life_years: float = declared(4.0, FLOAT_LIFE, "years", "rated life held at float")
     nominal_cycles: float = declared(600.0, POSITIVE, "cycles", "rated full cycles to end of life")
     float_voltage: float = declared(13.5, FINITE, "V", "battery-level float setpoint rated")
     float_temp_c: float = declared(25.0, TEMPERATURE, "degC", "temperature of the rating")
@@ -103,6 +107,35 @@ class DegradationParams:
                 f"temp_doubling_k {self.temp_doubling_k!r} with ks_ref_temp_k "
                 f"{self.ks_ref_temp_k!r} overflows the corrosion speed at {TEMP_MAX_C} degC"
             )
+        if not self._sub_threshold_growth_finite():
+            raise ValueError(
+                f"corrosion_exponent {self.corrosion_exponent!r} overflows the sub-threshold "
+                f"corrosion layer within a float life of {MAX_FLOAT_LIFE_YEARS:g} years "
+                f"between {TEMP_MIN_C} and {TEMP_MAX_C} degC"
+            )
+
+    def _sub_threshold_growth_finite(self) -> bool:
+        """Whether grow_corrosion_layer stays finite below the threshold in
+        any calibration and any run, at every admitted temperature.
+
+        Below the threshold the effective age is (w / speed) ** (1 / e).
+        A run ends once w reaches the layer that calibration grows over
+        the rated float life at one speed, so that age is at most the
+        longest float life times the largest ratio of two corrosion speeds
+        to the power 1 / e; a step then adds at most LONGEST_STEP_H and
+        raises the sum to the power e.  Bounded in logarithms, so that the
+        bound itself cannot overflow.
+        """
+        e = self.corrosion_exponent
+        speeds = [k for _, k in self.ks_knots]
+        log2_span = (TEMP_MAX_C - TEMP_MIN_C) / self.temp_doubling_k
+        log_ratio = math.log(max(speeds)) - math.log(min(speeds)) + math.log(2.0) * log2_span
+        log_age = math.log(MAX_FLOAT_LIFE_YEARS * HOURS_PER_YEAR) + log_ratio / e
+        log_grown = e * (max(log_age, math.log(LONGEST_STEP_H)) + math.log(2.0))
+        log_top_speed = math.log(max(speeds)) + math.log(2.0) * (
+            (TEMP_MAX_C + 273.15 - self.ks_ref_temp_k) / self.temp_doubling_k
+        )
+        return log_age < LOG_FLOAT_MAX and log_top_speed + log_grown < LOG_FLOAT_MAX
 
     @functools.cached_property
     def ks_potentials(self) -> tuple[float, ...]:

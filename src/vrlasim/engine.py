@@ -13,11 +13,14 @@ import math
 import os
 import threading
 import time
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ._domains import HALF_OPEN_UNIT, POSITIVE, UNIT, check_fields, declared
 from .battery import (
+    OCV_COEFFS,
     POSITIVE_OCV_COEFFS,
     SOC_CAP,
     SOC_FLOOR,
@@ -28,6 +31,7 @@ from .battery import (
     gassing_temperature_term,
 )
 from .control import (
+    MAX_FULL_RECHARGE_INTERVAL_DAYS,
     CompensatedLimits,
     ControllerState,
     ControlParams,
@@ -306,32 +310,44 @@ def run_scenario(
 ) -> SimResult:
     """Simulate one scenario to end of life or the horizon.
 
-    The whole step runs in this function's locals.  The load disconnect,
-    limit selection and controller step (control.update_load_disconnect,
-    select_limits, tscc_step), terminal voltage and hold current
-    (Battery methods), gassing (battery.gassing_current), coulomb
-    counting (battery.step_soc), the ageing step (DegradationModel.step)
-    and the stress sums (StressAccumulator.add) are written out here with
-    the float operations of those functions, in their order; the terms
-    that depend on temperature alone come from a TemperatureTerms memo,
-    and the stress factors from StressFactors.from_totals once, at the
-    end.  The loop runs over days, then over the steps of each day: the
-    profile gives a day's samples (TimeSeries.day), and the day's
-    temperature terms, which cannot raise (see TemperatureTerms), are made
-    before its first step, afresh only when its temperatures are not the
-    same object as the day before's.  The functions remain the single-step
-    API, and tests/reference_engine.py composes them, each evaluated afresh
-    at the step's temperature, into the loop whose results this one must
-    equal bit for bit.  The electrolyte chain stays in Battery.electrolyte,
-    the OCV inversion in Battery.invert_ocv (called only where it can move
-    the state of charge) and the adaptive schedule in _reschedule.
+    The loop runs over days, and the per-day work stays here: the
+    profile gives a day's samples (TimeSeries.day), the day's temperature
+    terms, which cannot raise (see TemperatureTerms), are made before its
+    first step, afresh only when its temperatures are not the same object
+    as the day before's, the adaptive schedule is updated at midnight
+    (_reschedule), and each day ends in a DayRecord.  The run's state
+    between steps is one _kernel.State.
+
+    A day's steps run in the compiled kernel (_step.c, loaded by
+    _kernel.load) where one could be built, and in `python_day` where
+    not, or where the kernel flags a step at which the Python loop would
+    raise: the kernel then leaves the state as the day found it, and
+    `python_day` runs that day and raises what it raises.  Both give the
+    same result to the bit.  In `python_day` the whole step runs in its
+    locals.  The load disconnect, limit selection and controller step
+    (control.update_load_disconnect, select_limits, tscc_step), terminal
+    voltage and hold current (Battery methods), gassing
+    (battery.gassing_current), coulomb counting (battery.step_soc), the
+    ageing step (DegradationModel.step) and the stress sums
+    (StressAccumulator.add) are written out there with the float
+    operations of those functions, in their order, and the stress
+    factors come from StressFactors.from_totals once, at the end.  The
+    functions remain the single-step API, and tests/reference_engine.py
+    composes them, each evaluated afresh at the step's temperature, into
+    the loop whose results this one must equal bit for bit.  The
+    electrolyte chain stays in Battery.electrolyte, the OCV inversion in
+    Battery.invert_ocv (called only where it can move the state of
+    charge) and the adaptive schedule in _reschedule.
 
     Given a `trace` destination, any object with an ``append`` method
     such as a profiles.TraceWriter, the run appends one TraceRecord per
-    step to it as it makes them, SimResult.trace is None, and runtime_s
-    includes what the appends cost.  Without one, a scenario with
-    record_trace keeps its records in a new list, SimResult.trace.
+    step to it as it makes them (a day's at a time from the kernel),
+    SimResult.trace is None, and runtime_s includes what the appends
+    cost.  Without one, a scenario with record_trace keeps its records
+    in a new list, SimResult.trace.
     """
+    from . import _kernel
+
     started = time.perf_counter()
     params = scenario.battery
     battery = Battery(params)
@@ -378,7 +394,7 @@ def run_scenario(
     gassing = params.gassing
     i_gas_0, c_v, v_ref = gassing.i_gas_0, gassing.c_v, gassing.v_ref
     cutoff_soc, reconnect_soc = control.cutoff_soc, control.reconnect_soc()
-    BULK, ABSORPTION, FLOAT = Phase.BULK, Phase.ABSORPTION, Phase.FLOAT
+    BULK, ABSORPTION, FLOAT = PHASES = tuple(Phase)
     ageing = scenario.degradation
     ks_potentials, ks_segments = ageing.ks_potentials, ageing.ks_segments
     v_first, v_last = ks_potentials[0], ks_potentials[-1]
@@ -389,85 +405,59 @@ def run_scenario(
     nominal_cycles = scenario.datasheet.nominal_cycles
     w_limit = calibrated.w_limit
     c_corr_limit, c_deg_limit = calibrated.c_corr_limit, calibrated.c_deg_limit
+    stress_low_soc, depth_bins_n = STRESS_LOW_SOC, StressAccumulator.N_DEPTH_BINS
+    depth_bin_last = depth_bins_n - 1
 
-    soc = scenario.initial_soc
-    v_prev = battery.ocv(clamp(soc, SOC_FLOOR, SOC_CAP))
-    integral = correction_jumps = full_reset_jumps = clamp_jumps = 0.0
-
-    soc_hist = [0.0] * N_SOC_BINS
-    v_hist = [0.0] * N_VOLTAGE_BINS
     kept = None  # the trace SimResult keeps
     if trace is None and scenario.record_trace:
         trace = kept = []
     record = None if trace is None else trace.append
     trajectory: list[DayRecord] = []
-
-    # controller state: phase, load switch and limit set; the adaptive
-    # schedule's day counts stay in ctrl
-    phase = BULK
-    disconnected = False
-    full_set = wants_full_limits(ctrl, control)
-    # ageing state (DegradationState's fields)
-    w = z_w = since_full_h = c_corr = c_deg = 0.0
-    min_soc_since_full = soc
-    ks_clamp_events = 0
-    c_deg_z_w = math.nan  # the z_w that c_deg was computed at; nan matches none
-    el = (math.nan, math.nan, math.nan)  # the last Battery.electrolyte result
-
-    # StressAccumulator's running sums
-    charge_ah = discharge_ah = max_discharge_a = low_soc_h = float_h = 0.0
-    stress_low_soc, depth_bins_n = STRESS_LOW_SOC, StressAccumulator.N_DEPTH_BINS
-    depth_bin_last = depth_bins_n - 1
-    depth_bins = [0] * depth_bins_n
     full_charge_times: list[float] = []
     full_charge_days: set[int] = set()
-    cycle_min_soc = None  # lowest soc since the last full charge, None before one
 
-    min_soc_run = soc
-    min_soc_day = soc
-    day_full_events = 0
-    disconnect_events = 0
-    hours_disconnected = 0.0
-    load_lost_wh = 0.0
-    clamp_events = 0
-    correction_events = 0
-    last_full_event_day = -1
-    day_start_c_corr = 0.0
-    day_start_total = 0.0
-    lifetime_steps = max_steps
-    censored = True
-    loss = c_corr + c_deg  # refreshed once per step, after the ageing step
-    b0 = b0_ah / (capacity - loss)  # Battery.effective_b0 at loss
+    soc = scenario.initial_soc
+    st = _kernel.State(
+        soc=soc,
+        v_prev=battery.ocv(clamp(soc, SOC_FLOOR, SOC_CAP)),
+        b0=b0_ah / capacity,  # Battery.effective_b0 at no loss
+        min_soc_since_full=soc,
+        c_deg_z_w=math.nan,  # the z_w that c_deg was computed at; nan matches none
+        el_soc=math.nan,  # the last Battery.electrolyte result; nan matches no soc
+        el_y=math.nan,
+        el_ocv=math.nan,
+        min_soc_run=soc,
+        min_soc_day=soc,
+        interval_days=ctrl.interval_days,
+        full_set=wants_full_limits(ctrl, control),
+        last_full_event_day=-1,
+        lifetime_steps=max_steps,
+    )
 
-    days = -(-max_steps // steps_per_day)  # the last may be partial
-    day_temps = None  # the temperatures day_terms holds the terms of
-    for day in range(days):
-        if day:
-            # close out yesterday, refresh the adaptive target
-            trajectory.append(
-                _day_record(day, c_corr, c_deg, capacity, min_soc_day, day_full_events)
-            )
-            min_soc_day = soc
-            day_full_events = 0
-            if adaptive:
-                full_set = _reschedule(
-                    ctrl,
-                    control,
-                    day,
-                    c_corr - day_start_c_corr,
-                    loss - day_start_total,
-                    last_full_event_day,
-                )
-            day_start_c_corr = c_corr
-            day_start_total = loss
+    def python_day(day, first, stop, loads, solars, day_terms) -> bool:
+        """Steps first .. stop - 1 of a day in Python, from st and back into
+        it; whether the battery reached end of life."""
+        soc, v_prev, b0, loss = st.soc, st.v_prev, st.b0, st.loss
+        w, z_w, since_full_h, min_soc_since_full = st.w, st.z_w, st.since_full_h, st.min_soc_since_full
+        c_corr, c_deg, c_deg_z_w = st.c_corr, st.c_deg, st.c_deg_z_w
+        el = (st.el_soc, st.el_y, st.el_ocv)
+        integral, correction_jumps = st.integral, st.correction_jumps
+        full_reset_jumps, clamp_jumps = st.full_reset_jumps, st.clamp_jumps
+        charge_ah, discharge_ah, max_discharge_a = st.charge_ah, st.discharge_ah, st.max_discharge_a
+        low_soc_h, float_h = st.low_soc_h, st.float_h
+        # lowest soc since the last full charge, None before one
+        cycle_min_soc = st.cycle_min_soc if st.cycling else None
+        min_soc_run, min_soc_day = st.min_soc_run, st.min_soc_day
+        hours_disconnected, load_lost_wh = st.hours_disconnected, st.load_lost_wh
+        soc_hist, v_hist, depth_bins = st.soc_hist[:], st.v_hist[:], st.depth_bins[:]
+        phase, disconnected, full_set = PHASES[st.phase], st.disconnected, st.full_set
+        disconnect_events, clamp_events = st.disconnect_events, st.clamp_events
+        correction_events, ks_clamp_events = st.correction_events, st.ks_clamp_events
+        day_full_events, last_full_event_day = st.day_full_events, st.last_full_event_day
+        ended = False
 
-        loads, solars, temps = profile_day(day)
-        if temps is not day_temps:  # a template day reuses its terms
-            day_temps, day_terms = temps, terms_of_day(temps)
-        first = day * steps_per_day
-        steps = range(first, min(first + steps_per_day, max_steps))
         for i, load_w, solar_w, (corrosion_factor, gas_term, limits) in zip(
-            steps, loads, solars, day_terms
+            range(first, stop), loads, solars, day_terms
         ):
             # load disconnect with reconnect hysteresis
             if disconnected:
@@ -677,58 +667,170 @@ def run_scenario(
             v_prev = voltage
 
             if loss >= eol_ah:
-                lifetime_steps = i + 1
-                censored = False
+                st.lifetime_steps = i + 1
+                ended = True
                 break
             b0 = b0_ah / (capacity - loss)
+
+        st.soc, st.v_prev, st.b0, st.loss = soc, v_prev, b0, loss
+        st.w, st.z_w, st.since_full_h, st.min_soc_since_full = w, z_w, since_full_h, min_soc_since_full
+        st.c_corr, st.c_deg, st.c_deg_z_w = c_corr, c_deg, c_deg_z_w
+        st.el_soc, st.el_y, st.el_ocv = el
+        st.integral, st.correction_jumps = integral, correction_jumps
+        st.full_reset_jumps, st.clamp_jumps = full_reset_jumps, clamp_jumps
+        st.charge_ah, st.discharge_ah, st.max_discharge_a = charge_ah, discharge_ah, max_discharge_a
+        st.low_soc_h, st.float_h = low_soc_h, float_h
+        if cycle_min_soc is not None:
+            st.cycle_min_soc, st.cycling = cycle_min_soc, 1
+        st.min_soc_run, st.min_soc_day = min_soc_run, min_soc_day
+        st.hours_disconnected, st.load_lost_wh = hours_disconnected, load_lost_wh
+        st.soc_hist[:], st.v_hist[:], st.depth_bins[:] = soc_hist, v_hist, depth_bins
+        st.phase, st.disconnected, st.full_set = PHASES.index(phase), disconnected, full_set
+        st.disconnect_events, st.clamp_events = disconnect_events, clamp_events
+        st.correction_events, st.ks_clamp_events = correction_events, ks_clamp_events
+        st.day_full_events, st.last_full_event_day = day_full_events, last_full_event_day
+        return ended
+
+    run_day = _kernel.load()
+    if run_day is not None:
+        # the kernel's constants, and the buffers each day is passed and fills
+        potentials = array("d", ks_potentials)
+        segments = array("d", chain.from_iterable(ks_segments))
+        kernel_params = _kernel.Params(
+            dt_s=dt_s, dt_h=dt_h, capacity=capacity, capacity_as=capacity_as,
+            soc_to_ah=soc_to_ah, eff=eff, rest_a=rest_a, taper_a=taper_a, eol_ah=eol_ah,
+            soc_cap=soc_cap, soc_floor=soc_floor, soc_bin_width=soc_bin_width,
+            v_bin_low=v_bin_low, v_bin_width=v_bin_width, stress_low_soc=stress_low_soc,
+            cells=cells, b0_ah=b0_ah, b1=b1, v_empty=v_empty, v_full=v_full,
+            c_max=battery.c_max, swing=battery.swing, v_acid=battery.v_acid,
+            v_water=battery.v_water, m_water=battery.m_water,
+            ocv_coeffs=OCV_COEFFS, positive_coeffs=POSITIVE_OCV_COEFFS,
+            i_gas_0=i_gas_0, c_v=c_v, v_ref=v_ref, cutoff_soc=cutoff_soc,
+            reconnect_soc=reconnect_soc, max_interval_days=MAX_FULL_RECHARGE_INTERVAL_DAYS,
+            v_first=v_first, v_last=v_last, k_first=k_first, k_last=k_last,
+            threshold_v=threshold_v, exponent=exponent, c_soc0=c_soc0, c_soc_min=c_soc_min,
+            i_ref=i_ref, i_floor=i_floor, nominal_cycles=nominal_cycles, w_limit=w_limit,
+            c_corr_limit=c_corr_limit, c_deg_limit=c_deg_limit,
+            ks_potentials=potentials.buffer_info()[0], ks_segments=segments.buffer_info()[0],
+            n_knots=len(potentials), adaptive=adaptive,
+        )
+        events = array("q", bytes(8 * steps_per_day))
+        at_events = events.buffer_info()[0]
+        at_values = at_marks = None
+        if record is not None:
+            values = array("d", bytes(24 * steps_per_day))
+            marks = array("b", bytes(2 * steps_per_day))
+            at_values, at_marks = values.buffer_info()[0], marks.buffer_info()[0]
+
+    days = -(-max_steps // steps_per_day)  # the last may be partial
+    day_temps = None  # the temperatures day_terms holds the terms of
+    day_start_c_corr = day_start_total = 0.0
+    censored = True
+    for day in range(days):
+        if day:
+            # close out yesterday, refresh the adaptive target
+            c_corr, loss = st.c_corr, st.loss
+            trajectory.append(
+                _day_record(day, c_corr, st.c_deg, capacity, st.min_soc_day, st.day_full_events)
+            )
+            st.min_soc_day = st.soc
+            st.day_full_events = 0
+            if adaptive:
+                st.full_set = _reschedule(
+                    ctrl,
+                    control,
+                    day,
+                    c_corr - day_start_c_corr,
+                    loss - day_start_total,
+                    st.last_full_event_day,
+                )
+                st.interval_days = ctrl.interval_days
+            day_start_c_corr = c_corr
+            day_start_total = loss
+
+        loads, solars, temps = profile_day(day)
+        if temps is not day_temps:  # a template day reuses its terms
+            day_temps, day_terms = temps, terms_of_day(temps)
+            packed_terms = None
+        first = day * steps_per_day
+        stop = min(first + steps_per_day, max_steps)
+        outcome = _kernel.FLAGGED
+        if run_day is not None:
+            if packed_terms is None:
+                packed_terms = array(
+                    "d", chain.from_iterable((f, g, *full, *part) for f, g, (full, part) in day_terms)
+                )
+            loads_in, solars_in = array("d", loads), array("d", solars)
+            outcome = run_day(
+                kernel_params, st, day, first, stop,
+                loads_in.buffer_info()[0], solars_in.buffer_info()[0],
+                packed_terms.buffer_info()[0], at_events, at_values, at_marks,
+            )
+        if outcome == _kernel.FLAGGED:
+            ended = python_day(day, first, stop, loads, solars, day_terms)
         else:
-            continue
-        break  # end of life
+            ended = outcome == _kernel.END_OF_LIFE
+            full_events = st.day_full_events
+            if full_events:
+                ctrl.days_since_full_recharge = 0
+                for i in events[:full_events]:
+                    t_h = i * dt_h
+                    full_charge_times.append(t_h)
+                    full_charge_days.add(int(t_h // 24.0))
+            if record is not None:
+                stepped = range(first, st.lifetime_steps if ended else stop)
+                v, m = iter(values), iter(marks)
+                for i, applied, soc, voltage, full_event, floating in zip(stepped, v, v, v, m, m):
+                    record(TraceRecord(i * dt_h, applied, soc, voltage, full_event == 1, floating == 1))
+        if ended:
+            censored = False
+            break
 
     # close out the final (possibly partial) day
+    lifetime_steps = st.lifetime_steps
     last_day = lifetime_steps // steps_per_day + (1 if lifetime_steps % steps_per_day else 0)
     trajectory.append(
-        _day_record(last_day, c_corr, c_deg, capacity, min_soc_day, day_full_events)
+        _day_record(last_day, st.c_corr, st.c_deg, capacity, st.min_soc_day, st.day_full_events)
     )
     return _sim_result(
         scenario,
         started,
         lifetime_steps,
         eol_ah,
-        c_corr,
-        c_deg,
+        st.c_corr,
+        st.c_deg,
         StressFactors.from_totals(
             capacity,
             dt_h,
             lifetime_steps,
-            charge_ah,
-            discharge_ah,
-            max_discharge_a,
-            low_soc_h,
-            float_h,
+            st.charge_ah,
+            st.discharge_ah,
+            st.max_discharge_a,
+            st.low_soc_h,
+            st.float_h,
             full_charge_times,
             full_charge_days,
-            depth_bins,
+            list(st.depth_bins),
         ),
         censored=censored,
-        min_soc=min_soc_run,
-        disconnect_events=disconnect_events,
-        hours_disconnected=hours_disconnected,
-        load_energy_lost_wh=load_lost_wh,
-        soc_clamp_events=clamp_events,
-        rest_correction_events=correction_events,
-        ks_clamp_events=ks_clamp_events,
+        min_soc=st.min_soc_run,
+        disconnect_events=st.disconnect_events,
+        hours_disconnected=st.hours_disconnected,
+        load_energy_lost_wh=st.load_lost_wh,
+        soc_clamp_events=st.clamp_events,
+        rest_correction_events=st.correction_events,
+        ks_clamp_events=st.ks_clamp_events,
         audit=EnergyAudit(
             soc_start=scenario.initial_soc,
-            soc_end=soc,
-            integral=integral,
-            correction_jumps=correction_jumps,
-            full_reset_jumps=full_reset_jumps,
-            clamp_jumps=clamp_jumps,
+            soc_end=st.soc,
+            integral=st.integral,
+            correction_jumps=st.correction_jumps,
+            full_reset_jumps=st.full_reset_jumps,
+            clamp_jumps=st.clamp_jumps,
         ),
         trajectory=trajectory,
-        soc_hist_h=soc_hist,
-        voltage_hist_h=v_hist,
+        soc_hist_h=list(st.soc_hist),
+        voltage_hist_h=list(st.v_hist),
         trace=kept,
     )
 
@@ -863,6 +965,10 @@ def _run_pair(base: Scenario, alt: Scenario) -> tuple[SimResult, SimResult]:
     if not should_fork_alt(alt):
         return run_scenario(base), run_scenario(alt)
     import multiprocessing
+
+    from . import _kernel
+
+    _kernel.load()  # built here once, so the worker inherits it
 
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)

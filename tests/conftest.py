@@ -6,6 +6,9 @@ run once per session, in parallel where it helps.
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -21,6 +24,15 @@ SEED = 42
 DT_S = 900.0
 HORIZON_YEARS = 15.0
 HORIZON_DAYS = int(HORIZON_YEARS * 365) + 1
+
+
+def pytest_configure(config):
+    """The step kernel is built into a cache of the session's own, not the user's."""
+    config.kernel_cache = os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(prefix="vrlasim-cache-")
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.kernel_cache, ignore_errors=True)
 
 
 def _archetype_scenario(name: str, dt_s: float = DT_S) -> Scenario:

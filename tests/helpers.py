@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -11,6 +12,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import strategies as st
 
+from vrlasim import _kernel
 from vrlasim.battery import BatteryParams, GassingParams
 from vrlasim.config import ControlSettings, SimSettings
 from vrlasim.control import ControlParams, VoltageLimits
@@ -94,6 +96,27 @@ def cycling_profile(
         temp_c=[25.0] * n,
         panel_rating_w=solar_w,
     )
+
+
+# The two forms of run_scenario's day loop: the compiled kernel and Python.
+STEP_PATHS = ["kernel", "python"]
+
+
+@contextlib.contextmanager
+def step_path(name: str):
+    """run_scenario runs every day in the compiled kernel ("kernel", which
+    must load, or the test is skipped) or in Python ("python") within."""
+    if name == "kernel":
+        if _kernel.load() is None:
+            pytest.skip("the step kernel could not be built: no working C compiler")
+        yield
+        return
+    saved = _kernel._loaded[:]
+    _kernel._loaded[:] = [None]
+    try:
+        yield
+    finally:
+        _kernel._loaded[:] = saved
 
 
 def result_digest(result) -> str:

@@ -273,7 +273,16 @@ class TestSimulate:
             ("battery: {v_water: x}", "battery: v_water must be positive and finite: 'x'"),
             (
                 "datasheet: {float_life_years: .nan}",
-                "datasheet: float_life_years must be non-negative and finite: nan",
+                "datasheet: float_life_years must lie in [0, 50]: nan",
+            ),
+            (
+                "datasheet: {float_life_years: 60.0}",
+                "datasheet: float_life_years must lie in [0, 50]: 60.0",
+            ),
+            (
+                "degradation: {corrosion_exponent: 1000, corrosion_threshold_v: 10}",
+                "degradation: corrosion_exponent 1000 overflows the sub-threshold corrosion"
+                " layer within a float life of 50 years between -40.0 and 80.0 degC",
             ),
             (
                 "control: {full_limits: {v_limit: .nan, v_float: 13.5}}",

@@ -1,6 +1,7 @@
 """Degradation channel oracles: corrosion layer and weighted throughput."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,21 @@ class TestAnchorValidation:
 class TestAgeingConstantValidation:
     """Each ageing constant is checked where it enters; out of its domain
     it would fail a run part-way through (-0.5, -2.0 and 0.0 below)."""
+
+    @pytest.mark.parametrize("exponent", [1e-300, 0.0152, 50.71, 1000.0, 1e300])
+    def test_overflowing_sub_threshold_growth_rejected(self, exponent):
+        message = f"^corrosion_exponent {re.escape(repr(exponent))} overflows the sub-threshold"
+        with pytest.raises(ValueError, match=message):
+            DegradationParams(corrosion_exponent=exponent, corrosion_threshold_v=10.0)
+
+    @pytest.mark.parametrize("exponent", [0.0153, 50.7])
+    @pytest.mark.parametrize("temp_c", [-40.0, 80.0])
+    def test_growth_at_the_admitted_exponents_calibrates(self, exponent, temp_c):
+        """Just inside the bound, the longest float life calibrates to a
+        finite layer at either end of the temperature range."""
+        params = DegradationParams(corrosion_exponent=exponent, corrosion_threshold_v=10.0)
+        datasheet = Datasheet(float_life_years=50.0, float_temp_c=temp_c)
+        assert math.isfinite(calibrate_limits(BATTERY, params, datasheet).w_limit)
 
     @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
     @pytest.mark.parametrize("key", ["c_soc0_per_h", "c_soc_min_per_h"])

@@ -39,6 +39,7 @@ ABOVE_ONE = math.nextafter(1.0, 2.0)
 BELOW_ONE = math.nextafter(1.0, 0.0)
 ABOVE_TEMP_MAX = math.nextafter(d.TEMP_MAX_C, math.inf)
 BELOW_TEMP_MIN = math.nextafter(d.TEMP_MIN_C, -math.inf)
+ABOVE_FLOAT_LIFE = math.nextafter(d.MAX_FLOAT_LIFE_YEARS, math.inf)
 
 # A valid instance of each class, and the error the class raises.
 BASES = {
@@ -67,6 +68,7 @@ JUST_OUTSIDE = {
     d.POSITIVE_INT: 0,
     d.NON_NEGATIVE_INT: -1,
     d.TEMPERATURE: ABOVE_TEMP_MAX,
+    d.FLOAT_LIFE: ABOVE_FLOAT_LIFE,
 }
 OUTSIDE = {
     d.FINITE: st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -78,6 +80,7 @@ OUTSIDE = {
     d.POSITIVE_INT: st.integers(max_value=0) | st.floats(),  # a float is no int
     d.NON_NEGATIVE_INT: st.integers(max_value=-1) | st.floats(),
     d.TEMPERATURE: st.floats(max_value=BELOW_TEMP_MIN) | st.floats(min_value=ABOVE_TEMP_MAX),
+    d.FLOAT_LIFE: st.floats(max_value=-TINY) | st.floats(min_value=ABOVE_FLOAT_LIFE),
 }
 EDGES = {
     d.FINITE: (-MAX, MAX),
@@ -89,6 +92,7 @@ EDGES = {
     d.POSITIVE_INT: (1, 10**30),
     d.NON_NEGATIVE_INT: (0, 10**30),
     d.TEMPERATURE: (d.TEMP_MIN_C, d.TEMP_MAX_C),
+    d.FLOAT_LIFE: (0.0, -0.0, d.MAX_FLOAT_LIFE_YEARS),
 }
 # What the rules across fields say when an edge breaks one of them.
 CROSS_FIELD_RULES = re.compile(
@@ -96,7 +100,7 @@ CROSS_FIELD_RULES = re.compile(
     r"|cutoff_soc \+ reconnect_hysteresis exceeds 1"
     "|dt_s must divide a day evenly|evening_fraction must be at most 0.9"
     r"|solar_w sample \d+ outside \[0, "
-    "|overflows the corrosion speed"
+    "|overflows the corrosion speed|overflows the sub-threshold corrosion layer"
 )
 
 FIELDS = [

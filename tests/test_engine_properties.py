@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import START, result_digest
+from helpers import START, STEP_PATHS, result_digest, step_path
 from reference_engine import reference_run
 from vrlasim.battery import SOC_FLOOR, BatteryParamError, BatteryParams
 from vrlasim.control import ControlParams, adaptive_params
@@ -69,10 +69,12 @@ def outcome(run, scenario):
         return type(exc), str(exc)
 
 
+@pytest.mark.parametrize("path", STEP_PATHS)
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
-def test_fused_step_matches_reference_loop(scenario):
-    assert outcome(run_scenario, scenario) == outcome(reference_run, scenario)
+def test_fused_step_matches_reference_loop(path, scenario):
+    with step_path(path):
+        assert outcome(run_scenario, scenario) == outcome(reference_run, scenario)
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -94,7 +96,8 @@ def test_fused_step_matches_reference_loop(scenario):
     ],
     ids=["rest_clamp", "idle_full", "idle_empty", "idle_least_electrolyte_floor"],
 )
-def test_fused_step_matches_reference_on_edge_parameters(policy, change):
+@pytest.mark.parametrize("path", STEP_PATHS)
+def test_fused_step_matches_reference_on_edge_parameters(policy, change, path):
     base = Scenario(
         "edge",
         TimeSeries(
@@ -109,7 +112,8 @@ def test_fused_step_matches_reference_on_edge_parameters(policy, change):
         max_years=3 / 365.0,
     )
     scenario = dataclasses.replace(base, **change)
-    assert outcome(run_scenario, scenario) == outcome(reference_run, scenario)
+    with step_path(path):
+        assert outcome(run_scenario, scenario) == outcome(reference_run, scenario)
 
 
 def test_spent_floor_battery_rejected():

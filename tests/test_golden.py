@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from helpers import result_digest
+from helpers import STEP_PATHS, result_digest, step_path
 from vrlasim.control import ControlParams, Policy, adaptive_params
 from vrlasim.engine import Scenario, compare_strategies, run_scenario
 from vrlasim.profiles import ARCHETYPES, UseArchetype, generate_archetype
@@ -78,19 +78,23 @@ def compare(archetype: str, record_trace: bool):
     return compare_strategies(base, alt)
 
 
+@pytest.mark.parametrize("path", STEP_PATHS)
 @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
-def test_result_digest_unchanged(case):
-    result = run(*case)
+def test_result_digest_unchanged(case, path):
+    with step_path(path):
+        result = run(*case)
     assert result.lifetime_days == DAYS
     assert (result.trace is not None) == case[2]
     assert result_digest(result) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("path", STEP_PATHS)
 @pytest.mark.parametrize(
     "case", list(GOLDEN_COMPARE), ids=lambda c: "-".join(map(str, c))
 )
-def test_comparison_digest_unchanged(case):
-    result = compare(*case)
+def test_comparison_digest_unchanged(case, path):
+    with step_path(path):
+        result = compare(*case)
     assert result.base.lifetime_days == result.alt.lifetime_days == DAYS
     assert (result.alt.trace is not None) == case[1]
     assert result_digest(result) == GOLDEN_COMPARE[case]

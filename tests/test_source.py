@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -15,6 +16,7 @@ import pytest
 import yaml
 
 from helpers import PARAMETER_CLASSES
+from vrlasim import _kernel
 from vrlasim._domains import Domain
 from vrlasim.cli import main
 from vrlasim.config import SECTIONS
@@ -600,3 +602,33 @@ def test_init_config_lists_every_key_with_its_default(capsys):
                     line.strip().startswith(f"{key}: ") and line.endswith(comment)
                     for line in lines
                 ), path
+
+
+def test_kernel_build_flags_keep_the_bits():
+    """No multiply and add fused into one rounding, and nothing that lets
+    the compiler reorder, approximate or retarget a float operation."""
+    flags = _kernel.FLAGS + _kernel.LIBS
+    assert "-ffp-contract=off" in flags
+    assert not [f for f in flags if f in ("-ffast-math", "-Ofast") or f.startswith("-march")]
+
+
+def test_kernel_cache_key_covers_source_compiler_and_flags():
+    key = _kernel.cache_key(b"int x;", "cc", ("-O2",))
+    others = [
+        _kernel.cache_key(b"int y;", "cc", ("-O2",)),
+        _kernel.cache_key(b"int x;", "gcc", ("-O2",)),
+        _kernel.cache_key(b"int x;", "cc", ("-O1",)),
+        _kernel.cache_key(b"int x;", "cc", ("-O2", "-lm")),
+    ]
+    assert key not in others and len(set(others)) == len(others)
+    if _kernel.load() is not None:  # the library loaded is the one keyed so
+        cc = shutil.which(_kernel.COMPILER)
+        source = Path(_kernel.SOURCE).read_bytes()
+        want = _kernel.cache_key(source, _kernel.compiler_id(cc), _kernel.FLAGS + _kernel.LIBS)
+        assert os.listdir(_kernel.cache_dir()) == [f"step-{want}.so"]
+
+
+def test_kernel_source_ships_with_the_package():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert '[tool.setuptools.package-data]\nvrlasim = ["_step.c"]' in pyproject
+    assert Path(_kernel.SOURCE) == PACKAGE / "_step.c"
