@@ -9,11 +9,25 @@ once each load a complete library.  Where no compiler is found or the
 build or load fails, :func:`load` returns None and run_scenario runs
 every day in Python.
 
-The flags keep every result bit-identical to the Python loop: ``-O2``
-reorders no floating-point operation, ``-ffp-contract=off`` forbids
-fusing a multiply and an add into one rounding, and neither
-``-ffast-math`` nor a ``-march`` that would change the instructions is
-given.  :class:`Params` and :class:`State` mirror _step.c's structs.
+The flags keep every result bit-identical to the Python day, which
+calls the layer functions: ``-O2`` reorders no floating-point operation,
+``-ffp-contract=off`` forbids fusing a multiply and an add into one
+rounding, and neither ``-ffast-math`` nor a ``-march`` that would change
+the instructions is given.  :class:`Params` and :class:`State` mirror
+_step.c's structs.  Between days run in Python, the engine sets the
+kernel's memos (``el_soc``, ``c_deg_z_w``) to nan; both are keyed on
+exact floats, so that cannot change a result.
+
+The kernel skips the rest correction's Battery.invert_ocv where it cannot
+move the state of charge: where applied == 0.0, soc == soc_v (so soc lies
+within the rails [SOC_FLOOR, SOC_CAP]) and v_empty < voltage < v_full.
+There voltage == cells * ocv + 0.0 == Battery.ocv(soc), the seed clamp
+to [1e-6, 1 - 1e-6] leaves soc as it is, and invert_ocv returns (soc,
+False) at its first abs(f) < 1e-12 test, with f == 0.0; adding the jump
+of 0.0 leaves correction_jumps as it is, since that sum never holds -0.0.
+The voltage test stays: invert_ocv clamps at or outside the span, and
+BatteryParams keeps the OCV rising with soc only in real arithmetic, not
+ulp by ulp.
 """
 
 from __future__ import annotations

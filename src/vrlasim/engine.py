@@ -14,11 +14,10 @@ import os
 import threading
 import time
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 
-from ._domains import HALF_OPEN_UNIT, POSITIVE, UNIT, check_fields, declared
+from ._domains import HALF_OPEN_UNIT, HORIZON, POSITIVE, UNIT, check_fields, declared
 from .battery import (
     OCV_COEFFS,
     POSITIVE_OCV_COEFFS,
@@ -28,7 +27,9 @@ from .battery import (
     BatteryParams,
     GassingParams,
     clamp,
+    gassing_current,
     gassing_temperature_term,
+    step_soc,
 )
 from .control import (
     MAX_FULL_RECHARGE_INTERVAL_DAYS,
@@ -39,6 +40,9 @@ from .control import (
     Policy,
     compensated_limits,
     recharge_interval,
+    select_limits,
+    tscc_step,
+    update_load_disconnect,
     wants_full_limits,
 )
 from .degradation import (
@@ -46,6 +50,7 @@ from .degradation import (
     Datasheet,
     DegradationModel,
     DegradationParams,
+    DegradationState,
     corrosion_temperature_factor,
 )
 from .profiles import DEFAULT_DT_S, SECONDS_PER_DAY, STRESS_LOW_SOC, StressAccumulator
@@ -80,7 +85,7 @@ class Scenario:
     degradation: DegradationParams = field(default_factory=DegradationParams)
     datasheet: Datasheet = field(default_factory=Datasheet)
     dt_s: float = declared(DEFAULT_DT_S, POSITIVE, "s", "step of 1 s or more, dividing a day")
-    max_years: float = declared(15.0, POSITIVE, "years", "horizon; later end of life is censored")
+    max_years: float = declared(15.0, HORIZON, "years", "horizon; later end of life is censored")
     initial_soc: float = declared(0.9, UNIT, "-", "state of charge at the start")
     converter_efficiency: float = declared(0.95, HALF_OPEN_UNIT, "-", "panel to battery bus")
     record_trace: bool = False
@@ -200,7 +205,8 @@ def _day_record(
 
 
 class TemperatureTerms:
-    """The per-step terms that depend on temperature alone, memoised for a run.
+    """The per-step terms that depend on temperature alone, memoised for a
+    run's step kernel; the layer functions evaluate their own.
 
     Called with a temperature in degC, returns (corrosion temperature
     factor, gassing temperature term, compensated limits of both sets),
@@ -240,10 +246,13 @@ class TemperatureTerms:
                 self.entries[temp_c] = terms
         return terms
 
-    def day(self, temps: list[float]) -> list[tuple[float, float, CompensatedLimits]]:
-        """The terms at each of a day's temperatures."""
+    def day(self, temps: list[float]) -> array:
+        """The terms at each of a day's temperatures, as the kernel reads
+        them: six doubles a step, the corrosion factor, the gassing term,
+        and (v_limit, v_float) of the full and of the partial set."""
         get = self.entries.get
-        return [get(t) or self(t) for t in temps]  # terms are non-empty tuples
+        terms = (get(t) or self(t) for t in temps)  # terms are non-empty tuples
+        return array("d", chain.from_iterable((f, g, *full, *part) for f, g, (full, part) in terms))
 
 
 def _reschedule(
@@ -311,33 +320,24 @@ def run_scenario(
     """Simulate one scenario to end of life or the horizon.
 
     The loop runs over days, and the per-day work stays here: the
-    profile gives a day's samples (TimeSeries.day), the day's temperature
-    terms, which cannot raise (see TemperatureTerms), are made before its
-    first step, afresh only when its temperatures are not the same object
-    as the day before's, the adaptive schedule is updated at midnight
-    (_reschedule), and each day ends in a DayRecord.  The run's state
-    between steps is one _kernel.State.
+    profile gives a day's samples (TimeSeries.day), the adaptive schedule
+    is updated at midnight (_reschedule), and each day ends in a
+    DayRecord.  The run's state between steps is one _kernel.State, and
+    the stress factors come from StressFactors.from_totals once, at the end.
 
     A day's steps run in the compiled kernel (_step.c, loaded by
     _kernel.load) where one could be built, and in `python_day` where
-    not, or where the kernel flags a step at which the Python loop would
+    not, or where the kernel flags a step at which `python_day` would
     raise: the kernel then leaves the state as the day found it, and
     `python_day` runs that day and raises what it raises.  Both give the
-    same result to the bit.  In `python_day` the whole step runs in its
-    locals.  The load disconnect, limit selection and controller step
-    (control.update_load_disconnect, select_limits, tscc_step), terminal
-    voltage and hold current (Battery methods), gassing
-    (battery.gassing_current), coulomb counting (battery.step_soc), the
-    ageing step (DegradationModel.step) and the stress sums
-    (StressAccumulator.add) are written out there with the float
-    operations of those functions, in their order, and the stress
-    factors come from StressFactors.from_totals once, at the end.  The
-    functions remain the single-step API, and tests/reference_engine.py
-    composes them, each evaluated afresh at the step's temperature, into
-    the loop whose results this one must equal bit for bit.  The
-    electrolyte chain stays in Battery.electrolyte, the OCV inversion in
-    Battery.invert_ocv (called only where it can move the state of
-    charge) and the adaptive schedule in _reschedule.
+    same result to the bit.  The kernel reads a day's temperature terms
+    from a TemperatureTerms memo, made before the day's first step and
+    again only when the day's temperatures are not the day before's
+    object.  `python_day` calls the layer functions in the order
+    tests/reference_engine.py composes them, each evaluating its own
+    temperature terms, and moves the state between the _kernel.State and
+    the layers' ControllerState, DegradationState and StressAccumulator
+    once as a day starts and once as it ends.
 
     Given a `trace` destination, any object with an ``append`` method
     such as a profiles.TraceWriter, the run appends one TraceRecord per
@@ -359,6 +359,7 @@ def run_scenario(
     )
     calibrated = model.limits  # a scenario that cannot be calibrated fails here
     ctrl = ControllerState()
+    deg = DegradationState()
     control = scenario.control
     adaptive = control.policy is Policy.ADAPTIVE
     terms_of_day = TemperatureTerms(control, scenario.degradation, params.gassing).day
@@ -375,52 +376,26 @@ def run_scenario(
 
     capacity = params.capacity_ah
     rest_a = params.rest_current_a
+    gassing = params.gassing
     eff = scenario.converter_efficiency
     eol_ah = model.eol_threshold_ah()
     taper_a = control.taper_current_a(capacity)
     soc_to_ah = 1.0 / (capacity * 3600.0)
-    capacity_as = capacity * 3600.0  # step_soc's divisor
-
-    # per-run constants of the written-out layers, and the module names
-    # the step reads, as locals
-    exp, sqrt = math.exp, math.sqrt
-    soc_cap, soc_floor = SOC_CAP, SOC_FLOOR
-    soc_bin_width, soc_bin_last = SOC_BIN_WIDTH, N_SOC_BINS - 1
-    v_bin_low, v_bin_width, v_bin_last = VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH, N_VOLTAGE_BINS - 1
-    cells, b0_ah, b1 = battery.cells, battery.b0_ah, battery.b1
-    v_empty, v_full = battery.v_empty, battery.v_full
-    electrolyte, invert_ocv = battery.electrolyte, battery.invert_ocv
-    p0, p1, p2, p3, p4 = POSITIVE_OCV_COEFFS
-    gassing = params.gassing
-    i_gas_0, c_v, v_ref = gassing.i_gas_0, gassing.c_v, gassing.v_ref
-    cutoff_soc, reconnect_soc = control.cutoff_soc, control.reconnect_soc()
-    BULK, ABSORPTION, FLOAT = PHASES = tuple(Phase)
-    ageing = scenario.degradation
-    ks_potentials, ks_segments = ageing.ks_potentials, ageing.ks_segments
-    v_first, v_last = ks_potentials[0], ks_potentials[-1]
-    k_first, k_last = ageing.ks_knots[0][1], ageing.ks_knots[-1][1]
-    threshold_v, exponent = ageing.corrosion_threshold_v, ageing.corrosion_exponent
-    c_soc0, c_soc_min = ageing.c_soc0_per_h, ageing.c_soc_min_per_h
-    i_ref, i_floor = ageing.i_ref_a, ageing.i_floor_a
-    nominal_cycles = scenario.datasheet.nominal_cycles
-    w_limit = calibrated.w_limit
-    c_corr_limit, c_deg_limit = calibrated.c_corr_limit, calibrated.c_deg_limit
-    stress_low_soc, depth_bins_n = STRESS_LOW_SOC, StressAccumulator.N_DEPTH_BINS
-    depth_bin_last = depth_bins_n - 1
+    phases = tuple(Phase)  # a Phase's index is _kernel.State.phase
 
     kept = None  # the trace SimResult keeps
     if trace is None and scenario.record_trace:
         trace = kept = []
     record = None if trace is None else trace.append
     trajectory: list[DayRecord] = []
-    full_charge_times: list[float] = []
-    full_charge_days: set[int] = set()
+    stress = StressAccumulator(capacity, dt_h)
+    full_charge_times, full_charge_days = stress.full_charge_times, stress.full_charge_days
 
     soc = scenario.initial_soc
     st = _kernel.State(
         soc=soc,
         v_prev=battery.ocv(clamp(soc, SOC_FLOOR, SOC_CAP)),
-        b0=b0_ah / capacity,  # Battery.effective_b0 at no loss
+        b0=battery.effective_b0(0.0),
         min_soc_since_full=soc,
         c_deg_z_w=math.nan,  # the z_w that c_deg was computed at; nan matches none
         el_soc=math.nan,  # the last Battery.electrolyte result; nan matches no soc
@@ -434,39 +409,31 @@ def run_scenario(
         lifetime_steps=max_steps,
     )
 
-    def python_day(day, first, stop, loads, solars, day_terms) -> bool:
-        """Steps first .. stop - 1 of a day in Python, from st and back into
-        it; whether the battery reached end of life."""
-        soc, v_prev, b0, loss = st.soc, st.v_prev, st.b0, st.loss
-        w, z_w, since_full_h, min_soc_since_full = st.w, st.z_w, st.since_full_h, st.min_soc_since_full
-        c_corr, c_deg, c_deg_z_w = st.c_corr, st.c_deg, st.c_deg_z_w
-        el = (st.el_soc, st.el_y, st.el_ocv)
+    def python_day(day, first, stop, loads, solars, temps) -> bool:
+        """Steps first .. stop - 1 of a day through the layer functions,
+        from st and back into it; whether the battery reached end of life."""
+        ctrl.phase, ctrl.load_disconnected = phases[st.phase], bool(st.disconnected)
+        deg.w, deg.z_w, deg.time_since_full_h = st.w, st.z_w, st.since_full_h
+        deg.min_soc_since_full, deg.c_corr, deg.c_deg = st.min_soc_since_full, st.c_corr, st.c_deg
+        deg.ks_clamp_events = st.ks_clamp_events
+        stress.steps, stress.charge_ah, stress.discharge_ah = first, st.charge_ah, st.discharge_ah
+        stress.max_discharge_a, stress.low_soc_h = st.max_discharge_a, st.low_soc_h
+        stress.float_h, stress.depth_bins[:] = st.float_h, st.depth_bins
+        stress.min_soc_since_full = st.cycle_min_soc if st.cycling else None
+        # the sums each step adds to, as locals; the event counters stay in st
+        soc, v_prev, loss = st.soc, st.v_prev, st.loss
         integral, correction_jumps = st.integral, st.correction_jumps
         full_reset_jumps, clamp_jumps = st.full_reset_jumps, st.clamp_jumps
-        charge_ah, discharge_ah, max_discharge_a = st.charge_ah, st.discharge_ah, st.max_discharge_a
-        low_soc_h, float_h = st.low_soc_h, st.float_h
-        # lowest soc since the last full charge, None before one
-        cycle_min_soc = st.cycle_min_soc if st.cycling else None
         min_soc_run, min_soc_day = st.min_soc_run, st.min_soc_day
         hours_disconnected, load_lost_wh = st.hours_disconnected, st.load_lost_wh
-        soc_hist, v_hist, depth_bins = st.soc_hist[:], st.v_hist[:], st.depth_bins[:]
-        phase, disconnected, full_set = PHASES[st.phase], st.disconnected, st.full_set
-        disconnect_events, clamp_events = st.disconnect_events, st.clamp_events
-        correction_events, ks_clamp_events = st.correction_events, st.ks_clamp_events
-        day_full_events, last_full_event_day = st.day_full_events, st.last_full_event_day
+        soc_hist, v_hist = st.soc_hist[:], st.v_hist[:]
         ended = False
 
-        for i, load_w, solar_w, (corrosion_factor, gas_term, limits) in zip(
-            range(first, stop), loads, solars, day_terms
-        ):
-            # load disconnect with reconnect hysteresis
-            if disconnected:
-                if soc >= reconnect_soc:
-                    disconnected = False
-            elif soc < cutoff_soc:
-                disconnected = True
-                disconnect_events += 1
-            if disconnected:
+        for i, load_w, solar_w, temp_c in zip(range(first, stop), loads, solars, temps):
+            temp_k = temp_c + 273.15
+            if update_load_disconnect(ctrl, soc, control):
+                st.disconnect_events += 1
+            if ctrl.load_disconnected:
                 hours_disconnected += dt_h
                 load_lost_wh += load_w * dt_h
                 load_a = 0.0
@@ -474,194 +441,64 @@ def run_scenario(
                 load_a = load_w / v_prev
             avail_a = solar_w * eff / v_prev
             net_a = avail_a - load_a
-            v_limit, v_float = limits[0] if full_set else limits[1]
 
-            # controller step: pick the battery current and advance the phase
-            full_event = False
-            if net_a <= 0.0:
-                # deficit or nothing available: battery serves the load, re-arm
-                phase = BULK
-                applied = net_a
-            else:
-                s = soc_cap if soc_cap < soc else soc
-                s = 1e-6 if 1e-6 > s else s
-                tapering = phase is ABSORPTION
-                hold_v = v_float if phase is FLOAT else v_limit
-                if phase is BULK:
-                    # terminal voltage if the whole surplus charged the battery
-                    if el[0] != s:
-                        el = electrolyte(s)
-                    sc = soc_cap if soc_cap < s else s
-                    over = b0 * (net_a / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
-                    if cells * el[2] + cells * over < v_limit:
-                        hold_v = None
-                    else:
-                        phase = ABSORPTION
-                if hold_v is None:
-                    applied = net_a
-                else:
-                    # current that holds the terminal at hold_v
-                    sh = soc_cap if soc_cap < s else s
-                    sh = soc_floor if soc_floor > sh else sh
-                    if el[0] != sh:
-                        el = electrolyte(sh)
-                    gain = b0 * (1.0 + b1 * sh / (1.0 - sh)) / capacity
-                    i_hold = (hold_v / cells - el[2]) / gain
-                    applied = net_a if net_a < i_hold else i_hold
-                    applied = 0.0 if 0.0 > applied else applied
-                    if tapering and i_hold <= taper_a and net_a >= i_hold:
-                        # taper finished and the source could actually sustain it
-                        phase = FLOAT
-                        if full_set:
-                            # full recharge declared: trust the controller and
-                            # snap the coulomb counter to full
-                            full_reset_jumps += 1.0 - soc
-                            soc = 1.0
-                            since_full_h = 0.0
-                            min_soc_since_full = 1.0
-                            full_event = True
-                            day_full_events += 1
-                            last_full_event_day = day
-                            ctrl.days_since_full_recharge = 0
-                            full_set = wants_full_limits(ctrl, control)
-                        # entering float collapses the current to the float hold level
-                        hold = battery.hold_voltage_current(
-                            clamp(soc, soc_floor, soc_cap), v_float, loss
-                        )
-                        applied = clamp(hold, 0.0, net_a)
+            v_limit, v_float, _ = select_limits(ctrl, control, temp_c)
+            applied, events = tscc_step(
+                ctrl, soc, loss, avail_a, load_a, v_limit, v_float, battery, taper_a
+            )
+            full_event = events.full_charge
+            if events.float_entered:
+                if full_event:
+                    # full recharge declared: trust the controller and snap
+                    # the coulomb counter to full
+                    full_reset_jumps += 1.0 - soc
+                    soc = 1.0
+                    deg.register_full_charge()
+                    st.day_full_events += 1
+                    st.last_full_event_day = day
+                    ctrl.days_since_full_recharge = 0
+                # entering float collapses the current to the float hold level
+                hold = battery.hold_voltage_current(clamp(soc, SOC_FLOOR, SOC_CAP), v_float, loss)
+                applied = clamp(hold, 0.0, net_a)
 
-            # terminal voltage under the applied current
-            soc_v = soc_cap if soc_cap < soc else soc
-            soc_v = soc_floor if soc_floor > soc_v else soc_v
-            if el[0] != soc_v:
-                el = electrolyte(soc_v)
-            if applied == 0.0:
-                over = 0.0
-            elif applied > 0.0:
-                sc = soc_cap if soc_cap < soc_v else soc_v
-                over = b0 * (applied / capacity) * (1.0 + b1 * (sc / (1.0 - sc)))
-            else:
-                sc = soc_floor if soc_floor > soc_v else soc_v
-                over = b0 * (applied / capacity) * (1.0 + b1 * ((1.0 - sc) / sc))
-            voltage = cells * el[2] + cells * over
+            soc_v = clamp(soc, SOC_FLOOR, SOC_CAP)
+            voltage = battery.terminal_voltage(soc_v, applied, loss)
 
             # rest correction: only when the controller is not holding a
             # voltage, otherwise small hold currents look like rest while
-            # the terminal is still polarized.  The inversion cannot move soc
-            # where applied == 0.0, soc == soc_v (so soc lies within the rails
-            # [SOC_FLOOR, SOC_CAP]) and v_empty < voltage < v_full: then
-            # voltage == cells * el[2] + 0.0 == Battery.ocv(soc), the seed clamp
-            # to [1e-6, 1 - 1e-6] leaves soc as it is, and invert_ocv returns
-            # (soc, False) at its first abs(f) < 1e-12 test, with f == 0.0.
-            # Adding the jump of 0.0 leaves correction_jumps as it is, since
-            # that sum never holds -0.0.  The voltage test stays: invert_ocv
-            # clamps at or outside the span, and BatteryParams keeps the OCV
-            # rising with soc only in real arithmetic, not ulp by ulp.
-            if (
-                phase is BULK
-                and -rest_a < applied < rest_a
-                and (applied != 0.0 or soc != soc_v or not v_empty < voltage < v_full)
-            ):
-                corrected = invert_ocv(voltage, soc)[0]
+            # the terminal is still polarized
+            if abs(applied) < rest_a and ctrl.phase is Phase.BULK:
+                corrected = battery.invert_ocv(voltage, seed=soc)[0]
                 jump = corrected - soc
                 if abs(jump) > 1e-9:
-                    correction_events += 1
+                    st.correction_events += 1
                 correction_jumps += jump
                 soc = corrected
 
             # gassing, then coulomb counting without the gassing current
-            i_gas = i_gas_0 * exp(c_v * (voltage - v_ref) + gas_term)
-            charge = (applied - i_gas) * dt_s
-            integral += charge * soc_to_ah
-            new_soc = soc + charge / capacity_as
-            if new_soc > 1.0 or new_soc < 0.0:
-                bound = 1.0 if new_soc > 1.0 else 0.0
-                clamp_events += 1
-                clamp_jumps += bound - (soc + charge * soc_to_ah)
-                new_soc = bound
+            i_gas = gassing_current(voltage, temp_k, gassing)
+            integral += (applied - i_gas) * dt_s * soc_to_ah
+            new_soc, clamped = step_soc(soc, applied, i_gas, dt_s, params)
+            if clamped:
+                st.clamp_events += 1
+                clamp_jumps += new_soc - (soc + (applied - i_gas) * dt_s * soc_to_ah)
 
-            # ageing: corrosion from the positive-electrode potential ...
-            sd = 1.0 if 1.0 < soc else soc
-            sd = 0.0 if 0.0 > sd else sd
-            if el[0] != sd:
-                el = electrolyte(sd)
-            y = el[1]
-            v_p = p0 + y * (p1 + y * (p2 + y * (p3 + y * p4))) + 0.5 * (
-                voltage / cells - el[2]
-            )
-            if v_p <= v_first:
-                speed = k_first * corrosion_factor
-                if v_p < v_first:
-                    ks_clamp_events += 1
-            elif v_p < v_last:
-                # the segment ends at the first knot at or above v_p
-                v0, k0, dk, dv = ks_segments[bisect_left(ks_potentials, v_p) - 1]
-                speed = (k0 + dk * (v_p - v0) / dv) * corrosion_factor
-            else:  # at or above the last knot, or nan
-                speed = k_last * corrosion_factor
-                if v_p > v_last:
-                    ks_clamp_events += 1
-            if speed <= 0.0:
-                pass  # no growth
-            elif v_p >= threshold_v:
-                w = w + speed * dt_h
-            else:
-                tau_eff = (w / speed) ** (1.0 / exponent) if w > 0.0 else 0.0
-                w = speed * (tau_eff + dt_h) ** exponent
-            # ... and weighted discharge throughput
-            since_full_h += dt_h
-            if soc < min_soc_since_full:
-                min_soc_since_full = soc
-            if applied < 0.0:
-                discharge_a = -applied
-                m = 1.0 if 1.0 < min_soc_since_full else min_soc_since_full
-                m = 0.0 if 0.0 > m else m
-                i_w = i_floor if i_floor > discharge_a else discharge_a
-                f = 1.0 + (c_soc0 + c_soc_min * (1.0 - m)) * sqrt(
-                    i_ref / i_w
-                ) * since_full_h
-                z_w = z_w + discharge_a * f * dt_h / capacity
-            c_corr = c_corr_limit * w / w_limit
-            if z_w != c_deg_z_w:
-                c_deg = c_deg_limit * exp(-5.0 * (1.0 - z_w / nominal_cycles))
-                c_deg_z_w = z_w
-            loss = c_corr + c_deg
+            discharge_a = -applied if applied < 0.0 else 0.0
+            model.step(deg, battery, soc, voltage, temp_k, discharge_a, dt_h)
+            loss = deg.total_loss()
             soc = new_soc
 
             if soc < min_soc_run:
                 min_soc_run = soc
             if soc < min_soc_day:
                 min_soc_day = soc
-            soc_bin = int(soc_v / soc_bin_width)
-            soc_hist[soc_bin if soc_bin < soc_bin_last else soc_bin_last] += dt_h
-            vbin = int((voltage - v_bin_low) / v_bin_width)
+            soc_bin = int(soc_v / SOC_BIN_WIDTH)
+            soc_hist[soc_bin if soc_bin < N_SOC_BINS else N_SOC_BINS - 1] += dt_h
+            vbin = int((voltage - VOLTAGE_BIN_LOW) / VOLTAGE_BIN_WIDTH)
             vbin = 0 if vbin < 0 else vbin
-            v_hist[vbin if vbin < v_bin_last else v_bin_last] += dt_h
-
-            # stress sums, as StressAccumulator.add keeps them
-            if applied >= 0.0:
-                charge_ah += applied * dt_h
-            else:
-                drawn = -applied
-                discharge_ah += drawn * dt_h
-                if drawn > max_discharge_a:
-                    max_discharge_a = drawn
-            if soc < stress_low_soc:
-                low_soc_h += dt_h
-            floating = phase is FLOAT
-            if floating:
-                float_h += dt_h
-            if cycle_min_soc is not None and soc < cycle_min_soc:
-                cycle_min_soc = soc
-            if full_event:
-                if cycle_min_soc is not None:
-                    depth = 1.0 - cycle_min_soc
-                    depth_bin = int(depth * depth_bins_n) if depth > 0.0 else 0
-                    depth_bins[depth_bin if depth_bin < depth_bin_last else depth_bin_last] += 1
-                t_h = i * dt_h
-                full_charge_times.append(t_h)
-                full_charge_days.add(int(t_h // 24.0))
-                cycle_min_soc = soc
+            v_hist[vbin if vbin < N_VOLTAGE_BINS else N_VOLTAGE_BINS - 1] += dt_h
+            floating = ctrl.phase is Phase.FLOAT
+            stress.add(applied, soc, full_event, floating)
             if record is not None:
                 record(TraceRecord(i * dt_h, applied, soc, voltage, full_event, floating))
             v_prev = voltage
@@ -670,47 +507,55 @@ def run_scenario(
                 st.lifetime_steps = i + 1
                 ended = True
                 break
-            b0 = b0_ah / (capacity - loss)
 
-        st.soc, st.v_prev, st.b0, st.loss = soc, v_prev, b0, loss
-        st.w, st.z_w, st.since_full_h, st.min_soc_since_full = w, z_w, since_full_h, min_soc_since_full
-        st.c_corr, st.c_deg, st.c_deg_z_w = c_corr, c_deg, c_deg_z_w
-        st.el_soc, st.el_y, st.el_ocv = el
+        st.soc, st.v_prev, st.loss = soc, v_prev, loss
+        if not ended:  # the kernel's memo of Battery.effective_b0
+            st.b0 = battery.effective_b0(loss)
+        st.w, st.z_w, st.since_full_h = deg.w, deg.z_w, deg.time_since_full_h
+        st.min_soc_since_full, st.c_corr, st.c_deg = deg.min_soc_since_full, deg.c_corr, deg.c_deg
+        st.ks_clamp_events = deg.ks_clamp_events
+        # the kernel's memos, keyed on exact floats: nan matches none
+        st.el_soc = st.c_deg_z_w = math.nan
+        st.charge_ah, st.discharge_ah = stress.charge_ah, stress.discharge_ah
+        st.max_discharge_a, st.low_soc_h = stress.max_discharge_a, stress.low_soc_h
+        st.float_h, st.depth_bins[:] = stress.float_h, stress.depth_bins
+        if stress.min_soc_since_full is not None:
+            st.cycle_min_soc, st.cycling = stress.min_soc_since_full, 1
         st.integral, st.correction_jumps = integral, correction_jumps
         st.full_reset_jumps, st.clamp_jumps = full_reset_jumps, clamp_jumps
-        st.charge_ah, st.discharge_ah, st.max_discharge_a = charge_ah, discharge_ah, max_discharge_a
-        st.low_soc_h, st.float_h = low_soc_h, float_h
-        if cycle_min_soc is not None:
-            st.cycle_min_soc, st.cycling = cycle_min_soc, 1
         st.min_soc_run, st.min_soc_day = min_soc_run, min_soc_day
         st.hours_disconnected, st.load_lost_wh = hours_disconnected, load_lost_wh
-        st.soc_hist[:], st.v_hist[:], st.depth_bins[:] = soc_hist, v_hist, depth_bins
-        st.phase, st.disconnected, st.full_set = PHASES.index(phase), disconnected, full_set
-        st.disconnect_events, st.clamp_events = disconnect_events, clamp_events
-        st.correction_events, st.ks_clamp_events = correction_events, ks_clamp_events
-        st.day_full_events, st.last_full_event_day = day_full_events, last_full_event_day
+        st.soc_hist[:], st.v_hist[:] = soc_hist, v_hist
+        st.phase, st.disconnected = phases.index(ctrl.phase), ctrl.load_disconnected
+        st.full_set = wants_full_limits(ctrl, control)
         return ended
 
     run_day = _kernel.load()
     if run_day is not None:
         # the kernel's constants, and the buffers each day is passed and fills
-        potentials = array("d", ks_potentials)
-        segments = array("d", chain.from_iterable(ks_segments))
+        ageing = scenario.degradation
+        potentials = array("d", ageing.ks_potentials)
+        segments = array("d", chain.from_iterable(ageing.ks_segments))
         kernel_params = _kernel.Params(
-            dt_s=dt_s, dt_h=dt_h, capacity=capacity, capacity_as=capacity_as,
+            dt_s=dt_s, dt_h=dt_h, capacity=capacity, capacity_as=capacity * 3600.0,
             soc_to_ah=soc_to_ah, eff=eff, rest_a=rest_a, taper_a=taper_a, eol_ah=eol_ah,
-            soc_cap=soc_cap, soc_floor=soc_floor, soc_bin_width=soc_bin_width,
-            v_bin_low=v_bin_low, v_bin_width=v_bin_width, stress_low_soc=stress_low_soc,
-            cells=cells, b0_ah=b0_ah, b1=b1, v_empty=v_empty, v_full=v_full,
+            soc_cap=SOC_CAP, soc_floor=SOC_FLOOR, soc_bin_width=SOC_BIN_WIDTH,
+            v_bin_low=VOLTAGE_BIN_LOW, v_bin_width=VOLTAGE_BIN_WIDTH,
+            stress_low_soc=STRESS_LOW_SOC, cells=battery.cells, b0_ah=battery.b0_ah,
+            b1=battery.b1, v_empty=battery.v_empty, v_full=battery.v_full,
             c_max=battery.c_max, swing=battery.swing, v_acid=battery.v_acid,
             v_water=battery.v_water, m_water=battery.m_water,
             ocv_coeffs=OCV_COEFFS, positive_coeffs=POSITIVE_OCV_COEFFS,
-            i_gas_0=i_gas_0, c_v=c_v, v_ref=v_ref, cutoff_soc=cutoff_soc,
-            reconnect_soc=reconnect_soc, max_interval_days=MAX_FULL_RECHARGE_INTERVAL_DAYS,
-            v_first=v_first, v_last=v_last, k_first=k_first, k_last=k_last,
-            threshold_v=threshold_v, exponent=exponent, c_soc0=c_soc0, c_soc_min=c_soc_min,
-            i_ref=i_ref, i_floor=i_floor, nominal_cycles=nominal_cycles, w_limit=w_limit,
-            c_corr_limit=c_corr_limit, c_deg_limit=c_deg_limit,
+            i_gas_0=gassing.i_gas_0, c_v=gassing.c_v, v_ref=gassing.v_ref,
+            cutoff_soc=control.cutoff_soc, reconnect_soc=control.reconnect_soc(),
+            max_interval_days=MAX_FULL_RECHARGE_INTERVAL_DAYS,
+            v_first=potentials[0], v_last=potentials[-1],
+            k_first=ageing.ks_knots[0][1], k_last=ageing.ks_knots[-1][1],
+            threshold_v=ageing.corrosion_threshold_v, exponent=ageing.corrosion_exponent,
+            c_soc0=ageing.c_soc0_per_h, c_soc_min=ageing.c_soc_min_per_h,
+            i_ref=ageing.i_ref_a, i_floor=ageing.i_floor_a,
+            nominal_cycles=scenario.datasheet.nominal_cycles, w_limit=calibrated.w_limit,
+            c_corr_limit=calibrated.c_corr_limit, c_deg_limit=calibrated.c_deg_limit,
             ks_potentials=potentials.buffer_info()[0], ks_segments=segments.buffer_info()[0],
             n_knots=len(potentials), adaptive=adaptive,
         )
@@ -723,7 +568,7 @@ def run_scenario(
             at_values, at_marks = values.buffer_info()[0], marks.buffer_info()[0]
 
     days = -(-max_steps // steps_per_day)  # the last may be partial
-    day_temps = None  # the temperatures day_terms holds the terms of
+    day_temps = None  # the temperatures packed_terms holds the terms of
     day_start_c_corr = day_start_total = 0.0
     censored = True
     for day in range(days):
@@ -749,17 +594,12 @@ def run_scenario(
             day_start_total = loss
 
         loads, solars, temps = profile_day(day)
-        if temps is not day_temps:  # a template day reuses its terms
-            day_temps, day_terms = temps, terms_of_day(temps)
-            packed_terms = None
         first = day * steps_per_day
         stop = min(first + steps_per_day, max_steps)
         outcome = _kernel.FLAGGED
         if run_day is not None:
-            if packed_terms is None:
-                packed_terms = array(
-                    "d", chain.from_iterable((f, g, *full, *part) for f, g, (full, part) in day_terms)
-                )
+            if temps is not day_temps:  # a template day reuses its terms
+                day_temps, packed_terms = temps, terms_of_day(temps)
             loads_in, solars_in = array("d", loads), array("d", solars)
             outcome = run_day(
                 kernel_params, st, day, first, stop,
@@ -767,7 +607,7 @@ def run_scenario(
                 packed_terms.buffer_info()[0], at_events, at_values, at_marks,
             )
         if outcome == _kernel.FLAGGED:
-            ended = python_day(day, first, stop, loads, solars, day_terms)
+            ended = python_day(day, first, stop, loads, solars, temps)
         else:
             ended = outcome == _kernel.END_OF_LIFE
             full_events = st.day_full_events

@@ -919,7 +919,8 @@ class StressAccumulator:
         self.full_charge_times: list[float] = []
         self.full_charge_days: set[int] = set()
         self.depth_bins = [0] * self.N_DEPTH_BINS
-        self._min_soc_since_full: float | None = None
+        # lowest soc since the last full charge; None before the first one
+        self.min_soc_since_full: float | None = None
 
     def add(
         self, current_a: float, soc: float, full_charge: bool, floating: bool
@@ -939,9 +940,9 @@ class StressAccumulator:
             self.low_soc_h += self.dt_h
         if floating:
             self.float_h += self.dt_h
-        low = self._min_soc_since_full
+        low = self.min_soc_since_full
         if low is not None and soc < low:
-            self._min_soc_since_full = low = soc
+            self.min_soc_since_full = low = soc
         if full_charge:
             if low is not None:
                 depth = 1.0 - low
@@ -951,7 +952,7 @@ class StressAccumulator:
                 self.depth_bins[idx] += 1
             self.full_charge_times.append(t_h)
             self.full_charge_days.add(int(t_h // 24.0))
-            self._min_soc_since_full = soc
+            self.min_soc_since_full = soc
 
     def result(self) -> StressFactors:
         return StressFactors.from_totals(

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import hashlib
-import json
 import locale
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import strategies as st
 
+from check_digests import python_path, result_digest
 from vrlasim import _kernel
 from vrlasim.battery import BatteryParams, GassingParams
 from vrlasim.config import ControlSettings, SimSettings
@@ -111,23 +109,8 @@ def step_path(name: str):
             pytest.skip("the step kernel could not be built: no working C compiler")
         yield
         return
-    saved = _kernel._loaded[:]
-    _kernel._loaded[:] = [None]
-    try:
+    with python_path():
         yield
-    finally:
-        _kernel._loaded[:] = saved
-
-
-def result_digest(result) -> str:
-    """sha256 of ``dataclasses.asdict(result)`` without ``runtime_s``, which
-    is dropped from both runs of a comparison too."""
-    d = dataclasses.asdict(result)
-    for part in (d, d.get("base"), d.get("alt")):
-        if isinstance(part, dict):
-            part.pop("runtime_s", None)
-    payload = json.dumps(d, sort_keys=True, allow_nan=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def undecodable() -> bytes:

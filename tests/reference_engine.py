@@ -1,14 +1,15 @@
 """The composed simulation loop: the reference for engine.run_scenario.
 
 Each step calls the layer functions (controller, battery methods,
-gassing, SOC update, ageing step) one by one with the step's
-temperature, so every formula, the temperature terms included, comes
-from its one definition and is evaluated afresh.  run_scenario writes
-the same step out in its own locals and takes the temperature terms from
-its TemperatureTerms memo, a day's at a time before the day's first
-step, which no parameter set that constructs can make raise; the
-differential tests check that its result equals this loop's, bit for
-bit, and that it raises what this loop raises.
+gassing, SOC update, ageing step, stress sums) one by one with the
+step's temperature, so every formula, the temperature terms included,
+comes from its one definition and is evaluated afresh, over one flat
+loop of steps.  run_scenario's Python day calls the same functions, one
+day at a time with its state carried in a _kernel.State between days;
+its compiled kernel writes the step out in C and takes the temperature
+terms from its TemperatureTerms memo.  The differential tests check that
+run_scenario's result equals this loop's, bit for bit, on both paths,
+and that it raises what this loop raises.
 """
 
 from __future__ import annotations

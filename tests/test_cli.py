@@ -226,8 +226,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "section, message",
         [
-            ("sim: {max_years: .inf}", "sim.max_years must be positive and finite: inf"),
-            ("sim: {max_years: .nan}", "sim.max_years must be positive and finite: nan"),
+            ("sim: {max_years: .inf}", "sim.max_years must lie in (0, 100]: inf"),
+            ("sim: {max_years: .nan}", "sim.max_years must lie in (0, 100]: nan"),
+            ("sim: {max_years: 1.0e+305}", "sim.max_years must lie in (0, 100]: 1e+305"),
             ("sim: {dt_s: .nan}", "sim.dt_s must be positive and finite: nan"),
             (
                 "degradation: {eol_loss_fraction: 0.0}",

@@ -40,6 +40,7 @@ BELOW_ONE = math.nextafter(1.0, 0.0)
 ABOVE_TEMP_MAX = math.nextafter(d.TEMP_MAX_C, math.inf)
 BELOW_TEMP_MIN = math.nextafter(d.TEMP_MIN_C, -math.inf)
 ABOVE_FLOAT_LIFE = math.nextafter(d.MAX_FLOAT_LIFE_YEARS, math.inf)
+ABOVE_HORIZON = math.nextafter(d.MAX_HORIZON_YEARS, math.inf)
 
 # A valid instance of each class, and the error the class raises.
 BASES = {
@@ -69,6 +70,7 @@ JUST_OUTSIDE = {
     d.NON_NEGATIVE_INT: -1,
     d.TEMPERATURE: ABOVE_TEMP_MAX,
     d.FLOAT_LIFE: ABOVE_FLOAT_LIFE,
+    d.HORIZON: ABOVE_HORIZON,
 }
 OUTSIDE = {
     d.FINITE: st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -81,6 +83,7 @@ OUTSIDE = {
     d.NON_NEGATIVE_INT: st.integers(max_value=-1) | st.floats(),
     d.TEMPERATURE: st.floats(max_value=BELOW_TEMP_MIN) | st.floats(min_value=ABOVE_TEMP_MAX),
     d.FLOAT_LIFE: st.floats(max_value=-TINY) | st.floats(min_value=ABOVE_FLOAT_LIFE),
+    d.HORIZON: st.floats(max_value=0.0) | st.floats(min_value=ABOVE_HORIZON),
 }
 EDGES = {
     d.FINITE: (-MAX, MAX),
@@ -93,6 +96,7 @@ EDGES = {
     d.NON_NEGATIVE_INT: (0, 10**30),
     d.TEMPERATURE: (d.TEMP_MIN_C, d.TEMP_MAX_C),
     d.FLOAT_LIFE: (0.0, -0.0, d.MAX_FLOAT_LIFE_YEARS),
+    d.HORIZON: (TINY, d.MAX_HORIZON_YEARS),
 }
 # What the rules across fields say when an edge breaks one of them.
 CROSS_FIELD_RULES = re.compile(

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import threading
 import time
 from types import SimpleNamespace
@@ -100,10 +101,20 @@ class TestScenarioValidation:
             low_use_scenario(max_years=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("key", ["dt_s", "max_years"])
-    def test_horizon_and_step_must_be_finite(self, key, value):
-        with pytest.raises(EngineError, match=f"{key} must be positive and finite"):
+    @pytest.mark.parametrize(
+        "key, rule", [("dt_s", "be positive and finite"), ("max_years", r"lie in \(0, 100\]")]
+    )
+    def test_horizon_and_step_must_be_finite(self, key, rule, value):
+        with pytest.raises(EngineError, match=f"{key} must {rule}"):
             low_use_scenario(**{key: value})
+
+    @pytest.mark.parametrize("value", [math.nextafter(100.0, math.inf), 1e305])
+    def test_horizon_beyond_a_century_rejected(self, value):
+        """1e305 years once constructed, then overflowed the step count in run_scenario."""
+        message = f"max_years must lie in (0, 100]: {value!r}"
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+            low_use_scenario(max_years=value)
+        assert low_use_scenario(max_years=100.0).max_years == 100.0
 
     def test_profile_dt_must_match(self):
         scenario = low_use_scenario(dt_s=450.0)  # profile is on a 900 s grid
@@ -562,6 +573,13 @@ class TestShouldForkAlt:
 
 
 class TestTemperatureTerms:
+    """The kernel's memo: only the compiled day loop reads the terms."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_path(self):
+        with step_path("kernel"):
+            yield
+
     def test_entries_equal_fresh_evaluations(self, monkeypatch):
         memos = recorded_temperature_terms(monkeypatch)
         control = adaptive_params()

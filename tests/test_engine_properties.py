@@ -1,6 +1,7 @@
 """run_scenario on random bounded profiles of a few days.
 
-Two kinds of check: the fused step against the composed reference loop
+Two kinds of check: run_scenario, on the compiled kernel and on its
+Python day, against the composed reference loop
 (tests/reference_engine.py), result for result and error for error; and
 engine-level invariants that hold on any such run.
 """

@@ -1,5 +1,5 @@
 """The compiled day loop (vrlasim._kernel, _step.c): its build, its cache,
-and its hand-off of a faulting day to the Python loop."""
+and its hand-off of a day to the Python loop and back."""
 
 import dataclasses
 import os
@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from check_digests import PINNED
 from helpers import START, result_digest, step_path
 from vrlasim import _kernel
 from vrlasim.degradation import DegradationParams
@@ -136,3 +137,32 @@ def test_an_unflagged_run_matches_the_python_loop():
     with step_path("kernel"):
         assert outcome(scenario) == want
     assert isinstance(want, str)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "make, case, want",
+    PINNED,
+    ids=[f"{make.__name__}-" + "-".join(map(str, case)) for make, case, _ in PINNED],
+)
+def test_days_handed_to_python_and_back_keep_the_digest(make, case, want, k):
+    """The kernel flags each day where day % k == 1 without running it, so
+    the Python loop takes the state over from the kernel and hands it back
+    the next day: the result stays the one pinned."""
+    with step_path("kernel"):
+        run_day = _kernel.load()
+        flagged = []
+
+        def every_kth_flagged(params, state, day, *rest):
+            if day % k == 1:
+                flagged.append(day)
+                return _kernel.FLAGGED
+            return run_day(params, state, day, *rest)
+
+        _kernel._loaded[0] = every_kth_flagged
+        try:
+            result = make(*case)
+        finally:
+            _kernel._loaded[0] = run_day
+    assert flagged[:2] == [1, 1 + k]
+    assert result_digest(result) == want

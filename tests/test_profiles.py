@@ -507,16 +507,16 @@ class MinMaxAccumulator(StressAccumulator):
             self.low_soc_h += self.dt_h
         if floating:
             self.float_h += self.dt_h
-        if self._min_soc_since_full is not None:
-            self._min_soc_since_full = min(self._min_soc_since_full, soc)
+        if self.min_soc_since_full is not None:
+            self.min_soc_since_full = min(self.min_soc_since_full, soc)
         if full_charge:
-            if self._min_soc_since_full is not None:
-                depth = max(0.0, 1.0 - self._min_soc_since_full)
+            if self.min_soc_since_full is not None:
+                depth = max(0.0, 1.0 - self.min_soc_since_full)
                 idx = min(int(depth * self.N_DEPTH_BINS), self.N_DEPTH_BINS - 1)
                 self.depth_bins[idx] += 1
             self.full_charge_times.append(t_h)
             self.full_charge_days.add(int(t_h // 24.0))
-            self._min_soc_since_full = soc
+            self.min_soc_since_full = soc
 
 
 class TestStressFactors:

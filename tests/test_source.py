@@ -340,9 +340,9 @@ def test_cli_has_one_run_and_write_path():
 
 
 # What the reference loop may take from the engine: the scenario and
-# result types and the histogram layout.  A piece of the fused step, such
-# as its TemperatureTerms memo, would make the differential test compare
-# the step with itself.
+# result types and the histogram layout.  A piece of run_scenario's own
+# day loop, such as the kernel's TemperatureTerms memo, would make the
+# differential test compare the loop with itself.
 REFERENCE_ENGINE_IMPORTS = {
     "DayRecord",
     "EnergyAudit",
@@ -397,83 +397,122 @@ def function_def(source: str, name: str) -> ast.FunctionDef:
     return node
 
 
-def loop_lines(function: ast.FunctionDef) -> set[int]:
-    """The lines of a function's for loops."""
-    return {
-        line
-        for node in ast.walk(function)
-        if isinstance(node, ast.For)
-        for line in range(node.lineno, node.end_lineno + 1)
-    }
-
-
-def loop_reads(function: ast.FunctionDef) -> Counter[str]:
-    """How often each name is read in the for loops of a function."""
-    reads: Counter[str] = Counter()
-    for node in ast.walk(function):
-        if isinstance(node, ast.For):
-            reads.update(names_read(node))
-    return reads
-
-
-def accumulator_adds(function: ast.FunctionDef) -> list[int]:
-    """Lines of a function that read `.add` of a StressAccumulator: of a
-    name bound to `StressAccumulator(...)` in it, or of such a call itself."""
+def layer_calls(function: ast.FunctionDef, part: ast.AST | None = None) -> set[str]:
+    """What `part` of a function (all of it by default) calls: "f" for a
+    call of the name f, "Cls.m" for a call of method m on a name that the
+    function binds to a call of Cls."""
     made = {
-        target.id
+        target.id: called_name(node.value)
         for node in ast.walk(function)
-        if isinstance(node, ast.Assign) and is_accumulator(node.value)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
         for target in node.targets
         if isinstance(target, ast.Name)
     }
-    return sorted(
-        node.lineno
+    calls = set()
+    for node in ast.walk(function if part is None else part):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            calls.add(func.id)
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            if made.get(func.value.id):
+                calls.add(f"{made[func.value.id]}.{func.attr}")
+    return calls
+
+
+def called_name(call: ast.Call) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+# The layers' own float work that a step written out in the engine would copy.
+WRITTEN_OUT = {"exp", "sqrt", "log10", "bisect_left"}
+
+
+def own_float_operations(function: ast.FunctionDef) -> list[str]:
+    """Each read in a function of a name of WRITTEN_OUT, as a variable or an
+    attribute, and each power it raises, with its line."""
+    found = [
+        (node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
         for node in ast.walk(function)
-        if isinstance(node, ast.Attribute)
-        and node.attr == "add"
-        and (
-            is_accumulator(node.value)
-            or isinstance(node.value, ast.Name) and node.value.id in made
-        )
-    )
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+        and (node.id if isinstance(node, ast.Name) else node.attr) in WRITTEN_OUT
+    ]
+    found += [
+        (node.lineno, "**")
+        for node in ast.walk(function)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    ]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
-def is_accumulator(node: ast.AST) -> bool:
-    """Whether a node is a call of StressAccumulator, by name or as an attribute."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name == "StressAccumulator"
-
-
-def test_finds_accumulator_adds():
+def test_finds_layer_calls_and_written_out_operations():
+    """A run shaped like a step that writes the layers out in its locals."""
     source = (
-        "def run(xs):\n"
-        "    acc = profiles.StressAccumulator(1.0, 1.0)\n"
-        "    add = acc.add\n"
-        "    days = set()\n"
-        "    for x in xs:\n"
-        "        days.add(x)\n"
-        "        acc.add(x, 0.5, False, False)\n"
-        "    StressAccumulator(1.0, 1.0).add(0.0, 0.5, False, False)\n"
+        "def run_scenario(scenario):\n"
+        "    battery = Battery(scenario.battery)\n"
+        "    exp, sqrt = math.exp, math.sqrt\n"
+        "    def python_day(first, stop):\n"
+        "        for i in range(first, stop):\n"
+        "            if update_load_disconnect(ctrl, soc, control):\n"
+        "                events += 1\n"
+        "            hold = battery.hold_voltage_current(soc, v_float, loss)\n"
+        "            i_gas = i_gas_0 * exp(c_v * (voltage - v_ref) + gas_term)\n"
+        "            v0, k0, dk, dv = ks_segments[bisect_left(ks_potentials, v_p) - 1]\n"
+        "            tau_eff = (w / speed) ** (1.0 / exponent)\n"
+        "            f = 1.0 + c * sqrt(i_ref / i_w) * since_full_h\n"
+        "            y = math.log10(molality)\n"
+        "            w **= 2\n"
+        "            full_charge_days.add(i)\n"
+        "    return python_day\n"
     )
-    run = function_def(source, "run")
-    assert accumulator_adds(run) == [3, 7, 8]
-    assert loop_lines(run) == {5, 6, 7}
-    assert loop_reads(run)["add"] == 2
-    assert accumulator_adds(function_def("def f(days):\n    days.add(1)\n", "f")) == []
+    run = function_def(source, "run_scenario")
+    assert layer_calls(run) == {
+        "Battery", "range", "update_load_disconnect", "Battery.hold_voltage_current",
+        "exp", "bisect_left", "sqrt",
+    }
+    assert own_float_operations(run) == [
+        "exp (line 3)", "sqrt (line 3)", "exp (line 9)", "bisect_left (line 10)",
+        "** (line 11)", "sqrt (line 12)", "log10 (line 13)", "** (line 14)",
+    ]
 
 
-def test_fused_step_keeps_the_stress_sums_itself():
-    """run_scenario adds to no StressAccumulator, while the reference loop
-    calls StressAccumulator.add and Battery.invert_ocv on its steps, so
-    the differential test compares two independent forms of each."""
-    fused = function_def((PACKAGE / "engine.py").read_text(), "run_scenario")
-    assert accumulator_adds(fused) == []
+# The layer functions of a step, as layer_calls names them.
+STEP_LAYERS = {
+    "update_load_disconnect",
+    "select_limits",
+    "tscc_step",
+    "Battery.hold_voltage_current",
+    "Battery.terminal_voltage",
+    "Battery.invert_ocv",
+    "gassing_current",
+    "step_soc",
+    "DegradationModel.step",
+    "StressAccumulator.add",
+}
+
+
+def test_python_day_runs_the_layer_functions():
+    """run_scenario's Python day calls each step layer and writes none of
+    their float operations out, so each rule has one implementation in
+    Python, the one the reference loop composes too."""
+    run = function_def((PACKAGE / "engine.py").read_text(), "run_scenario")
+    assert STEP_LAYERS <= layer_calls(run)
+    assert own_float_operations(run) == []
+
+
+def test_reference_loop_calls_the_stress_sums_and_the_inversion():
+    """The reference loop calls StressAccumulator.add and Battery.invert_ocv
+    in its step loop, so the stress sums and the rest correction it checks
+    run as the single-step API runs them."""
     reference = function_def(REFERENCE.read_text(), "reference_run")
-    assert set(accumulator_adds(reference)) & loop_lines(reference)
-    assert loop_reads(reference)["invert_ocv"]
+    in_loops = set().union(
+        *(layer_calls(reference, node) for node in reference.body if isinstance(node, ast.For))
+    )
+    assert {"StressAccumulator.add", "Battery.invert_ocv"} <= in_loops
 
 
 def temperature_memos(function: ast.FunctionDef) -> set[str]:
