@@ -13,10 +13,8 @@ The flags keep every result bit-identical to the Python day, which
 calls the layer functions: ``-O2`` reorders no floating-point operation,
 ``-ffp-contract=off`` forbids fusing a multiply and an add into one
 rounding, and neither ``-ffast-math`` nor a ``-march`` that would change
-the instructions is given.  :class:`Params` and :class:`State` mirror
-_step.c's structs.  Between days run in Python, the engine sets the
-kernel's memos (``el_soc``, ``c_deg_z_w``) to nan; both are keyed on
-exact floats, so that cannot change a result.
+the instructions is given.  :class:`Limits`, :class:`Params` and
+:class:`State` mirror _step.c's structs.
 
 The kernel skips the rest correction's Battery.invert_ocv where it cannot
 move the state of charge: where applied == 0.0, soc == soc_v (so soc lies
@@ -61,6 +59,12 @@ def _ints(names: str) -> list[tuple[str, type]]:
     return [(name, ctypes.c_int64) for name in names.split()]
 
 
+class Limits(ctypes.Structure):
+    """A control.VoltageLimits, as _step.c's Limits."""
+
+    _fields_ = _doubles("v_limit v_float temp_coeff_mv_per_c ref_temp_c")
+
+
 class Params(ctypes.Structure):
     """The constants of one run, as _step.c's Params."""
 
@@ -73,8 +77,12 @@ class Params(ctypes.Structure):
         ("ocv_coeffs", ctypes.c_double * 5),
         ("positive_coeffs", ctypes.c_double * 5),
         *_doubles(
-            "i_gas_0 c_v v_ref cutoff_soc reconnect_soc max_interval_days"
-            " v_first v_last k_first k_last threshold_v exponent"
+            "i_gas_0 c_v c_t v_ref t_ref cutoff_soc reconnect_soc max_interval_days"
+        ),
+        ("full_limits", Limits),
+        ("partial_limits", Limits),
+        *_doubles(
+            "v_first v_last k_first k_last threshold_v exponent ks_ref_temp_k temp_doubling_k"
             " c_soc0 c_soc_min i_ref i_floor nominal_cycles w_limit c_corr_limit c_deg_limit"
         ),
         ("ks_potentials", ctypes.c_void_p),
@@ -92,8 +100,8 @@ class State(ctypes.Structure):
 
     _fields_ = [
         *_doubles(
-            "soc v_prev b0 loss w z_w since_full_h min_soc_since_full c_corr c_deg c_deg_z_w"
-            " el_soc el_y el_ocv integral correction_jumps full_reset_jumps clamp_jumps"
+            "soc v_prev loss w z_w since_full_h min_soc_since_full c_corr c_deg"
+            " integral correction_jumps full_reset_jumps clamp_jumps"
             " charge_ah discharge_ah max_discharge_a low_soc_h float_h cycle_min_soc"
             " min_soc_run min_soc_day hours_disconnected load_lost_wh interval_days"
         ),

@@ -5,10 +5,11 @@
  * operation for operation and in the same order: load disconnect, the
  * controller with the hold current, terminal voltage, rest correction
  * through Battery.invert_ocv, gassing and coulomb counting, corrosion and
- * weighted throughput, histograms and stress sums, with the one-entry
- * memo of Battery.electrolyte.  Every operation is an IEEE double
- * operation, and exp, pow, log10 and sqrt are the libm functions that
- * CPython's math module and float ** call, so with contraction off
+ * weighted throughput, histograms and stress sums, with the temperature
+ * terms of each step evaluated as the layer functions evaluate them and
+ * the one-entry memo of Battery.electrolyte.  Every operation is an IEEE
+ * double operation, and exp, pow, log10 and sqrt are the libm functions
+ * that CPython's math module and float ** call, so with contraction off
  * (-ffp-contract=off) and no -ffast-math each result is the Python
  * loop's to the bit.
  *
@@ -18,7 +19,9 @@
  * returns FLAGGED with the state as it was at the day's start, and the
  * caller runs the day in Python, which raises what it raises.
  *
- * The structs are mirrored field for field by vrlasim._kernel.
+ * The structs are mirrored field for field by vrlasim._kernel.  The
+ * kernel's memos live within one call, so the state holds the model's
+ * state alone.
  */
 
 #include <math.h>
@@ -31,6 +34,11 @@
 enum { BULK, ABSORPTION, FLOAT };
 enum { FLAGGED = -1, DAY_DONE = 0, END_OF_LIFE = 1 };
 
+/* A control.VoltageLimits. */
+typedef struct {
+    double v_limit, v_float, temp_coeff_mv_per_c, ref_temp_c;
+} Limits;
+
 /* Constants of one run. */
 typedef struct {
     double dt_s, dt_h, capacity, capacity_as, soc_to_ah, eff, rest_a, taper_a, eol_ah;
@@ -38,8 +46,9 @@ typedef struct {
     double cells, b0_ah, b1, v_empty, v_full;
     double c_max, swing, v_acid, v_water, m_water;
     double ocv_coeffs[5], positive_coeffs[5];
-    double i_gas_0, c_v, v_ref, cutoff_soc, reconnect_soc, max_interval_days;
-    double v_first, v_last, k_first, k_last, threshold_v, exponent;
+    double i_gas_0, c_v, c_t, v_ref, t_ref, cutoff_soc, reconnect_soc, max_interval_days;
+    Limits full_limits, partial_limits;
+    double v_first, v_last, k_first, k_last, threshold_v, exponent, ks_ref_temp_k, temp_doubling_k;
     double c_soc0, c_soc_min, i_ref, i_floor, nominal_cycles;
     double w_limit, c_corr_limit, c_deg_limit;
     const double *ks_potentials; /* n_knots */
@@ -49,9 +58,8 @@ typedef struct {
 
 /* The state a run carries from step to step. */
 typedef struct {
-    double soc, v_prev, b0, loss;
-    double w, z_w, since_full_h, min_soc_since_full, c_corr, c_deg, c_deg_z_w;
-    double el_soc, el_y, el_ocv; /* Battery.electrolyte's memo */
+    double soc, v_prev, loss;
+    double w, z_w, since_full_h, min_soc_since_full, c_corr, c_deg;
     double integral, correction_jumps, full_reset_jumps, clamp_jumps;
     double charge_ah, discharge_ah, max_discharge_a, low_soc_h, float_h, cycle_min_soc;
     double min_soc_run, min_soc_day, hours_disconnected, load_lost_wh, interval_days;
@@ -65,11 +73,17 @@ typedef struct {
 int64_t vrlasim_params_size(void) { return sizeof(Params); }
 int64_t vrlasim_state_size(void) { return sizeof(State); }
 
-/* Battery.electrolyte: the memo holds (soc, log10 molality, cell OCV) at
- * soc afterwards; nonzero where the method raises. */
-static int electrolyte(const Params *p, State *s, double soc)
+/* Battery.electrolyte's memo: (soc, log10 molality, cell OCV) at the soc
+ * of the last call; a soc of nan matches none. */
+typedef struct {
+    double soc, y, ocv;
+} Electrolyte;
+
+/* Battery.electrolyte: el holds its result at soc afterwards; nonzero
+ * where the method raises. */
+static int electrolyte(const Params *p, Electrolyte *el, double soc)
 {
-    if (s->el_soc != soc) {
+    if (el->soc != soc) {
         if (!(0.0 <= soc && soc <= 1.0))
             return -1;
         double c = p->c_max + p->swing * (soc - 1.0);
@@ -84,15 +98,15 @@ static int electrolyte(const Params *p, State *s, double soc)
             return -1;
         double y = log10(molality);
         const double *a = p->ocv_coeffs;
-        s->el_soc = soc;
-        s->el_y = y;
-        s->el_ocv = a[0] + y * (a[1] + y * (a[2] + y * (a[3] + y * a[4])));
+        el->soc = soc;
+        el->y = y;
+        el->ocv = a[0] + y * (a[1] + y * (a[2] + y * (a[3] + y * a[4])));
     }
     return 0;
 }
 
 /* Battery.invert_ocv(voltage, seed)[0] into *out; nonzero where it raises. */
-static int invert_ocv(const Params *p, State *s, double voltage, double seed, double *out)
+static int invert_ocv(const Params *p, Electrolyte *el, double voltage, double seed, double *out)
 {
     if (voltage <= p->v_empty) {
         *out = 0.0;
@@ -105,9 +119,9 @@ static int invert_ocv(const Params *p, State *s, double voltage, double seed, do
     double soc = 1e-6 > seed ? 1e-6 : seed;
     soc = 1.0 - 1e-6 < soc ? 1.0 - 1e-6 : soc;
     for (int n = 0; n < 8; n++) {
-        if (electrolyte(p, s, soc))
+        if (electrolyte(p, el, soc))
             return -1;
-        double f = p->cells * s->el_ocv - voltage;
+        double f = p->cells * el->ocv - voltage;
         if (fabs(f) < 1e-12) {
             *out = soc;
             return 0;
@@ -117,12 +131,12 @@ static int invert_ocv(const Params *p, State *s, double voltage, double seed, do
         upper = upper < 1.0 ? upper : 1.0;
         double lower = upper - step;
         lower = lower > 0.0 ? lower : 0.0;
-        if (electrolyte(p, s, upper))
+        if (electrolyte(p, el, upper))
             return -1;
-        double ocv_upper = p->cells * s->el_ocv;
-        if (electrolyte(p, s, lower))
+        double ocv_upper = p->cells * el->ocv;
+        if (electrolyte(p, el, lower))
             return -1;
-        double slope = (ocv_upper - p->cells * s->el_ocv) / step;
+        double slope = (ocv_upper - p->cells * el->ocv) / step;
         if (slope <= 0.0)
             break;
         double nxt = soc - f / slope;
@@ -137,9 +151,9 @@ static int invert_ocv(const Params *p, State *s, double voltage, double seed, do
     double lo = 0.0, hi = 1.0;
     for (int n = 0; n < 60; n++) {
         double mid = 0.5 * (lo + hi);
-        if (electrolyte(p, s, mid))
+        if (electrolyte(p, el, mid))
             return -1;
-        if (p->cells * s->el_ocv < voltage)
+        if (p->cells * el->ocv < voltage)
             lo = mid;
         else
             hi = mid;
@@ -160,29 +174,39 @@ static int64_t full_limits_after_recharge(const Params *p, double interval)
 
 /*
  * Steps first .. stop - 1 of day `day`, whose k-th step has load loads[k],
- * solar solars[k] and temperature terms terms[6k .. 6k + 5]: corrosion
- * factor, gassing term, then (v_limit, v_float) of the full and of the
- * partial limit set.  Appends the index of each full-charge step to
- * events[st->day_full_events ...]; with trace, writes each step's
- * (applied current, soc, voltage) to trace[3k ..] and (full event,
- * floating) to flags[2k ..].  Returns DAY_DONE, or END_OF_LIFE with
+ * solar solars[k] and temperature temps[k] (degC).  Appends the index of
+ * each full-charge step to events[st->day_full_events ...]; with trace,
+ * writes each step's (applied current, soc, voltage) to trace[3k ..] and
+ * (full event, floating) to flags[2k ..].  Returns DAY_DONE, or END_OF_LIFE with
  * st->lifetime_steps set, and the state advanced; or FLAGGED and the
  * state untouched.
  */
 int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, int64_t stop,
-                        const double *loads, const double *solars, const double *terms,
+                        const double *loads, const double *solars, const double *temps,
                         int64_t *events, double *trace, int8_t *flags)
 {
     State s = *st;
+    Electrolyte el = {NAN, NAN, NAN};
+    double z_w_of_c_deg = NAN; /* the z_w that s.c_deg was computed at */
     const double dt_s = p->dt_s, dt_h = p->dt_h, capacity = p->capacity, cells = p->cells;
     const double soc_cap = p->soc_cap, soc_floor = p->soc_floor;
 
     for (int64_t i = first, k = 0; i < stop; i++, k++) {
-        const double load_w = loads[k], solar_w = solars[k];
-        const double *t = terms + 6 * k;
-        const double corrosion_factor = t[0], gas_term = t[1];
+        const double load_w = loads[k], solar_w = solars[k], temp_c = temps[k];
         double load_a, applied, over, voltage;
         int full_event = 0;
+
+        /* the temperature terms: corrosion_temperature_factor, gassing_temperature_term */
+        const double temp_k = temp_c + 273.15;
+        const double corrosion_factor = pow(2.0, (temp_k - p->ks_ref_temp_k) / p->temp_doubling_k);
+        if (!isfinite(corrosion_factor))
+            goto flagged;
+        const double gas_term = p->c_t * (temp_k - p->t_ref);
+        /* Battery.effective_b0(loss) */
+        const double remaining = capacity - s.loss;
+        if (!(remaining > 0.0))
+            goto flagged;
+        const double b0 = p->b0_ah / remaining;
 
         /* load disconnect with reconnect hysteresis */
         if (s.disconnected) {
@@ -203,8 +227,10 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
         }
         double avail_a = solar_w * p->eff / s.v_prev;
         double net_a = avail_a - load_a;
-        double v_limit = s.full_set ? t[2] : t[4];
-        double v_float = s.full_set ? t[3] : t[5];
+        /* control.select_limits: the active set, VoltageLimits.compensated */
+        const Limits *lim = s.full_set ? &p->full_limits : &p->partial_limits;
+        const double shift = lim->temp_coeff_mv_per_c * 1e-3 * (temp_c - lim->ref_temp_c);
+        const double v_limit = lim->v_limit + shift, v_float = lim->v_float + shift;
 
         /* controller step: pick the battery current and advance the phase */
         if (net_a <= 0.0) {
@@ -217,11 +243,11 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             double hold_v = s.phase == FLOAT ? v_float : v_limit;
             int holding = 1;
             if (s.phase == BULK) {
-                if (electrolyte(p, &s, sv))
+                if (electrolyte(p, &el, sv))
                     goto flagged;
                 double sc = soc_cap < sv ? soc_cap : sv;
-                over = s.b0 * (net_a / capacity) * (1.0 + p->b1 * (sc / (1.0 - sc)));
-                if (cells * s.el_ocv + cells * over < v_limit)
+                over = b0 * (net_a / capacity) * (1.0 + p->b1 * (sc / (1.0 - sc)));
+                if (cells * el.ocv + cells * over < v_limit)
                     holding = 0;
                 else
                     s.phase = ABSORPTION;
@@ -231,12 +257,12 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             } else {
                 double sh = soc_cap < sv ? soc_cap : sv;
                 sh = soc_floor > sh ? soc_floor : sh;
-                if (electrolyte(p, &s, sh))
+                if (electrolyte(p, &el, sh))
                     goto flagged;
-                double gain = s.b0 * (1.0 + p->b1 * sh / (1.0 - sh)) / capacity;
+                double gain = b0 * (1.0 + p->b1 * sh / (1.0 - sh)) / capacity;
                 if (gain == 0.0)
                     goto flagged;
-                double i_hold = (hold_v / cells - s.el_ocv) / gain;
+                double i_hold = (hold_v / cells - el.ocv) / gain;
                 applied = net_a < i_hold ? net_a : i_hold;
                 applied = 0.0 > applied ? 0.0 : applied;
                 if (tapering && i_hold <= p->taper_a && net_a >= i_hold) {
@@ -258,13 +284,10 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
                     hs = soc_cap < hs ? soc_cap : hs;
                     hs = soc_floor > hs ? soc_floor : hs;
                     double cell_target = v_float / cells;
-                    if (electrolyte(p, &s, hs))
+                    if (electrolyte(p, &el, hs))
                         goto flagged;
-                    double headroom = cell_target - s.el_ocv;
-                    double remaining = capacity - s.loss;
-                    if (!(remaining > 0.0))
-                        goto flagged;
-                    double hold_gain = p->b0_ah / remaining * (1.0 + p->b1 * hs / (1.0 - hs)) / capacity;
+                    double headroom = cell_target - el.ocv;
+                    double hold_gain = b0 * (1.0 + p->b1 * hs / (1.0 - hs)) / capacity;
                     if (hold_gain == 0.0)
                         goto flagged;
                     double hold = headroom / hold_gain;
@@ -277,26 +300,26 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
         /* terminal voltage under the applied current */
         double soc_v = soc_cap < s.soc ? soc_cap : s.soc;
         soc_v = soc_floor > soc_v ? soc_floor : soc_v;
-        if (electrolyte(p, &s, soc_v))
+        if (electrolyte(p, &el, soc_v))
             goto flagged;
         if (applied == 0.0) {
             over = 0.0;
         } else if (applied > 0.0) {
             double sc = soc_cap < soc_v ? soc_cap : soc_v;
-            over = s.b0 * (applied / capacity) * (1.0 + p->b1 * (sc / (1.0 - sc)));
+            over = b0 * (applied / capacity) * (1.0 + p->b1 * (sc / (1.0 - sc)));
         } else {
             double sc = soc_floor > soc_v ? soc_floor : soc_v;
             if (sc == 0.0)
                 goto flagged;
-            over = s.b0 * (applied / capacity) * (1.0 + p->b1 * ((1.0 - sc) / sc));
+            over = b0 * (applied / capacity) * (1.0 + p->b1 * ((1.0 - sc) / sc));
         }
-        voltage = cells * s.el_ocv + cells * over;
+        voltage = cells * el.ocv + cells * over;
 
         /* rest correction, where the Python loop makes it */
         if (s.phase == BULK && -p->rest_a < applied && applied < p->rest_a
             && (applied != 0.0 || s.soc != soc_v || !(p->v_empty < voltage && voltage < p->v_full))) {
             double corrected;
-            if (invert_ocv(p, &s, voltage, s.soc, &corrected))
+            if (invert_ocv(p, &el, voltage, s.soc, &corrected))
                 goto flagged;
             double jump = corrected - s.soc;
             if (fabs(jump) > 1e-9)
@@ -323,11 +346,11 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
         /* ageing: corrosion from the positive-electrode potential ... */
         double sd = 1.0 < s.soc ? 1.0 : s.soc;
         sd = 0.0 > sd ? 0.0 : sd;
-        if (electrolyte(p, &s, sd))
+        if (electrolyte(p, &el, sd))
             goto flagged;
-        const double y = s.el_y, *a = p->positive_coeffs;
+        const double y = el.y, *a = p->positive_coeffs;
         double v_p = a[0] + y * (a[1] + y * (a[2] + y * (a[3] + y * a[4])))
-                     + 0.5 * (voltage / cells - s.el_ocv);
+                     + 0.5 * (voltage / cells - el.ocv);
         double speed;
         if (v_p <= p->v_first) {
             speed = p->k_first * corrosion_factor;
@@ -383,12 +406,12 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             s.z_w = s.z_w + discharge_a * f * dt_h / capacity;
         }
         s.c_corr = p->c_corr_limit * s.w / p->w_limit;
-        if (s.z_w != s.c_deg_z_w) {
+        if (s.z_w != z_w_of_c_deg) {
             double fade = exp(-5.0 * (1.0 - s.z_w / p->nominal_cycles));
             if (!isfinite(fade))
                 goto flagged;
             s.c_deg = p->c_deg_limit * fade;
-            s.c_deg_z_w = s.z_w;
+            z_w_of_c_deg = s.z_w;
         }
         s.loss = s.c_corr + s.c_deg;
         s.soc = new_soc;
@@ -450,10 +473,6 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             *st = s;
             return END_OF_LIFE;
         }
-        double remaining = capacity - s.loss;
-        if (remaining == 0.0)
-            goto flagged;
-        s.b0 = p->b0_ah / remaining;
     }
     *st = s;
     return DAY_DONE;

@@ -182,29 +182,12 @@ class Battery:
         return math.log10(molality)
 
     def electrolyte(self, soc: float) -> tuple[float, float, float]:
-        """(soc, log10 molality, per-cell OCV) at a state of charge in [0, 1].
-
-        A memo miss runs soc -> concentration -> log10 molality -> OCV in
-        this one frame, with the float operations and the raises of
-        acid_concentration, log_molality and cell_ocv in their order;
-        those three stay the one-step API.  log_molality's own
-        non-positive concentration check is left out: the concentration
-        check before it already raised for every value it would reject.
-        """
+        """(soc, log10 molality, per-cell OCV) at a state of charge in [0, 1],
+        memoised for the last soc asked."""
         memo = self._memo
         if memo[0] != soc:
-            if not 0.0 <= soc <= 1.0:
-                raise ValueError(f"soc out of range: {soc}")
-            c = self.c_max + self.swing * (soc - 1.0)
-            if c <= 0.0:
-                raise BatteryParamError("non-positive acid concentration")
-            c_cm3 = c * 1e-6  # mol/cm^3
-            water_fraction = 1.0 - c_cm3 * self.v_acid
-            if water_fraction <= 0.0:
-                raise ValueError("acid volume exceeds electrolyte volume")
-            y = math.log10(1e3 * c_cm3 * self.v_water / (water_fraction * self.m_water))
-            a0, a1, a2, a3, a4 = OCV_COEFFS
-            memo = self._memo = (soc, y, a0 + y * (a1 + y * (a2 + y * (a3 + y * a4))))
+            y = self.log_molality(self.acid_concentration(soc))
+            memo = self._memo = (soc, y, cell_ocv(y))
         return memo
 
     def ocv(self, soc: float) -> float:

@@ -259,13 +259,15 @@ def _worker(args: tuple) -> SimResult:
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[SimResult | Exception]:
     """_worker's outcome of each task, in task order: its result or the
     exception it raised.  With more than one task and more than one job,
-    the tasks run in a pool of `jobs` processes."""
+    the tasks run in a pool of `jobs` processes, or one per task where
+    there are fewer tasks."""
     from . import _kernel
 
     _kernel.load()  # built here once, not by each worker
     outcomes: list[SimResult | Exception] = []
-    if jobs > 1 and len(tasks) > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a pool may start all its workers at once
+    if workers > 1:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_worker, t) for t in tasks]
             for future in futures:
                 outcomes.append(future.exception() or future.result())

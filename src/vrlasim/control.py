@@ -140,18 +140,6 @@ def wants_full_limits(state: ControllerState, params: ControlParams) -> bool:
     return state.days_since_full_recharge >= interval
 
 
-CompensatedLimits = tuple[tuple[float, float], tuple[float, float]]
-
-
-def compensated_limits(params: ControlParams, temp_c: float) -> CompensatedLimits:
-    """(v_limit, v_float) of the full and of the partial limit set at a
-    battery temperature."""
-    return (
-        params.full_limits.compensated(temp_c),
-        params.partial_limits.compensated(temp_c),
-    )
-
-
 def select_limits(
     state: ControllerState, params: ControlParams, temp_c: float
 ) -> tuple[float, float, bool]:

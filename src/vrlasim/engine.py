@@ -14,7 +14,7 @@ import os
 import threading
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 from ._domains import HALF_OPEN_UNIT, HORIZON, POSITIVE, UNIT, check_fields, declared
@@ -25,20 +25,16 @@ from .battery import (
     SOC_FLOOR,
     Battery,
     BatteryParams,
-    GassingParams,
     clamp,
     gassing_current,
-    gassing_temperature_term,
     step_soc,
 )
 from .control import (
     MAX_FULL_RECHARGE_INTERVAL_DAYS,
-    CompensatedLimits,
     ControllerState,
     ControlParams,
     Phase,
     Policy,
-    compensated_limits,
     recharge_interval,
     select_limits,
     tscc_step,
@@ -51,7 +47,6 @@ from .degradation import (
     DegradationModel,
     DegradationParams,
     DegradationState,
-    corrosion_temperature_factor,
 )
 from .profiles import DEFAULT_DT_S, SECONDS_PER_DAY, STRESS_LOW_SOC, StressAccumulator
 from .profiles import StressFactors, TimeSeries, TraceRecord, TraceWriter
@@ -68,10 +63,6 @@ N_SOC_BINS = 20
 VOLTAGE_BIN_LOW = 10.0
 VOLTAGE_BIN_WIDTH = 0.1
 N_VOLTAGE_BINS = 56  # 10.0 .. 15.6 V, outliers land in the edge bins
-
-# Distinct temperatures one run's TemperatureTerms keeps.  Generated
-# profiles hold a few dozen; an ingested log may hold one per sample.
-TEMPERATURE_MEMO_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -204,57 +195,6 @@ def _day_record(
     )
 
 
-class TemperatureTerms:
-    """The per-step terms that depend on temperature alone, memoised for a
-    run's step kernel; the layer functions evaluate their own.
-
-    Called with a temperature in degC, returns (corrosion temperature
-    factor, gassing temperature term, compensated limits of both sets),
-    each from the one function that defines it; none raises at an admitted
-    temperature (DegradationParams rejects a corrosion factor that
-    overflows there).  Entries are keyed on the
-    exact temp_c float (0.0 and -0.0 share one, and give the same terms),
-    so the memo cannot change a result.  It stops inserting at
-    TEMPERATURE_MEMO_ENTRIES, so a profile whose temperatures never repeat
-    costs bounded memory; further temperatures are evaluated afresh each
-    time a day's terms are made.
-    """
-
-    __slots__ = ("control", "degradation", "gassing", "entries")
-
-    def __init__(
-        self,
-        control: ControlParams,
-        degradation: DegradationParams,
-        gassing: GassingParams,
-    ) -> None:
-        self.control = control
-        self.degradation = degradation
-        self.gassing = gassing
-        self.entries: dict[float, tuple[float, float, CompensatedLimits]] = {}
-
-    def __call__(self, temp_c: float) -> tuple[float, float, CompensatedLimits]:
-        terms = self.entries.get(temp_c)
-        if terms is None:
-            temp_k = temp_c + 273.15
-            terms = (
-                corrosion_temperature_factor(temp_k, self.degradation),
-                gassing_temperature_term(temp_k, self.gassing),
-                compensated_limits(self.control, temp_c),
-            )
-            if len(self.entries) < TEMPERATURE_MEMO_ENTRIES:
-                self.entries[temp_c] = terms
-        return terms
-
-    def day(self, temps: list[float]) -> array:
-        """The terms at each of a day's temperatures, as the kernel reads
-        them: six doubles a step, the corrosion factor, the gassing term,
-        and (v_limit, v_float) of the full and of the partial set."""
-        get = self.entries.get
-        terms = (get(t) or self(t) for t in temps)  # terms are non-empty tuples
-        return array("d", chain.from_iterable((f, g, *full, *part) for f, g, (full, part) in terms))
-
-
 def _reschedule(
     ctrl: ControllerState,
     control: ControlParams,
@@ -330,14 +270,14 @@ def run_scenario(
     not, or where the kernel flags a step at which `python_day` would
     raise: the kernel then leaves the state as the day found it, and
     `python_day` runs that day and raises what it raises.  Both give the
-    same result to the bit.  The kernel reads a day's temperature terms
-    from a TemperatureTerms memo, made before the day's first step and
-    again only when the day's temperatures are not the day before's
-    object.  `python_day` calls the layer functions in the order
-    tests/reference_engine.py composes them, each evaluating its own
-    temperature terms, and moves the state between the _kernel.State and
-    the layers' ControllerState, DegradationState and StressAccumulator
-    once as a day starts and once as it ends.
+    same result to the bit.  The kernel takes a day's loads, solars and
+    temperatures and evaluates each step's temperature terms as the layer
+    functions do; its memos live within one day's call.  `python_day`
+    calls the layer functions in the order tests/reference_engine.py
+    composes them, each evaluating its own temperature terms, and moves
+    the state between the _kernel.State and the layers' ControllerState,
+    DegradationState and StressAccumulator once as a day starts and once
+    as it ends.
 
     Given a `trace` destination, any object with an ``append`` method
     such as a profiles.TraceWriter, the run appends one TraceRecord per
@@ -362,7 +302,6 @@ def run_scenario(
     deg = DegradationState()
     control = scenario.control
     adaptive = control.policy is Policy.ADAPTIVE
-    terms_of_day = TemperatureTerms(control, scenario.degradation, params.gassing).day
 
     dt_s = scenario.dt_s
     dt_h = dt_s / 3600.0
@@ -389,18 +328,12 @@ def run_scenario(
     record = None if trace is None else trace.append
     trajectory: list[DayRecord] = []
     stress = StressAccumulator(capacity, dt_h)
-    full_charge_times, full_charge_days = stress.full_charge_times, stress.full_charge_days
 
     soc = scenario.initial_soc
     st = _kernel.State(
         soc=soc,
         v_prev=battery.ocv(clamp(soc, SOC_FLOOR, SOC_CAP)),
-        b0=battery.effective_b0(0.0),
         min_soc_since_full=soc,
-        c_deg_z_w=math.nan,  # the z_w that c_deg was computed at; nan matches none
-        el_soc=math.nan,  # the last Battery.electrolyte result; nan matches no soc
-        el_y=math.nan,
-        el_ocv=math.nan,
         min_soc_run=soc,
         min_soc_day=soc,
         interval_days=ctrl.interval_days,
@@ -509,13 +442,9 @@ def run_scenario(
                 break
 
         st.soc, st.v_prev, st.loss = soc, v_prev, loss
-        if not ended:  # the kernel's memo of Battery.effective_b0
-            st.b0 = battery.effective_b0(loss)
         st.w, st.z_w, st.since_full_h = deg.w, deg.z_w, deg.time_since_full_h
         st.min_soc_since_full, st.c_corr, st.c_deg = deg.min_soc_since_full, deg.c_corr, deg.c_deg
         st.ks_clamp_events = deg.ks_clamp_events
-        # the kernel's memos, keyed on exact floats: nan matches none
-        st.el_soc = st.c_deg_z_w = math.nan
         st.charge_ah, st.discharge_ah = stress.charge_ah, stress.discharge_ah
         st.max_discharge_a, st.low_soc_h = stress.max_discharge_a, stress.low_soc_h
         st.float_h, st.depth_bins[:] = stress.float_h, stress.depth_bins
@@ -546,12 +475,16 @@ def run_scenario(
             c_max=battery.c_max, swing=battery.swing, v_acid=battery.v_acid,
             v_water=battery.v_water, m_water=battery.m_water,
             ocv_coeffs=OCV_COEFFS, positive_coeffs=POSITIVE_OCV_COEFFS,
-            i_gas_0=gassing.i_gas_0, c_v=gassing.c_v, v_ref=gassing.v_ref,
-            cutoff_soc=control.cutoff_soc, reconnect_soc=control.reconnect_soc(),
+            i_gas_0=gassing.i_gas_0, c_v=gassing.c_v, c_t=gassing.c_t, v_ref=gassing.v_ref,
+            t_ref=gassing.t_ref, cutoff_soc=control.cutoff_soc,
+            reconnect_soc=control.reconnect_soc(),
             max_interval_days=MAX_FULL_RECHARGE_INTERVAL_DAYS,
+            full_limits=_kernel.Limits(**asdict(control.full_limits)),
+            partial_limits=_kernel.Limits(**asdict(control.partial_limits)),
             v_first=potentials[0], v_last=potentials[-1],
             k_first=ageing.ks_knots[0][1], k_last=ageing.ks_knots[-1][1],
             threshold_v=ageing.corrosion_threshold_v, exponent=ageing.corrosion_exponent,
+            ks_ref_temp_k=ageing.ks_ref_temp_k, temp_doubling_k=ageing.temp_doubling_k,
             c_soc0=ageing.c_soc0_per_h, c_soc_min=ageing.c_soc_min_per_h,
             i_ref=ageing.i_ref_a, i_floor=ageing.i_floor_a,
             nominal_cycles=scenario.datasheet.nominal_cycles, w_limit=calibrated.w_limit,
@@ -568,7 +501,7 @@ def run_scenario(
             at_values, at_marks = values.buffer_info()[0], marks.buffer_info()[0]
 
     days = -(-max_steps // steps_per_day)  # the last may be partial
-    day_temps = None  # the temperatures packed_terms holds the terms of
+    day_temps = None  # the temperatures temps_in holds
     day_start_c_corr = day_start_total = 0.0
     censored = True
     for day in range(days):
@@ -598,13 +531,13 @@ def run_scenario(
         stop = min(first + steps_per_day, max_steps)
         outcome = _kernel.FLAGGED
         if run_day is not None:
-            if temps is not day_temps:  # a template day reuses its terms
-                day_temps, packed_terms = temps, terms_of_day(temps)
             loads_in, solars_in = array("d", loads), array("d", solars)
+            if temps is not day_temps:  # a generated profile's days share one
+                day_temps, temps_in = temps, array("d", temps)
             outcome = run_day(
                 kernel_params, st, day, first, stop,
                 loads_in.buffer_info()[0], solars_in.buffer_info()[0],
-                packed_terms.buffer_info()[0], at_events, at_values, at_marks,
+                temps_in.buffer_info()[0], at_events, at_values, at_marks,
             )
         if outcome == _kernel.FLAGGED:
             ended = python_day(day, first, stop, loads, solars, temps)
@@ -613,10 +546,7 @@ def run_scenario(
             full_events = st.day_full_events
             if full_events:
                 ctrl.days_since_full_recharge = 0
-                for i in events[:full_events]:
-                    t_h = i * dt_h
-                    full_charge_times.append(t_h)
-                    full_charge_days.add(int(t_h // 24.0))
+                stress.full_charge_times.extend(i * dt_h for i in events[:full_events])
             if record is not None:
                 stepped = range(first, st.lifetime_steps if ended else stop)
                 v, m = iter(values), iter(marks)
@@ -648,8 +578,7 @@ def run_scenario(
             st.max_discharge_a,
             st.low_soc_h,
             st.float_h,
-            full_charge_times,
-            full_charge_days,
+            stress.full_charge_times,
             list(st.depth_bins),
         ),
         censored=censored,

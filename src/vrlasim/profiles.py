@@ -869,19 +869,20 @@ class StressFactors:
         low_soc_h: float,
         float_h: float,
         full_charge_times: list[float],
-        full_charge_days: set[int],
         depth_bins: list[int],
     ) -> StressFactors:
         """The stress factors of a trace of `steps` records, from the running
         sums that StressAccumulator.add keeps (run_scenario keeps the same
-        sums in its locals).  The mean gap between full charges sums the
-        gaps left to right, which the builtin sum does not do on every
-        Python version (3.12 compensates it)."""
+        sums in its _kernel.State), full charges at full_charge_times (h).
+        The mean gap between full charges sums the gaps left to right, which
+        the builtin sum does not do on every Python version (3.12
+        compensates it)."""
         duration_days = steps * dt_h / 24.0
         # a duration within 1e-9 day above a whole day is the rounding error
         # of a dt_h such as 96 s / 3600, not a further day
         whole_days = max(math.ceil(duration_days - 1e-9), 1)
         gaps = [b - a for a, b in zip(full_charge_times, full_charge_times[1:])]
+        full_days = {int(t // 24.0) for t in full_charge_times}
         return cls(
             duration_days=duration_days,
             charge_ah=charge_ah,
@@ -891,7 +892,7 @@ class StressFactors:
             highest_discharge_rate_a=max_discharge_a,
             time_at_low_soc_h=low_soc_h,
             n_full_charges=len(full_charge_times),
-            full_recharge_day_fraction=len(full_charge_days) / whole_days,
+            full_recharge_day_fraction=len(full_days) / whole_days,
             time_between_full_mean_h=reduce(operator.add, gaps) / len(gaps) if gaps else None,
             time_between_full_max_h=max(gaps) if gaps else None,
             partial_cycle_depths=tuple(depth_bins),
@@ -917,7 +918,6 @@ class StressAccumulator:
         self.low_soc_h = 0.0
         self.float_h = 0.0
         self.full_charge_times: list[float] = []
-        self.full_charge_days: set[int] = set()
         self.depth_bins = [0] * self.N_DEPTH_BINS
         # lowest soc since the last full charge; None before the first one
         self.min_soc_since_full: float | None = None
@@ -951,7 +951,6 @@ class StressAccumulator:
                     idx = self.N_DEPTH_BINS - 1
                 self.depth_bins[idx] += 1
             self.full_charge_times.append(t_h)
-            self.full_charge_days.add(int(t_h // 24.0))
             self.min_soc_since_full = soc
 
     def result(self) -> StressFactors:
@@ -965,7 +964,6 @@ class StressAccumulator:
             self.low_soc_h,
             self.float_h,
             self.full_charge_times,
-            self.full_charge_days,
             self.depth_bins,
         )
 

@@ -6,8 +6,8 @@ step's temperature, so every formula, the temperature terms included,
 comes from its one definition and is evaluated afresh, over one flat
 loop of steps.  run_scenario's Python day calls the same functions, one
 day at a time with its state carried in a _kernel.State between days;
-its compiled kernel writes the step out in C and takes the temperature
-terms from its TemperatureTerms memo.  The differential tests check that
+its compiled kernel writes the step out in C, evaluating the temperature
+terms from the day's temperatures.  The differential tests check that
 run_scenario's result equals this loop's, bit for bit, on both paths,
 and that it raises what this loop raises.
 """

@@ -10,6 +10,7 @@ import re
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 from datetime import datetime
 from pathlib import Path
 
@@ -499,6 +500,42 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
         assert os.path.exists(out / "one.json")
         assert os.path.exists(out / "two.json")
+
+    @pytest.mark.parametrize("jobs, scenarios, workers", [("500", 2, 2), ("2", 4, 2)])
+    def test_pool_has_no_more_workers_than_scenarios(
+        self, tmp_path, monkeypatch, jobs, scenarios, workers
+    ):
+        """A process pool may start all its workers at its first submit."""
+        asked = []
+
+        class InlinePool:
+            """Records the workers asked for and runs each task at submit,
+            in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, task):
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "sim: {max_years: 0.01, seed: 1}\nscenarios:\n"
+            + "".join(f"  - {{name: s{k}, archetype: low, days: 4}}\n" for k in range(scenarios))
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+        assert asked == [workers]
+        assert sorted(out.glob("*.json")) == [out / f"s{k}.json" for k in range(scenarios)]
 
     def test_parallel_files_match_serial(self, tmp_path):
         cfg = tmp_path / "two.yaml"

@@ -12,27 +12,12 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import START, constant_profile, cycling_profile, result_digest, step_path
-from vrlasim import engine
-from vrlasim.control import (
-    ControllerState,
-    ControlParams,
-    Policy,
-    adaptive_params,
-    select_limits,
-)
-from vrlasim.battery import (
-    Battery,
-    BatteryParams,
-    gassing_temperature_term,
-)
-from vrlasim.degradation import (
-    Datasheet,
-    DegradationParams,
-    calibrate_limits,
-    corrosion_temperature_factor,
-)
+from vrlasim import _kernel, engine
+from vrlasim._domains import TEMP_MAX_C, TEMP_MIN_C
+from vrlasim.control import ControlParams, Policy, adaptive_params
+from vrlasim.battery import Battery, BatteryParams
+from vrlasim.degradation import Datasheet, DegradationParams, calibrate_limits
 from vrlasim.engine import (
-    TEMPERATURE_MEMO_ENTRIES,
     EngineError,
     Scenario,
     compare_strategies,
@@ -400,8 +385,7 @@ class TestComparisons:
 
 
 def test_electrolyte_evaluated_about_once_per_step(monkeypatch):
-    # Battery.electrolyte evaluates the chain in its own frame, so count
-    # its calls that miss the memo
+    # count the calls of Battery.electrolyte that miss its memo
     evaluations = 0
     electrolyte = Battery.electrolyte
 
@@ -425,19 +409,6 @@ def test_electrolyte_evaluated_about_once_per_step(monkeypatch):
 def static_vs_adaptive(profile=LOW_60, days=60, record_trace=False):
     base = Scenario("base", profile, max_years=days / 365.0, record_trace=record_trace)
     return base, dataclasses.replace(base, name="alt", control=adaptive_params())
-
-
-def recorded_temperature_terms(monkeypatch) -> list:
-    """Every TemperatureTerms that run_scenario creates in this process."""
-    made = []
-
-    class Recorded(engine.TemperatureTerms):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(engine, "TemperatureTerms", Recorded)
-    return made
 
 
 def force_worker(monkeypatch, use: bool) -> None:
@@ -572,49 +543,31 @@ class TestShouldForkAlt:
         assert not thread.is_alive()
 
 
-class TestTemperatureTerms:
-    """The kernel's memo: only the compiled day loop reads the terms."""
+def test_kernel_temperature_terms_match_the_layer_functions():
+    """A flat adaptive profile whose temperatures never repeat and span the
+    admitted range: the kernel, evaluating each step's temperature terms
+    itself and flagging no day, gives the Python day's result to the bit."""
+    n = len(LOW_60)
+    temps = [TEMP_MIN_C + (TEMP_MAX_C - TEMP_MIN_C) * i / (n - 1) for i in range(n)]
+    assert len(set(temps)) == n and (temps[0], temps[-1]) == (TEMP_MIN_C, TEMP_MAX_C)
+    scenario = Scenario(
+        "ramp", dataclasses.replace(LOW_60, temp_c=temps), control=adaptive_params(),
+        max_years=60 / 365.0,
+    )
+    with step_path("python"):
+        want = result_digest(run_scenario(scenario))
+    with step_path("kernel"):
+        run_day = _kernel.load()
+        outcomes = []
 
-    @pytest.fixture(autouse=True)
-    def kernel_path(self):
-        with step_path("kernel"):
-            yield
+        def recorded(*args):
+            outcomes.append(run_day(*args))
+            return outcomes[-1]
 
-    def test_entries_equal_fresh_evaluations(self, monkeypatch):
-        memos = recorded_temperature_terms(monkeypatch)
-        control = adaptive_params()
-        scenario = Scenario("low60", LOW_60, control=control, max_years=60 / 365.0)
-        run_scenario(scenario)
-        (memo,) = memos
-        assert set(memo.entries) == set(LOW_60.temp_c)
-        params, gassing = scenario.degradation, scenario.battery.gassing
-        for temp_c, (factor, gas_term, limits) in memo.entries.items():
-            temp_k = temp_c + 273.15
-            assert factor == corrosion_temperature_factor(temp_k, params)
-            assert gas_term == gassing_temperature_term(temp_k, gassing)
-            assert limits == (
-                control.full_limits.compensated(temp_c),
-                control.partial_limits.compensated(temp_c),
-            )
-            assert select_limits(ControllerState(), control, temp_c)[:2] == limits[0]
-
-    def test_distinct_temperatures_stop_at_the_bound(self, monkeypatch):
-        n = len(LOW_60)
-        assert n > TEMPERATURE_MEMO_ENTRIES
-        profile = dataclasses.replace(
-            LOW_60, temp_c=[15.0 + 20.0 * i / n for i in range(n)]
-        )
-        assert len(set(profile.temp_c)) == n
-        base, alt = static_vs_adaptive(profile)
-        memos = recorded_temperature_terms(monkeypatch)
-        force_worker(monkeypatch, True)
-        concurrent = compare_strategies(base, alt)
-        (memo,) = memos  # the base run's; the alt run's lived in the worker
-        assert len(memo.entries) == TEMPERATURE_MEMO_ENTRIES
-        # reference: both runs in this process, and nothing memoised
-        force_worker(monkeypatch, False)
-        monkeypatch.setattr(engine, "TEMPERATURE_MEMO_ENTRIES", 0)
-        reference = compare_strategies(base, alt)
-        assert len(memos) == 3
-        assert not memos[1].entries and not memos[2].entries
-        assert result_digest(concurrent) == result_digest(reference)
+        _kernel._loaded[0] = recorded
+        try:
+            got = result_digest(run_scenario(scenario))
+        finally:
+            _kernel._loaded[0] = run_day
+    assert outcomes == [_kernel.DAY_DONE] * 60
+    assert got == want

@@ -28,14 +28,19 @@ from reference_engine import reference_run
 from reference_profiles import reference_generate_archetype
 from reference_writers import reference_write_profile_csv
 from vrlasim._domains import TEMP_MAX_C, TEMP_MIN_C
-from vrlasim.battery import BatteryParams, GassingParams
+from vrlasim.battery import BatteryParams, GassingParams, gassing_temperature_term
 from vrlasim.cli import main
 from vrlasim.control import ControlParams, VoltageLimits, adaptive_params
-from vrlasim.degradation import CalibrationError, Datasheet, DegradationParams, calibrate_limits
+from vrlasim.degradation import (
+    CalibrationError,
+    Datasheet,
+    DegradationParams,
+    calibrate_limits,
+    corrosion_temperature_factor,
+)
 from vrlasim.engine import (
     EngineError,
     Scenario,
-    TemperatureTerms,
     compare_strategies,
     run_scenario,
 )
@@ -297,7 +302,7 @@ class TestEngineOnBothForms:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_terms_finite_at_every_admitted_temperature(self, data):
-        """What lets a day's terms be made before its first step: for
+        """Why the kernel flags no step for its temperature terms: for
         parameters that construct, at any temperature a profile admits,
         the terms raise nothing, the corrosion factor is finite and
         calibration raises no OverflowError."""
@@ -309,13 +314,14 @@ class TestEngineOnBothForms:
         degradation = data.draw(
             built(DegradationParams, ks_ref_temp_k=POSITIVE, temp_doubling_k=POSITIVE)
         )
-        terms = TemperatureTerms(
-            data.draw(built(ControlParams, full_limits=limits, partial_limits=limits)),
-            degradation,
-            data.draw(built(GassingParams, c_t=st.floats(0.0, MAX), t_ref=POSITIVE)),
-        )
+        control = data.draw(built(ControlParams, full_limits=limits, partial_limits=limits))
+        gassing = data.draw(built(GassingParams, c_t=st.floats(0.0, MAX), t_ref=POSITIVE))
         for temp_c in data.draw(st.lists(temperature, min_size=1, max_size=4)):
-            corrosion_factor, _, _ = terms(temp_c)
+            temp_k = temp_c + 273.15
+            corrosion_factor = corrosion_temperature_factor(temp_k, degradation)
+            gassing_temperature_term(temp_k, gassing)
+            control.full_limits.compensated(temp_c)
+            control.partial_limits.compensated(temp_c)
             assert corrosion_factor < math.inf
         datasheet = data.draw(
             built(Datasheet, float_life_years=st.floats(0.0, 0.01), float_temp_c=temperature)

@@ -515,7 +515,6 @@ class MinMaxAccumulator(StressAccumulator):
                 idx = min(int(depth * self.N_DEPTH_BINS), self.N_DEPTH_BINS - 1)
                 self.depth_bins[idx] += 1
             self.full_charge_times.append(t_h)
-            self.full_charge_days.add(int(t_h // 24.0))
             self.min_soc_since_full = soc
 
 

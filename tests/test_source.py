@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -341,8 +342,8 @@ def test_cli_has_one_run_and_write_path():
 
 # What the reference loop may take from the engine: the scenario and
 # result types and the histogram layout.  A piece of run_scenario's own
-# day loop, such as the kernel's TemperatureTerms memo, would make the
-# differential test compare the loop with itself.
+# day loop, such as its Python day or the kernel's parameters, would make
+# the differential test compare the loop with itself.
 REFERENCE_ENGINE_IMPORTS = {
     "DayRecord",
     "EnergyAudit",
@@ -376,10 +377,10 @@ def engine_imports(source: str) -> set[str]:
 def test_finds_engine_imports():
     source = (
         "import vrlasim.battery\n"
-        "from vrlasim.engine import Scenario, TemperatureTerms\n"
+        "from vrlasim.engine import Scenario, run_scenario\n"
         "from vrlasim import engine\n"
     )
-    assert engine_imports(source) == {"Scenario", "TemperatureTerms", "vrlasim.engine"}
+    assert engine_imports(source) == {"Scenario", "run_scenario", "vrlasim.engine"}
     assert engine_imports("import vrlasim.engine as e\n") == {"vrlasim.engine"}
 
 
@@ -515,31 +516,8 @@ def test_reference_loop_calls_the_stress_sums_and_the_inversion():
     assert {"StressAccumulator.add", "Battery.invert_ocv"} <= in_loops
 
 
-def temperature_memos(function: ast.FunctionDef) -> set[str]:
-    """Names a function binds to a TemperatureTerms(...) call, or to an
-    attribute of one or of such a name."""
-    memos: set[str] = set()
-    for node in ast.walk(function):
-        if isinstance(node, ast.Assign) and is_temperature_memo(node.value, memos):
-            memos.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    return memos
-
-
-def is_temperature_memo(node: ast.AST, memos: set[str]) -> bool:
-    """Whether a node is a TemperatureTerms call, a name of `memos`, or an attribute of either."""
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        return name == "TemperatureTerms"
-    return isinstance(node, ast.Name) and node.id in memos
-
-
 def step_loop_faults(function: ast.FunctionDef) -> list[int]:
-    """Lines in a function's step loops (for loops inside a for loop) of a
-    `try` or of a call of a TemperatureTerms memo."""
-    memos = temperature_memos(function)
+    """Lines of each `try` in a function's step loops (for loops inside a for loop)."""
     steps = [
         inner
         for outer in ast.walk(function)
@@ -547,59 +525,68 @@ def step_loop_faults(function: ast.FunctionDef) -> list[int]:
         for inner in ast.walk(outer)
         if isinstance(inner, ast.For) and inner is not outer
     ]
-    return sorted(
-        {
-            node.lineno
-            for step in steps
-            for node in ast.walk(step)
-            if isinstance(node, ast.Try)
-            or isinstance(node, ast.Call) and is_temperature_memo(node.func, memos)
-        }
-    )
-
-
-def handler_lines(source: str, name: str) -> list[int]:
-    """Lines of the except clauses of the module-level class `name` of a source."""
-    (cls,) = (n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == name)
-    return [node.lineno for node in ast.walk(cls) if isinstance(node, ast.ExceptHandler)]
+    tries = {node.lineno for step in steps for node in ast.walk(step) if isinstance(node, ast.Try)}
+    return sorted(tries)
 
 
 def test_finds_step_loop_faults():
     source = (
-        "class TemperatureTerms:\n"
-        "    def _or_none(self, t):\n"
-        "        try:\n"
-        "            return self(t)\n"
-        "        except Exception:\n"
-        "            return None\n"
         "def run(days):\n"
-        "    temperature_terms = TemperatureTerms(1, 2, 3)\n"
-        "    terms_of_day = temperature_terms.day\n"
+        "    try:\n"
+        "        days = list(days)\n"
+        "    except TypeError:\n"
+        "        pass\n"
         "    for temps in days:\n"
-        "        day_terms = terms_of_day(temps)\n"
-        "        for t, terms in zip(temps, day_terms):\n"
-        "            if terms is None:\n"
-        "                terms = temperature_terms(t)\n"
+        "        for t in temps:\n"
         "            try:\n"
-        "                print(terms_of_day(temps))\n"
+        "                print(t)\n"
         "            except ValueError:\n"
         "                pass\n"
     )
-    run = function_def(source, "run")
-    assert temperature_memos(run) == {"temperature_terms", "terms_of_day"}
-    assert step_loop_faults(run) == [14, 15, 16]
-    assert handler_lines(source, "TemperatureTerms") == [5]
+    assert step_loop_faults(function_def(source, "run")) == [8]
 
 
 def test_step_loop_has_no_fault_path():
-    """A day's temperature terms are made before its first step and no
-    parameter set that constructs can make them raise, so neither the
-    step loop nor the memo keeps a path for an error."""
-    source = (PACKAGE / "engine.py").read_text()
-    run = function_def(source, "run_scenario")
-    assert temperature_memos(run) == {"terms_of_day"}
+    """No parameter set that constructs can make a step's temperature terms
+    raise, so the step loop keeps no path for an error."""
+    run = function_def((PACKAGE / "engine.py").read_text(), "run_scenario")
     assert step_loop_faults(run) == []
-    assert handler_lines(source, "TemperatureTerms") == []
+
+
+def c_struct_fields(source: str, name: str) -> list[str]:
+    """The field names of the ``typedef struct { ... } name;`` of a C
+    source, in order."""
+    source = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    (body,) = re.findall(r"typedef struct \{([^}]*)\} " + name + ";", source)
+    names = []
+    for declaration in body.split(";")[:-1]:
+        declarators = declaration.split(",")
+        declarators[0] = declarators[0].split()[-1]  # without its type
+        names += [d.strip().lstrip("*").split("[")[0] for d in declarators]
+    return names
+
+
+def test_finds_c_struct_fields():
+    source = (
+        "typedef struct { double a; } Other;\n"
+        "typedef struct {\n"
+        "    double x, y[4]; /* a, b; */\n"
+        "    const double *table;\n"
+        "    Other inner, outer;\n"
+        "    int64_t n[N_BINS], m;\n"
+        "} Mirrored;\n"
+    )
+    assert c_struct_fields(source, "Mirrored") == ["x", "y", "table", "inner", "outer", "n", "m"]
+    assert c_struct_fields(source, "Other") == ["a"]
+
+
+@pytest.mark.parametrize("struct", [_kernel.Limits, _kernel.Params, _kernel.State],
+                         ids=lambda struct: struct.__name__)
+def test_kernel_structs_mirror_the_c_fields_by_name(struct):
+    """_kernel.load compares the structs' sizes only, which two swapped
+    fields of one type would pass."""
+    source = Path(_kernel.SOURCE).read_text()
+    assert [name for name, _ in struct._fields_] == c_struct_fields(source, struct.__name__)
 
 
 @pytest.mark.parametrize("cls", PARAMETER_CLASSES, ids=lambda c: c.__name__)
