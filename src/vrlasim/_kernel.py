@@ -77,7 +77,7 @@ class Params(ctypes.Structure):
         ("ocv_coeffs", ctypes.c_double * 5),
         ("positive_coeffs", ctypes.c_double * 5),
         *_doubles(
-            "i_gas_0 c_v c_t v_ref t_ref cutoff_soc reconnect_soc max_interval_days"
+            "i_gas_0 c_v c_t v_ref t_ref cutoff_soc reconnect_soc"
         ),
         ("full_limits", Limits),
         ("partial_limits", Limits),
@@ -103,7 +103,7 @@ class State(ctypes.Structure):
             "soc v_prev loss w z_w since_full_h min_soc_since_full c_corr c_deg"
             " integral correction_jumps full_reset_jumps clamp_jumps"
             " charge_ah discharge_ah max_discharge_a low_soc_h float_h cycle_min_soc"
-            " min_soc_run min_soc_day hours_disconnected load_lost_wh interval_days"
+            " min_soc_run min_soc_day hours_disconnected load_lost_wh"
         ),
         ("soc_hist", ctypes.c_double * N_SOC_BINS),
         ("v_hist", ctypes.c_double * N_VOLTAGE_BINS),

@@ -46,7 +46,7 @@ typedef struct {
     double cells, b0_ah, b1, v_empty, v_full;
     double c_max, swing, v_acid, v_water, m_water;
     double ocv_coeffs[5], positive_coeffs[5];
-    double i_gas_0, c_v, c_t, v_ref, t_ref, cutoff_soc, reconnect_soc, max_interval_days;
+    double i_gas_0, c_v, c_t, v_ref, t_ref, cutoff_soc, reconnect_soc;
     Limits full_limits, partial_limits;
     double v_first, v_last, k_first, k_last, threshold_v, exponent, ks_ref_temp_k, temp_doubling_k;
     double c_soc0, c_soc_min, i_ref, i_floor, nominal_cycles;
@@ -62,7 +62,7 @@ typedef struct {
     double w, z_w, since_full_h, min_soc_since_full, c_corr, c_deg;
     double integral, correction_jumps, full_reset_jumps, clamp_jumps;
     double charge_ah, discharge_ah, max_discharge_a, low_soc_h, float_h, cycle_min_soc;
-    double min_soc_run, min_soc_day, hours_disconnected, load_lost_wh, interval_days;
+    double min_soc_run, min_soc_day, hours_disconnected, load_lost_wh;
     double soc_hist[N_SOC_BINS], v_hist[N_VOLTAGE_BINS];
     int64_t depth_bins[N_DEPTH_BINS];
     int64_t phase, disconnected, full_set, cycling;
@@ -160,16 +160,6 @@ static int invert_ocv(const Params *p, Electrolyte *el, double voltage, double s
     }
     *out = 0.5 * (lo + hi);
     return 0;
-}
-
-/* control.wants_full_limits just after a full recharge (no days since it). */
-static int64_t full_limits_after_recharge(const Params *p, double interval)
-{
-    if (!p->adaptive)
-        return 1;
-    if (interval > p->max_interval_days)
-        interval = p->max_interval_days;
-    return 0.0 >= interval;
 }
 
 /*
@@ -276,7 +266,9 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
                         events[s.day_full_events] = i;
                         s.day_full_events += 1;
                         s.last_full_event_day = day;
-                        s.full_set = full_limits_after_recharge(p, s.interval_days);
+                        /* wants_full_limits(0, ...): an adaptive interval is
+                         * never below one day, so only static keeps the set */
+                        s.full_set = !p->adaptive;
                     }
                     /* Battery.hold_voltage_current(clamp(soc, floor, cap), v_float, loss) */
                     double hs = soc_cap < s.soc ? soc_cap : s.soc;

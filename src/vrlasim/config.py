@@ -24,7 +24,7 @@ from .control import (
     VoltageLimits,
 )
 from .degradation import Datasheet, DegradationParams
-from .engine import Scenario
+from .engine import Scenario, horizon_steps
 from .profiles import ARCHETYPES, TimeSeries, UseArchetype, divides_day
 
 
@@ -51,6 +51,10 @@ class SimSettings:
         check_fields(self, ConfigError, prefix="sim.")
         if not divides_day(self.dt_s):
             raise ConfigError(f"sim.dt_s must divide a day evenly: {self.dt_s!r}")
+        if horizon_steps(self.dt_s, self.max_years) < 1:
+            raise ConfigError(
+                f"sim.max_years must hold one step of sim.dt_s {self.dt_s!r} s: {self.max_years!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 The controller runs bulk (all available current), absorption (current
 tapered to hold the absorption ceiling) and float (voltage held at the
 float setpoint).  A full recharge is declared when the absorption taper
-current falls below a threshold; under the adaptive policy that event
-feeds a day counter which, together with a daily degradation-mix
-estimate, decides whether the next day charges against the full or the
-reduced limit set.  Load is disconnected below a state-of-charge floor
-and reconnects with hysteresis.
+current falls below a threshold.  Under the adaptive policy, each
+midnight the days since the last full recharge and the day's
+degradation mix decide whether the next day charges against the full
+or the reduced limit set (reschedule).  Load is disconnected below a
+state-of-charge floor and reconnects with hysteresis.
 """
 
 from __future__ import annotations
@@ -109,9 +109,8 @@ class ControllerState:
 
     phase: Phase = Phase.BULK
     load_disconnected: bool = False
-    days_since_full_recharge: int = 1  # start as if full-charged yesterday
     interval_days: float = 1.0  # adaptive full-recharge interval
-    full_set_active: bool = True
+    full_set: bool = True  # charge against the full limit set
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,8 @@ class StepEvents:
 NO_EVENTS = StepEvents()  # shared by every step that changes no phase
 
 
-def wants_full_limits(state: ControllerState, params: ControlParams) -> bool:
-    """Whether the adaptive scheduler calls for the full limit set now.
+def wants_full_limits(days_since_full: int, interval_days: float, params: ControlParams) -> bool:
+    """Whether the adaptive scheduler calls for the full limit set.
 
     A full recharge is due once at least interval_days whole days have
     passed since the last one; the interval is capped so the wait never
@@ -134,21 +133,40 @@ def wants_full_limits(state: ControllerState, params: ControlParams) -> bool:
     """
     if params.policy is Policy.BBOXX_STATIC:
         return True
-    interval = state.interval_days
-    if interval > MAX_FULL_RECHARGE_INTERVAL_DAYS:  # min() without the builtin call
-        interval = MAX_FULL_RECHARGE_INTERVAL_DAYS
-    return state.days_since_full_recharge >= interval
+    if interval_days > MAX_FULL_RECHARGE_INTERVAL_DAYS:  # min() without the builtin call
+        interval_days = MAX_FULL_RECHARGE_INTERVAL_DAYS
+    return days_since_full >= interval_days
+
+
+def reschedule(
+    state: ControllerState,
+    params: ControlParams,
+    day: int,
+    delta_c_corr: float,
+    delta_c: float,
+    last_full_day: int,
+) -> bool:
+    """The adaptive scheduler's midnight update as `day` starts, from the
+    losses (Ah) of the day that ended.
+
+    Sets the full-recharge interval, carried over a day without loss, and
+    full_set from the days since the last full recharge (day + 1 before
+    the first one, last_full_day -1); returns full_set.
+    """
+    interval = recharge_interval(delta_c_corr, delta_c)
+    if interval is not None:
+        state.interval_days = interval
+    days_since_full = day - last_full_day if last_full_day >= 0 else day + 1
+    state.full_set = wants_full_limits(days_since_full, state.interval_days, params)
+    return state.full_set
 
 
 def select_limits(
     state: ControllerState, params: ControlParams, temp_c: float
-) -> tuple[float, float, bool]:
-    """Active (v_limit, v_float, is_full_set) at a battery temperature."""
-    full = wants_full_limits(state, params)
-    limits = params.full_limits if full else params.partial_limits
-    v_limit, v_float = limits.compensated(temp_c)
-    state.full_set_active = full
-    return v_limit, v_float, full
+) -> tuple[float, float]:
+    """Active (v_limit, v_float) at a battery temperature."""
+    limits = params.full_limits if state.full_set else params.partial_limits
+    return limits.compensated(temp_c)
 
 
 def update_load_disconnect(
@@ -217,7 +235,5 @@ def tscc_step(
     if not entered_absorption and i_hold <= taper_a and net >= i_hold:
         # taper finished and the source could actually sustain it
         state.phase = Phase.FLOAT
-        return applied, StepEvents(
-            float_entered=True, full_charge=state.full_set_active
-        )
+        return applied, StepEvents(float_entered=True, full_charge=state.full_set)
     return applied, NO_EVENTS

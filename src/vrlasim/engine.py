@@ -15,7 +15,7 @@ import threading
 import time
 from array import array
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, count
 
 from ._domains import HALF_OPEN_UNIT, HORIZON, POSITIVE, UNIT, check_fields, declared
 from .battery import (
@@ -30,12 +30,11 @@ from .battery import (
     step_soc,
 )
 from .control import (
-    MAX_FULL_RECHARGE_INTERVAL_DAYS,
     ControllerState,
     ControlParams,
     Phase,
     Policy,
-    recharge_interval,
+    reschedule,
     select_limits,
     tscc_step,
     update_load_disconnect,
@@ -65,6 +64,11 @@ VOLTAGE_BIN_WIDTH = 0.1
 N_VOLTAGE_BINS = 56  # 10.0 .. 15.6 V, outliers land in the edge bins
 
 
+def horizon_steps(dt_s: float, max_years: float) -> int:
+    """The steps of dt_s (dividing a day) in a horizon of max_years."""
+    return int(round(max_years * DAYS_PER_YEAR * round(SECONDS_PER_DAY / dt_s)))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything one simulation run needs."""
@@ -85,6 +89,10 @@ class Scenario:
         check_fields(self, EngineError)
         if not divides_day(self.dt_s):
             raise EngineError("dt_s must divide a day evenly")
+        if horizon_steps(self.dt_s, self.max_years) < 1:
+            raise EngineError(
+                f"max_years must hold one step of dt_s {self.dt_s!r} s: {self.max_years!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -174,96 +182,17 @@ class SimResult:
         }
 
 
-def _day_record(
-    day: int,
-    c_corr: float,
-    c_deg: float,
-    capacity: float,
-    min_soc: float,
-    full_charges: int,
-) -> DayRecord:
-    """The record of a day that ended with capacity losses c_corr and c_deg (Ah)."""
-    loss = c_corr + c_deg
-    return DayRecord(
-        day=day,
-        c_corr_ah=c_corr,
-        c_deg_ah=c_deg,
-        c_total_ah=loss,
-        soh_pct=100.0 * (capacity - loss) / capacity,
-        min_soc=min_soc,
-        full_charges=full_charges,
-    )
-
-
-def _reschedule(
-    ctrl: ControllerState,
-    control: ControlParams,
-    day: int,
-    delta_c_corr: float,
-    delta_c: float,
-    last_full_event_day: int,
-) -> bool:
-    """The adaptive scheduler's midnight update, from the day's losses (Ah).
-
-    Sets the full-recharge interval and the days since the last full
-    recharge (day + 1 before the first one); returns whether the full
-    limit set applies from now on.
-    """
-    interval = recharge_interval(delta_c_corr, delta_c)
-    if interval is not None:
-        ctrl.interval_days = interval
-    ctrl.days_since_full_recharge = day - max(last_full_event_day, 0)
-    if last_full_event_day < 0:
-        ctrl.days_since_full_recharge = day + 1
-    return wants_full_limits(ctrl, control)
-
-
-def _sim_result(
-    scenario: Scenario,
-    started: float,
-    lifetime_steps: int,
-    eol_ah: float,
-    c_corr: float,
-    c_deg: float,
-    stress_result: StressFactors,
-    **fields,
-) -> SimResult:
-    """The SimResult of a run that ended after lifetime_steps steps with
-    losses c_corr + c_deg (Ah); fields are the run's own counters."""
-    capacity = scenario.battery.capacity_ah
-    loss = c_corr + c_deg
-    lifetime_days = lifetime_steps * scenario.dt_s / SECONDS_PER_DAY
-    return SimResult(
-        name=scenario.name,
-        policy=scenario.control.policy.value,
-        lifetime_years=lifetime_days / DAYS_PER_YEAR,
-        lifetime_days=lifetime_days,
-        capacity_ah=capacity,
-        eol_threshold_ah=eol_ah,
-        c_corr_ah=c_corr,
-        c_deg_ah=c_deg,
-        c_total_ah=loss,
-        soh_end_pct=100.0 * (capacity - loss) / capacity,
-        corrosion_share_pct=100.0 * c_corr / loss if loss > 0 else 0.0,
-        full_equivalent_cycles=stress_result.full_equivalent_cycles,
-        full_charge_events=stress_result.n_full_charges,
-        full_recharge_day_fraction=stress_result.full_recharge_day_fraction,
-        stress=stress_result,
-        runtime_s=time.perf_counter() - started,
-        **fields,
-    )
-
-
 def run_scenario(
     scenario: Scenario, *, trace: list[TraceRecord] | TraceWriter | None = None
 ) -> SimResult:
     """Simulate one scenario to end of life or the horizon.
 
     The loop runs over days, and the per-day work stays here: the
-    profile gives a day's samples (TimeSeries.day), the adaptive schedule
-    is updated at midnight (_reschedule), and each day ends in a
-    DayRecord.  The run's state between steps is one _kernel.State, and
-    the stress factors come from StressFactors.from_totals once, at the end.
+    profile gives a day's samples (TimeSeries.day), each day ends in one
+    DayRecord, after which the adaptive schedule is updated for the next
+    (control.reschedule).  The run's state between steps is one
+    _kernel.State, and the stress factors come from
+    StressFactors.from_totals once, at the end.
 
     A day's steps run in the compiled kernel (_step.c, loaded by
     _kernel.load) where one could be built, and in `python_day` where
@@ -306,7 +235,7 @@ def run_scenario(
     dt_s = scenario.dt_s
     dt_h = dt_s / 3600.0
     steps_per_day = int(round(SECONDS_PER_DAY / dt_s))
-    max_steps = int(round(scenario.max_years * DAYS_PER_YEAR * steps_per_day))
+    max_steps = horizon_steps(dt_s, scenario.max_years)
     if profile.dt_s != dt_s:
         raise EngineError(
             f"profile dt {profile.dt_s}s does not match scenario dt {dt_s}s"
@@ -336,8 +265,7 @@ def run_scenario(
         min_soc_since_full=soc,
         min_soc_run=soc,
         min_soc_day=soc,
-        interval_days=ctrl.interval_days,
-        full_set=wants_full_limits(ctrl, control),
+        full_set=ctrl.full_set,
         last_full_event_day=-1,
         lifetime_steps=max_steps,
     )
@@ -346,6 +274,7 @@ def run_scenario(
         """Steps first .. stop - 1 of a day through the layer functions,
         from st and back into it; whether the battery reached end of life."""
         ctrl.phase, ctrl.load_disconnected = phases[st.phase], bool(st.disconnected)
+        ctrl.full_set = bool(st.full_set)
         deg.w, deg.z_w, deg.time_since_full_h = st.w, st.z_w, st.since_full_h
         deg.min_soc_since_full, deg.c_corr, deg.c_deg = st.min_soc_since_full, st.c_corr, st.c_deg
         deg.ks_clamp_events = st.ks_clamp_events
@@ -375,7 +304,7 @@ def run_scenario(
             avail_a = solar_w * eff / v_prev
             net_a = avail_a - load_a
 
-            v_limit, v_float, _ = select_limits(ctrl, control, temp_c)
+            v_limit, v_float = select_limits(ctrl, control, temp_c)
             applied, events = tscc_step(
                 ctrl, soc, loss, avail_a, load_a, v_limit, v_float, battery, taper_a
             )
@@ -389,7 +318,7 @@ def run_scenario(
                     deg.register_full_charge()
                     st.day_full_events += 1
                     st.last_full_event_day = day
-                    ctrl.days_since_full_recharge = 0
+                    ctrl.full_set = wants_full_limits(0, ctrl.interval_days, control)
                 # entering float collapses the current to the float hold level
                 hold = battery.hold_voltage_current(clamp(soc, SOC_FLOOR, SOC_CAP), v_float, loss)
                 applied = clamp(hold, 0.0, net_a)
@@ -456,7 +385,7 @@ def run_scenario(
         st.hours_disconnected, st.load_lost_wh = hours_disconnected, load_lost_wh
         st.soc_hist[:], st.v_hist[:] = soc_hist, v_hist
         st.phase, st.disconnected = phases.index(ctrl.phase), ctrl.load_disconnected
-        st.full_set = wants_full_limits(ctrl, control)
+        st.full_set = ctrl.full_set
         return ended
 
     run_day = _kernel.load()
@@ -478,7 +407,6 @@ def run_scenario(
             i_gas_0=gassing.i_gas_0, c_v=gassing.c_v, c_t=gassing.c_t, v_ref=gassing.v_ref,
             t_ref=gassing.t_ref, cutoff_soc=control.cutoff_soc,
             reconnect_soc=control.reconnect_soc(),
-            max_interval_days=MAX_FULL_RECHARGE_INTERVAL_DAYS,
             full_limits=_kernel.Limits(**asdict(control.full_limits)),
             partial_limits=_kernel.Limits(**asdict(control.partial_limits)),
             v_first=potentials[0], v_last=potentials[-1],
@@ -500,35 +428,12 @@ def run_scenario(
             marks = array("b", bytes(2 * steps_per_day))
             at_values, at_marks = values.buffer_info()[0], marks.buffer_info()[0]
 
-    days = -(-max_steps // steps_per_day)  # the last may be partial
     day_temps = None  # the temperatures temps_in holds
     day_start_c_corr = day_start_total = 0.0
-    censored = True
-    for day in range(days):
-        if day:
-            # close out yesterday, refresh the adaptive target
-            c_corr, loss = st.c_corr, st.loss
-            trajectory.append(
-                _day_record(day, c_corr, st.c_deg, capacity, st.min_soc_day, st.day_full_events)
-            )
-            st.min_soc_day = st.soc
-            st.day_full_events = 0
-            if adaptive:
-                st.full_set = _reschedule(
-                    ctrl,
-                    control,
-                    day,
-                    c_corr - day_start_c_corr,
-                    loss - day_start_total,
-                    st.last_full_event_day,
-                )
-                st.interval_days = ctrl.interval_days
-            day_start_c_corr = c_corr
-            day_start_total = loss
-
+    for day in count():
         loads, solars, temps = profile_day(day)
         first = day * steps_per_day
-        stop = min(first + steps_per_day, max_steps)
+        stop = min(first + steps_per_day, max_steps)  # the last day may be partial
         outcome = _kernel.FLAGGED
         if run_day is not None:
             loads_in, solars_in = array("d", loads), array("d", solars)
@@ -543,46 +448,56 @@ def run_scenario(
             ended = python_day(day, first, stop, loads, solars, temps)
         else:
             ended = outcome == _kernel.END_OF_LIFE
-            full_events = st.day_full_events
-            if full_events:
-                ctrl.days_since_full_recharge = 0
-                stress.full_charge_times.extend(i * dt_h for i in events[:full_events])
+            stress.full_charge_times.extend(i * dt_h for i in events[: st.day_full_events])
             if record is not None:
                 stepped = range(first, st.lifetime_steps if ended else stop)
                 v, m = iter(values), iter(marks)
                 for i, applied, soc, voltage, full_event, floating in zip(stepped, v, v, v, m, m):
                     record(TraceRecord(i * dt_h, applied, soc, voltage, full_event == 1, floating == 1))
-        if ended:
-            censored = False
-            break
 
-    # close out the final (possibly partial) day
-    lifetime_steps = st.lifetime_steps
-    last_day = lifetime_steps // steps_per_day + (1 if lifetime_steps % steps_per_day else 0)
-    trajectory.append(
-        _day_record(last_day, st.c_corr, st.c_deg, capacity, st.min_soc_day, st.day_full_events)
+        # close out the day, then set the next one up
+        c_corr, c_deg, loss = st.c_corr, st.c_deg, st.loss
+        trajectory.append(
+            DayRecord(
+                day=day + 1, c_corr_ah=c_corr, c_deg_ah=c_deg, c_total_ah=loss,
+                soh_pct=100.0 * (capacity - loss) / capacity,
+                min_soc=st.min_soc_day, full_charges=st.day_full_events,
+            )
+        )
+        if ended or stop == max_steps:
+            break
+        st.min_soc_day = st.soc
+        st.day_full_events = 0
+        if adaptive:
+            st.full_set = reschedule(
+                ctrl, control, day + 1, c_corr - day_start_c_corr, loss - day_start_total,
+                st.last_full_event_day,
+            )
+        day_start_c_corr = c_corr
+        day_start_total = loss
+
+    lifetime_days = st.lifetime_steps * dt_s / SECONDS_PER_DAY
+    stress_result = StressFactors.from_totals(
+        capacity, dt_h, st.lifetime_steps, st.charge_ah, st.discharge_ah, st.max_discharge_a,
+        st.low_soc_h, st.float_h, stress.full_charge_times, list(st.depth_bins),
     )
-    return _sim_result(
-        scenario,
-        started,
-        lifetime_steps,
-        eol_ah,
-        st.c_corr,
-        st.c_deg,
-        StressFactors.from_totals(
-            capacity,
-            dt_h,
-            lifetime_steps,
-            st.charge_ah,
-            st.discharge_ah,
-            st.max_discharge_a,
-            st.low_soc_h,
-            st.float_h,
-            stress.full_charge_times,
-            list(st.depth_bins),
-        ),
-        censored=censored,
+    return SimResult(
+        name=scenario.name,
+        policy=control.policy.value,
+        lifetime_years=lifetime_days / DAYS_PER_YEAR,
+        lifetime_days=lifetime_days,
+        censored=not ended,
+        capacity_ah=capacity,
+        eol_threshold_ah=eol_ah,
+        c_corr_ah=c_corr,
+        c_deg_ah=c_deg,
+        c_total_ah=loss,
+        soh_end_pct=100.0 * (capacity - loss) / capacity,
+        corrosion_share_pct=100.0 * c_corr / loss if loss > 0 else 0.0,
+        full_equivalent_cycles=stress_result.full_equivalent_cycles,
         min_soc=st.min_soc_run,
+        full_charge_events=stress_result.n_full_charges,
+        full_recharge_day_fraction=stress_result.full_recharge_day_fraction,
         disconnect_events=st.disconnect_events,
         hours_disconnected=st.hours_disconnected,
         load_energy_lost_wh=st.load_lost_wh,
@@ -600,6 +515,8 @@ def run_scenario(
         trajectory=trajectory,
         soc_hist_h=list(st.soc_hist),
         voltage_hist_h=list(st.v_hist),
+        stress=stress_result,
+        runtime_s=time.perf_counter() - started,
         trace=kept,
     )
 

@@ -10,6 +10,14 @@ its compiled kernel writes the step out in C, evaluating the temperature
 terms from the day's temperatures.  The differential tests check that
 run_scenario's result equals this loop's, bit for bit, on both paths,
 and that it raises what this loop raises.
+
+The adaptive schedule is worked out here, not taken from
+control.reschedule: at each midnight step the loop closes the day that
+ended, counts the days since the last full recharge itself and sets
+ControllerState.full_set through wants_full_limits, as it does after a
+full recharge; the last (possibly partial) day is closed after the loop.
+So the differential tests check run_scenario's scheduler and its day
+close-out too.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from vrlasim.control import (
     select_limits,
     tscc_step,
     update_load_disconnect,
+    wants_full_limits,
 )
 from vrlasim.degradation import DAYS_PER_YEAR, DegradationModel, DegradationState
 from vrlasim.engine import (
@@ -145,9 +154,10 @@ def reference_run(scenario: Scenario) -> SimResult:
                 )
                 if interval is not None:
                     ctrl.interval_days = interval
-                ctrl.days_since_full_recharge = day - max(last_full_event_day, 0)
+                days_since_full = day - max(last_full_event_day, 0)
                 if last_full_event_day < 0:
-                    ctrl.days_since_full_recharge = day + 1
+                    days_since_full = day + 1
+                ctrl.full_set = wants_full_limits(days_since_full, ctrl.interval_days, control)
             day_start_c_corr = deg.c_corr
             day_start_total = loss
 
@@ -168,7 +178,7 @@ def reference_run(scenario: Scenario) -> SimResult:
         avail_a = solar_w * eff / v_prev
         net_a = avail_a - load_a
 
-        v_limit, v_float, _ = select_limits(ctrl, control, temp_c)
+        v_limit, v_float = select_limits(ctrl, control, temp_c)
         applied, events = tscc_step(
             ctrl,
             soc,
@@ -192,7 +202,7 @@ def reference_run(scenario: Scenario) -> SimResult:
                 full_event = True
                 day_full_events += 1
                 last_full_event_day = day
-                ctrl.days_since_full_recharge = 0
+                ctrl.full_set = wants_full_limits(0, ctrl.interval_days, control)
             # entering float collapses the current to the float hold level
             hold = battery.hold_voltage_current(
                 clamp(soc, SOC_FLOOR, SOC_CAP), v_float, loss

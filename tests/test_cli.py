@@ -295,6 +295,10 @@ class TestSimulate:
                 "archetypes.infrequent: active_run_days must be a positive integer: -3",
             ),
             ("sim: {dt_s: 7}", "sim.dt_s must divide a day evenly: 7"),
+            (
+                "sim: {max_years: 1.0e-6}",
+                "sim.max_years must hold one step of sim.dt_s 900.0 s: 1e-06",
+            ),
             ("sim: {dt_s: 1.0e-300}", "sim.dt_s must divide a day evenly: 1e-300"),
             (
                 "degradation: {ks_knots: [[1.5, x], [1.8, 2.0]]}",

@@ -1,7 +1,9 @@
 """Three-stage charge controller and adaptive recharge scheduling."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vrlasim.battery import Battery, BatteryParams, hold_voltage_current, terminal_voltage
@@ -17,6 +19,7 @@ from vrlasim.control import (
     VoltageLimits,
     adaptive_params,
     recharge_interval,
+    reschedule,
     select_limits,
     tscc_step,
     update_load_disconnect,
@@ -97,48 +100,91 @@ class TestLimitSelection:
     def test_static_policy_always_full(self):
         params = ControlParams(policy=Policy.BBOXX_STATIC)
         for days in (0, 1, 3, 10):
-            state = ControllerState(days_since_full_recharge=days)
-            assert wants_full_limits(state, params)
+            assert wants_full_limits(days, 1.0, params)
 
     def test_adaptive_waits_out_interval(self):
         params = adaptive_params()
-        state = ControllerState(days_since_full_recharge=3, interval_days=3.5)
-        assert not wants_full_limits(state, params)
-        state.days_since_full_recharge = 4
-        assert wants_full_limits(state, params)
+        assert not wants_full_limits(3, 3.5, params)
+        assert wants_full_limits(4, 3.5, params)
 
     def test_interval_capped_at_six_days(self):
         params = adaptive_params()
-        state = ControllerState(days_since_full_recharge=6, interval_days=99.0)
-        assert wants_full_limits(state, params)
+        assert wants_full_limits(6, 99.0, params)
 
     def test_interval_pinned_at_one_recharges_daily(self):
         # adaptive degenerates to the static daily schedule
         params = adaptive_params()
         for days in range(1, 8):
-            state = ControllerState(days_since_full_recharge=days, interval_days=1.0)
-            assert wants_full_limits(state, params)
+            assert wants_full_limits(days, 1.0, params)
+
+    @given(st.floats(min_value=0.0), st.floats(min_value=0.0))
+    @example(math.inf, math.inf)  # a nan interval
+    @example(0.0, 0.0)  # no loss: the interval carries over
+    def test_no_full_set_right_after_a_full_recharge(self, dc_corr, dc):
+        """The compiled kernel clears full_set after every adaptive full
+        recharge without computing wants_full_limits: no interval the
+        scheduler can hold, the initial one included, is below one day."""
+        interval = recharge_interval(dc_corr, dc)
+        if interval is None:
+            interval = ControllerState().interval_days
+        assert not wants_full_limits(0, interval, adaptive_params())
 
     def test_select_limits_full_set(self):
         params = adaptive_params()
-        state = ControllerState(days_since_full_recharge=6, interval_days=2.0)
-        v_limit, v_float, full = select_limits(state, params, 25.0)
-        assert (v_limit, v_float, full) == (14.5, 13.5, True)
-        assert state.full_set_active
+        state = ControllerState(full_set=wants_full_limits(6, 2.0, params))
+        v_limit, v_float = select_limits(state, params, 25.0)
+        assert (v_limit, v_float, state.full_set) == (14.5, 13.5, True)
 
     def test_select_limits_partial_set(self):
         params = adaptive_params()
-        state = ControllerState(days_since_full_recharge=1, interval_days=6.0)
-        v_limit, v_float, full = select_limits(state, params, 25.0)
-        assert (v_limit, v_float, full) == (13.0, 12.8, False)
-        assert not state.full_set_active
+        state = ControllerState(full_set=wants_full_limits(1, 6.0, params))
+        v_limit, v_float = select_limits(state, params, 25.0)
+        assert (v_limit, v_float, state.full_set) == (13.0, 12.8, False)
 
     def test_select_limits_compensates(self):
         params = adaptive_params()
-        state = ControllerState(days_since_full_recharge=6, interval_days=2.0)
-        v_limit, v_float, _ = select_limits(state, params, 35.0)
+        state = ControllerState(full_set=wants_full_limits(6, 2.0, params))
+        v_limit, v_float = select_limits(state, params, 35.0)
         assert v_limit == pytest.approx(14.2, abs=1e-12)
         assert v_float == pytest.approx(13.2, abs=1e-12)
+
+
+class TestReschedule:
+    def test_counts_day_plus_one_before_the_first_full_recharge(self):
+        params = adaptive_params()
+        state = ControllerState()
+        # interval 3.5 days: 3 days are too few, 4 are enough
+        assert not reschedule(state, params, 2, 0.05, 0.1, -1)
+        assert state.interval_days == pytest.approx(3.5, rel=1e-12)
+        assert reschedule(state, params, 3, 0.05, 0.1, -1)
+        assert state.full_set
+        # a full recharge on day 0 counts from day 0
+        assert not reschedule(state, params, 3, 0.05, 0.1, 0)
+        assert not state.full_set
+
+    def test_lossless_day_keeps_the_interval(self):
+        params = adaptive_params()
+        state = ControllerState(interval_days=3.5)
+        assert not reschedule(state, params, 5, 0.0, 0.0, 2)
+        assert state.interval_days == 3.5
+        assert reschedule(state, params, 6, 0.0, 0.0, 2)
+        assert state.interval_days == 3.5
+
+    def test_waits_at_most_six_days(self):
+        params = adaptive_params()
+        state = ControllerState(interval_days=99.0)
+        assert not reschedule(state, params, 9, 0.0, 0.0, 4)
+        assert reschedule(state, params, 10, 0.0, 0.0, 4)
+        # pure corrosion sets the longest interval, six days
+        assert not reschedule(state, params, 5, 0.1, 0.1, 0)
+        assert state.interval_days == MAX_FULL_RECHARGE_INTERVAL_DAYS
+        assert reschedule(state, params, 6, 0.1, 0.1, 0)
+
+    def test_static_policy_keeps_the_full_set(self):
+        params = ControlParams(policy=Policy.BBOXX_STATIC)
+        state = ControllerState()
+        assert reschedule(state, params, 1, 0.1, 0.1, 1)
+        assert state.full_set
 
 
 class TestLoadDisconnect:
@@ -206,7 +252,7 @@ class TestTsccStep:
         assert not events.float_entered
 
     def test_taper_completion_enters_float(self):
-        state = ControllerState(phase=Phase.ABSORPTION, full_set_active=True)
+        state = ControllerState(phase=Phase.ABSORPTION, full_set=True)
         i_hold = hold_voltage_current(0.995, 14.5, BATTERY)
         assert i_hold < self.TAPER
         applied, events = self._step(state, 0.995, 2.0, 0.0)
@@ -216,7 +262,7 @@ class TestTsccStep:
         assert applied == pytest.approx(i_hold, rel=1e-12)
 
     def test_partial_set_taper_is_not_a_full_charge(self):
-        state = ControllerState(phase=Phase.ABSORPTION, full_set_active=False)
+        state = ControllerState(phase=Phase.ABSORPTION, full_set=False)
         applied, events = self._step(state, 0.995, 2.0, 0.0)
         assert events.float_entered
         assert not events.full_charge

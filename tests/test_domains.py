@@ -105,6 +105,7 @@ CROSS_FIELD_RULES = re.compile(
     "|dt_s must divide a day evenly|evening_fraction must be at most 0.9"
     r"|solar_w sample \d+ outside \[0, "
     "|overflows the corrosion speed|overflows the sub-threshold corrosion layer"
+    "|max_years must hold one step of"
 )
 
 FIELDS = [

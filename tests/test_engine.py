@@ -101,6 +101,14 @@ class TestScenarioValidation:
             low_use_scenario(max_years=value)
         assert low_use_scenario(max_years=100.0).max_years == 100.0
 
+    @pytest.mark.parametrize("dt_s, max_years", [(900.0, 1e-6), (86400.0, 0.4 / 365.0)])
+    def test_horizon_shorter_than_one_step_rejected(self, dt_s, max_years):
+        """Such a horizon once ran no step and returned a censored result."""
+        message = f"max_years must hold one step of dt_s {dt_s!r} s: {max_years!r}"
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+            low_use_scenario(dt_s=dt_s, max_years=max_years)
+        assert low_use_scenario(dt_s=86400.0, max_years=0.6 / 365.0).max_years == 0.6 / 365.0
+
     def test_profile_dt_must_match(self):
         scenario = low_use_scenario(dt_s=450.0)  # profile is on a 900 s grid
         with pytest.raises(EngineError, match="dt"):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import START, STEP_PATHS, result_digest, step_path
+from helpers import START, STEP_PATHS, constant_profile, result_digest, step_path
 from reference_engine import reference_run
 from vrlasim.battery import SOC_FLOOR, BatteryParamError, BatteryParams
 from vrlasim.control import ControlParams, adaptive_params
@@ -115,6 +115,32 @@ def test_fused_step_matches_reference_on_edge_parameters(policy, change, path):
     scenario = dataclasses.replace(base, **change)
     with step_path(path):
         assert outcome(run_scenario, scenario) == outcome(reference_run, scenario)
+
+
+# One step a day on a flat profile, so every run ends on a day's last
+# step, at a midnight: (load W, solar W, float life years, horizon years)
+DAILY = {"end_of_life": (5.0, 20.0, 0.05, 2.0), "horizon": (10.0, 30.0, 1.0, 0.5)}
+
+
+@pytest.mark.parametrize("end", sorted(DAILY))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("path", STEP_PATHS)
+def test_fused_step_matches_reference_on_runs_ending_at_midnight(path, policy, end):
+    load_w, solar_w, float_life_years, max_years = DAILY[end]
+    scenario = Scenario(
+        "daily",
+        constant_profile(30, 86400.0, load_w=load_w, solar_w=solar_w),
+        control=POLICIES[policy],
+        datasheet=Datasheet(float_life_years=float_life_years),
+        dt_s=86400.0,
+        max_years=max_years,
+        record_trace=True,
+    )
+    with step_path(path):
+        result = run_scenario(scenario)
+        assert outcome(run_scenario, scenario) == outcome(reference_run, scenario)
+    assert result.censored == (end == "horizon")
+    assert [r.day for r in result.trajectory] == list(range(1, int(result.lifetime_days) + 1))
 
 
 def test_spent_floor_battery_rejected():

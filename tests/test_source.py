@@ -505,6 +505,21 @@ def test_python_day_runs_the_layer_functions():
     assert own_float_operations(run) == []
 
 
+def test_reference_loop_keeps_its_own_scheduler():
+    """The reference loop counts the days since a full recharge itself and
+    never calls control.reschedule, so the differential tests check the
+    engine's scheduler instead of sharing it."""
+    source = REFERENCE.read_text()
+    assert "reschedule" not in layer_calls(function_def(source, "reference_run"))
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "reschedule" not in imported and "wants_full_limits" in imported
+
+
 def test_reference_loop_calls_the_stress_sums_and_the_inversion():
     """The reference loop calls StressAccumulator.add and Battery.invert_ocv
     in its step loop, so the stress sums and the rest correction it checks
