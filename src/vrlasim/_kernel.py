@@ -13,8 +13,15 @@ The flags keep every result bit-identical to the Python day, which
 calls the layer functions: ``-O2`` reorders no floating-point operation,
 ``-ffp-contract=off`` forbids fusing a multiply and an add into one
 rounding, and neither ``-ffast-math`` nor a ``-march`` that would change
-the instructions is given.  :class:`Limits`, :class:`Params` and
-:class:`State` mirror _step.c's structs.
+the instructions is given.  :class:`Limits`, :class:`Params`,
+:class:`State` and :class:`Profile` mirror _step.c's structs.
+
+A run hands the kernel its whole profile once, as the :class:`Profile`
+that :func:`profile` builds: a day-form profile's per-day block powers
+and solar peaks and its one-day templates, or a flat profile's three
+columns, each copied into one array for the run.  The kernel reads each
+step's samples from them as TimeSeries.day gives them, so a day builds
+no list or array.
 
 The kernel skips the rest correction's Battery.invert_ocv where it cannot
 move the state of charge: where applied == 0.0, soc == soc_v (so soc lies
@@ -37,9 +44,11 @@ import os
 import shutil
 import subprocess
 import tempfile
+from array import array
+from itertools import chain
 
 from .engine import N_SOC_BINS, N_VOLTAGE_BINS
-from .profiles import StressAccumulator
+from .profiles import COLUMNS, StressAccumulator, TimeSeries, check_column_lengths
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
 COMPILER = "cc"
@@ -57,6 +66,10 @@ def _doubles(names: str) -> list[tuple[str, type]]:
 
 def _ints(names: str) -> list[tuple[str, type]]:
     return [(name, ctypes.c_int64) for name in names.split()]
+
+
+def _pointers(names: str) -> list[tuple[str, type]]:
+    return [(name, ctypes.c_void_p) for name in names.split()]
 
 
 class Limits(ctypes.Structure):
@@ -85,8 +98,7 @@ class Params(ctypes.Structure):
             "v_first v_last k_first k_last threshold_v exponent ks_ref_temp_k temp_doubling_k"
             " c_soc0 c_soc_min i_ref i_floor nominal_cycles w_limit c_corr_limit c_deg_limit"
         ),
-        ("ks_potentials", ctypes.c_void_p),
-        ("ks_segments", ctypes.c_void_p),
+        *_pointers("ks_potentials ks_segments"),
         *_ints("n_knots adaptive"),
     ]
 
@@ -114,6 +126,46 @@ class State(ctypes.Structure):
             " lifetime_steps"
         ),
     ]
+
+
+class Profile(ctypes.Structure):
+    """A profiles.TimeSeries, as _step.c's Profile: the day form's arrays
+    where it has one, with powers NULL otherwise, and the flat columns."""
+
+    _fields_ = [
+        *_pointers("powers peaks shape day_temp block_of_step"),
+        *_ints("n_days n_blocks"),
+        *_pointers("loads solars temps"),
+        *_ints("n"),
+    ]
+
+
+def profile(series: TimeSeries) -> Profile:
+    """The Profile of `series`, holding the arrays it points into.
+
+    A flat profile's columns are checked again, as TimeSeries.day checks
+    them, since the kernel reads them unchecked and one may have been
+    reassigned since the profile was constructed.
+    """
+    days = series._days
+    if days is None:
+        columns = [array("d", getattr(series, column)) for column in COLUMNS]
+        check_column_lengths(*columns)
+        arrays = dict(zip(("loads", "solars", "temps"), columns))
+        sizes = {"n": len(columns[0])}
+    else:
+        arrays = {
+            # through a list, which array converts in about half the time
+            "powers": array("d", list(chain.from_iterable(days.powers))),
+            "peaks": array("d", days.peaks),
+            "shape": array("d", days.shape),
+            "day_temp": array("d", days.day_temp),
+            "block_of_step": array("q", days.block_of_step),
+        }
+        sizes = {"n_days": len(days.peaks), "n_blocks": len(days.powers[0])}
+    inputs = Profile(**{name: a.buffer_info()[0] for name, a in arrays.items()}, **sizes)
+    inputs.arrays = arrays  # kept alive with the pointers into them
+    return inputs
 
 
 def cache_dir() -> str:
@@ -170,16 +222,16 @@ def _open():
         lib = ctypes.CDLL(path)
     except (OSError, subprocess.SubprocessError):
         return None
-    for name in ("vrlasim_params_size", "vrlasim_state_size"):
-        getattr(lib, name).restype = ctypes.c_int64
-    if (lib.vrlasim_params_size(), lib.vrlasim_state_size()) != (
-        ctypes.sizeof(Params), ctypes.sizeof(State)
-    ):
-        return None
+    for struct in (Params, State, Profile):
+        size = getattr(lib, f"vrlasim_{struct.__name__.lower()}_size")
+        size.restype = ctypes.c_int64
+        if size() != ctypes.sizeof(struct):
+            return None
     run_day = lib.vrlasim_run_day
-    run_day.argtypes = [ctypes.POINTER(Params), ctypes.POINTER(State)] + [ctypes.c_int64] * 3 + [
-        ctypes.c_void_p
-    ] * 6
+    run_day.argtypes = [
+        ctypes.POINTER(Params), ctypes.POINTER(State), *[ctypes.c_int64] * 3,
+        ctypes.POINTER(Profile), *[ctypes.c_void_p] * 3,
+    ]
     run_day.restype = ctypes.c_int64
     return run_day
 

@@ -19,12 +19,17 @@
  * returns FLAGGED with the state as it was at the day's start, and the
  * caller runs the day in Python, which raises what it raises.
  *
+ * A run passes its whole profile once, as a Profile (below), from which
+ * each step reads its samples as TimeSeries.day gives them, so a day
+ * needs no input buffers of its own.
+ *
  * The structs are mirrored field for field by vrlasim._kernel.  The
  * kernel's memos live within one call, so the state holds the model's
  * state alone.
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define N_SOC_BINS 20
@@ -70,8 +75,29 @@ typedef struct {
     int64_t day_full_events, last_full_event_day, lifetime_steps;
 } State;
 
+/*
+ * The profile of a run, in one of profiles.TimeSeries's two forms.  Day
+ * form, where powers is not NULL: n_days days of n_blocks load powers
+ * each (powers, row-major) and a solar peak (peaks), over the one-day
+ * templates block_of_step, shape and day_temp; step k of day d has load
+ * powers[q * n_blocks + block_of_step[k]], solar peaks[q] * shape[k] and
+ * temperature day_temp[k], with q = d % n_days.  Flat form: n samples of
+ * each column, loads, solars and temps; step k of day d reads sample
+ * (d * steps_per_day + k) % n.  ProfileDays checks every block_of_step
+ * entry against the row length and TimeSeries.from_days the template
+ * length against the steps of a day, so no read is out of bounds.
+ */
+typedef struct {
+    const double *powers, *peaks, *shape, *day_temp;
+    const int64_t *block_of_step;
+    int64_t n_days, n_blocks;
+    const double *loads, *solars, *temps;
+    int64_t n;
+} Profile;
+
 int64_t vrlasim_params_size(void) { return sizeof(Params); }
 int64_t vrlasim_state_size(void) { return sizeof(State); }
+int64_t vrlasim_profile_size(void) { return sizeof(Profile); }
 
 /* Battery.electrolyte's memo: (soc, log10 molality, cell OCV) at the soc
  * of the last call; a soc of nan matches none. */
@@ -163,8 +189,8 @@ static int invert_ocv(const Params *p, Electrolyte *el, double voltage, double s
 }
 
 /*
- * Steps first .. stop - 1 of day `day`, whose k-th step has load loads[k],
- * solar solars[k] and temperature temps[k] (degC).  Appends the index of
+ * Steps first .. stop - 1 of day `day`, where first is day * steps_per_day,
+ * with the samples of the profile `in` (Profile, above).  Appends the index of
  * each full-charge step to events[st->day_full_events ...]; with trace,
  * writes each step's (applied current, soc, voltage) to trace[3k ..] and
  * (full event, floating) to flags[2k ..].  Returns DAY_DONE, or END_OF_LIFE with
@@ -172,17 +198,33 @@ static int invert_ocv(const Params *p, Electrolyte *el, double voltage, double s
  * state untouched.
  */
 int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, int64_t stop,
-                        const double *loads, const double *solars, const double *temps,
-                        int64_t *events, double *trace, int8_t *flags)
+                        const Profile *in, int64_t *events, double *trace, int8_t *flags)
 {
     State s = *st;
+    const double *powers = NULL;
+    double peak = 0.0;
+    if (in->powers) {
+        const int64_t q = day % in->n_days;
+        powers = in->powers + q * in->n_blocks;
+        peak = in->peaks[q];
+    }
     Electrolyte el = {NAN, NAN, NAN};
     double z_w_of_c_deg = NAN; /* the z_w that s.c_deg was computed at */
     const double dt_s = p->dt_s, dt_h = p->dt_h, capacity = p->capacity, cells = p->cells;
     const double soc_cap = p->soc_cap, soc_floor = p->soc_floor;
 
     for (int64_t i = first, k = 0; i < stop; i++, k++) {
-        const double load_w = loads[k], solar_w = solars[k], temp_c = temps[k];
+        double load_w, solar_w, temp_c;
+        if (powers) {
+            load_w = powers[in->block_of_step[k]];
+            solar_w = peak * in->shape[k];
+            temp_c = in->day_temp[k];
+        } else {
+            const int64_t j = i % in->n; /* i is day * steps_per_day + k */
+            load_w = in->loads[j];
+            solar_w = in->solars[j];
+            temp_c = in->temps[j];
+        }
         double load_a, applied, over, voltage;
         int full_event = 0;
 

@@ -187,11 +187,10 @@ def run_scenario(
 ) -> SimResult:
     """Simulate one scenario to end of life or the horizon.
 
-    The loop runs over days, and the per-day work stays here: the
-    profile gives a day's samples (TimeSeries.day), each day ends in one
-    DayRecord, after which the adaptive schedule is updated for the next
-    (control.reschedule).  The run's state between steps is one
-    _kernel.State, and the stress factors come from
+    The loop runs over days, and the per-day work stays here: each day
+    ends in one DayRecord, after which the adaptive schedule is updated
+    for the next (control.reschedule).  The run's state between steps is
+    one _kernel.State, and the stress factors come from
     StressFactors.from_totals once, at the end.
 
     A day's steps run in the compiled kernel (_step.c, loaded by
@@ -199,10 +198,12 @@ def run_scenario(
     not, or where the kernel flags a step at which `python_day` would
     raise: the kernel then leaves the state as the day found it, and
     `python_day` runs that day and raises what it raises.  Both give the
-    same result to the bit.  The kernel takes a day's loads, solars and
-    temperatures and evaluates each step's temperature terms as the layer
-    functions do; its memos live within one day's call.  `python_day`
-    calls the layer functions in the order tests/reference_engine.py
+    same result to the bit.  The kernel reads each step's load, solar and
+    temperature from the whole profile, handed to it once per run as a
+    _kernel.Profile, and evaluates each step's temperature terms as the
+    layer functions do; its memos live within one day's call.  Only
+    `python_day` asks the profile for a day's samples (TimeSeries.day),
+    and it calls the layer functions in the order tests/reference_engine.py
     composes them, each evaluating its own temperature terms, and moves
     the state between the _kernel.State and the layers' ControllerState,
     DegradationState and StressAccumulator once as a day starts and once
@@ -240,7 +241,6 @@ def run_scenario(
         raise EngineError(
             f"profile dt {profile.dt_s}s does not match scenario dt {dt_s}s"
         )
-    profile_day = profile.day
 
     capacity = params.capacity_ah
     rest_a = params.rest_current_a
@@ -390,7 +390,7 @@ def run_scenario(
 
     run_day = _kernel.load()
     if run_day is not None:
-        # the kernel's constants, and the buffers each day is passed and fills
+        # the kernel's constants and inputs, and the buffers each day fills
         ageing = scenario.degradation
         potentials = array("d", ageing.ks_potentials)
         segments = array("d", chain.from_iterable(ageing.ks_segments))
@@ -420,6 +420,7 @@ def run_scenario(
             ks_potentials=potentials.buffer_info()[0], ks_segments=segments.buffer_info()[0],
             n_knots=len(potentials), adaptive=adaptive,
         )
+        inputs = _kernel.profile(profile)
         events = array("q", bytes(8 * steps_per_day))
         at_events = events.buffer_info()[0]
         at_values = at_marks = None
@@ -428,24 +429,17 @@ def run_scenario(
             marks = array("b", bytes(2 * steps_per_day))
             at_values, at_marks = values.buffer_info()[0], marks.buffer_info()[0]
 
-    day_temps = None  # the temperatures temps_in holds
     day_start_c_corr = day_start_total = 0.0
     for day in count():
-        loads, solars, temps = profile_day(day)
         first = day * steps_per_day
         stop = min(first + steps_per_day, max_steps)  # the last day may be partial
         outcome = _kernel.FLAGGED
         if run_day is not None:
-            loads_in, solars_in = array("d", loads), array("d", solars)
-            if temps is not day_temps:  # a generated profile's days share one
-                day_temps, temps_in = temps, array("d", temps)
             outcome = run_day(
-                kernel_params, st, day, first, stop,
-                loads_in.buffer_info()[0], solars_in.buffer_info()[0],
-                temps_in.buffer_info()[0], at_events, at_values, at_marks,
+                kernel_params, st, day, first, stop, inputs, at_events, at_values, at_marks
             )
         if outcome == _kernel.FLAGGED:
-            ended = python_day(day, first, stop, loads, solars, temps)
+            ended = python_day(day, first, stop, *profile.day(day))
         else:
             ended = outcome == _kernel.END_OF_LIFE
             stress.full_charge_times.extend(i * dt_h for i in events[: st.day_full_events])

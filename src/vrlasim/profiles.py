@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Sized
 
 from ._domains import NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT
 from ._domains import TEMP_MAX_C, TEMP_MIN_C, check_fields, declared
@@ -67,18 +67,29 @@ class GapReport:
 COLUMNS = ("load_w", "solar_w", "temp_c")
 
 
+def check_column_lengths(load_w: Sized, solar_w: Sized, temp_c: Sized) -> None:
+    """Raise ProfileError unless a flat profile's columns are of one length, not 0."""
+    n = len(load_w)
+    if len(solar_w) != n or len(temp_c) != n:
+        raise ProfileError("load, solar and temperature lengths differ")
+    if n == 0:
+        raise ProfileError("empty profile")
+
+
 @dataclass(frozen=True)
 class ProfileDays:
     """A profile held as whole days: one-day templates and per-day values.
 
     Day q's load at step k is ``powers[q][block_of_step[k]]``, its solar
-    ``peaks[q] * shape[k]`` and its temperature ``day_temp[k]``.
+    ``peaks[q] * shape[k]`` and its temperature ``day_temp[k]``.  Every
+    day holds as many block powers as the first, and every block index
+    lies within them: the step kernel reads the powers unchecked.
     """
 
     block_of_step: list[int]
     shape: list[float]
     day_temp: list[float]
-    powers: list[list[float]]  # per day, the load power of each block
+    powers: list[Sequence[float]]  # per day, the load power of each block
     peaks: list[float]  # per day, the solar power where shape is 1
 
     def __post_init__(self) -> None:
@@ -88,6 +99,15 @@ class ProfileDays:
             raise ProfileError("load and solar day counts differ")
         if not self.shape or not self.peaks:
             raise ProfileError("empty profile")
+        width = len(self.powers[0])
+        if operator.countOf(map(len, self.powers), width) != len(self.powers):
+            q = next(q for q, row in enumerate(self.powers) if len(row) != width)
+            raise ProfileError(
+                f"day {q} holds {len(self.powers[q])} block powers, day 0 holds {width}"
+            )
+        if not 0 <= min(self.block_of_step) <= max(self.block_of_step) < width:
+            k, b = next((k, b) for k, b in enumerate(self.block_of_step) if not 0 <= b < width)
+            raise ProfileError(f"block_of_step[{k}] is {b}, outside [0, {width})")
 
     def load(self, q: int) -> list[float]:
         return list(map(self.powers[q].__getitem__, self.block_of_step))
@@ -128,11 +148,7 @@ class TimeSeries:
     _days = None
 
     def __post_init__(self) -> None:
-        n = len(self.load_w)
-        if len(self.solar_w) != n or len(self.temp_c) != n:
-            raise ProfileError("load, solar and temperature lengths differ")
-        if n == 0:
-            raise ProfileError("empty profile")
+        check_column_lengths(self.load_w, self.solar_w, self.temp_c)
         check_fields(self, ProfileError)
         load, solar = self.load_w, self.solar_w
         self._check_samples(
@@ -150,12 +166,21 @@ class TimeSeries:
         days: ProfileDays,
         panel_rating_w: float = DEFAULT_PANEL_RATING_W,
     ) -> TimeSeries:
-        """A profile held as days, checked on its per-day values and templates."""
+        """A profile held as days, checked on its per-day values and
+        templates, whose templates hold one day of steps of dt_s."""
         series = cls.__new__(cls)  # no columns: __getattr__ builds them
         series.start, series.dt_s, series.panel_rating_w = start, dt_s, panel_rating_w
         series.gap_report = None
         series._days = days
         check_fields(series, ProfileError)
+        if not divides_day(dt_s):
+            raise ProfileError("dt_s must divide a day evenly")
+        steps_per_day = int(round(SECONDS_PER_DAY / dt_s))
+        if len(days.shape) != steps_per_day:
+            raise ProfileError(
+                f"day templates of {len(days.shape)} steps, where a day holds"
+                f" {steps_per_day} steps of dt_s {dt_s!r} s"
+            )
         # every load sample is one of the powers; every solar sample is a
         # peak times a shape value in [0, 1], so it lies in [0, peak]
         powers, peaks, shape = days.powers, days.peaks, days.shape
@@ -239,6 +264,7 @@ class TimeSeries:
             raise ProfileError("dt_s must divide a day evenly")
         steps_per_day = int(round(SECONDS_PER_DAY / self.dt_s))
         columns = self.load_w, self.solar_w, self.temp_c
+        check_column_lengths(*columns)  # as constructed, unless one was reassigned since
         n = len(self.load_w)
         first = d * steps_per_day % n
         if first + steps_per_day <= n:
@@ -415,7 +441,7 @@ def generate_archetype(
     # each day's powers, e * share / (h1 - h0) per block, then "no block"
     coefficients = [(share, h1 - h0) for h0, h1, share in blocks]
     per_block = [[e * share / width for e in energy] for share, width in coefficients]
-    powers = list(map(list, zip(*per_block, repeat(0.0))))
+    powers = list(zip(*per_block, repeat(0.0)))
     peaks = list(map(operator.mul, repeat(panel_rating_w), weather))
     return TimeSeries.from_days(
         start, dt_s, ProfileDays(block_of_step, shape, day_temp, powers, peaks), panel_rating_w

@@ -6,8 +6,10 @@ Run with the package importable, for instance from the repository root::
 
 It needs only the standard library and vrlasim, so it runs on any
 installed CPython that the package supports.  Each case of GOLDEN (one
-60-day run) and GOLDEN_COMPARE (a static against adaptive comparison) is
-run in the compiled kernel, where one can be built, and in Python, and
+60-day run, on the generated day-form profile and again on its copy as
+flat columns, which must give the same digest) and GOLDEN_COMPARE (a
+static against adaptive comparison) is run in the compiled kernel, where
+one can be built, and in Python, and
 each profile of GOLDEN_PROFILE (40 generated days) is generated once; the
 script prints one line per run or profile and exits 1 if any digest
 differs.  ``tests/test_golden.py`` imports the digests, ``result_digest``
@@ -26,7 +28,7 @@ import sys
 from vrlasim import _kernel
 from vrlasim.control import ControlParams, Policy, adaptive_params
 from vrlasim.engine import Scenario, compare_strategies, run_scenario
-from vrlasim.profiles import ARCHETYPES, UseArchetype, generate_archetype
+from vrlasim.profiles import ARCHETYPES, TimeSeries, UseArchetype, generate_archetype
 
 DAYS = 60
 SEED = 42
@@ -187,6 +189,25 @@ def run(archetype: str, policy: str, record_trace: bool):
     return run_scenario(scenario(archetype, policy, record_trace))
 
 
+def flat(series: TimeSeries, n: int | None = None) -> TimeSeries:
+    """The flat-column rebuild of a profile, of its first n samples."""
+    return TimeSeries(
+        series.start,
+        series.dt_s,
+        series.load_w[:n],
+        series.solar_w[:n],
+        series.temp_c[:n],
+        panel_rating_w=series.panel_rating_w,
+    )
+
+
+def run_flat(archetype: str, policy: str, record_trace: bool):
+    """run() on the case's profile rebuilt as flat columns, which the
+    kernel reads in the other of its two forms: the digest is the same."""
+    profile = flat(generate_archetype(ARCHETYPES[archetype], DAYS, seed=SEED))
+    return run_scenario(scenario(archetype, policy, record_trace, profile))
+
+
 def compare(archetype: str, record_trace: bool):
     base = scenario(archetype, Policy.BBOXX_STATIC.value, record_trace)
     alt = scenario(archetype, Policy.ADAPTIVE.value, record_trace, base.profile)
@@ -195,6 +216,7 @@ def compare(archetype: str, record_trace: bool):
 
 # Every pinned case: (what runs it, its arguments, the digest)
 PINNED = [(run, case, want) for case, want in GOLDEN.items()]
+PINNED += [(run_flat, case, want) for case, want in GOLDEN.items()]
 PINNED += [(compare, case, want) for case, want in GOLDEN_COMPARE.items()]
 
 

@@ -9,7 +9,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import strategies as st
 
-from check_digests import python_path, result_digest
+from check_digests import flat, python_path, result_digest
 from vrlasim import _kernel
 from vrlasim.battery import BatteryParams, GassingParams
 from vrlasim.config import ControlSettings, SimSettings

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from check_digests import PINNED
-from helpers import START, result_digest, step_path
+from helpers import START, flat, result_digest, step_path
 from vrlasim import _kernel
+from vrlasim.control import ControlParams, adaptive_params
 from vrlasim.degradation import DegradationParams
 from vrlasim.engine import Scenario, run_scenario
-from vrlasim.profiles import LOW_USE, TimeSeries, generate_archetype
+from vrlasim.profiles import LOW_USE, ProfileError, TimeSeries, generate_archetype
 
 ROOT = Path(__file__).resolve().parents[1]
 DAYS = 20
@@ -109,25 +110,30 @@ def outcome(scenario):
         return type(exc), str(exc)
 
 
+def kernel_outcome(scenario):
+    """outcome() of the scenario on the kernel path, with what the kernel
+    returned for each day."""
+    with step_path("kernel"):
+        run_day = _kernel.load()
+        days = []
+
+        def recorded(*args):
+            days.append(run_day(*args))
+            return days[-1]
+
+        _kernel._loaded[0] = recorded
+        try:
+            return outcome(scenario), days
+        finally:
+            _kernel._loaded[0] = run_day
+
+
 def test_a_flagged_day_raises_what_the_python_loop_raises():
     scenario = cold_after_warm(0.005)
     with step_path("python"):
         want = outcome(scenario)
     assert want[0] is OverflowError
-    with step_path("kernel"):
-        run_day = _kernel.load()
-        outcomes = []
-
-        def recorded(*args):
-            outcomes.append(run_day(*args))
-            return outcomes[-1]
-
-        _kernel._loaded[0] = recorded
-        try:
-            assert outcome(scenario) == want
-        finally:
-            _kernel._loaded[0] = run_day
-    assert outcomes == [_kernel.DAY_DONE, _kernel.FLAGGED]
+    assert kernel_outcome(scenario) == (want, [_kernel.DAY_DONE, _kernel.FLAGGED])
 
 
 def test_an_unflagged_run_matches_the_python_loop():
@@ -166,3 +172,36 @@ def test_days_handed_to_python_and_back_keep_the_digest(make, case, want, k):
             _kernel._loaded[0] = run_day
     assert flagged[:2] == [1, 1 + k]
     assert result_digest(result) == want
+
+
+WRAPPED = {
+    # 37 samples, 00:00 to 09:00: predawn load and the morning's sun
+    "flat_shorter_than_a_day": lambda: flat(generate_archetype(LOW_USE, 2, seed=3), 37),
+    "flat_of_part_days": lambda: flat(generate_archetype(LOW_USE, 2, seed=3), 96 + 37),
+    "days_replayed": lambda: generate_archetype(LOW_USE, 2, seed=3),
+}
+
+
+@pytest.mark.parametrize("policy", [ControlParams(), adaptive_params()], ids=["static", "adaptive"])
+@pytest.mark.parametrize("make", list(WRAPPED.values()), ids=list(WRAPPED))
+def test_wrapped_profiles_match_the_python_loop(make, policy):
+    """The kernel reads a flat profile at (day * steps_per_day + k) % n and
+    a day-form one at day % n_days, as TimeSeries.day gives the Python day
+    its samples: five days of a profile shorter than that agree on both
+    paths, with no day flagged."""
+    scenario = Scenario("wrap", make(), control=policy, max_years=5 / 365.0, record_trace=True)
+    with step_path("python"):
+        want = outcome(scenario)
+    assert isinstance(want, str)
+    assert kernel_outcome(scenario) == (want, [_kernel.DAY_DONE] * 5)
+
+
+def test_reassigned_columns_of_unequal_length_are_refused():
+    """The kernel reads a flat profile's columns unchecked, so a column
+    reassigned shorter after construction is refused on both paths."""
+    profile = flat(generate_archetype(LOW_USE, 2, seed=3), 96 + 37)
+    profile.solar_w = profile.solar_w[:-1]
+    scenario = Scenario("short", profile, max_years=3 / 365.0)
+    for path in ("python", "kernel"):
+        with step_path(path):
+            assert outcome(scenario) == (ProfileError, "load, solar and temperature lengths differ")

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import ARITHMETIC_DT_S, START, TEMPLATE_DT_S, result_digest, starts
+from helpers import ARITHMETIC_DT_S, START, TEMPLATE_DT_S, flat, result_digest, starts
 from reference_engine import reference_run
 from reference_profiles import reference_generate_archetype
 from reference_writers import reference_write_profile_csv
@@ -91,18 +91,6 @@ def written_bytes(series: TimeSeries, write=None) -> bytes:
             write(flat(series), path)
         with open(path, "rb") as fh:
             return fh.read()
-
-
-def flat(series: TimeSeries, n: int | None = None) -> TimeSeries:
-    """The flat-column rebuild of a profile, of its first n samples."""
-    return TimeSeries(
-        series.start,
-        series.dt_s,
-        list(series.load_w)[:n],
-        list(series.solar_w)[:n],
-        list(series.temp_c)[:n],
-        panel_rating_w=series.panel_rating_w,
-    )
 
 
 archetypes = st.sampled_from(sorted(ARCHETYPES)).map(ARCHETYPES.__getitem__) | st.builds(
@@ -206,6 +194,45 @@ class TestDays:
         assert back.same_samples(series)
         copy = dataclasses.replace(series)
         assert copy == series and copy.load_w == series.load_w
+
+
+class TestDayChecks:
+    """The step kernel indexes a day's block powers without a bounds check,
+    so a ProfileDays whose rows or block indexes it could overrun is refused."""
+
+    def days(self, block_of_step=(0, 1, 2), powers=((1.0, 2.0, 0.0),) * 3) -> ProfileDays:
+        return ProfileDays(
+            block_of_step=list(block_of_step), shape=[0.0, 1.0, 0.5], day_temp=[25.0] * 3,
+            powers=[list(row) for row in powers], peaks=[10.0] * len(powers),
+        )
+
+    def test_rows_of_one_length_pass(self):
+        series = TimeSeries.from_days(START, 28800.0, self.days())
+        assert series.load_w == [1.0, 2.0, 0.0] * 3
+
+    def test_a_row_of_another_length_is_named(self):
+        powers = [[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [1.0, 2.0]]
+        with pytest.raises(ProfileError, match="^day 2 holds 2 block powers, day 0 holds 3$"):
+            self.days(powers=powers)
+
+    @pytest.mark.parametrize("block", [-1, 3, 4])
+    def test_a_block_outside_the_row_is_named(self, block):
+        message = rf"^block_of_step\[1\] is {block}, outside \[0, 3\)$"
+        with pytest.raises(ProfileError, match=message):
+            self.days(block_of_step=(0, block, 2))
+
+    @pytest.mark.parametrize("dt_s", [14400.0, 86400.0])
+    def test_templates_hold_one_day_of_steps(self, dt_s):
+        steps = round(86400.0 / dt_s)
+        message = (
+            rf"^day templates of 3 steps, where a day holds {steps} steps of dt_s {dt_s!r} s$"
+        )
+        with pytest.raises(ProfileError, match=message):
+            TimeSeries.from_days(START, dt_s, self.days())
+
+    def test_templates_need_a_step_that_divides_a_day(self):
+        with pytest.raises(ProfileError, match="^dt_s must divide a day evenly$"):
+            TimeSeries.from_days(START, 7.0, self.days())
 
 
 class TestSameSamples:

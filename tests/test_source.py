@@ -531,6 +531,66 @@ def test_reference_loop_calls_the_stress_sums_and_the_inversion():
     assert {"StressAccumulator.add", "Battery.invert_ocv"} <= in_loops
 
 
+def per_day_inputs(function: ast.FunctionDef) -> list[str]:
+    """Each array(...) call in a function's loop over days (its `for` over
+    count()), and each read of a `.day` attribute outside that loop's
+    branches that call python_day, with its line."""
+    (days,) = [
+        node for node in ast.walk(function)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+        and called_name(node.iter) == "count"
+    ]
+    python_branches = [
+        node for node in ast.walk(days)
+        if isinstance(node, ast.If) and any(
+            isinstance(call, ast.Call) and called_name(call) == "python_day"
+            for statement in node.body for call in ast.walk(statement)
+        )
+    ]
+    in_branch = {
+        id(node) for branch in python_branches for statement in branch.body
+        for node in ast.walk(statement)
+    }
+    found = [
+        (node.lineno, "array") for node in ast.walk(days)
+        if isinstance(node, ast.Call) and called_name(node) == "array"
+    ]
+    found += [
+        (node.lineno, ".day") for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "day" and id(node) not in in_branch
+    ]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_finds_per_day_inputs():
+    """The day loop as it was when each day's samples were built as lists
+    and converted to arrays for the kernel."""
+    source = (
+        "def run_scenario(scenario):\n"
+        "    profile_day = scenario.profile.day\n"
+        "    potentials = array('d', knots)\n"
+        "    for day in count():\n"
+        "        loads, solars, temps = profile_day(day)\n"
+        "        if run_day is not None:\n"
+        "            loads_in = array('d', loads)\n"
+        "            outcome = run_day(params, st, day, loads_in.buffer_info()[0])\n"
+        "        if outcome == FLAGGED:\n"
+        "            ended = python_day(day, *profile.day(day))\n"
+        "        else:\n"
+        "            ended = profile.day(day)\n"
+    )
+    run = function_def(source, "run_scenario")
+    assert per_day_inputs(run) == [".day (line 2)", "array (line 7)", ".day (line 12)"]
+
+
+def test_kernel_days_build_no_inputs():
+    """run_scenario hands the kernel the whole profile once: a day the
+    kernel runs builds no array, and only the Python day asks the profile
+    for a day's samples."""
+    run = function_def((PACKAGE / "engine.py").read_text(), "run_scenario")
+    assert per_day_inputs(run) == []
+
+
 def step_loop_faults(function: ast.FunctionDef) -> list[int]:
     """Lines of each `try` in a function's step loops (for loops inside a for loop)."""
     steps = [
@@ -595,8 +655,10 @@ def test_finds_c_struct_fields():
     assert c_struct_fields(source, "Other") == ["a"]
 
 
-@pytest.mark.parametrize("struct", [_kernel.Limits, _kernel.Params, _kernel.State],
-                         ids=lambda struct: struct.__name__)
+@pytest.mark.parametrize(
+    "struct", [_kernel.Limits, _kernel.Params, _kernel.State, _kernel.Profile],
+    ids=lambda struct: struct.__name__,
+)
 def test_kernel_structs_mirror_the_c_fields_by_name(struct):
     """_kernel.load compares the structs' sizes only, which two swapped
     fields of one type would pass."""
