@@ -6,15 +6,19 @@ per-user cache directory (``$XDG_CACHE_HOME/vrlasim``, or
 the compiler and the flags, and opens it with ctypes.  A build writes a
 temporary file and renames it into place, so processes that build at
 once each load a complete library.  Where no compiler is found or the
-build or load fails, :func:`load` returns None and run_scenario runs
-every day in Python.
+build or load fails, :func:`load` returns None, keeps why in
+:data:`failure` and logs it once, and run_scenario runs every day in
+Python.
 
 The flags keep every result bit-identical to the Python day, which
 calls the layer functions: ``-O2`` reorders no floating-point operation,
 ``-ffp-contract=off`` forbids fusing a multiply and an add into one
 rounding, and neither ``-ffast-math`` nor a ``-march`` that would change
 the instructions is given.  :class:`Limits`, :class:`Params`,
-:class:`State` and :class:`Profile` mirror _step.c's structs.
+:class:`State` and :class:`Profile` mirror _step.c's structs.  They
+hold no value that other fields give: the capacity loss is c_corr +
+c_deg, and the kernel reads the span of the corrosion knots from
+ks_potentials.
 
 A run hands the kernel its whole profile once, as the :class:`Profile`
 that :func:`profile` builds: a day-form profile's per-day block powers
@@ -55,6 +59,7 @@ COMPILER = "cc"
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 BUILD_TIMEOUT_S = 120
+NO_COMPILER = f"no C compiler {COMPILER!r} on PATH"
 
 # vrlasim_run_day's outcomes
 FLAGGED, DAY_DONE, END_OF_LIFE = -1, 0, 1
@@ -95,7 +100,7 @@ class Params(ctypes.Structure):
         ("full_limits", Limits),
         ("partial_limits", Limits),
         *_doubles(
-            "v_first v_last k_first k_last threshold_v exponent ks_ref_temp_k temp_doubling_k"
+            "k_first k_last threshold_v exponent ks_ref_temp_k temp_doubling_k"
             " c_soc0 c_soc_min i_ref i_floor nominal_cycles w_limit c_corr_limit c_deg_limit"
         ),
         *_pointers("ks_potentials ks_segments"),
@@ -112,7 +117,7 @@ class State(ctypes.Structure):
 
     _fields_ = [
         *_doubles(
-            "soc v_prev loss w z_w since_full_h min_soc_since_full c_corr c_deg"
+            "soc v_prev w z_w since_full_h min_soc_since_full c_corr c_deg"
             " integral correction_jumps full_reset_jumps clamp_jumps"
             " charge_ah discharge_ah max_discharge_a low_soc_h float_h cycle_min_soc"
             " min_soc_run min_soc_day hours_disconnected load_lost_wh"
@@ -207,11 +212,13 @@ def build(cc: str, source: bytes, path: str) -> None:
 
 
 def _open():
-    """vrlasim_run_day of the cached library, built first where missing;
-    None where there is no compiler or the build or load fails."""
+    """(vrlasim_run_day of the cached library, built first where missing,
+    None), or (None, why it cannot be had): NO_COMPILER, or the build
+    error with the compiler's stderr, the load error or the struct sizes
+    that differ."""
     cc = shutil.which(COMPILER)
     if cc is None:
-        return None
+        return None, NO_COMPILER
     try:
         with open(SOURCE, "rb") as fh:
             source = fh.read()
@@ -219,28 +226,47 @@ def _open():
         path = os.path.join(cache_dir(), f"step-{key}.so")
         if not os.path.exists(path):
             build(cc, source, path)
+    except subprocess.CalledProcessError as exc:
+        stderr = exc.stderr.decode(errors="replace").strip()
+        return None, f"{cc} could not build {SOURCE}:\n{stderr}"
+    except (OSError, subprocess.SubprocessError) as exc:
+        return None, f"{cc} could not build {SOURCE}: {exc}"
+    try:
         lib = ctypes.CDLL(path)
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except OSError as exc:
+        return None, f"could not load {path}: {exc}"
     for struct in (Params, State, Profile):
         size = getattr(lib, f"vrlasim_{struct.__name__.lower()}_size")
         size.restype = ctypes.c_int64
         if size() != ctypes.sizeof(struct):
-            return None
+            return None, (
+                f"{struct.__name__} is {size()} bytes in {SOURCE}"
+                f" and {ctypes.sizeof(struct)} in _kernel.{struct.__name__}"
+            )
     run_day = lib.vrlasim_run_day
     run_day.argtypes = [
         ctypes.POINTER(Params), ctypes.POINTER(State), *[ctypes.c_int64] * 3,
         ctypes.POINTER(Profile), *[ctypes.c_void_p] * 3,
     ]
     run_day.restype = ctypes.c_int64
-    return run_day
+    return run_day, None
 
 
 _loaded: list = []  # the outcome of the first load() in this process
+failure: str | None = None  # why that outcome is None
 
 
 def load():
-    """The compiled day loop, or None; built or opened once per process."""
+    """The compiled day loop, or None; built or opened once per process.
+    Where it is None, `failure` says why, and the first call logs it."""
+    global failure
     if not _loaded:
-        _loaded.append(_open())
+        run_day, failure = _open()
+        if failure is not None:
+            import logging  # only a process without the kernel pays for it
+
+            logging.getLogger(__name__).warning(
+                "the step kernel did not load, so every day runs in Python: %s", failure
+            )
+        _loaded.append(run_day)
     return _loaded[0]

@@ -6,8 +6,10 @@
  * controller with the hold current, terminal voltage, rest correction
  * through Battery.invert_ocv, gassing and coulomb counting, corrosion and
  * weighted throughput, histograms and stress sums, with the temperature
- * terms of each step evaluated as the layer functions evaluate them and
- * the one-entry memo of Battery.electrolyte.  Every operation is an IEEE
+ * terms of each step evaluated as the layer functions evaluate them.
+ * battery.clamp and Battery's terminal_voltage and hold_voltage_current
+ * are written once each, as static functions that the step calls where
+ * the Python day calls them.  Every operation is an IEEE
  * double operation, and exp, pow, log10 and sqrt are the libm functions
  * that CPython's math module and float ** call, so with contraction off
  * (-ffp-contract=off) and no -ffast-math each result is the Python
@@ -24,8 +26,10 @@
  * needs no input buffers of its own.
  *
  * The structs are mirrored field for field by vrlasim._kernel.  The
- * kernel's memos live within one call, so the state holds the model's
- * state alone.
+ * kernel's memos (Electrolyte, below, and the z_w of the last c_deg) live
+ * within one call, so the state holds the model's state alone, and no
+ * value that another field gives: the capacity loss is c_corr + c_deg,
+ * and the corrosion knots' span is read from ks_potentials.
  */
 
 #include <math.h>
@@ -53,7 +57,7 @@ typedef struct {
     double ocv_coeffs[5], positive_coeffs[5];
     double i_gas_0, c_v, c_t, v_ref, t_ref, cutoff_soc, reconnect_soc;
     Limits full_limits, partial_limits;
-    double v_first, v_last, k_first, k_last, threshold_v, exponent, ks_ref_temp_k, temp_doubling_k;
+    double k_first, k_last, threshold_v, exponent, ks_ref_temp_k, temp_doubling_k;
     double c_soc0, c_soc_min, i_ref, i_floor, nominal_cycles;
     double w_limit, c_corr_limit, c_deg_limit;
     const double *ks_potentials; /* n_knots */
@@ -63,7 +67,7 @@ typedef struct {
 
 /* The state a run carries from step to step. */
 typedef struct {
-    double soc, v_prev, loss;
+    double soc, v_prev;
     double w, z_w, since_full_h, min_soc_since_full, c_corr, c_deg;
     double integral, correction_jumps, full_reset_jumps, clamp_jumps;
     double charge_ah, discharge_ah, max_discharge_a, low_soc_h, float_h, cycle_min_soc;
@@ -99,14 +103,14 @@ int64_t vrlasim_params_size(void) { return sizeof(Params); }
 int64_t vrlasim_state_size(void) { return sizeof(State); }
 int64_t vrlasim_profile_size(void) { return sizeof(Profile); }
 
-/* Battery.electrolyte's memo: (soc, log10 molality, cell OCV) at the soc
- * of the last call; a soc of nan matches none. */
+/* A memo of Battery.electrolyte: (soc, log10 molality, cell OCV) at the
+ * soc of the last call; a soc of nan matches none. */
 typedef struct {
     double soc, y, ocv;
 } Electrolyte;
 
-/* Battery.electrolyte: el holds its result at soc afterwards; nonzero
- * where the method raises. */
+/* Battery.electrolyte, through the memo el, which holds its result at soc
+ * afterwards; nonzero where the method raises. */
 static int electrolyte(const Params *p, Electrolyte *el, double soc)
 {
     if (el->soc != soc) {
@@ -131,6 +135,58 @@ static int electrolyte(const Params *p, Electrolyte *el, double soc)
     return 0;
 }
 
+/* battery.clamp: x limited to [lo, hi]. */
+static double clamp(double x, double lo, double hi)
+{
+    x = hi < x ? hi : x;
+    return lo > x ? lo : x;
+}
+
+/* Battery.terminal_voltage(soc, current, loss) into *out, with its
+ * overpotential_cell, where b0 is effective_b0(loss); nonzero where it
+ * raises. */
+static int terminal_voltage(const Params *p, Electrolyte *el, double b0, double soc, double current,
+                            double *out)
+{
+    if ((current > 0.0 && soc >= 1.0) || (current < 0.0 && soc <= 0.0))
+        return -1;
+    if (electrolyte(p, el, soc))
+        return -1;
+    double over = 0.0;
+    if (current != 0.0) {
+        double s, spread;
+        if (current > 0.0) {
+            s = p->soc_cap < soc ? p->soc_cap : soc;
+            spread = s / (1.0 - s);
+        } else {
+            s = p->soc_floor > soc ? p->soc_floor : soc;
+            if (s == 0.0)
+                return -1;
+            spread = (1.0 - s) / s;
+        }
+        over = b0 * (current / p->capacity) * (1.0 + p->b1 * spread);
+    }
+    *out = p->cells * el->ocv + p->cells * over;
+    return 0;
+}
+
+/* Battery.hold_voltage_current(soc, target, loss) into *out, where b0 is
+ * effective_b0(loss); nonzero where it raises. */
+static int hold_voltage_current(const Params *p, Electrolyte *el, double b0, double soc,
+                                double target, double *out)
+{
+    const double s = clamp(soc, p->soc_floor, p->soc_cap);
+    const double cell_target = target / p->cells;
+    if (electrolyte(p, el, s))
+        return -1;
+    const double headroom = cell_target - el->ocv;
+    const double gain = b0 * (1.0 + p->b1 * s / (1.0 - s)) / p->capacity;
+    if (gain == 0.0)
+        return -1;
+    *out = headroom / gain;
+    return 0;
+}
+
 /* Battery.invert_ocv(voltage, seed)[0] into *out; nonzero where it raises. */
 static int invert_ocv(const Params *p, Electrolyte *el, double voltage, double seed, double *out)
 {
@@ -142,8 +198,7 @@ static int invert_ocv(const Params *p, Electrolyte *el, double voltage, double s
         *out = 1.0;
         return 0;
     }
-    double soc = 1e-6 > seed ? 1e-6 : seed;
-    soc = 1.0 - 1e-6 < soc ? 1.0 - 1e-6 : soc;
+    double soc = clamp(seed, 1e-6, 1.0 - 1e-6);
     for (int n = 0; n < 8; n++) {
         if (electrolyte(p, el, soc))
             return -1;
@@ -212,6 +267,7 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
     double z_w_of_c_deg = NAN; /* the z_w that s.c_deg was computed at */
     const double dt_s = p->dt_s, dt_h = p->dt_h, capacity = p->capacity, cells = p->cells;
     const double soc_cap = p->soc_cap, soc_floor = p->soc_floor;
+    const double v_first = p->ks_potentials[0], v_last = p->ks_potentials[p->n_knots - 1];
 
     for (int64_t i = first, k = 0; i < stop; i++, k++) {
         double load_w, solar_w, temp_c;
@@ -225,7 +281,7 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             solar_w = in->solars[j];
             temp_c = in->temps[j];
         }
-        double load_a, applied, over, voltage;
+        double load_a, applied, voltage;
         int full_event = 0;
 
         /* the temperature terms: corrosion_temperature_factor, gassing_temperature_term */
@@ -235,7 +291,7 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             goto flagged;
         const double gas_term = p->c_t * (temp_k - p->t_ref);
         /* Battery.effective_b0(loss) */
-        const double remaining = capacity - s.loss;
+        const double remaining = capacity - (s.c_corr + s.c_deg);
         if (!(remaining > 0.0))
             goto flagged;
         const double b0 = p->b0_ah / remaining;
@@ -269,17 +325,14 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             s.phase = BULK;
             applied = net_a;
         } else {
-            double sv = soc_cap < s.soc ? soc_cap : s.soc;
-            sv = 1e-6 > sv ? 1e-6 : sv;
+            const double sv = clamp(s.soc, 1e-6, soc_cap);
             int tapering = s.phase == ABSORPTION;
-            double hold_v = s.phase == FLOAT ? v_float : v_limit;
             int holding = 1;
             if (s.phase == BULK) {
-                if (electrolyte(p, &el, sv))
+                double predicted;
+                if (terminal_voltage(p, &el, b0, sv, net_a, &predicted))
                     goto flagged;
-                double sc = soc_cap < sv ? soc_cap : sv;
-                over = b0 * (net_a / capacity) * (1.0 + p->b1 * (sc / (1.0 - sc)));
-                if (cells * el.ocv + cells * over < v_limit)
+                if (predicted < v_limit)
                     holding = 0;
                 else
                     s.phase = ABSORPTION;
@@ -287,16 +340,10 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             if (!holding) {
                 applied = net_a;
             } else {
-                double sh = soc_cap < sv ? soc_cap : sv;
-                sh = soc_floor > sh ? soc_floor : sh;
-                if (electrolyte(p, &el, sh))
+                double i_hold;
+                if (hold_voltage_current(p, &el, b0, sv, s.phase == FLOAT ? v_float : v_limit, &i_hold))
                     goto flagged;
-                double gain = b0 * (1.0 + p->b1 * sh / (1.0 - sh)) / capacity;
-                if (gain == 0.0)
-                    goto flagged;
-                double i_hold = (hold_v / cells - el.ocv) / gain;
-                applied = net_a < i_hold ? net_a : i_hold;
-                applied = 0.0 > applied ? 0.0 : applied;
+                applied = clamp(i_hold, 0.0, net_a);
                 if (tapering && i_hold <= p->taper_a && net_a >= i_hold) {
                     s.phase = FLOAT;
                     if (s.full_set) {
@@ -312,42 +359,19 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
                          * never below one day, so only static keeps the set */
                         s.full_set = !p->adaptive;
                     }
-                    /* Battery.hold_voltage_current(clamp(soc, floor, cap), v_float, loss) */
-                    double hs = soc_cap < s.soc ? soc_cap : s.soc;
-                    hs = soc_floor > hs ? soc_floor : hs;
-                    hs = soc_cap < hs ? soc_cap : hs;
-                    hs = soc_floor > hs ? soc_floor : hs;
-                    double cell_target = v_float / cells;
-                    if (electrolyte(p, &el, hs))
+                    /* entering float collapses the current to the float hold */
+                    double hold;
+                    if (hold_voltage_current(p, &el, b0, s.soc, v_float, &hold))
                         goto flagged;
-                    double headroom = cell_target - el.ocv;
-                    double hold_gain = b0 * (1.0 + p->b1 * hs / (1.0 - hs)) / capacity;
-                    if (hold_gain == 0.0)
-                        goto flagged;
-                    double hold = headroom / hold_gain;
-                    applied = net_a < hold ? net_a : hold;
-                    applied = 0.0 > applied ? 0.0 : applied;
+                    applied = clamp(hold, 0.0, net_a);
                 }
             }
         }
 
         /* terminal voltage under the applied current */
-        double soc_v = soc_cap < s.soc ? soc_cap : s.soc;
-        soc_v = soc_floor > soc_v ? soc_floor : soc_v;
-        if (electrolyte(p, &el, soc_v))
+        const double soc_v = clamp(s.soc, soc_floor, soc_cap);
+        if (terminal_voltage(p, &el, b0, soc_v, applied, &voltage))
             goto flagged;
-        if (applied == 0.0) {
-            over = 0.0;
-        } else if (applied > 0.0) {
-            double sc = soc_cap < soc_v ? soc_cap : soc_v;
-            over = b0 * (applied / capacity) * (1.0 + p->b1 * (sc / (1.0 - sc)));
-        } else {
-            double sc = soc_floor > soc_v ? soc_floor : soc_v;
-            if (sc == 0.0)
-                goto flagged;
-            over = b0 * (applied / capacity) * (1.0 + p->b1 * ((1.0 - sc) / sc));
-        }
-        voltage = cells * el.ocv + cells * over;
 
         /* rest correction, where the Python loop makes it */
         if (s.phase == BULK && -p->rest_a < applied && applied < p->rest_a
@@ -378,19 +402,17 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
         }
 
         /* ageing: corrosion from the positive-electrode potential ... */
-        double sd = 1.0 < s.soc ? 1.0 : s.soc;
-        sd = 0.0 > sd ? 0.0 : sd;
-        if (electrolyte(p, &el, sd))
+        if (electrolyte(p, &el, clamp(s.soc, 0.0, 1.0)))
             goto flagged;
         const double y = el.y, *a = p->positive_coeffs;
         double v_p = a[0] + y * (a[1] + y * (a[2] + y * (a[3] + y * a[4])))
                      + 0.5 * (voltage / cells - el.ocv);
         double speed;
-        if (v_p <= p->v_first) {
+        if (v_p <= v_first) {
             speed = p->k_first * corrosion_factor;
-            if (v_p < p->v_first)
+            if (v_p < v_first)
                 s.ks_clamp_events += 1;
-        } else if (v_p < p->v_last) {
+        } else if (v_p < v_last) {
             /* the segment ends at the first knot at or above v_p (bisect_left) */
             int64_t lo = 0, hi = p->n_knots;
             while (lo < hi) {
@@ -406,7 +428,7 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             speed = (seg[1] + seg[2] * (v_p - seg[0]) / seg[3]) * corrosion_factor;
         } else {
             speed = p->k_last * corrosion_factor;
-            if (v_p > p->v_last)
+            if (v_p > v_last)
                 s.ks_clamp_events += 1;
         }
         if (speed <= 0.0) {
@@ -432,8 +454,7 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             s.min_soc_since_full = s.soc;
         if (applied < 0.0) {
             double discharge_a = -applied;
-            double m = 1.0 < s.min_soc_since_full ? 1.0 : s.min_soc_since_full;
-            m = 0.0 > m ? 0.0 : m;
+            double m = clamp(s.min_soc_since_full, 0.0, 1.0);
             double i_w = p->i_floor > discharge_a ? p->i_floor : discharge_a;
             double f = 1.0 + (p->c_soc0 + p->c_soc_min * (1.0 - m)) * sqrt(p->i_ref / i_w)
                              * s.since_full_h;
@@ -447,7 +468,6 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
             s.c_deg = p->c_deg_limit * fade;
             z_w_of_c_deg = s.z_w;
         }
-        s.loss = s.c_corr + s.c_deg;
         s.soc = new_soc;
 
         if (s.soc < s.min_soc_run)
@@ -502,7 +522,7 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
         }
         s.v_prev = voltage;
 
-        if (s.loss >= p->eol_ah) {
+        if (s.c_corr + s.c_deg >= p->eol_ah) {
             s.lifetime_steps = i + 1;
             *st = s;
             return END_OF_LIFE;

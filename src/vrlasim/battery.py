@@ -121,19 +121,14 @@ def positive_cell_ocv(y: float) -> float:
 class Battery:
     """The electrical model of one battery, for one simulation run.
 
-    Holds the constants derived from a :class:`BatteryParams` once, and a
-    one-entry memo of the electrolyte state: (soc, log10 molality,
-    per-cell OCV) at the last state of charge evaluated.  Terminal
-    voltage, hold current, OCV inversion and the positive-electrode
-    potential within one step all ask for the same soc, so the chain
-    soc -> concentration -> molality -> OCV runs about once per step.
-    The memo is keyed on the exact soc float, so it never changes a
-    result.  It is per object: create one per run, never share one.
+    Holds the constants derived from a :class:`BatteryParams` once.
+    Every method evaluates the chain soc -> concentration -> molality ->
+    OCV afresh; the step kernel keeps its own memo of it.
     """
 
     __slots__ = (
         "params", "cells", "capacity_ah", "c_max", "swing", "v_acid",
-        "v_water", "m_water", "b0_ah", "b1", "v_empty", "v_full", "_memo",
+        "v_water", "m_water", "b0_ah", "b1", "v_empty", "v_full",
     )
 
     def __init__(self, params: BatteryParams) -> None:
@@ -147,7 +142,6 @@ class Battery:
         self.m_water = params.m_water
         self.b0_ah = params.b0 * params.capacity_ah
         self.b1 = params.b1
-        self._memo = (math.nan, math.nan, math.nan)  # nan matches no soc
         self.v_empty = self.ocv(0.0)
         self.v_full = self.ocv(1.0)
 
@@ -182,13 +176,9 @@ class Battery:
         return math.log10(molality)
 
     def electrolyte(self, soc: float) -> tuple[float, float, float]:
-        """(soc, log10 molality, per-cell OCV) at a state of charge in [0, 1],
-        memoised for the last soc asked."""
-        memo = self._memo
-        if memo[0] != soc:
-            y = self.log_molality(self.acid_concentration(soc))
-            memo = self._memo = (soc, y, cell_ocv(y))
-        return memo
+        """(soc, log10 molality, per-cell OCV) at a state of charge in [0, 1]."""
+        y = self.log_molality(self.acid_concentration(soc))
+        return soc, y, cell_ocv(y)
 
     def ocv(self, soc: float) -> float:
         """Battery-level open-circuit voltage at a state of charge."""
@@ -295,9 +285,7 @@ class Battery:
             return 1.0, True
 
         ocv = self.ocv
-        # clamps as conditional expressions: min's and max's results, without the calls
-        soc = 1e-6 if 1e-6 > seed else seed
-        soc = 1.0 - 1e-6 if 1.0 - 1e-6 < soc else soc
+        soc = clamp(seed, 1e-6, 1.0 - 1e-6)
         for _ in range(8):
             f = ocv(soc) - voltage
             if abs(f) < 1e-12:

@@ -193,7 +193,8 @@ def run_scenario(
     one _kernel.State, and the stress factors come from
     StressFactors.from_totals once, at the end.
 
-    A day's steps run in the compiled kernel (_step.c, loaded by
+    The capacity loss is never stored: it is c_corr + c_deg of the
+    state.  A day's steps run in the compiled kernel (_step.c, loaded by
     _kernel.load) where one could be built, and in `python_day` where
     not, or where the kernel flags a step at which `python_day` would
     raise: the kernel then leaves the state as the day found it, and
@@ -204,10 +205,11 @@ def run_scenario(
     layer functions do; its memos live within one day's call.  Only
     `python_day` asks the profile for a day's samples (TimeSeries.day),
     and it calls the layer functions in the order tests/reference_engine.py
-    composes them, each evaluating its own temperature terms, and moves
+    composes them, each evaluating its own temperature terms.  It moves
     the state between the _kernel.State and the layers' ControllerState,
     DegradationState and StressAccumulator once as a day starts and once
-    as it ends.
+    as it ends, keeps soc, the last voltage and the loss as step locals,
+    and adds every other sum to the State itself.
 
     Given a `trace` destination, any object with an ``append`` method
     such as a profiles.TraceWriter, the run appends one TraceRecord per
@@ -282,13 +284,8 @@ def run_scenario(
         stress.max_discharge_a, stress.low_soc_h = st.max_discharge_a, st.low_soc_h
         stress.float_h, stress.depth_bins[:] = st.float_h, st.depth_bins
         stress.min_soc_since_full = st.cycle_min_soc if st.cycling else None
-        # the sums each step adds to, as locals; the event counters stay in st
-        soc, v_prev, loss = st.soc, st.v_prev, st.loss
-        integral, correction_jumps = st.integral, st.correction_jumps
-        full_reset_jumps, clamp_jumps = st.full_reset_jumps, st.clamp_jumps
-        min_soc_run, min_soc_day = st.min_soc_run, st.min_soc_day
-        hours_disconnected, load_lost_wh = st.hours_disconnected, st.load_lost_wh
-        soc_hist, v_hist = st.soc_hist[:], st.v_hist[:]
+        soc, v_prev, loss = st.soc, st.v_prev, st.c_corr + st.c_deg
+        soc_hist, v_hist = st.soc_hist, st.v_hist  # views of st's arrays, not copies
         ended = False
 
         for i, load_w, solar_w, temp_c in zip(range(first, stop), loads, solars, temps):
@@ -296,8 +293,8 @@ def run_scenario(
             if update_load_disconnect(ctrl, soc, control):
                 st.disconnect_events += 1
             if ctrl.load_disconnected:
-                hours_disconnected += dt_h
-                load_lost_wh += load_w * dt_h
+                st.hours_disconnected += dt_h
+                st.load_lost_wh += load_w * dt_h
                 load_a = 0.0
             else:
                 load_a = load_w / v_prev
@@ -313,14 +310,14 @@ def run_scenario(
                 if full_event:
                     # full recharge declared: trust the controller and snap
                     # the coulomb counter to full
-                    full_reset_jumps += 1.0 - soc
+                    st.full_reset_jumps += 1.0 - soc
                     soc = 1.0
                     deg.register_full_charge()
                     st.day_full_events += 1
                     st.last_full_event_day = day
                     ctrl.full_set = wants_full_limits(0, ctrl.interval_days, control)
                 # entering float collapses the current to the float hold level
-                hold = battery.hold_voltage_current(clamp(soc, SOC_FLOOR, SOC_CAP), v_float, loss)
+                hold = battery.hold_voltage_current(soc, v_float, loss)
                 applied = clamp(hold, 0.0, net_a)
 
             soc_v = clamp(soc, SOC_FLOOR, SOC_CAP)
@@ -334,26 +331,26 @@ def run_scenario(
                 jump = corrected - soc
                 if abs(jump) > 1e-9:
                     st.correction_events += 1
-                correction_jumps += jump
+                st.correction_jumps += jump
                 soc = corrected
 
             # gassing, then coulomb counting without the gassing current
             i_gas = gassing_current(voltage, temp_k, gassing)
-            integral += (applied - i_gas) * dt_s * soc_to_ah
+            st.integral += (applied - i_gas) * dt_s * soc_to_ah
             new_soc, clamped = step_soc(soc, applied, i_gas, dt_s, params)
             if clamped:
                 st.clamp_events += 1
-                clamp_jumps += new_soc - (soc + (applied - i_gas) * dt_s * soc_to_ah)
+                st.clamp_jumps += new_soc - (soc + (applied - i_gas) * dt_s * soc_to_ah)
 
             discharge_a = -applied if applied < 0.0 else 0.0
             model.step(deg, battery, soc, voltage, temp_k, discharge_a, dt_h)
             loss = deg.total_loss()
             soc = new_soc
 
-            if soc < min_soc_run:
-                min_soc_run = soc
-            if soc < min_soc_day:
-                min_soc_day = soc
+            if soc < st.min_soc_run:
+                st.min_soc_run = soc
+            if soc < st.min_soc_day:
+                st.min_soc_day = soc
             soc_bin = int(soc_v / SOC_BIN_WIDTH)
             soc_hist[soc_bin if soc_bin < N_SOC_BINS else N_SOC_BINS - 1] += dt_h
             vbin = int((voltage - VOLTAGE_BIN_LOW) / VOLTAGE_BIN_WIDTH)
@@ -370,7 +367,7 @@ def run_scenario(
                 ended = True
                 break
 
-        st.soc, st.v_prev, st.loss = soc, v_prev, loss
+        st.soc, st.v_prev = soc, v_prev
         st.w, st.z_w, st.since_full_h = deg.w, deg.z_w, deg.time_since_full_h
         st.min_soc_since_full, st.c_corr, st.c_deg = deg.min_soc_since_full, deg.c_corr, deg.c_deg
         st.ks_clamp_events = deg.ks_clamp_events
@@ -379,11 +376,6 @@ def run_scenario(
         st.float_h, st.depth_bins[:] = stress.float_h, stress.depth_bins
         if stress.min_soc_since_full is not None:
             st.cycle_min_soc, st.cycling = stress.min_soc_since_full, 1
-        st.integral, st.correction_jumps = integral, correction_jumps
-        st.full_reset_jumps, st.clamp_jumps = full_reset_jumps, clamp_jumps
-        st.min_soc_run, st.min_soc_day = min_soc_run, min_soc_day
-        st.hours_disconnected, st.load_lost_wh = hours_disconnected, load_lost_wh
-        st.soc_hist[:], st.v_hist[:] = soc_hist, v_hist
         st.phase, st.disconnected = phases.index(ctrl.phase), ctrl.load_disconnected
         st.full_set = ctrl.full_set
         return ended
@@ -409,7 +401,6 @@ def run_scenario(
             reconnect_soc=control.reconnect_soc(),
             full_limits=_kernel.Limits(**asdict(control.full_limits)),
             partial_limits=_kernel.Limits(**asdict(control.partial_limits)),
-            v_first=potentials[0], v_last=potentials[-1],
             k_first=ageing.ks_knots[0][1], k_last=ageing.ks_knots[-1][1],
             threshold_v=ageing.corrosion_threshold_v, exponent=ageing.corrosion_exponent,
             ks_ref_temp_k=ageing.ks_ref_temp_k, temp_doubling_k=ageing.temp_doubling_k,
@@ -450,7 +441,8 @@ def run_scenario(
                     record(TraceRecord(i * dt_h, applied, soc, voltage, full_event == 1, floating == 1))
 
         # close out the day, then set the next one up
-        c_corr, c_deg, loss = st.c_corr, st.c_deg, st.loss
+        c_corr, c_deg = st.c_corr, st.c_deg
+        loss = c_corr + c_deg
         trajectory.append(
             DayRecord(
                 day=day + 1, c_corr_ah=c_corr, c_deg_ah=c_deg, c_total_ah=loss,

@@ -12,7 +12,7 @@ static against adaptive comparison) is run in the compiled kernel, where
 one can be built, and in Python, and
 each profile of GOLDEN_PROFILE (40 generated days) is generated once; the
 script prints one line per run or profile and exits 1 if any digest
-differs.  ``tests/test_golden.py`` imports the digests, ``result_digest``
+differs, or if a C compiler is on PATH but the kernel does not load.  ``tests/test_golden.py`` imports the digests, ``result_digest``
 and ``profile_digest`` from here, so they are kept in one place.
 """
 
@@ -238,7 +238,7 @@ def mismatches() -> int:
     if _kernel.load() is not None:
         paths.insert(0, ("kernel", contextlib.nullcontext))
     else:
-        print("kernel: not built (no working C compiler); checking the Python path only")
+        print(f"kernel: not loaded ({_kernel.failure}); checking the Python path only")
     wrong = 0
     for name, path in paths:
         for make, case, want in PINNED:
@@ -262,6 +262,9 @@ def main() -> int:
     print(f"CPython {platform.python_version()} ({sys.executable})")
     wrong = mismatches()
     print(f"{wrong} digest(s) differ" if wrong else "every digest matches")
+    if _kernel.load() is None and _kernel.failure != _kernel.NO_COMPILER:
+        print("FAILED: a C compiler is on PATH, but the step kernel did not load")
+        return 1
     return 1 if wrong else 0
 
 

@@ -103,10 +103,13 @@ STEP_PATHS = ["kernel", "python"]
 @contextlib.contextmanager
 def step_path(name: str):
     """run_scenario runs every day in the compiled kernel ("kernel", which
-    must load, or the test is skipped) or in Python ("python") within."""
+    must load: the test is skipped where no compiler is on PATH and fails
+    otherwise) or in Python ("python") within."""
     if name == "kernel":
         if _kernel.load() is None:
-            pytest.skip("the step kernel could not be built: no working C compiler")
+            if _kernel.failure == _kernel.NO_COMPILER:
+                pytest.skip(f"the step kernel cannot be built: {_kernel.failure}")
+            pytest.fail(f"the step kernel did not load: {_kernel.failure}")
         yield
         return
     with python_path():

@@ -392,28 +392,6 @@ class TestComparisons:
         )
 
 
-def test_electrolyte_evaluated_about_once_per_step(monkeypatch):
-    # count the calls of Battery.electrolyte that miss its memo
-    evaluations = 0
-    electrolyte = Battery.electrolyte
-
-    def counting(self, soc):
-        nonlocal evaluations
-        if soc != self._memo[0]:
-            evaluations += 1
-        return electrolyte(self, soc)
-
-    monkeypatch.setattr(Battery, "electrolyte", counting)
-    days = 30
-    with step_path("python"):  # the kernel keeps its own memo
-        result = run_scenario(
-            Scenario("low30", generate_archetype(LOW_USE, days, seed=42), max_years=days / 365)
-        )
-    steps = days * 96
-    assert result.lifetime_days == days
-    assert 0 < evaluations / steps <= 1.1
-
-
 def static_vs_adaptive(profile=LOW_60, days=60, record_trace=False):
     base = Scenario("base", profile, max_years=days / 365.0, record_trace=record_trace)
     return base, dataclasses.replace(base, name="alt", control=adaptive_params())

@@ -1,15 +1,17 @@
 """run_scenario on random bounded profiles of a few days.
 
-Two kinds of check: run_scenario, on the compiled kernel and on its
+Three kinds of check: run_scenario, on the compiled kernel and on its
 Python day, against the composed reference loop
-(tests/reference_engine.py), result for result and error for error; and
-engine-level invariants that hold on any such run.
+(tests/reference_engine.py), result for result and error for error;
+engine-level invariants that hold on any such run; and the trends of the
+paper's ageing mechanisms on generated profiles, which a sign error
+written into every step path would break while the differentials pass.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import START, STEP_PATHS, constant_profile, result_digest, step_path
@@ -17,8 +19,14 @@ from reference_engine import reference_run
 from vrlasim.battery import SOC_FLOOR, BatteryParamError, BatteryParams
 from vrlasim.control import ControlParams, adaptive_params
 from vrlasim.degradation import Datasheet
-from vrlasim.engine import Scenario, run_scenario
-from vrlasim.profiles import TimeSeries, ambient_temperature, solar_power
+from vrlasim.engine import Scenario, SimResult, run_scenario
+from vrlasim.profiles import (
+    ARCHETYPES,
+    TimeSeries,
+    ambient_temperature,
+    generate_archetype,
+    solar_power,
+)
 
 POLICIES = {"static": ControlParams(), "adaptive": adaptive_params()}
 # three days without load or sun: the battery rests on every step
@@ -162,3 +170,81 @@ def test_engine_invariants(scenario):
     socs += [day.min_soc for day in result.trajectory]
     socs += [result.min_soc, result.audit.soc_end]
     assert all(0.0 <= soc <= 1.0 for soc in socs)
+
+
+@st.composite
+def trend_cases(draw):
+    """A generated profile's archetype and seed, a policy, and a horizon
+    in days."""
+    return {
+        "archetype": draw(st.sampled_from(sorted(ARCHETYPES))),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "policy": draw(st.sampled_from(sorted(POLICIES))),
+        "days": draw(st.integers(7, 60)),
+    }
+
+
+def trend_run(archetype, seed, policy, days, temp_offset=0.0, energy_scale=1.0) -> SimResult:
+    """The kernel's run of a generated profile with its temperatures
+    shifted by temp_offset and its archetype's daily energy scaled."""
+    use = ARCHETYPES[archetype]
+    use = dataclasses.replace(use, daily_energy_wh=use.daily_energy_wh * energy_scale)
+    series = generate_archetype(use, days, seed=seed)
+    if temp_offset:
+        series = TimeSeries(
+            series.start, series.dt_s, series.load_w, series.solar_w,
+            [t + temp_offset for t in series.temp_c], panel_rating_w=series.panel_rating_w,
+        )
+    with step_path("kernel"):
+        return run_scenario(
+            Scenario("trend", series, control=POLICIES[policy], max_years=days / 365.0)
+        )
+
+
+def pair(values):
+    return st.lists(values, min_size=2, max_size=2).map(sorted)
+
+
+# Fails on the adaptive policy: its limits are temperature compensated
+# (-30 mV/degC), so a warmer run charges to a lower voltage and can
+# corrode less (high, seed 0, adaptive, 7 days, +0 against +3 degC).
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a model finding: temperature-compensated limits lower corrosion as it warms",
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trend_cases(), pair(st.floats(-62.0, 48.0)))  # 22-32 degC ambient within [-40, 80]
+def test_corrosion_never_falls_as_temperature_rises(case, offsets):
+    cooler, warmer = (trend_run(**case, temp_offset=offset) for offset in offsets)
+    assume(cooler.censored and warmer.censored)
+    assert warmer.c_corr_ah >= cooler.c_corr_ah
+
+
+# Both load trends fail: once a heavier load disconnects every day, the
+# discharge it draws is capped and its larger current weighs less, so
+# c_deg can fall (high, seed 0, adaptive, 7 days, load x1 against x2); and
+# on short adaptive runs the corrosion share can rise with load
+# (infrequent, seed 0, 7 days, x0.25 against x0.5).  Derandomized, so the
+# search and its counterexample are the same on every run.
+LOAD_TREND_FAILS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a model finding: load trend broken by the load disconnect and the adaptive policy",
+)
+
+
+@LOAD_TREND_FAILS
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trend_cases(), pair(st.floats(0.0, 3.0)))
+def test_active_mass_loss_never_falls_as_load_rises(case, scales):
+    lighter, heavier = (trend_run(**case, energy_scale=scale) for scale in scales)
+    assume(lighter.censored and heavier.censored)
+    assert heavier.c_deg_ah >= lighter.c_deg_ah
+
+
+@LOAD_TREND_FAILS
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trend_cases(), pair(st.floats(0.0, 3.0)))
+def test_corrosion_share_never_rises_as_load_rises(case, scales):
+    lighter, heavier = (trend_run(**case, energy_scale=scale) for scale in scales)
+    assume(lighter.censored and heavier.censored)
+    assert heavier.corrosion_share_pct <= lighter.corrosion_share_pct

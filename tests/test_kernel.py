@@ -2,6 +2,7 @@
 and its hand-off of a day to the Python loop and back."""
 
 import dataclasses
+import logging
 import os
 import subprocess
 import sys
@@ -74,6 +75,42 @@ def test_failed_build_takes_the_python_path(tmp_path, compiler):
     assert not loaded
     assert digest == expected_digest()
     assert cached(cache) == []  # no library, and no temporary file left
+
+
+@pytest.mark.parametrize("compiler", ["none", "failing"])
+def test_why_the_kernel_did_not_load_is_kept_and_logged_once(
+    tmp_path, monkeypatch, caplog, compiler
+):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    if compiler == "failing":
+        cc.write_text("#!/bin/sh\necho 'error: a token too many' >&2\nexit 1\n")
+        cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_kernel, "_loaded", [])
+    monkeypatch.setattr(_kernel, "failure", None)
+    with caplog.at_level(logging.WARNING, logger=_kernel.__name__):
+        assert _kernel.load() is None and _kernel.load() is None
+    if compiler == "none":
+        assert _kernel.failure == _kernel.NO_COMPILER
+    else:
+        assert _kernel.failure == f"{cc} could not build {_kernel.SOURCE}:\nerror: a token too many"
+    assert [record.getMessage() for record in caplog.records] == [
+        f"the step kernel did not load, so every day runs in Python: {_kernel.failure}"
+    ]
+
+
+@pytest.mark.parametrize("compiler", ["none", "failing"])
+def test_kernel_cases_skip_only_without_a_compiler(monkeypatch, compiler):
+    failure = _kernel.NO_COMPILER if compiler == "none" else "cc could not build _step.c"
+    monkeypatch.setattr(_kernel, "_loaded", [None])
+    monkeypatch.setattr(_kernel, "failure", failure)
+    outcome = pytest.skip.Exception if compiler == "none" else pytest.fail.Exception
+    with pytest.raises(outcome, match=failure):
+        with step_path("kernel"):
+            pass
 
 
 def test_processes_building_into_a_cold_cache_load_a_complete_library(tmp_path):

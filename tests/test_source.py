@@ -666,6 +666,83 @@ def test_kernel_structs_mirror_the_c_fields_by_name(struct):
     assert [name for name, _ in struct._fields_] == c_struct_fields(source, struct.__name__)
 
 
+def c_functions(source: str) -> list[tuple[str, str]]:
+    """(name, body) of each function a C source defines, in order: a
+    definition starts at the start of a line, and its body is the text
+    within its outer braces, without comments."""
+    source = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    functions = []
+    for match in re.finditer(r"^[A-Za-z_][\w \t*]*?\b(\w+)\s*\([^;{)]*\)\s*\{", source, re.M):
+        end, depth = match.end(), 1
+        while depth:
+            depth += {"{": 1, "}": -1}.get(source[end], 0)
+            end += 1
+        functions.append((match.group(1), source[match.end() : end - 1]))
+    return functions
+
+
+# What the step kernel calls where the Python day calls battery.clamp and
+# the Battery methods of the same names.
+STEP_HELPERS = ("clamp", "terminal_voltage", "hold_voltage_current")
+# two conditional assignments in a row to one variable: a clamp written out
+CLAMP_PAIR = re.compile(r"\b(\w+) = [^;?]*\?[^;]*;\s*\1 = [^;?]*\?[^;]*;")
+
+
+def step_rules_written_out(source: str) -> list[str]:
+    """Each overpotential term (p->b1) and two-sided clamp that the body of
+    vrlasim_run_day writes out, and each of STEP_HELPERS that the source
+    does not define exactly once."""
+    functions = c_functions(source)
+    (body,) = [body for name, body in functions if name == "vrlasim_run_day"]
+    found = ["p->b1"] * body.count("p->b1")
+    found += [" ".join(m.group(0).split()) for m in CLAMP_PAIR.finditer(body)]
+    names = Counter(name for name, _ in functions)
+    found += [f"{name} defined {names[name]} times" for name in STEP_HELPERS if names[name] != 1]
+    return found
+
+
+def test_finds_step_rules_written_out():
+    """A kernel shaped like the one that wrote the hold current and the
+    overpotential out in its step, with a clamp defined twice."""
+    source = (
+        "static double clamp(double x, double lo, double hi) { return x; }\n"
+        "static double clamp(double x) { return x; }\n"
+        "static int terminal_voltage(const Params *p,\n"
+        "                            double *out)\n"
+        "{\n"
+        "    return 0;\n"
+        "}\n"
+        "int64_t vrlasim_run_day(const Params *p, State *st)\n"
+        "{\n"
+        "    for (int64_t i = 0; i < 3; i++) {\n"
+        "        double sh = soc_cap < sv ? soc_cap : sv;\n"
+        "        sh = soc_floor > sh ? soc_floor : sh; /* clamp(sv, floor, cap) */\n"
+        "        double gain = b0 * (1.0 + p->b1 * sh / (1.0 - sh)) / capacity;\n"
+        "        applied = net_a < i_hold ? net_a : i_hold;\n"
+        "        over = 0.0;\n"
+        "        applied = clamp(applied, 0.0, 1.0);\n"
+        "    }\n"
+        "}\n"
+    )
+    assert [name for name, _ in c_functions(source)] == [
+        "clamp", "clamp", "terminal_voltage", "vrlasim_run_day",
+    ]
+    assert c_functions(source)[2][1] == "\n    return 0;\n"
+    assert step_rules_written_out(source) == [
+        "p->b1",
+        "sh = soc_cap < sv ? soc_cap : sv; sh = soc_floor > sh ? soc_floor : sh;",
+        "clamp defined 2 times",
+        "hold_voltage_current defined 0 times",
+    ]
+
+
+def test_kernel_writes_each_step_rule_once():
+    """The step kernel computes the charge overpotential and the hold
+    current in one helper each, and clamps through one helper, as the
+    Python day calls Battery's methods and battery.clamp."""
+    assert step_rules_written_out(Path(_kernel.SOURCE).read_text()) == []
+
+
 @pytest.mark.parametrize("cls", PARAMETER_CLASSES, ids=lambda c: c.__name__)
 def test_every_numeric_field_declares_its_domain(cls):
     """An int or float field without a domain would skip the checker."""
