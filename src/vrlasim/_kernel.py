@@ -1,14 +1,20 @@
-"""The compiled day loop of engine.run_scenario (_step.c), and its loader.
+"""The compiled day loop of engine.run_scenario and the CSV row writer
+(_step.c), and their loader.
 
 :func:`load` builds _step.c once with the C compiler ``cc`` into a
 per-user cache directory (``$XDG_CACHE_HOME/vrlasim``, or
 ``~/.cache/vrlasim``), under a name keyed by the sha256 of the source,
-the compiler and the flags, and opens it with ctypes.  A build writes a
-temporary file and renames it into place, so processes that build at
-once each load a complete library.  Where no compiler is found or the
-build or load fails, :func:`load` returns None, keeps why in
-:data:`failure` and logs it once, and run_scenario runs every day in
-Python.
+the compiler and the flags, and opens it with ctypes, taking every
+function it uses from it.  A build writes a temporary file and renames
+it into place, so processes that build at once each load a complete
+library.  Where no compiler is found, the build or load fails or a
+function is missing, :func:`load` returns None, keeps why in
+:data:`failure` and logs it once; run_scenario then runs every day in
+Python, and :func:`format_rows` formats rows by ``%r``.
+
+:func:`format_rows` writes the rows of the trace and profile CSVs with
+the library's vrlasim_format_rows, whose doubles are byte for byte
+repr's, so both ways give the same bytes.
 
 The flags keep every result bit-identical to the Python day, which
 calls the layer functions: ``-O2`` reorders no floating-point operation,
@@ -211,11 +217,26 @@ def build(cc: str, source: bytes, path: str) -> None:
             os.remove(tmp)
 
 
+# (argtypes, restype) of each function load() takes from the library
+SIGNATURES = {
+    **{f"vrlasim_{struct.__name__.lower()}_size": ([], ctypes.c_int64)
+       for struct in (Params, State, Profile)},
+    "vrlasim_run_day": ([
+        ctypes.POINTER(Params), ctypes.POINTER(State), *[ctypes.c_int64] * 3,
+        ctypes.POINTER(Profile), *[ctypes.c_void_p] * 3,
+    ], ctypes.c_int64),
+    "vrlasim_format_rows": ([
+        ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+    ], ctypes.c_int64),
+}
+
+
 def _open():
-    """(vrlasim_run_day of the cached library, built first where missing,
-    None), or (None, why it cannot be had): NO_COMPILER, or the build
-    error with the compiler's stderr, the load error or the struct sizes
-    that differ."""
+    """(the library's functions by name, built first where missing, None),
+    or (None, why they cannot be had): NO_COMPILER, or the build error
+    with the compiler's stderr, the load error, the symbol missing or the
+    struct sizes that differ."""
     cc = shutil.which(COMPILER)
     if cc is None:
         return None, NO_COMPILER
@@ -235,38 +256,63 @@ def _open():
         lib = ctypes.CDLL(path)
     except OSError as exc:
         return None, f"could not load {path}: {exc}"
+    functions = {}
+    for name, (argtypes, restype) in SIGNATURES.items():
+        try:
+            functions[name] = function = getattr(lib, name)
+        except AttributeError:
+            return None, f"{path} has no symbol {name}"
+        function.argtypes, function.restype = argtypes, restype
     for struct in (Params, State, Profile):
-        size = getattr(lib, f"vrlasim_{struct.__name__.lower()}_size")
-        size.restype = ctypes.c_int64
-        if size() != ctypes.sizeof(struct):
+        size = functions[f"vrlasim_{struct.__name__.lower()}_size"]()
+        if size != ctypes.sizeof(struct):
             return None, (
-                f"{struct.__name__} is {size()} bytes in {SOURCE}"
+                f"{struct.__name__} is {size} bytes in {SOURCE}"
                 f" and {ctypes.sizeof(struct)} in _kernel.{struct.__name__}"
             )
-    run_day = lib.vrlasim_run_day
-    run_day.argtypes = [
-        ctypes.POINTER(Params), ctypes.POINTER(State), *[ctypes.c_int64] * 3,
-        ctypes.POINTER(Profile), *[ctypes.c_void_p] * 3,
-    ]
-    run_day.restype = ctypes.c_int64
-    return run_day, None
+    return functions, None
 
 
-_loaded: list = []  # the outcome of the first load() in this process
+_loaded: list = []  # the day loop of the first load() in this process, or None
+_format_rows = None  # vrlasim_format_rows of the library that load() opened
 failure: str | None = None  # why that outcome is None
 
 
 def load():
     """The compiled day loop, or None; built or opened once per process.
     Where it is None, `failure` says why, and the first call logs it."""
-    global failure
+    global failure, _format_rows
     if not _loaded:
-        run_day, failure = _open()
+        functions, failure = _open()
         if failure is not None:
             import logging  # only a process without the kernel pays for it
 
             logging.getLogger(__name__).warning(
                 "the step kernel did not load, so every day runs in Python: %s", failure
             )
-        _loaded.append(run_day)
+            _loaded.append(None)
+        else:
+            _format_rows = functions["vrlasim_format_rows"]
+            _loaded.append(functions["vrlasim_run_day"])
     return _loaded[0]
+
+
+def format_rows(stamps: list[str], values: array, k: int, marks: array | None, j: int) -> bytes:
+    """The CSV line ``("%s" + ",%r" * k + ",%d" * j + "\\r\\n") % row`` of
+    each stamp with its row's k values (an array "d") and j marks (an
+    array "b"), both held row after row, by vrlasim_format_rows where
+    load() has the library, and by that format where it has not."""
+    n = len(stamps)
+    if values.typecode != "d" or len(values) < n * k or j and (
+        marks.typecode != "b" or len(marks) < n * j
+    ):
+        raise ValueError(f'{n} rows need {k} doubles ("d") and {j} marks ("b") each')
+    if load() is None:
+        line = ("%s" + ",%r" * k + ",%d" * j + "\r\n").__mod__
+        columns = [values[i::k] for i in range(k)] + [marks[i::j] for i in range(j)]
+        return "".join(map(line, zip(stamps, *columns))).encode()
+    data = "\n".join(stamps).encode()
+    out = ctypes.create_string_buffer(len(data) + 1 + n * (25 * k + 5 * j + 2))
+    at_marks = marks.buffer_info()[0] if j else None
+    size = _format_rows(data, n, values.buffer_info()[0], k, at_marks, j, out)
+    return ctypes.string_at(out, size)

@@ -25,6 +25,9 @@
  * each step reads its samples as TimeSeries.day gives them, so a day
  * needs no input buffers of its own.
  *
+ * After the day loop, vrlasim_format_rows writes the rows of the trace
+ * and profile CSVs, each double as repr writes it.
+ *
  * The structs are mirrored field for field by vrlasim._kernel.  The
  * kernel's memos (Electrolyte, below, and the z_w of the last c_deg) live
  * within one call, so the state holds the model's state alone, and no
@@ -35,6 +38,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define N_SOC_BINS 20
 #define N_VOLTAGE_BINS 56
@@ -533,4 +537,251 @@ int64_t vrlasim_run_day(const Params *p, State *st, int64_t day, int64_t first, 
 
 flagged:
     return FLAGGED;
+}
+
+/*
+ * repr(x) of a double, and the CSV rows of the trace and profile writers.
+ *
+ * The digits are those CPython's repr takes from dtoa.c's mode 0: the
+ * fewest that read back as x, the nearest to x of those, and of two
+ * nearest the one with the even last digit.  They come from Giulietti's
+ * Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
+ * without the two-digit minimum that Java's Double.toString adds: where
+ * no decimal of one digit fewer lies in the rounding interval, the
+ * nearest of s * 10^k and (s + 1) * 10^k that lies in it is the answer.
+ */
+
+#define Q_MIN (-1074)             /* the exponent of a subnormal's unit */
+#define C_MIN (UINT64_C(1) << 52) /* the implicit bit of a normal double */
+#define K_MIN (-324)
+#define K_MAX 292
+#define MASK_63 ((UINT64_C(1) << 63) - 1)
+#define G_LIMBS 36 /* 32-bit limbs of the table's integers: 1152 bits */
+
+/* floor(e * log10(2)), floor(log10(3/4 * 2^e)) and floor(e * log2(10)),
+ * exact for |e| <= 1100, and |e| <= 400 for the last (checked with Python
+ * integers), with the arithmetic right shift of a negative value that cc
+ * gives. */
+static int flog10pow2(int e) { return (int)((int64_t)e * 661971961083 >> 41); }
+static int flog10threequarterspow2(int e)
+{
+    return (int)(((int64_t)e * 661971961083 - 274743187321) >> 41);
+}
+static int flog2pow10(int e) { return (int)((int64_t)e * 913124641741 >> 38); }
+
+/* g of each k in [K_MIN, K_MAX], as (g1, g0) with g = g1 * 2^63 + g0:
+ * 10^-k = beta * 2^r with 2^125 <= beta < 2^126, and g = floor(beta) + 1. */
+static uint64_t g_table[K_MAX - K_MIN + 1][2];
+
+/* floor(b / 2^s) of a G_LIMBS-limb integer b, where that is below 2^126. */
+static unsigned __int128 shifted(const uint32_t *b, int s)
+{
+    unsigned __int128 v = 0;
+    if (s < 0) { /* b < 2^(126 + s) lies in its first four limbs */
+        for (int i = 3; i >= 0; i--)
+            v = v << 32 | b[i];
+        return v << -s;
+    }
+    const int w = s / 32, o = s % 32;
+    for (int i = w + 4; i > w; i--)
+        v = v << 32 | (i < G_LIMBS ? b[i] : 0);
+    return v << (32 - o) | b[w] >> o;
+}
+
+static void set_g(int k, unsigned __int128 g)
+{
+    g_table[k - K_MIN][0] = (uint64_t)(g >> 63);
+    g_table[k - K_MIN][1] = (uint64_t)g & MASK_63;
+}
+
+/* Fills g_table with exact integer arithmetic as the library loads: 10^e
+ * for e = 0 .. -K_MIN by multiplying by 10, and floor(2^1151 / 10^e) for
+ * e = 1 .. K_MAX by dividing by 10, each floored to its 126 bits. */
+__attribute__((constructor)) static void fill_g_table(void)
+{
+    uint32_t b[G_LIMBS] = {1};
+    for (int e = 0; e <= -K_MIN; e++) {
+        for (int i = 0, carry = 0; e > 0 && i < G_LIMBS; i++) {
+            const uint64_t x = (uint64_t)b[i] * 10 + (uint64_t)carry;
+            b[i] = (uint32_t)x;
+            carry = (int)(x >> 32);
+        }
+        set_g(-e, shifted(b, flog2pow10(e) - 125) + 1);
+    }
+    uint32_t x[G_LIMBS] = {0};
+    x[G_LIMBS - 1] = UINT32_C(1) << 31;
+    for (int e = 1; e <= K_MAX; e++) {
+        uint64_t rem = 0;
+        for (int i = G_LIMBS - 1; i >= 0; i--) {
+            const uint64_t y = rem << 32 | x[i];
+            x[i] = (uint32_t)(y / 10);
+            rem = y % 10;
+        }
+        /* 10^-e = 2^-r' / (2^-r' * 10^e) with r' = flog2pow10(-e) - 125 */
+        set_g(e, shifted(x, 1151 + flog2pow10(-e) - 125) + 1);
+    }
+}
+
+/* g * cp / 2^127 rounded to odd: floor, with the lowest bit set where
+ * bits below it are lost (Schubfach's rop). */
+static uint64_t rop(const uint64_t *g, uint64_t cp)
+{
+    const uint64_t x1 = (uint64_t)((unsigned __int128)g[1] * cp >> 64);
+    const unsigned __int128 y = (unsigned __int128)g[0] * cp;
+    const uint64_t z = ((uint64_t)y >> 1) + x1;
+    const uint64_t vbp = (uint64_t)(y >> 64) + (z >> 63);
+    return vbp | (((z & MASK_63) + MASK_63) >> 63);
+}
+
+/* The shortest decimal f * 10^e that reads back as c * 2^q (c > 0), the
+ * nearest to it of those, ties to an even f. */
+static void shortest(int q, uint64_t c, uint64_t *f, int *e)
+{
+    const uint64_t out = c & 1, cb = c << 2, cbr = cb + 2;
+    uint64_t cbl;
+    int k;
+    if (c != C_MIN || q == Q_MIN) {
+        cbl = cb - 2;
+        k = flog10pow2(q);
+    } else { /* a power of two: the interval below is half as wide */
+        cbl = cb - 1;
+        k = flog10threequarterspow2(q);
+    }
+    const int h = q + flog2pow10(-k) + 2;
+    const uint64_t *g = g_table[k - K_MIN];
+    const uint64_t vb = rop(g, cb << h), vbl = rop(g, cbl << h), vbr = rop(g, cbr << h);
+    const uint64_t s = vb >> 2;
+    *e = k;
+    /* at most one multiple of 10^(k + 1) lies in the interval */
+    const uint64_t sp10 = s / 10 * 10, tp10 = sp10 + 10;
+    const int upin = vbl + out <= sp10 << 2, wpin = (tp10 << 2) + out <= vbr;
+    if (upin != wpin) {
+        *f = upin ? sp10 : tp10;
+        return;
+    }
+    const uint64_t t = s + 1;
+    const int uin = vbl + out <= s << 2, win = (t << 2) + out <= vbr;
+    if (uin != win) {
+        *f = uin ? s : t;
+        return;
+    }
+    const int64_t cmp = (int64_t)(vb - ((s + t) << 1));
+    *f = cmp < 0 || (cmp == 0 && !(s & 1)) ? s : t;
+}
+
+/* repr(x) into p, which has room for 24 bytes; the bytes written. */
+static int format_double(double x, char *p)
+{
+    char *const start = p;
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t t = bits & (C_MIN - 1);
+    const int bq = (int)(bits >> 52 & 0x7ff);
+    const char *word = bq < 0x7ff ? NULL : t ? "nan" : bits >> 63 ? "-inf" : "inf";
+    if (word) {
+        const size_t n = strlen(word);
+        memcpy(p, word, n);
+        return (int)n;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    uint64_t f = 0;
+    int e = 0;
+    if (bq == 0) {
+        if (t)
+            shortest(Q_MIN, t, &f, &e);
+    } else {
+        const uint64_t c = C_MIN | t;
+        const int mq = 1075 - bq; /* x = c / 2^mq */
+        if (0 < mq && mq < 53 && (c >> mq) << mq == c)
+            f = c >> mq; /* a whole number below 2^53 is its own shortest */
+        else
+            shortest(-mq, c, &f, &e);
+    }
+    while (f && f % 10 == 0) {
+        f /= 10;
+        e++;
+    }
+    char buf[20], *d = buf + sizeof buf;
+    do {
+        *--d = (char)('0' + f % 10);
+        f /= 10;
+    } while (f);
+    const int n = (int)(buf + sizeof buf - d), point = n + e; /* x = 0.d * 10^point */
+    if (-4 < point && point <= 16) { /* float_repr_style 'short' writes these fixed */
+        if (point <= 0) {
+            memcpy(p, "0.0000", 2 - point);
+            p += 2 - point;
+            memcpy(p, d, n);
+            p += n;
+        } else if (point >= n) {
+            memcpy(p, d, n);
+            p += n;
+            memset(p, '0', point - n);
+            p += point - n;
+            memcpy(p, ".0", 2);
+            p += 2;
+        } else {
+            memcpy(p, d, point);
+            p += point;
+            *p++ = '.';
+            memcpy(p, d + point, n - point);
+            p += n - point;
+        }
+    } else {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, n - 1);
+            p += n - 1;
+        }
+        int x10 = point - 1;
+        *p++ = 'e';
+        *p++ = x10 < 0 ? '-' : '+';
+        x10 = x10 < 0 ? -x10 : x10;
+        if (x10 >= 100)
+            *p++ = (char)('0' + x10 / 100);
+        *p++ = (char)('0' + x10 / 10 % 10);
+        *p++ = (char)('0' + x10 % 10);
+    }
+    return (int)(p - start);
+}
+
+/*
+ * Writes n CSV rows into out: each is the next stamp of `stamps` (n
+ * stamps, each ended by '\n' or, the last, by '\0'), then ',' and repr
+ * of each of its k values (values[r * k ..]), then ',' and the decimal
+ * of each of its j marks (marks[r * j ..]), then "\r\n"; "%s" + ",%r" * k
+ * + ",%d" * j + "\r\n" in Python.  out has room for the stamps and 25 * k
+ * + 5 * j + 2 bytes a row.  Returns the bytes written.
+ */
+int64_t vrlasim_format_rows(const char *stamps, int64_t n, const double *values, int64_t k,
+                            const int8_t *marks, int64_t j, char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < n; r++) {
+        while (*stamps != '\n' && *stamps != '\0')
+            *p++ = *stamps++;
+        stamps++;
+        for (int64_t i = 0; i < k; i++) {
+            *p++ = ',';
+            p += format_double(values[r * k + i], p);
+        }
+        for (int64_t i = 0; i < j; i++) {
+            int m = marks[r * j + i];
+            *p++ = ',';
+            if (m < 0) {
+                *p++ = '-';
+                m = -m;
+            }
+            if (m >= 100)
+                *p++ = (char)('0' + m / 100);
+            if (m >= 10)
+                *p++ = (char)('0' + m / 10 % 10);
+            *p++ = (char)('0' + m % 10);
+        }
+        *p++ = '\r';
+        *p++ = '\n';
+    }
+    return (int64_t)(p - out);
 }

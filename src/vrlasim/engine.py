@@ -211,11 +211,12 @@ def run_scenario(
     as it ends, keeps soc, the last voltage and the loss as step locals,
     and adds every other sum to the State itself.
 
-    Given a `trace` destination, any object with an ``append`` method
-    such as a profiles.TraceWriter, the run appends one TraceRecord per
-    step to it as it makes them (a day's at a time from the kernel),
-    SimResult.trace is None, and runtime_s includes what the appends
-    cost.  Without one, a scenario with record_trace keeps its records
+    Given a `trace` destination, any object with an ``append`` method,
+    the run appends one TraceRecord per step to it as it makes them (a
+    day's at a time from the kernel), SimResult.trace is None, and
+    runtime_s includes what the appends cost.  A destination with a
+    ``write_steps`` method as well, such as a profiles.TraceWriter, takes
+    each kernel day's buffers in one call instead of its records.  Without one, a scenario with record_trace keeps its records
     in a new list, SimResult.trace.
     """
     from . import _kernel
@@ -257,6 +258,7 @@ def run_scenario(
     if trace is None and scenario.record_trace:
         trace = kept = []
     record = None if trace is None else trace.append
+    write_steps = getattr(trace, "write_steps", None)  # a whole kernel day at once
     trajectory: list[DayRecord] = []
     stress = StressAccumulator(capacity, dt_h)
 
@@ -434,7 +436,9 @@ def run_scenario(
         else:
             ended = outcome == _kernel.END_OF_LIFE
             stress.full_charge_times.extend(i * dt_h for i in events[: st.day_full_events])
-            if record is not None:
+            if write_steps is not None:
+                write_steps(first, (st.lifetime_steps if ended else stop) - first, dt_h, values, marks)
+            elif record is not None:
                 stepped = range(first, st.lifetime_steps if ended else stop)
                 v, m = iter(values), iter(marks)
                 for i, applied, soc, voltage, full_event, floating in zip(stepped, v, v, v, m, m):

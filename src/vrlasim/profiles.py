@@ -467,9 +467,9 @@ def write_csv(path: str, columns: Sequence[str], row_format: str, rows: Iterable
 def write_profile_csv(series: TimeSeries, path: str) -> None:
     """Write a profile in the dialect :func:`ingest_csv` reads back.
 
-    A day-form profile is written a day at a time and builds no column:
-    its temperatures are formatted once, each day's block powers once
-    that day, and each row formats only its solar sample.
+    A day-form profile is written a day at a time and builds no column,
+    a flat one TRACE_BLOCK rows at a time: each day or block is one call
+    of :func:`_write_rows`.
     """
     step = timedelta(seconds=series.dt_s)
     stamps = _grid_stamps(series.start, step, len(series))
@@ -478,22 +478,38 @@ def write_profile_csv(series: TimeSeries, path: str) -> None:
         stamps = map(datetime.isoformat, times)
     days = series._days
     if days is None:
-        rows = zip(stamps, *map(series.samples, COLUMNS))
-        write_csv(path, PROFILE_COLUMNS, "%s,%r,%r,%r", rows)
-        return
-    temps = list(map(repr, days.temp(0)))  # the same temperatures every day
-
-    def day_rows(q: int) -> Iterator[tuple]:
-        loads = list(map(repr, days.powers[q]))  # ProfileDays.load(q), one repr per block
-        return zip(
-            islice(stamps, len(temps)),
-            map(loads.__getitem__, days.block_of_step),
-            days.solar(q),
-            temps,
+        columns = list(map(series.samples, COLUMNS))
+        blocks = (
+            [column[i : i + TRACE_BLOCK] for column in columns]
+            for i in range(0, len(series), TRACE_BLOCK)
         )
+    else:
+        blocks = (
+            (map(days.powers[q].__getitem__, days.block_of_step), days.solar(q), days.temp(q))
+            for q in range(len(days.peaks))
+        )
+    with open(path, "wb") as fh:
+        fh.write(",".join(PROFILE_COLUMNS).encode() + b"\r\n")
+        for block in blocks:
+            load, solar, temp = (array("d", column) for column in block)
+            values = array("d", bytes(24 * len(load)))  # the block's samples, row after row
+            values[0::3], values[1::3], values[2::3] = load, solar, temp
+            _write_rows(fh, islice(stamps, len(load)), values, 3, None, 0)
 
-    rows = chain.from_iterable(map(day_rows, range(len(days.peaks))))
-    write_csv(path, PROFILE_COLUMNS, "%s,%s,%r,%s", rows)
+
+def _write_rows(
+    fh, stamps: Iterable[str], values: array, k: int, marks: array | None, j: int
+) -> None:
+    """Write to `fh` the line of each stamp with its row's k values and j
+    marks (_kernel.format_rows).  Where a stamp raises (past
+    datetime.max), the lines before it are written first."""
+    from . import _kernel  # which imports the engine, so not at import time
+
+    taken: list[str] = []
+    try:
+        taken.extend(stamps)  # keeps the stamps taken before one raises
+    finally:
+        fh.write(_kernel.format_rows(taken, values, k, marks, j))
 
 
 _DAY = timedelta(days=1)
@@ -1006,17 +1022,20 @@ def stress_factors(
     return acc.result()
 
 
-_TRACE_FIELDS = operator.attrgetter("t_h", "current_a", "soc", "voltage", "full_charge", "floating")
-_TRACE_LINE = "%s,%r,%r,%r,%d,%d\r\n".__mod__
+_TRACE_VALUES = operator.attrgetter("current_a", "soc", "voltage")
+_TRACE_MARKS = operator.attrgetter("full_charge", "floating")
 
-# Records a TraceWriter holds before it writes them out.
+# Records a TraceWriter holds before it writes them out, and the rows of
+# a flat profile that write_profile_csv writes at once.
 TRACE_BLOCK = 1024
 
 
 class TraceWriter:
-    """Writes a trace CSV record by record: :meth:`append` each record,
-    then :meth:`close`.  Records are written in blocks of TRACE_BLOCK, so
-    a run that streams its trace here holds no more than one block.  As
+    """Writes a trace CSV: :meth:`append` each record, or hand it a run's
+    steps a day at a time with :meth:`write_steps`, then :meth:`close`.
+    Appended records are written in blocks of TRACE_BLOCK, so a run that
+    streams its trace here holds no more than one day of steps, or one
+    block of records.  Every row is formatted by _kernel.format_rows.  As
     a context manager it closes the file on leaving: by :meth:`close`
     when the block ends normally, and as it stands on an exception.
 
@@ -1040,19 +1059,30 @@ class TraceWriter:
         self._block: list[TraceRecord] = []
         self._written = 0  # records written before the block
         # Record k may take template stamp k while k <= k_max; off a
-        # template grid k_max is -1.  Set by the first block, which holds
-        # the second record if there is one.
+        # template grid k_max is -1.  Set by the first rows written.
         self._dt_h = None
         self._k_max = -1
         self._stamps: Iterator[str] | None = None
-        self._fh = open(path, "w", newline="")
-        self._fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        self._fh = open(path, "wb")
+        self._fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
 
     def append(self, record: TraceRecord) -> None:
         block = self._block
         block.append(record)
         if len(block) == TRACE_BLOCK:
             self._write_block()
+
+    def write_steps(self, first: int, n: int, dt_h: float, values: array, marks: array) -> None:
+        """Write steps first .. first + n - 1 of a run, step i at t_h = i *
+        dt_h, after the records appended before: values (an array "d")
+        holds each step's current_a, soc and voltage, and marks (an array
+        "b") its full_charge and floating, row after row, as the step
+        kernel leaves them."""
+        if self._block:
+            self._write_block()
+        if self._stamps is None:
+            self._grid(dt_h)
+        self._write(list(map(dt_h.__mul__, range(first, first + n))), values, marks)
 
     def close(self) -> None:
         """Write the records still held and close the file."""
@@ -1069,36 +1099,40 @@ class TraceWriter:
         else:
             self._fh.close()
 
+    def _grid(self, dt_h: float | None) -> None:
+        """Set the template grid of a trace whose second record is at dt_h."""
+        # The stamps are "" once they end at datetime.max, and those
+        # records take the arithmetic, which raises as it does for any
+        # record past datetime.max.
+        self._stamps = repeat("")
+        self._dt_h = dt_h
+        if isinstance(dt_h, float) and 0.0 < dt_h < math.inf:  # else the arithmetic
+            m, two_e = dt_h.as_integer_ratio()
+            step_us, inexact = divmod(m * 3_600_000_000, two_e)
+            if not inexact and step_us <= 86_400_000_000:
+                grid = _grid_stamps(self.start, timedelta(microseconds=step_us))
+                if grid is not None:
+                    self._k_max, self._stamps = (2**53 - 1) // m, chain(grid, self._stamps)
+
     def _write_block(self) -> None:
         block, self._block = self._block, []
-        start = self.start
         if self._stamps is None:
-            # The stamps are "" once they end at datetime.max, and those
-            # records take the arithmetic, which raises as it does for any
-            # record past datetime.max.
-            self._stamps = repeat("")
-            dt_h = self._dt_h = block[1].t_h if len(block) > 1 else None
-            if isinstance(dt_h, float) and 0.0 < dt_h < math.inf:  # else the arithmetic
-                m, two_e = dt_h.as_integer_ratio()
-                step_us, inexact = divmod(m * 3_600_000_000, two_e)
-                if not inexact and step_us <= 86_400_000_000:
-                    grid = _grid_stamps(start, timedelta(microseconds=step_us))
-                    if grid is not None:
-                        self._k_max, self._stamps = (2**53 - 1) // m, chain(grid, self._stamps)
-        dt_h, k_max = self._dt_h, self._k_max
-        lines = (
-            (
-                stamp if k <= k_max and t_h == k * dt_h and stamp
-                else (start + timedelta(hours=t_h)).isoformat(),
-                amps, soc, volts, full, flt,
-            )
-            # the block first, so that zip takes no stamp past its end
-            for (t_h, amps, soc, volts, full, flt), k, stamp in zip(
-                map(_TRACE_FIELDS, block), count(self._written), self._stamps
-            )
+            self._grid(block[1].t_h if len(block) > 1 else None)
+        values = array("d", chain.from_iterable(map(_TRACE_VALUES, block)))
+        marks = array("b", chain.from_iterable(map(_TRACE_MARKS, block)))
+        self._write([record.t_h for record in block], values, marks)
+
+    def _write(self, t_hs: list[float], values: array, marks: array) -> None:
+        """Write the rows at t_hs, with their values and marks."""
+        start, dt_h, k_max = self.start, self._dt_h, self._k_max
+        stamps = (
+            stamp if k <= k_max and t_h == k * dt_h and stamp
+            else (start + timedelta(hours=t_h)).isoformat()
+            # t_hs first, so that zip takes no stamp past their end
+            for t_h, k, stamp in zip(t_hs, count(self._written), self._stamps)
         )
-        self._written += len(block)
-        self._fh.writelines(map(_TRACE_LINE, lines))
+        self._written += len(t_hs)
+        _write_rows(self._fh, stamps, values, 3, marks, 2)
 
 
 def write_trace_csv(
@@ -1115,7 +1149,7 @@ _FLAGS = ("1", "True", "true")
 
 
 def read_trace_csv(path: str) -> Iterator[TraceRecord]:
-    """Stream a trace CSV written by :func:`write_trace_csv`.
+    """Stream a trace CSV written by a :class:`TraceWriter`.
 
     The rows must be evenly spaced: each timestamp is the first row's
     interval after the one before it, so a gap, a repeated row or rows

@@ -9,11 +9,14 @@ installed CPython that the package supports.  Each case of GOLDEN (one
 60-day run, on the generated day-form profile and again on its copy as
 flat columns, which must give the same digest) and GOLDEN_COMPARE (a
 static against adaptive comparison) is run in the compiled kernel, where
-one can be built, and in Python, and
-each profile of GOLDEN_PROFILE (40 generated days) is generated once; the
-script prints one line per run or profile and exits 1 if any digest
-differs, or if a C compiler is on PATH but the kernel does not load.  ``tests/test_golden.py`` imports the digests, ``result_digest``
-and ``profile_digest`` from here, so they are kept in one place.
+one can be built, and in Python.  On each path, GOLDEN_FILES pins the
+trace and profile CSVs written from both forms of one case's profile,
+and what ingest_csv reads back.  Each profile of GOLDEN_PROFILE (40
+generated days) is generated once.  The script prints one line per run,
+file or profile and exits 1 if any digest differs, or if a C compiler is
+on PATH but the kernel does not load.  ``tests/test_golden.py`` imports
+the digests, ``result_digest`` and ``profile_digest`` from here, so they
+are kept in one place.
 """
 
 from __future__ import annotations
@@ -22,13 +25,23 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import sys
+import tempfile
 
 from vrlasim import _kernel
 from vrlasim.control import ControlParams, Policy, adaptive_params
 from vrlasim.engine import Scenario, compare_strategies, run_scenario
-from vrlasim.profiles import ARCHETYPES, TimeSeries, UseArchetype, generate_archetype
+from vrlasim.profiles import (
+    ARCHETYPES,
+    TimeSeries,
+    TraceWriter,
+    UseArchetype,
+    generate_archetype,
+    ingest_csv,
+    write_profile_csv,
+)
 
 DAYS = 60
 SEED = 42
@@ -147,6 +160,16 @@ GOLDEN_PROFILE = {
         "6f15722d4215000cdb4e20b962b04ba1204f647d01a1eb5c040464f7fb33ac9e",
 }
 
+# The CSV files of the ("low", "bboxx_static") case, written from its
+# generated profile and again from that profile as flat columns, which
+# must give the same bytes: file -> sha256.  "ingest" is the
+# profile_digest of ingest_csv of the profile file.
+GOLDEN_FILES = {
+    "trace": "8499bf7a251be10a9cbf7edc1fc8ae576ed8c340cb264477241061ae9898046f",
+    "profile": "384793f6e87eb0ccf4871a9acf56a94d53432338a1808535e082bbf530af03dd",
+    "ingest": "dfbc53f01be2d7a6d39716bcfc9822944380daf7125c0983fdc596907491160c",
+}
+
 
 def profile_digest(series) -> str:
     """sha256 of ``float.hex`` of every sample, column by column."""
@@ -214,6 +237,31 @@ def compare(archetype: str, record_trace: bool):
     return compare_strategies(base, alt)
 
 
+def written_digests(profile: TimeSeries) -> dict[str, str]:
+    """The digests of GOLDEN_FILES: the trace CSV of the low static run on
+    `profile` through a TraceWriter, the profile's CSV, and the profile
+    that ingest_csv reads back from it."""
+    with tempfile.TemporaryDirectory() as root:
+        trace, written = os.path.join(root, "trace.csv"), os.path.join(root, "profile.csv")
+        with TraceWriter(trace, profile.start) as writer:
+            run_scenario(scenario("low", Policy.BBOXX_STATIC.value, False, profile), trace=writer)
+        write_profile_csv(profile, written)
+        digests = {}
+        for name, path in (("trace", trace), ("profile", written)):
+            with open(path, "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        ingested = ingest_csv(written, panel_rating_w=profile.panel_rating_w)
+        digests["ingest"] = profile_digest(ingested)
+    return digests
+
+
+def written_from(form: str) -> dict[str, str]:
+    """written_digests of the low case's generated profile, or of its copy
+    as flat columns."""
+    profile = generate_archetype(ARCHETYPES["low"], DAYS, seed=SEED)
+    return written_digests(flat(profile) if form == "flat" else profile)
+
+
 # Every pinned case: (what runs it, its arguments, the digest)
 PINNED = [(run, case, want) for case, want in GOLDEN.items()]
 PINNED += [(run_flat, case, want) for case, want in GOLDEN.items()]
@@ -248,6 +296,13 @@ def mismatches() -> int:
             wrong += not ok
             label = f"{name} {make.__name__} {'-'.join(map(str, case))}"
             print(f"{label}: {'ok' if ok else f'MISMATCH {got}'}")
+        for form in ("generated", "flat"):
+            with path():
+                written = written_from(form)
+            for file, want in GOLDEN_FILES.items():
+                got = written[file]
+                wrong += got != want
+                print(f"{name} {file} from {form}: {'ok' if got == want else f'MISMATCH {got}'}")
     for (archetype, dt_s), want in GOLDEN_PROFILE.items():
         series = generate_archetype(
             PROFILE_ARCHETYPES[archetype], PROFILE_DAYS, seed=SEED, dt_s=dt_s

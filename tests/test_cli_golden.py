@@ -2,11 +2,11 @@
 
 One ``simulate --emit-trace --emit-profile`` over two 20-day scenarios,
 one generated and one read from a profile CSV, then ``analyze`` of each
-trace; two ``calibrate --out`` runs; and one 20-day ``compare``.  Every
-file written is hashed; the result JSON's ``runtime_s`` line, the only
-one that differs between runs, is dropped first.  A
-change to any writer, or to any number that reaches a file, changes a
-digest.
+trace, on each step path; two ``calibrate --out`` runs; and one 20-day
+``compare``.  Every file written is hashed; the result JSON's
+``runtime_s`` line, the only one that differs between runs, is dropped
+first.  A change to any writer, or to any number that reaches a file,
+changes a digest.
 """
 
 import hashlib
@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+from helpers import STEP_PATHS, step_path
 from reference_writers import reference_write_profile_csv
 from vrlasim.cli import main
 from vrlasim.profiles import LOW_USE, generate_archetype
@@ -63,9 +64,15 @@ def file_digests(out_dir):
     return digests
 
 
-@pytest.fixture(scope="module")
-def cli_files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli_golden")
+@pytest.fixture(scope="module", params=STEP_PATHS)
+def cli_files(request, tmp_path_factory):
+    """The digests of the files of one simulate and its analyze runs, on
+    each step path: the Python path also writes its rows by %r."""
+    with step_path(request.param):
+        return simulated_files(tmp_path_factory.mktemp(f"cli_golden_{request.param}"))
+
+
+def simulated_files(root):
     logged = root / "logged_input.csv"
     reference_write_profile_csv(generate_archetype(LOW_USE, DAYS, seed=4), str(logged))
     cfg = root / "run.yaml"

@@ -59,14 +59,13 @@ def test_comparison_digest_unchanged(case, path):
     assert result_digest(result) == GOLDEN_COMPARE[case]
 
 
-def test_digest_script_passes(request):
-    """tests/check_digests.py, which runs without pytest on any installed
-    CPython, finds every digest on both paths, with the session's kernel."""
+def digest_script(python: str, cache: str) -> str:
+    """The output of tests/check_digests.py run by `python`, which must pass."""
     ran = subprocess.run(
-        [sys.executable, str(ROOT / "tests" / "check_digests.py")],
+        [python, str(ROOT / "tests" / "check_digests.py")],
         env={
             **os.environ,
-            "XDG_CACHE_HOME": request.config.kernel_cache,
+            "XDG_CACHE_HOME": cache,
             "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
         },
         capture_output=True,
@@ -75,6 +74,25 @@ def test_digest_script_passes(request):
     )
     assert ran.returncode == 0, ran.stdout + ran.stderr
     assert ran.stdout.splitlines()[-1] == "every digest matches"
+    return ran.stdout
+
+
+def test_digest_script_passes(request):
+    """tests/check_digests.py, which runs without pytest on any installed
+    CPython, finds every digest on both paths, with the session's kernel."""
+    digest_script(sys.executable, request.config.kernel_cache)
+
+
+# Further interpreters to run tests/check_digests.py under, as paths
+# separated by os.pathsep; none where the variable is unset.
+OTHER_PYTHONS = list(filter(None, os.environ.get("VRLASIM_CHECK_PYTHONS", "").split(os.pathsep)))
+
+
+@pytest.mark.skipif(not OTHER_PYTHONS, reason="VRLASIM_CHECK_PYTHONS names no interpreter")
+@pytest.mark.parametrize("python", OTHER_PYTHONS or [None])
+def test_digest_script_passes_under_each_named_interpreter(request, python):
+    out = digest_script(python, request.config.kernel_cache)
+    assert out.startswith("CPython ")
 
 
 @pytest.mark.parametrize("dt_s", PROFILE_DT_S)

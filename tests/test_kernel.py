@@ -4,8 +4,10 @@ and its hand-off of a day to the Python loop and back."""
 import dataclasses
 import logging
 import os
+import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,27 @@ def test_kernel_cases_skip_only_without_a_compiler(monkeypatch, compiler):
     with pytest.raises(outcome, match=failure):
         with step_path("kernel"):
             pass
+
+
+@pytest.mark.parametrize("symbol", list(_kernel.SIGNATURES))
+def test_a_library_without_a_symbol_is_a_load_failure(tmp_path, monkeypatch, symbol):
+    """A library that lacks a function load() takes from it does not load:
+    `failure` names the symbol, and the row formatter takes its fallback."""
+    if shutil.which(_kernel.COMPILER) is None:
+        pytest.skip(_kernel.NO_COMPILER)
+    source = tmp_path / "_step.c"
+    text = Path(_kernel.SOURCE).read_text()
+    assert text.count(f" {symbol}(") == 1
+    source.write_text(text.replace(f" {symbol}(", f" {symbol}_renamed("))
+    monkeypatch.setattr(_kernel, "SOURCE", str(source))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_kernel, "_loaded", [])
+    monkeypatch.setattr(_kernel, "_format_rows", None)
+    monkeypatch.setattr(_kernel, "failure", None)
+    assert _kernel.load() is None
+    (library,) = cached(tmp_path / "cache")
+    assert _kernel.failure == f"{tmp_path / 'cache' / 'vrlasim' / library} has no symbol {symbol}"
+    assert _kernel.format_rows(["t"], array("d", [0.1]), 1, array("b", [1]), 1) == b"t,0.1,1\r\n"
 
 
 def test_processes_building_into_a_cold_cache_load_a_complete_library(tmp_path):
