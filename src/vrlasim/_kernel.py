@@ -20,11 +20,17 @@ The flags keep every result bit-identical to the Python day, which
 calls the layer functions: ``-O2`` reorders no floating-point operation,
 ``-ffp-contract=off`` forbids fusing a multiply and an add into one
 rounding, and neither ``-ffast-math`` nor a ``-march`` that would change
-the instructions is given.  :class:`Limits`, :class:`Params`,
-:class:`State` and :class:`Profile` mirror _step.c's structs.  They
-hold no value that other fields give: the capacity loss is c_corr +
-c_deg, and the kernel reads the span of the corrosion knots from
-ks_potentials.
+the instructions is given.  They also define the histogram and depth bin
+counts, N_SOC_BINS, N_VOLTAGE_BINS and N_DEPTH_BINS, as the Python
+layout's.  :class:`Limits`, :class:`Params`, :class:`State` and
+:class:`Profile` mirror _step.c's structs.  They hold no value that
+other fields give: the capacity loss is c_corr + c_deg, and the kernel
+reads the span of the corrosion knots from ks_potentials.
+
+:func:`params` builds a run's :class:`Params` once, from its scenario,
+Battery and DegradationModel.  It is the one place the run's constants
+are kept: the kernel's days and run_scenario's Python days both read
+them there.
 
 A run hands the kernel its whole profile once, as the :class:`Profile`
 that :func:`profile` builds: a day-form profile's per-day block powers
@@ -55,14 +61,20 @@ import shutil
 import subprocess
 import tempfile
 from array import array
+from dataclasses import asdict
 from itertools import chain
 
-from .engine import N_SOC_BINS, N_VOLTAGE_BINS
-from .profiles import COLUMNS, StressAccumulator, TimeSeries, check_column_lengths
+from .battery import OCV_COEFFS, POSITIVE_OCV_COEFFS, SOC_CAP, SOC_FLOOR
+from .control import Policy
+from .engine import N_SOC_BINS, N_VOLTAGE_BINS, SOC_BIN_WIDTH, VOLTAGE_BIN_LOW, VOLTAGE_BIN_WIDTH
+from .profiles import COLUMNS, STRESS_LOW_SOC, StressAccumulator, TimeSeries
+from .profiles import check_column_lengths
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
 COMPILER = "cc"
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# with the bin counts of the Python layout, which _step.c does not repeat
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", f"-DN_SOC_BINS={N_SOC_BINS}",
+         f"-DN_VOLTAGE_BINS={N_VOLTAGE_BINS}", f"-DN_DEPTH_BINS={StressAccumulator.N_DEPTH_BINS}")
 LIBS = ("-lm",)
 BUILD_TIMEOUT_S = 120
 NO_COMPILER = f"no C compiler {COMPILER!r} on PATH"
@@ -177,6 +189,42 @@ def profile(series: TimeSeries) -> Profile:
     inputs = Profile(**{name: a.buffer_info()[0] for name, a in arrays.items()}, **sizes)
     inputs.arrays = arrays  # kept alive with the pointers into them
     return inputs
+
+
+def params(scenario, battery, model) -> Params:
+    """The Params of a run of `scenario` with its battery.Battery and
+    degradation.DegradationModel, holding the arrays it points into; a
+    model that cannot be calibrated raises here."""
+    calibrated, ageing, control = model.limits, model.params, scenario.control
+    capacity, gassing, dt_s = model.battery.capacity_ah, model.battery.gassing, scenario.dt_s
+    potentials = array("d", ageing.ks_potentials)
+    segments = array("d", chain.from_iterable(ageing.ks_segments))
+    run = Params(
+        dt_s=dt_s, dt_h=dt_s / 3600.0, capacity=capacity, capacity_as=capacity * 3600.0,
+        soc_to_ah=1.0 / (capacity * 3600.0), eff=scenario.converter_efficiency,
+        rest_a=model.battery.rest_current_a, taper_a=control.taper_current_a(capacity),
+        eol_ah=model.eol_threshold_ah(), soc_cap=SOC_CAP, soc_floor=SOC_FLOOR,
+        soc_bin_width=SOC_BIN_WIDTH, v_bin_low=VOLTAGE_BIN_LOW, v_bin_width=VOLTAGE_BIN_WIDTH,
+        stress_low_soc=STRESS_LOW_SOC, cells=battery.cells, b0_ah=battery.b0_ah, b1=battery.b1,
+        v_empty=battery.v_empty, v_full=battery.v_full, c_max=battery.c_max,
+        swing=battery.swing, v_acid=battery.v_acid, v_water=battery.v_water,
+        m_water=battery.m_water, ocv_coeffs=OCV_COEFFS, positive_coeffs=POSITIVE_OCV_COEFFS,
+        i_gas_0=gassing.i_gas_0, c_v=gassing.c_v, c_t=gassing.c_t, v_ref=gassing.v_ref,
+        t_ref=gassing.t_ref, cutoff_soc=control.cutoff_soc, reconnect_soc=control.reconnect_soc(),
+        full_limits=Limits(**asdict(control.full_limits)),
+        partial_limits=Limits(**asdict(control.partial_limits)),
+        k_first=ageing.ks_knots[0][1], k_last=ageing.ks_knots[-1][1],
+        threshold_v=ageing.corrosion_threshold_v, exponent=ageing.corrosion_exponent,
+        ks_ref_temp_k=ageing.ks_ref_temp_k, temp_doubling_k=ageing.temp_doubling_k,
+        c_soc0=ageing.c_soc0_per_h, c_soc_min=ageing.c_soc_min_per_h,
+        i_ref=ageing.i_ref_a, i_floor=ageing.i_floor_a,
+        nominal_cycles=model.datasheet.nominal_cycles, w_limit=calibrated.w_limit,
+        c_corr_limit=calibrated.c_corr_limit, c_deg_limit=calibrated.c_deg_limit,
+        ks_potentials=potentials.buffer_info()[0], ks_segments=segments.buffer_info()[0],
+        n_knots=len(potentials), adaptive=control.policy is Policy.ADAPTIVE,
+    )
+    run.arrays = potentials, segments  # kept alive with the pointers into them
+    return run
 
 
 def cache_dir() -> str:

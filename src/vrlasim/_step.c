@@ -32,17 +32,15 @@
  * kernel's memos (Electrolyte, below, and the z_w of the last c_deg) live
  * within one call, so the state holds the model's state alone, and no
  * value that another field gives: the capacity loss is c_corr + c_deg,
- * and the corrosion knots' span is read from ks_potentials.
+ * and the corrosion knots' span is read from ks_potentials.  The bin
+ * counts N_SOC_BINS, N_VOLTAGE_BINS and N_DEPTH_BINS are not defined
+ * here: the build passes the Python layout's (vrlasim._kernel.FLAGS).
  */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
-
-#define N_SOC_BINS 20
-#define N_VOLTAGE_BINS 56
-#define N_DEPTH_BINS 10
 
 enum { BULK, ABSORPTION, FLOAT };
 enum { FLAGGED = -1, DAY_DONE = 0, END_OF_LIFE = 1 };

@@ -14,13 +14,11 @@ import os
 import threading
 import time
 from array import array
-from dataclasses import asdict, dataclass, field
-from itertools import chain, count
+from dataclasses import dataclass, field
+from itertools import count
 
 from ._domains import HALF_OPEN_UNIT, HORIZON, POSITIVE, UNIT, check_fields, declared
 from .battery import (
-    OCV_COEFFS,
-    POSITIVE_OCV_COEFFS,
     SOC_CAP,
     SOC_FLOOR,
     Battery,
@@ -47,7 +45,7 @@ from .degradation import (
     DegradationParams,
     DegradationState,
 )
-from .profiles import DEFAULT_DT_S, SECONDS_PER_DAY, STRESS_LOW_SOC, StressAccumulator
+from .profiles import DEFAULT_DT_S, SECONDS_PER_DAY, StressAccumulator
 from .profiles import StressFactors, TimeSeries, TraceRecord, TraceWriter
 from .profiles import divides_day
 
@@ -187,80 +185,81 @@ def run_scenario(
 ) -> SimResult:
     """Simulate one scenario to end of life or the horizon.
 
-    The loop runs over days, and the per-day work stays here: each day
-    ends in one DayRecord, after which the adaptive schedule is updated
-    for the next (control.reschedule).  The run's state between steps is
-    one _kernel.State, and the stress factors come from
-    StressFactors.from_totals once, at the end.
+    The loop runs over days, and each day runs one of two ways to one
+    contract.  The compiled kernel (_step.c's vrlasim_run_day, loaded by
+    _kernel.load) runs it where one could be built.  `python_day` runs it
+    where not, or where the kernel flags a step at which `python_day`
+    would raise: the kernel then leaves the state as the day found it,
+    and `python_day` runs that day and raises what it raises.  Both give
+    the same result to the bit, and both
+    - read the run's constants from the one _kernel.Params that
+      _kernel.params builds;
+    - take the run's state from one _kernel.State and leave it there;
+    - write the step index of each full charge to `events` and, in a
+      traced run, each step's current, soc and voltage to `values` and
+      its full-charge and floating marks to `marks`;
+    - return _kernel.DAY_DONE, or _kernel.END_OF_LIFE with
+      State.lifetime_steps set.
+    Every day then closes the same way: its full-charge times come from
+    `events`, its trace from the buffers, it ends in one DayRecord, and
+    the adaptive schedule is updated for the next day
+    (control.reschedule).  The stress factors come from
+    StressFactors.from_totals once, at the end.  The capacity loss is
+    never stored: it is c_corr + c_deg of the state.
 
-    The capacity loss is never stored: it is c_corr + c_deg of the
-    state.  A day's steps run in the compiled kernel (_step.c, loaded by
-    _kernel.load) where one could be built, and in `python_day` where
-    not, or where the kernel flags a step at which `python_day` would
-    raise: the kernel then leaves the state as the day found it, and
-    `python_day` runs that day and raises what it raises.  Both give the
-    same result to the bit.  The kernel reads each step's load, solar and
-    temperature from the whole profile, handed to it once per run as a
-    _kernel.Profile, and evaluates each step's temperature terms as the
-    layer functions do; its memos live within one day's call.  Only
-    `python_day` asks the profile for a day's samples (TimeSeries.day),
-    and it calls the layer functions in the order tests/reference_engine.py
-    composes them, each evaluating its own temperature terms.  It moves
-    the state between the _kernel.State and the layers' ControllerState,
-    DegradationState and StressAccumulator once as a day starts and once
-    as it ends, keeps soc, the last voltage and the loss as step locals,
-    and adds every other sum to the State itself.
+    The kernel reads each step's load, solar and temperature from the
+    whole profile, handed to it once per run as a _kernel.Profile, and
+    evaluates each step's temperature terms as the layer functions do;
+    its memos live within one day's call.  Only `python_day` asks the
+    profile for a day's samples (TimeSeries.day), and it calls the layer
+    functions in the order tests/reference_engine.py composes them, each
+    evaluating its own temperature terms.  It loads a ControllerState, a
+    DegradationState and a StressAccumulator from the State as the day
+    starts and writes them back as it ends, keeps soc, the last voltage
+    and the loss as step locals, and adds every other sum to the State.
 
     Given a `trace` destination, any object with an ``append`` method,
-    the run appends one TraceRecord per step to it as it makes them (a
-    day's at a time from the kernel), SimResult.trace is None, and
-    runtime_s includes what the appends cost.  A destination with a
-    ``write_steps`` method as well, such as a profiles.TraceWriter, takes
-    each kernel day's buffers in one call instead of its records.  Without one, a scenario with record_trace keeps its records
-    in a new list, SimResult.trace.
+    the run hands it each day's steps as the day ends, SimResult.trace
+    is None, and runtime_s includes what that costs.  A destination with
+    a ``write_steps`` method as well, such as a profiles.TraceWriter,
+    takes the day's buffers in one call; any other gets one TraceRecord
+    per step.  Without a destination, a scenario with record_trace keeps
+    its records in a new list, SimResult.trace.
     """
     from . import _kernel
 
     started = time.perf_counter()
-    params = scenario.battery
-    battery = Battery(params)
+    battery_params = scenario.battery
+    battery = Battery(battery_params)
     profile = scenario.profile
-    model = DegradationModel(
-        battery=params,
-        params=scenario.degradation,
-        datasheet=scenario.datasheet,
-    )
-    calibrated = model.limits  # a scenario that cannot be calibrated fails here
+    model = DegradationModel(battery_params, scenario.degradation, scenario.datasheet)
+    p = _kernel.params(scenario, battery, model)  # a scenario that cannot be calibrated fails here
     ctrl = ControllerState()
-    deg = DegradationState()
     control = scenario.control
     adaptive = control.policy is Policy.ADAPTIVE
 
-    dt_s = scenario.dt_s
-    dt_h = dt_s / 3600.0
+    dt_s, dt_h, capacity = p.dt_s, p.dt_h, p.capacity
     steps_per_day = int(round(SECONDS_PER_DAY / dt_s))
     max_steps = horizon_steps(dt_s, scenario.max_years)
     if profile.dt_s != dt_s:
         raise EngineError(
             f"profile dt {profile.dt_s}s does not match scenario dt {dt_s}s"
         )
-
-    capacity = params.capacity_ah
-    rest_a = params.rest_current_a
-    gassing = params.gassing
-    eff = scenario.converter_efficiency
-    eol_ah = model.eol_threshold_ah()
-    taper_a = control.taper_current_a(capacity)
-    soc_to_ah = 1.0 / (capacity * 3600.0)
     phases = tuple(Phase)  # a Phase's index is _kernel.State.phase
 
     kept = None  # the trace SimResult keeps
     if trace is None and scenario.record_trace:
         trace = kept = []
     record = None if trace is None else trace.append
-    write_steps = getattr(trace, "write_steps", None)  # a whole kernel day at once
+    write_steps = getattr(trace, "write_steps", None)  # a whole day at once
+    # the buffers each day fills: its full charges' steps, and its trace
+    events = array("q", bytes(8 * steps_per_day))
+    values = marks = None
+    if record is not None:
+        values = array("d", bytes(24 * steps_per_day))
+        marks = array("b", bytes(2 * steps_per_day))
     trajectory: list[DayRecord] = []
-    stress = StressAccumulator(capacity, dt_h)
+    full_charge_times: list[float] = []
 
     soc = scenario.initial_soc
     st = _kernel.State(
@@ -274,23 +273,28 @@ def run_scenario(
         lifetime_steps=max_steps,
     )
 
-    def python_day(day, first, stop, loads, solars, temps) -> bool:
-        """Steps first .. stop - 1 of a day through the layer functions,
-        from st and back into it; whether the battery reached end of life."""
+    def python_day(p, st, day, first, stop, samples, events, values, marks) -> int:
+        """vrlasim_run_day through the layer functions, given the day's
+        samples (TimeSeries.day) for the Profile and the buffers for their
+        addresses."""
+        dt_s, dt_h, eff, rest_a, taper_a = p.dt_s, p.dt_h, p.eff, p.rest_a, p.taper_a
+        soc_to_ah, eol_ah, gassing = p.soc_to_ah, p.eol_ah, battery_params.gassing
         ctrl.phase, ctrl.load_disconnected = phases[st.phase], bool(st.disconnected)
         ctrl.full_set = bool(st.full_set)
-        deg.w, deg.z_w, deg.time_since_full_h = st.w, st.z_w, st.since_full_h
-        deg.min_soc_since_full, deg.c_corr, deg.c_deg = st.min_soc_since_full, st.c_corr, st.c_deg
-        deg.ks_clamp_events = st.ks_clamp_events
-        stress.steps, stress.charge_ah, stress.discharge_ah = first, st.charge_ah, st.discharge_ah
+        deg = DegradationState(
+            st.w, st.z_w, st.since_full_h, st.min_soc_since_full, st.c_corr, st.c_deg,
+            st.ks_clamp_events,
+        )
+        stress = StressAccumulator(p.capacity, dt_h)
+        stress.charge_ah, stress.discharge_ah = st.charge_ah, st.discharge_ah
         stress.max_discharge_a, stress.low_soc_h = st.max_discharge_a, st.low_soc_h
         stress.float_h, stress.depth_bins[:] = st.float_h, st.depth_bins
         stress.min_soc_since_full = st.cycle_min_soc if st.cycling else None
         soc, v_prev, loss = st.soc, st.v_prev, st.c_corr + st.c_deg
         soc_hist, v_hist = st.soc_hist, st.v_hist  # views of st's arrays, not copies
-        ended = False
+        outcome = _kernel.DAY_DONE
 
-        for i, load_w, solar_w, temp_c in zip(range(first, stop), loads, solars, temps):
+        for i, load_w, solar_w, temp_c in zip(range(first, stop), *samples):
             temp_k = temp_c + 273.15
             if update_load_disconnect(ctrl, soc, control):
                 st.disconnect_events += 1
@@ -304,17 +308,18 @@ def run_scenario(
             net_a = avail_a - load_a
 
             v_limit, v_float = select_limits(ctrl, control, temp_c)
-            applied, events = tscc_step(
+            applied, step_events = tscc_step(
                 ctrl, soc, loss, avail_a, load_a, v_limit, v_float, battery, taper_a
             )
-            full_event = events.full_charge
-            if events.float_entered:
+            full_event = step_events.full_charge
+            if step_events.float_entered:
                 if full_event:
                     # full recharge declared: trust the controller and snap
                     # the coulomb counter to full
                     st.full_reset_jumps += 1.0 - soc
                     soc = 1.0
                     deg.register_full_charge()
+                    events[st.day_full_events] = i
                     st.day_full_events += 1
                     st.last_full_event_day = day
                     ctrl.full_set = wants_full_limits(0, ctrl.interval_days, control)
@@ -339,7 +344,7 @@ def run_scenario(
             # gassing, then coulomb counting without the gassing current
             i_gas = gassing_current(voltage, temp_k, gassing)
             st.integral += (applied - i_gas) * dt_s * soc_to_ah
-            new_soc, clamped = step_soc(soc, applied, i_gas, dt_s, params)
+            new_soc, clamped = step_soc(soc, applied, i_gas, dt_s, battery_params)
             if clamped:
                 st.clamp_events += 1
                 st.clamp_jumps += new_soc - (soc + (applied - i_gas) * dt_s * soc_to_ah)
@@ -360,13 +365,15 @@ def run_scenario(
             v_hist[vbin if vbin < N_VOLTAGE_BINS else N_VOLTAGE_BINS - 1] += dt_h
             floating = ctrl.phase is Phase.FLOAT
             stress.add(applied, soc, full_event, floating)
-            if record is not None:
-                record(TraceRecord(i * dt_h, applied, soc, voltage, full_event, floating))
+            if values is not None:
+                k = i - first
+                values[3 * k], values[3 * k + 1], values[3 * k + 2] = applied, soc, voltage
+                marks[2 * k], marks[2 * k + 1] = full_event, floating
             v_prev = voltage
 
             if loss >= eol_ah:
                 st.lifetime_steps = i + 1
-                ended = True
+                outcome = _kernel.END_OF_LIFE
                 break
 
         st.soc, st.v_prev = soc, v_prev
@@ -380,46 +387,15 @@ def run_scenario(
             st.cycle_min_soc, st.cycling = stress.min_soc_since_full, 1
         st.phase, st.disconnected = phases.index(ctrl.phase), ctrl.load_disconnected
         st.full_set = ctrl.full_set
-        return ended
+        return outcome
 
     run_day = _kernel.load()
     if run_day is not None:
-        # the kernel's constants and inputs, and the buffers each day fills
-        ageing = scenario.degradation
-        potentials = array("d", ageing.ks_potentials)
-        segments = array("d", chain.from_iterable(ageing.ks_segments))
-        kernel_params = _kernel.Params(
-            dt_s=dt_s, dt_h=dt_h, capacity=capacity, capacity_as=capacity * 3600.0,
-            soc_to_ah=soc_to_ah, eff=eff, rest_a=rest_a, taper_a=taper_a, eol_ah=eol_ah,
-            soc_cap=SOC_CAP, soc_floor=SOC_FLOOR, soc_bin_width=SOC_BIN_WIDTH,
-            v_bin_low=VOLTAGE_BIN_LOW, v_bin_width=VOLTAGE_BIN_WIDTH,
-            stress_low_soc=STRESS_LOW_SOC, cells=battery.cells, b0_ah=battery.b0_ah,
-            b1=battery.b1, v_empty=battery.v_empty, v_full=battery.v_full,
-            c_max=battery.c_max, swing=battery.swing, v_acid=battery.v_acid,
-            v_water=battery.v_water, m_water=battery.m_water,
-            ocv_coeffs=OCV_COEFFS, positive_coeffs=POSITIVE_OCV_COEFFS,
-            i_gas_0=gassing.i_gas_0, c_v=gassing.c_v, c_t=gassing.c_t, v_ref=gassing.v_ref,
-            t_ref=gassing.t_ref, cutoff_soc=control.cutoff_soc,
-            reconnect_soc=control.reconnect_soc(),
-            full_limits=_kernel.Limits(**asdict(control.full_limits)),
-            partial_limits=_kernel.Limits(**asdict(control.partial_limits)),
-            k_first=ageing.ks_knots[0][1], k_last=ageing.ks_knots[-1][1],
-            threshold_v=ageing.corrosion_threshold_v, exponent=ageing.corrosion_exponent,
-            ks_ref_temp_k=ageing.ks_ref_temp_k, temp_doubling_k=ageing.temp_doubling_k,
-            c_soc0=ageing.c_soc0_per_h, c_soc_min=ageing.c_soc_min_per_h,
-            i_ref=ageing.i_ref_a, i_floor=ageing.i_floor_a,
-            nominal_cycles=scenario.datasheet.nominal_cycles, w_limit=calibrated.w_limit,
-            c_corr_limit=calibrated.c_corr_limit, c_deg_limit=calibrated.c_deg_limit,
-            ks_potentials=potentials.buffer_info()[0], ks_segments=segments.buffer_info()[0],
-            n_knots=len(potentials), adaptive=adaptive,
-        )
+        # the kernel's inputs, and the addresses of the buffers each day fills
         inputs = _kernel.profile(profile)
-        events = array("q", bytes(8 * steps_per_day))
         at_events = events.buffer_info()[0]
         at_values = at_marks = None
         if record is not None:
-            values = array("d", bytes(24 * steps_per_day))
-            marks = array("b", bytes(2 * steps_per_day))
             at_values, at_marks = values.buffer_info()[0], marks.buffer_info()[0]
 
     day_start_c_corr = day_start_total = 0.0
@@ -428,23 +404,21 @@ def run_scenario(
         stop = min(first + steps_per_day, max_steps)  # the last day may be partial
         outcome = _kernel.FLAGGED
         if run_day is not None:
-            outcome = run_day(
-                kernel_params, st, day, first, stop, inputs, at_events, at_values, at_marks
-            )
+            outcome = run_day(p, st, day, first, stop, inputs, at_events, at_values, at_marks)
         if outcome == _kernel.FLAGGED:
-            ended = python_day(day, first, stop, *profile.day(day))
-        else:
-            ended = outcome == _kernel.END_OF_LIFE
-            stress.full_charge_times.extend(i * dt_h for i in events[: st.day_full_events])
-            if write_steps is not None:
-                write_steps(first, (st.lifetime_steps if ended else stop) - first, dt_h, values, marks)
-            elif record is not None:
-                stepped = range(first, st.lifetime_steps if ended else stop)
-                v, m = iter(values), iter(marks)
-                for i, applied, soc, voltage, full_event, floating in zip(stepped, v, v, v, m, m):
-                    record(TraceRecord(i * dt_h, applied, soc, voltage, full_event == 1, floating == 1))
+            outcome = python_day(p, st, day, first, stop, profile.day(day), events, values, marks)
 
         # close out the day, then set the next one up
+        ended = outcome == _kernel.END_OF_LIFE
+        full_charge_times.extend(i * dt_h for i in events[: st.day_full_events])
+        if record is not None:
+            stepped = range(first, st.lifetime_steps if ended else stop)
+            if write_steps is not None:
+                write_steps(first, len(stepped), dt_h, values, marks)
+            else:
+                v, m = iter(values), iter(marks)
+                for i, applied, soc, voltage, full, floating in zip(stepped, v, v, v, m, m):
+                    record(TraceRecord(i * dt_h, applied, soc, voltage, full == 1, floating == 1))
         c_corr, c_deg = st.c_corr, st.c_deg
         loss = c_corr + c_deg
         trajectory.append(
@@ -469,7 +443,7 @@ def run_scenario(
     lifetime_days = st.lifetime_steps * dt_s / SECONDS_PER_DAY
     stress_result = StressFactors.from_totals(
         capacity, dt_h, st.lifetime_steps, st.charge_ah, st.discharge_ah, st.max_discharge_a,
-        st.low_soc_h, st.float_h, stress.full_charge_times, list(st.depth_bins),
+        st.low_soc_h, st.float_h, full_charge_times, list(st.depth_bins),
     )
     return SimResult(
         name=scenario.name,
@@ -478,7 +452,7 @@ def run_scenario(
         lifetime_days=lifetime_days,
         censored=not ended,
         capacity_ah=capacity,
-        eol_threshold_ah=eol_ah,
+        eol_threshold_ah=p.eol_ah,
         c_corr_ah=c_corr,
         c_deg_ah=c_deg,
         c_total_ah=loss,

@@ -17,7 +17,7 @@ import pytest
 from helpers import constant_profile, cycling_profile
 from vrlasim.control import ControlParams, Policy, adaptive_params
 from vrlasim.engine import Scenario, compare_strategies, run_scenario
-from vrlasim import profiles
+from vrlasim import _kernel, profiles
 from vrlasim.profiles import ARCHETYPES, generate_archetype
 
 SEED = 42
@@ -33,6 +33,18 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     shutil.rmtree(config.kernel_cache, ignore_errors=True)
+
+
+def pytest_report_header(config):
+    """Which step path the session's runs take: the kernel's library, by
+    its cache key, or why it did not load."""
+    if _kernel.load() is None:
+        return f"step kernel: not loaded, every day runs in Python: {_kernel.failure}"
+    with open(_kernel.SOURCE, "rb") as fh:
+        source = fh.read()
+    cc = _kernel.compiler_id(shutil.which(_kernel.COMPILER))
+    key = _kernel.cache_key(source, cc, _kernel.FLAGS + _kernel.LIBS)
+    return f"step kernel: loaded, cache key {key}"
 
 
 def _archetype_scenario(name: str, dt_s: float = DT_S) -> Scenario:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import START, constant_profile, cycling_profile, result_digest, step_path
+from helpers import START, STEP_PATHS, constant_profile, cycling_profile, result_digest, step_path
 from vrlasim import _kernel, engine
 from vrlasim._domains import TEMP_MAX_C, TEMP_MIN_C
 from vrlasim.control import ControlParams, Policy, adaptive_params
@@ -60,6 +60,38 @@ class TestTraceDestination:
         )
         assert streamed.trace is None
         assert destination == kept.trace and len(destination) == 3 * 96
+
+
+    @pytest.mark.parametrize("path", STEP_PATHS)
+    def test_a_write_steps_destination_takes_every_step_as_buffers(self, path):
+        """Each day, the kernel's or the Python day's, hands a destination
+        with write_steps its buffers, and no TraceRecord is made."""
+        scenario = low_use_scenario(max_years=3 / 365)
+        destination = StepsOnly()
+        with step_path(path):
+            kept = run_scenario(scenario)
+            streamed = run_scenario(scenario, trace=destination)
+        assert destination.rows == [dataclasses.astuple(r) for r in kept.trace]
+        assert result_digest(dataclasses.replace(streamed, trace=kept.trace)) == result_digest(
+            kept
+        )
+
+
+class StepsOnly:
+    """A trace destination that keeps the rows write_steps hands it and
+    refuses records."""
+
+    def __init__(self):
+        self.rows = []
+
+    def append(self, record):
+        raise AssertionError(f"a TraceRecord was appended: {record}")
+
+    def write_steps(self, first, n, dt_h, values, marks):
+        self.rows += [
+            (i * dt_h, *values[3 * k : 3 * k + 3], *map(bool, marks[2 * k : 2 * k + 2]))
+            for k, i in enumerate(range(first, first + n))
+        ]
 
 
 class TestScenarioValidation:

@@ -4,6 +4,7 @@ and its hand-off of a day to the Python loop and back."""
 import dataclasses
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,11 +15,19 @@ import pytest
 
 from check_digests import PINNED
 from helpers import START, flat, result_digest, step_path
-from vrlasim import _kernel
+from vrlasim import _kernel, engine
 from vrlasim.control import ControlParams, adaptive_params
 from vrlasim.degradation import DegradationParams
 from vrlasim.engine import Scenario, run_scenario
-from vrlasim.profiles import LOW_USE, ProfileError, TimeSeries, generate_archetype
+from vrlasim.profiles import (
+    ARCHETYPES,
+    LOW_USE,
+    ProfileError,
+    StressAccumulator,
+    TimeSeries,
+    TraceWriter,
+    generate_archetype,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 DAYS = 20
@@ -265,3 +274,58 @@ def test_reassigned_columns_of_unequal_length_are_refused():
     for path in ("python", "kernel"):
         with step_path(path):
             assert outcome(scenario) == (ProfileError, "load, solar and temperature lengths differ")
+
+
+def test_bin_counts_are_the_python_layouts():
+    """_step.c defines no bin count of its own: the build flags, which the
+    cache key covers, pass the histogram and depth bin counts of the
+    Python layout."""
+    source = Path(_kernel.SOURCE).read_text()
+    for name, count in [
+        ("N_SOC_BINS", engine.N_SOC_BINS),
+        ("N_VOLTAGE_BINS", engine.N_VOLTAGE_BINS),
+        ("N_DEPTH_BINS", StressAccumulator.N_DEPTH_BINS),
+    ]:
+        assert not re.search(rf"#\s*define\s+{name}\b", source)
+        assert f"-D{name}={count}" in _kernel.FLAGS
+
+
+# Which days the kernel hands to the Python day, of runs that switch
+# step paths every day or on two days in three.
+SWITCHES = {"odd_days": lambda day: day % 2 == 1, "two_days_in_three": lambda day: day % 3 != 0}
+
+
+@pytest.mark.parametrize("switch", list(SWITCHES))
+@pytest.mark.parametrize("policy", [ControlParams(), adaptive_params()], ids=["static", "adaptive"])
+@pytest.mark.parametrize("archetype", ["high", "low", "infrequent"])
+def test_runs_that_switch_paths_match_an_all_kernel_run(tmp_path, archetype, policy, switch):
+    """The Python day takes the state from the kernel and hands it back
+    day after day: the kept trace's result and a TraceWriter's bytes are
+    those of a run with every day in the kernel."""
+    profile = generate_archetype(ARCHETYPES[archetype], DAYS, seed=7)
+    scenario = Scenario("switch", profile, control=policy, max_years=DAYS / 365.0)
+
+    def run(name):
+        kept = run_scenario(dataclasses.replace(scenario, record_trace=True))
+        with TraceWriter(tmp_path / name, profile.start) as writer:
+            run_scenario(scenario, trace=writer)
+        return result_digest(kept), (tmp_path / name).read_bytes()
+
+    with step_path("kernel"):
+        run_day = _kernel.load()
+        want = run("kernel.csv")
+        flagged = []
+
+        def switching(params, state, day, *rest):
+            if SWITCHES[switch](day):
+                flagged.append(day)
+                return _kernel.FLAGGED
+            return run_day(params, state, day, *rest)
+
+        _kernel._loaded[0] = switching
+        try:
+            got = run("switched.csv")
+        finally:
+            _kernel._loaded[0] = run_day
+    assert set(flagged) == set(filter(SWITCHES[switch], range(DAYS)))
+    assert got == want

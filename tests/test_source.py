@@ -531,6 +531,24 @@ def test_reference_loop_calls_the_stress_sums_and_the_inversion():
     assert {"StressAccumulator.add", "Battery.invert_ocv"} <= in_loops
 
 
+def test_both_step_paths_keep_one_day_contract():
+    """The Python day fills the kernel's buffers and makes no TraceRecord,
+    the run keeps no StressAccumulator of its own, and engine.py builds no
+    _kernel.Params: _kernel.params keeps the run's constants."""
+    source = (PACKAGE / "engine.py").read_text()
+    run = function_def(source, "run_scenario")
+    (day,) = [
+        node for node in ast.walk(run)
+        if isinstance(node, ast.FunctionDef) and node.name == "python_day"
+    ]
+    assert "TraceRecord" not in layer_calls(day)
+    called = Counter(
+        called_name(node) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+    )
+    assert called["StressAccumulator"] == 1 and "StressAccumulator" in layer_calls(day)
+    assert called["Params"] == 0
+
+
 def per_day_inputs(function: ast.FunctionDef) -> list[str]:
     """Each array(...) call in a function's loop over days (its `for` over
     count()), and each read of a `.day` attribute outside that loop's
